@@ -147,7 +147,7 @@ def run_ctc(
             break
         if max_iterations is not None and iterations >= max_iterations:
             break
-        to_delete = candidates if bulk_deletion else [candidates[0]]
+        to_delete = candidates if bulk_deletion else [min(candidates, key=repr)]
         maintain_k_truss(community, k, to_delete)
         iterations += 1
         inst.record_iteration(deleted=len(to_delete))

@@ -68,30 +68,46 @@ def identify_leader(
     Leader
         The chosen leader and its current butterfly degree.  When no vertex
         within ``rho`` hops reaches the relaxed thresholds, the query vertex
-        itself is returned (line 16 of Algorithm 6).
+        itself is returned (line 16 of Algorithm 6).  Among the qualifying
+        vertices of the nearest hop level the one with the smallest
+        ``repr`` wins, so the choice never depends on set iteration order.
     """
     chi = lambda v: butterfly_degrees.get(v, 0)  # noqa: E731 - tiny local alias
-    candidate = query
     b_max = 0
     for v in group.vertices():
         b_max = max(b_max, chi(v))
-    threshold = b_max / 2.0
-    if chi(candidate) > threshold:
-        return Leader(candidate, chi(candidate))
-    # Hop distances from the query within the group (bounded by rho).
     distances = bfs_distances(group, query, max_depth=rho) if query in group else {}
     by_distance: Dict[int, list] = {}
     for v, d in distances.items():
-        if v == query:
-            continue
-        by_distance.setdefault(d, []).append(v)
+        if v != query:
+            by_distance.setdefault(d, []).append(v)
+    vertex = choose_leader(
+        query, chi, b_max, [by_distance.get(d, ()) for d in range(1, rho + 1)], b
+    )
+    return Leader(vertex, chi(vertex))
+
+
+def choose_leader(query, chi, b_max: int, levels, b: int, key=repr):
+    """The selection rule of Algorithm 6 over precomputed hop levels.
+
+    ``levels[i]`` holds the vertices ``i + 1`` hops from ``query`` and
+    ``chi`` maps a vertex to its butterfly degree.  The query wins outright
+    when χ(query) exceeds half the side's maximum ``b_max``; otherwise the
+    threshold relaxes by halves towards ``b`` and the nearest level with a
+    vertex at the threshold supplies the leader, ties broken by the
+    smallest ``key`` (the vertex ``repr`` by default).  Falls back to the
+    query vertex.
+    """
+    threshold = b_max / 2.0
+    if chi(query) > threshold:
+        return query
     while threshold >= b and threshold > 0:
-        for d in range(1, rho + 1):
-            for v in by_distance.get(d, []):
-                if chi(v) >= threshold:
-                    return Leader(v, chi(v))
+        for level in levels:
+            qualifying = [v for v in level if chi(v) >= threshold]
+            if qualifying:
+                return min(qualifying, key=key)
         threshold /= 2.0
-    return Leader(candidate, chi(candidate))
+    return query
 
 
 def identify_leader_pair(

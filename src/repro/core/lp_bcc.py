@@ -168,7 +168,7 @@ def run_lp_bcc(
             break
         if max_iterations is not None and iterations >= max_iterations:
             break
-        to_delete = candidates if bulk_deletion else [candidates[0]]
+        to_delete = candidates if bulk_deletion else [min(candidates, key=repr)]
 
         outcome = maintain_bcc(
             community,

@@ -313,7 +313,7 @@ def run_mbcc(
             break
         if max_iterations is not None and iterations >= max_iterations:
             break
-        to_delete = candidates if bulk_deletion else [candidates[0]]
+        to_delete = candidates if bulk_deletion else [min(candidates, key=repr)]
 
         removed: Set[Vertex] = set()
         by_label: Dict[Label, List[Vertex]] = {}

@@ -71,7 +71,8 @@ def online_bcc_search(
     bulk_deletion:
         When True (the setting used in the paper's experiments), all vertices
         attaining the maximum query distance are removed each iteration;
-        otherwise a single vertex is removed, exactly as Algorithm 1 states.
+        otherwise a single vertex is removed, exactly as Algorithm 1 states
+        (among equally far vertices, the one with the smallest ``repr``).
     max_iterations:
         Optional safety cap on the number of peeling iterations.
     instrumentation:
@@ -214,7 +215,7 @@ def run_online_bcc(
             break
         if max_iterations is not None and iterations >= max_iterations:
             break
-        to_delete = candidates if bulk_deletion else [candidates[0]]
+        to_delete = candidates if bulk_deletion else [min(candidates, key=repr)]
         outcome = maintain_bcc(
             community,
             to_delete,
