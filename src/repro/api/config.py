@@ -25,10 +25,12 @@ from repro.core.path_weight import PathWeightConfig
 from repro.exceptions import QueryError
 
 #: Kernel substrates accepted by :attr:`SearchConfig.backend`.
-#: ``"process"`` selects the CSR kernels plus the multi-process batch
-#: transport (:mod:`repro.parallel`): a single ``search`` runs the CSR
-#: fast path in-process, while ``search_many`` scatter-gathers the batch
-#: across shared-memory worker processes.
+#: ``"object"`` selects the object reference runners; every other value
+#: serves the BCC pair methods on the CSR pipeline.  ``"process"``
+#: additionally selects the multi-process batch transport
+#: (:mod:`repro.parallel`): a single ``search`` runs in-process, while
+#: ``search_many`` scatter-gathers the batch across shared-memory worker
+#: processes.
 BACKENDS = ("auto", "object", "csr", "process")
 
 
@@ -58,14 +60,21 @@ class SearchConfig:
         Leader search radius of Algorithm 6 (LP-BCC / L2P-BCC).
     backend:
         Kernel substrate: ``"auto"`` (default), ``"object"``, ``"csr"`` or
-        ``"process"``.  ``"process"`` behaves like ``"csr"`` inside one
+        ``"process"``.  Online-BCC, LP-BCC and L2P-BCC run on the CSR
+        pipeline (:mod:`repro.core.pipeline`: integer ids and alive sets
+        over the engine's one frozen graph) for every value except
+        ``"object"``, which runs the object runners as the reference
+        implementation; both return identical answers and Table-4 counts.
+        For the other methods the value picks the kernel substrate of their
+        own phases.  ``"process"`` behaves like ``"csr"`` inside one
         process and additionally opts ``search_many`` batches into the
         shared-memory worker pool of :mod:`repro.parallel`.
     max_iterations:
         Optional safety cap on peeling iterations.
     fast_path:
-        Run Online-BCC's query-distance sweep on a frozen CSR snapshot of
-        ``G0`` with a dead-id mask (identical results, faster substrate).
+        With ``backend="object"``, run Online-BCC's query-distance sweep
+        on a frozen CSR snapshot of ``G0`` with a dead-id mask (identical
+        results, faster substrate).
     eta:
         Candidate-graph size threshold of L2P-BCC (Algorithm 8).
     path_config:

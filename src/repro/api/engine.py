@@ -5,10 +5,12 @@ queries through the method registry.  Unlike the legacy one-shot functions it
 *prepares once and serves many*:
 
 * :meth:`prepare` freezes the graph's CSR snapshot (version-cached, so every
-  fast-path kernel on the unmutated graph reuses it);
-* :meth:`group` caches the label-induced subgraphs that Algorithm 2 rebuilds
-  per query on the one-shot path — each group (and the warm CSR snapshot its
-  own kernels freeze) is built once per engine;
+  fast-path kernel on the unmutated graph reuses it) and derives from it the
+  :class:`~repro.core.pipeline.PreparedGraph` the BCC searches run on —
+  same-label / cross-label adjacency and label-group coreness per id;
+* :meth:`group` caches label-induced subgraphs for the consumers that still
+  take object graphs (mBCC, the ``backend="object"`` reference runners) —
+  each group is built once per engine;
 * :meth:`ensure_index` lazily builds one reusable BCindex for the
   index-based methods, timing the build separately from query time;
 * repeated queries are answered from a bounded LRU result cache keyed on
@@ -69,8 +71,9 @@ from repro.api.query import (
 )
 from repro.api.registry import MethodSpec, get_method
 from repro.core.bc_index import BCIndex
-from repro.core.bcc_model import BCCParameters, resolve_query_labels
+from repro.core.bcc_model import resolve_query_labels
 from repro.core.multilabel import resolve_mbcc_parameters, validate_mbcc_query
+from repro.core.pipeline import PreparedGraph
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
     REASON_DEADLINE_EXCEEDED,
@@ -435,6 +438,7 @@ class BCCEngine:
         self.fault_plan = fault_plan
         self._index: Optional[BCIndex] = index
         self._groups: Dict[Label, LabeledGraph] = {}
+        self._pipeline: Optional[PreparedGraph] = None
         self._graph_version: int = graph.version()
         self._prepared: bool = False
         self._index_build_seconds: float = 0.0
@@ -450,8 +454,9 @@ class BCCEngine:
         # Per-cache locks: each fill-once cache fills under its own lock via
         # a double-checked pattern, so concurrent serving threads perform
         # every preparation step exactly once.  Lock order (outermost first)
-        # is index -> version -> groups; freeze / cache / counter locks are
-        # leaves, never held while acquiring another lock.
+        # is index -> version -> groups -> freeze -> counters; the freeze
+        # lock guards the CSR freeze and the pipeline state derived from it,
+        # and cache / counter locks are leaves.
         self._freeze_lock = threading.Lock()
         self._groups_lock = threading.Lock()
         self._index_lock = threading.Lock()
@@ -516,6 +521,8 @@ class BCCEngine:
             self._graph_version = version
             with self._groups_lock:
                 self._groups.clear()
+            with self._freeze_lock:
+                self._pipeline = None
             self._index = None
             self._prepared = False
             with self._cache_lock:
@@ -530,23 +537,40 @@ class BCCEngine:
             stale_pool.close()
 
     def prepare(self) -> "BCCEngine":
-        """Freeze the graph's CSR snapshot so every query serves warm.
+        """Freeze the graph and build the pipeline state so every query serves warm.
 
         Idempotent on an unmutated graph: the freeze is performed (and
-        counted) only when no current snapshot exists, at most once even
-        under thread contention.  Returns ``self`` so
+        counted) only when no current snapshot exists, and the
+        :class:`~repro.core.pipeline.PreparedGraph` is built once, both at
+        most once even under thread contention.  Returns ``self`` so
         ``BCCEngine(graph).prepare()`` chains.
         """
         self._check_version()
         self._count("prepare_calls")
-        if not self.graph.has_frozen():
-            with self._freeze_lock:
-                if not self.graph.has_frozen():
-                    with obs_span("engine.csr_freeze"):
-                        self.graph.freeze()
-                    self._count("csr_freezes")
+        self.prepared_graph()
         self._prepared = True
         return self
+
+    def prepared_graph(self) -> PreparedGraph:
+        """Return the pipeline state, freezing and building it on first use.
+
+        The CSR freeze and the per-id label split and label-group coreness
+        (read from a snapshot's ``group_coreness`` segment when the engine
+        was attached) run once per graph version under the freeze lock.
+        """
+        self._check_version()
+        state = self._pipeline
+        if state is None:
+            with self._freeze_lock:
+                state = self._pipeline
+                if state is None:
+                    if not self.graph.has_frozen():
+                        with obs_span("engine.csr_freeze"):
+                            self.graph.freeze()
+                        self._count("csr_freezes")
+                    state = PreparedGraph(self.graph.freeze())
+                    self._pipeline = state
+        return state
 
     def is_prepared(self) -> bool:
         """Return ``True`` once :meth:`prepare` ran for the current graph."""
@@ -582,13 +606,13 @@ class BCCEngine:
         can report ``index_build_seconds`` apart from ``query_seconds``.
         """
         self._check_version()
+        # The index's coreness component is the pipeline's label-group
+        # coreness: building the state first keeps the freeze counted.
+        self.prepared_graph()
         with self._index_lock:
             if self._index is None:
                 self._index = BCIndex(
-                    self.graph,
-                    build=False,
-                    backend=self.config.backend,
-                    groups=self.group,
+                    self.graph, build=False, backend=self.config.backend
                 )
             if not self._index.is_built():
                 start = time.perf_counter()
@@ -1162,14 +1186,8 @@ class BCCEngine:
                 resolved["k2"] = cfg.effective_k2()
                 resolved["note"] = "unset k resolved in the candidate graph"
             else:
-                parameters = BCCParameters.from_query(
-                    self.graph,
-                    q_left,
-                    q_right,
-                    k1=cfg.effective_k1(),
-                    k2=cfg.effective_k2(),
-                    b=cfg.b,
-                    groups=self.group,
+                parameters = self.prepared_graph().parameters(
+                    q_left, q_right, cfg.effective_k1(), cfg.effective_k2(), cfg.b
                 )
                 resolved["k1"] = parameters.k1
                 resolved["k2"] = parameters.k2

@@ -1,10 +1,13 @@
 """Built-in method registrations: the paper's five methods plus mBCC.
 
-Each adapter binds a core implementation (``run_*``) to the uniform registry
-signature ``(engine, query, config, instrumentation)``, translating
+Each adapter binds a core implementation to the uniform registry signature
+``(engine, query, config, instrumentation)``, translating
 :class:`repro.api.config.SearchConfig` fields into the algorithm's native
-parameters and threading the engine's prepared state (cached label-group
-subgraphs, the lazily built BCindex) into the call.
+parameters and threading the engine's prepared state into the call.  The
+three BCC pair methods run on the CSR pipeline (:mod:`repro.core.pipeline`)
+over the engine's :class:`~repro.core.pipeline.PreparedGraph`, except with
+``backend="object"``, which selects the object runners (``run_*``) as the
+reference implementation.
 
 Registration order is the paper's figure order — it defines
 ``repro.eval.harness.METHOD_NAMES``.
@@ -15,6 +18,7 @@ from __future__ import annotations
 from repro.api.registry import register_method
 from repro.baselines.ctc import run_ctc
 from repro.baselines.psa import run_psa
+from repro.core import pipeline
 from repro.core.local_search import run_l2p_bcc
 from repro.core.lp_bcc import run_lp_bcc
 from repro.core.multilabel import run_mbcc
@@ -71,7 +75,23 @@ def _run_ctc(engine, query, config, instrumentation):
 )
 def _run_online_bcc(engine, query, config, instrumentation):
     q_left, q_right = query.as_pair()
-    return run_online_bcc(
+    if config.backend == "object":
+        return run_online_bcc(
+            engine.graph,
+            q_left,
+            q_right,
+            k1=config.effective_k1(),
+            k2=config.effective_k2(),
+            b=config.b,
+            bulk_deletion=config.bulk_deletion,
+            max_iterations=config.max_iterations,
+            instrumentation=instrumentation,
+            use_fast_path=config.fast_path,
+            backend=config.backend,
+            groups=engine.group,
+        )
+    return pipeline.online_bcc(
+        engine.prepared_graph(),
         engine.graph,
         q_left,
         q_right,
@@ -81,9 +101,6 @@ def _run_online_bcc(engine, query, config, instrumentation):
         bulk_deletion=config.bulk_deletion,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-        use_fast_path=config.fast_path,
-        backend=config.backend,
-        groups=engine.group,
     )
 
 
@@ -98,7 +115,23 @@ def _run_online_bcc(engine, query, config, instrumentation):
 )
 def _run_lp_bcc(engine, query, config, instrumentation):
     q_left, q_right = query.as_pair()
-    return run_lp_bcc(
+    if config.backend == "object":
+        return run_lp_bcc(
+            engine.graph,
+            q_left,
+            q_right,
+            k1=config.effective_k1(),
+            k2=config.effective_k2(),
+            b=config.b,
+            bulk_deletion=config.bulk_deletion,
+            rho=config.rho,
+            max_iterations=config.max_iterations,
+            instrumentation=instrumentation,
+            backend=config.backend,
+            groups=engine.group,
+        )
+    return pipeline.lp_bcc(
+        engine.prepared_graph(),
         engine.graph,
         q_left,
         q_right,
@@ -109,8 +142,6 @@ def _run_lp_bcc(engine, query, config, instrumentation):
         rho=config.rho,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-        backend=config.backend,
-        groups=engine.group,
     )
 
 
@@ -126,21 +157,37 @@ def _run_lp_bcc(engine, query, config, instrumentation):
 )
 def _run_l2p_bcc(engine, query, config, instrumentation):
     q_left, q_right = query.as_pair()
-    return run_l2p_bcc(
+    if config.backend == "object":
+        return run_l2p_bcc(
+            engine.graph,
+            q_left,
+            q_right,
+            k1=config.effective_k1(),
+            k2=config.effective_k2(),
+            b=config.b,
+            index=engine.ensure_index(),
+            eta=config.eta,
+            path_config=config.path_config,
+            rho=config.rho,
+            max_iterations=config.max_iterations,
+            instrumentation=instrumentation,
+            backend=config.backend,
+            groups=engine.group,
+        )
+    return pipeline.l2p_bcc(
+        engine.prepared_graph(),
         engine.graph,
         q_left,
         q_right,
+        index=engine.ensure_index(),
         k1=config.effective_k1(),
         k2=config.effective_k2(),
         b=config.b,
-        index=engine.ensure_index(),
         eta=config.eta,
         path_config=config.path_config,
         rho=config.rho,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-        backend=config.backend,
-        groups=engine.group,
     )
 
 

@@ -21,15 +21,9 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.core.butterfly import butterfly_degrees
-from repro.core.kcore import core_decomposition
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.bipartite import extract_label_bipartite
-from repro.graph.labeled_graph import (
-    LabeledGraph,
-    Label,
-    Vertex,
-    resolve_group_provider,
-)
+from repro.graph.labeled_graph import LabeledGraph, Label, Vertex
 
 
 class BCIndex:
@@ -46,14 +40,9 @@ class BCIndex:
         When True (default) the coreness component is built immediately;
         otherwise call :meth:`build`.
     backend:
-        Kernel substrate forwarded to the per-group core decompositions and
-        the per-pair butterfly counting (``"auto"`` routes large groups
-        through the CSR fast path of :mod:`repro.graph.csr`).
-    groups:
-        Optional callable mapping a label to its label-induced subgraph; a
-        prepared :class:`repro.api.BCCEngine` passes its per-label cache so
-        the index build reuses (and warms) the same subgraphs the searches
-        consume instead of rebuilding them.
+        Kernel substrate forwarded to the per-pair butterfly counting
+        (``"auto"`` routes large views through the CSR fast path of
+        :mod:`repro.graph.csr`).
     """
 
     def __init__(
@@ -61,11 +50,9 @@ class BCIndex:
         graph: LabeledGraph,
         build: bool = True,
         backend: str = "auto",
-        groups=None,
     ) -> None:
         self._graph = graph
         self._backend = backend
-        self._groups = groups
         self._coreness: Optional[Dict[Vertex, int]] = None
         self._max_coreness: int = 0
         self._butterfly_cache: Dict[Tuple[str, str], Dict[Vertex, int]] = {}
@@ -77,18 +64,16 @@ class BCIndex:
     # construction
     # ------------------------------------------------------------------
     def build(self) -> None:
-        """Build the coreness component of the index (label-group coreness)."""
-        group_of = resolve_group_provider(self._graph, self._groups)
-        coreness: Dict[Vertex, int] = {}
-        for label in self._graph.labels():
-            group = group_of(label)
-            coreness.update(core_decomposition(group, backend=self._backend))
-        # Isolated vertices within their group never appear in the
-        # decomposition output of an empty-edge subgraph; default to 0.
-        for v in self._graph.vertices():
-            coreness.setdefault(v, 0)
-        self._coreness = coreness
-        self._max_coreness = max(coreness.values()) if coreness else 0
+        """Build the coreness component of the index (label-group coreness).
+
+        Reads the frozen snapshot's per-id label-group coreness
+        (:meth:`repro.graph.csr.CSRGraph.group_coreness`) — the same array
+        a prepared engine's searches use, so nothing is peeled twice.
+        """
+        csr = self._graph.freeze()
+        coreness = csr.group_coreness()
+        self._coreness = dict(zip(csr.interner.vertices(), coreness))
+        self._max_coreness = max(coreness, default=0)
 
     def is_built(self) -> bool:
         """Return ``True`` once :meth:`build` has run."""

@@ -21,7 +21,7 @@ paper proposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.graph.bipartite import BipartiteView
 from repro.graph.labeled_graph import LabeledGraph, Vertex
@@ -198,6 +198,13 @@ class LeaderPairTracker:
         Optional counter object; full recounts are recorded as
         butterfly-counting calls and leader updates are timed into
         ``leader_update_seconds``.
+    key:
+        Tie-break key among equally good leaders (largest wins); the vertex
+        ``repr`` by default.  Callers tracking integer ids pass the ``repr``
+        of the vertex behind each id.
+    recount:
+        Optional zero-argument callable returning fresh χ values for the
+        current view (Algorithm 3); defaults to counting the view itself.
     """
 
     def __init__(
@@ -209,6 +216,8 @@ class LeaderPairTracker:
         b: int,
         rho: int = 2,
         instrumentation=None,
+        key: Callable[[Vertex], object] = repr,
+        recount: Optional[Callable[[], Dict[Vertex, int]]] = None,
     ) -> None:
         self._bipartite = bipartite
         self._q_left = q_left
@@ -216,6 +225,8 @@ class LeaderPairTracker:
         self._b = b
         self._rho = rho
         self._instrumentation = instrumentation
+        self._key = key
+        self._recount = recount
         self.full_recounts = 0
         self._left_leader: Optional[Leader] = None
         self._right_leader: Optional[Leader] = None
@@ -241,12 +252,14 @@ class LeaderPairTracker:
         """
         if not side:
             return None
-        b_max = max((degrees.get(v, 0) for v in side), default=0)
-        threshold = b_max / 2.0
-        if query in side and degrees.get(query, 0) > threshold:
+        b_max = max(degrees.get(v, 0) for v in side)
+        if query in side and degrees.get(query, 0) > b_max / 2.0:
             return Leader(query, degrees.get(query, 0))
-        best_vertex = max(side, key=lambda v: (degrees.get(v, 0), repr(v)))
-        return Leader(best_vertex, degrees.get(best_vertex, 0))
+        # The largest (degree, key): the key only among the top degree.
+        best_vertex = max(
+            (v for v in side if degrees.get(v, 0) == b_max), key=self._key
+        )
+        return Leader(best_vertex, b_max)
 
     def set_leaders(self, left: Leader, right: Leader) -> None:
         """Install externally identified leaders (e.g. from :func:`identify_leader`)."""
@@ -283,8 +296,8 @@ class LeaderPairTracker:
                 leader = self._left_leader if side_name == "left" else self._right_leader
                 if leader is None or leader.vertex == vertex:
                     continue
-                same_side = (vertex in self._bipartite.left()) == (
-                    leader.vertex in self._bipartite.left()
+                same_side = self._bipartite.side(vertex) == self._bipartite.side(
+                    leader.vertex
                 )
                 loss = updated_leader_degree(
                     self._bipartite, leader.vertex, same_side, vertex
@@ -322,9 +335,12 @@ class LeaderPairTracker:
         """
         if self.leaders_satisfy_requirement():
             return True
-        from repro.core.butterfly import butterfly_degrees as count_all
+        if self._recount is not None:
+            degrees = self._recount()
+        else:
+            from repro.core.butterfly import butterfly_degrees as count_all
 
-        degrees = count_all(self._bipartite)
+            degrees = count_all(self._bipartite)
         self.full_recounts += 1
         if self._instrumentation is not None:
             self._instrumentation.record_butterfly_counting()

@@ -172,7 +172,10 @@ def run_l2p_bcc(
     backend: str = "auto",
     groups=None,
 ) -> BCCResult:
-    """L2P-BCC implementation registered as method ``"l2p-bcc"``.
+    """Object reference implementation of method ``"l2p-bcc"``.
+
+    The engine runs it for ``backend="object"``; every other backend serves
+    the method on the CSR pipeline (:func:`repro.core.pipeline.l2p_bcc`).
 
     Parameters match :func:`l2p_bcc_search`; ``backend`` selects the kernel
     substrate throughout (index build, candidate cores, LP-BCC refinement)

@@ -88,7 +88,10 @@ def run_lp_bcc(
     backend: str = "auto",
     groups=None,
 ) -> BCCResult:
-    """LP-BCC implementation registered as method ``"lp-bcc"``.
+    """Object reference implementation of method ``"lp-bcc"``.
+
+    The engine runs it for ``backend="object"``; every other backend serves
+    the method on the CSR pipeline (:func:`repro.core.pipeline.lp_bcc`).
 
     Raises :class:`EmptyCommunityError` with a machine-readable ``reason``
     instead of returning ``None``; ``groups`` optionally supplies cached

@@ -11,13 +11,16 @@ optimum.
 The implementation keeps a single working graph and records only the vertex
 set of the best candidate seen so far: every intermediate graph is an induced
 subgraph of ``G0`` (the search deletes vertices, never individual edges), so
-the winning community can be re-induced from ``G0`` at the end.
+the winning community can be re-induced from ``G0`` at the end.  The engine
+serves the method on the CSR pipeline (:mod:`repro.core.pipeline`), which
+runs the same loop on id sets; :func:`run_online_bcc` is the object
+reference selected by ``backend="object"``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Set
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.core.bcc_model import BCCParameters, BCCResult, resolve_query_labels
 from repro.core.find_g0 import find_g0
@@ -28,10 +31,10 @@ from repro.exceptions import (
     REASON_NO_COMMUNITY,
     EmptyCommunityError,
 )
+from repro.core.query_distance import farthest_ids
 from repro.graph.csr import csr_bfs_distances
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import (
-    INFINITE_DISTANCE,
     farthest_vertices,
     graph_query_distance,
     query_distances,
@@ -105,6 +108,31 @@ def online_bcc_search(
     )
 
 
+def distance_sweep(
+    graph,
+    q_left: int,
+    q_right: int,
+    survivors: Iterable[int],
+    dead: Optional[Set[int]] = None,
+    alive: Optional[Set[int]] = None,
+) -> Tuple[float, List[int], float]:
+    """One query-distance pass of Algorithm 1 over a frozen graph's ids.
+
+    Runs a BFS from both query ids over ``graph`` — restricted by ``dead``
+    or ``alive`` as in :func:`~repro.graph.csr.csr_bfs_distances` — then
+    :func:`~repro.core.query_distance.farthest_ids` over ``survivors``:
+    returns ``dist(G, Q)``, the farthest non-query ids and their distance.
+    Shared by the fast path below and the CSR pipeline.
+    """
+    return farthest_ids(
+        survivors,
+        csr_bfs_distances(graph, q_left, dead=dead, alive=alive),
+        csr_bfs_distances(graph, q_right, dead=dead, alive=alive),
+        q_left,
+        q_right,
+    )
+
+
 def run_online_bcc(
     graph: LabeledGraph,
     q_left: Vertex,
@@ -119,7 +147,10 @@ def run_online_bcc(
     backend: str = "auto",
     groups=None,
 ) -> BCCResult:
-    """Algorithm 1 implementation registered as method ``"online-bcc"``.
+    """Object reference implementation of method ``"online-bcc"``.
+
+    The engine runs it for ``backend="object"``; every other backend serves
+    the method on the CSR pipeline (:func:`repro.core.pipeline.online_bcc`).
 
     Parameters match :func:`online_bcc_search` plus the engine plumbing:
     ``backend`` selects the kernel substrate for Algorithm 2 and ``groups``
@@ -168,40 +199,13 @@ def run_online_bcc(
     while True:
         if use_fast_path:
             with inst.time_query_distance():
-                dist_maps = [
-                    csr_bfs_distances(frozen, qid, dead=dead) for qid in query_ids
-                ]
-                # One pass over the surviving ids computes dist(G, Q), the
-                # farthest vertex set and its distance, mirroring
-                # graph_query_distance + farthest_vertices exactly (including
-                # iteration order, which follows the freeze order of G0).
-                current_distance = 0.0
-                unreachable = False
-                max_distance = -1.0
-                candidate_ids: list = []
-                dist_left, dist_right = dist_maps[0], dist_maps[1]
-                qid_left, qid_right = query_ids[0], query_ids[1]
-                for vid in all_ids:
-                    if vid in dead:
-                        continue
-                    d_l = dist_left[vid]
-                    d_r = dist_right[vid]
-                    if d_l < 0 or d_r < 0:
-                        value = INFINITE_DISTANCE
-                        unreachable = True
-                    else:
-                        value = d_l if d_l >= d_r else d_r
-                    if value > current_distance:
-                        current_distance = value
-                    if vid == qid_left or vid == qid_right:
-                        continue
-                    if value > max_distance:
-                        max_distance = value
-                        candidate_ids = [vid]
-                    elif value == max_distance:
-                        candidate_ids.append(vid)
-                if unreachable:
-                    current_distance = INFINITE_DISTANCE
+                current_distance, candidate_ids, max_distance = distance_sweep(
+                    frozen,
+                    query_ids[0],
+                    query_ids[1],
+                    (vid for vid in all_ids if vid not in dead),
+                    dead=dead,
+                )
             candidates = [vertex_of(vid) for vid in candidate_ids]
         else:
             with inst.time_query_distance():

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.graph.csr import csr_bfs_distances, csr_multi_source_bfs
+from repro.graph.csr import UNREACHED, csr_bfs_distances
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import INFINITE_DISTANCE, bfs_distances, multi_source_bfs
 
@@ -42,6 +42,93 @@ from repro.graph.traversal import INFINITE_DISTANCE, bfs_distances, multi_source
 #: snapshot; the tracker runs many sweeps per search, so the threshold is
 #: lower than for one-shot kernels.
 CSR_TRACKER_MIN_EDGES = 256
+
+
+def update_distances(
+    graph, dist: List[int], deleted_ids: Iterable[int], survivors: Iterable[int]
+) -> None:
+    """Algorithm 5 on one per-id distance list, in place.
+
+    ``dist`` holds the distances from one query id *before* the deletion
+    (:data:`~repro.graph.csr.UNREACHED` = -1), ``deleted_ids`` the batch
+    just removed and ``survivors`` every id still in the graph.  With
+    ``d_min`` the smallest pre-deletion distance of a deleted id, survivors
+    at ``dist <= d_min`` keep their distance; the rest are relabelled by a
+    level-synchronous BFS over ``graph``'s adjacency, restricted to them
+    and seeded from the survivors at exactly ``d_min`` (a new shortest path
+    into the affected region crosses that level, and lower levels only
+    reach settled ids).  Ids the BFS never reaches become unreachable.
+    """
+    d_min = math.inf
+    for vid in deleted_ids:
+        d = dist[vid]
+        if 0 <= d < d_min:
+            d_min = d
+    if math.isinf(d_min):
+        return
+    frontier: List[int] = []
+    to_update: Set[int] = set()
+    for vid in survivors:
+        d = dist[vid]
+        if 0 <= d <= d_min:
+            if d == d_min:
+                frontier.append(vid)
+        else:
+            to_update.add(vid)
+    slices = graph.adjacency_slices()
+    level = d_min
+    while frontier and to_update:
+        level += 1
+        reached: Set[int] = set()
+        update = reached.update
+        for u in frontier:
+            update(slices[u])
+        reached &= to_update
+        to_update -= reached
+        for vid in reached:
+            dist[vid] = level
+        frontier = reached
+    for vid in to_update:
+        dist[vid] = UNREACHED
+
+
+def farthest_ids(
+    survivors: Iterable[int],
+    dist_left: List[int],
+    dist_right: List[int],
+    q_left: int,
+    q_right: int,
+) -> Tuple[float, List[int], float]:
+    """Def. 5 over two per-id distance lists, in one pass over ``survivors``.
+
+    Returns ``dist(G, Q)`` (``inf`` when some survivor is unreachable from a
+    query id), the non-query ids at the maximum query distance, and that
+    distance — what one greedy iteration of Algorithm 1 needs.
+    """
+    current = 0.0
+    unreachable = False
+    max_distance = -1.0
+    candidates: List[int] = []
+    for vid in survivors:
+        d_l = dist_left[vid]
+        d_r = dist_right[vid]
+        if d_l < 0 or d_r < 0:
+            value = INFINITE_DISTANCE
+            unreachable = True
+        else:
+            value = d_l if d_l >= d_r else d_r
+        if value > current:
+            current = value
+        if vid == q_left or vid == q_right:
+            continue
+        if value > max_distance:
+            max_distance = value
+            candidates = [vid]
+        elif value == max_distance:
+            candidates.append(vid)
+    if unreachable:
+        current = INFINITE_DISTANCE
+    return current, candidates, max_distance
 
 
 class QueryDistanceTracker:
@@ -197,33 +284,14 @@ class QueryDistanceTracker:
         if qid is None or qid in self._dead or old is None:
             self._id_dist[query] = None
             return
-        d_min = math.inf
-        for vid in deleted_ids:
-            d = old[vid]
-            if 0 <= d < d_min:
-                d_min = d
-        if math.isinf(d_min):
-            self.partial_updates += 1
-            return
-        settled_seeds: List[Tuple[int, int]] = []
-        to_update: Set[int] = set()
         dead = self._dead
-        for vid, dist in enumerate(old):
-            if vid in dead:
-                continue
-            if 0 <= dist <= d_min:
-                settled_seeds.append((vid, dist))
-            else:
-                to_update.add(vid)
-        if not to_update:
-            self.partial_updates += 1
-            return
         self.partial_updates += 1
-        reached = csr_multi_source_bfs(
-            self._frozen, settled_seeds, dead=dead, restrict_to=to_update
+        update_distances(
+            self._frozen,
+            old,
+            deleted_ids,
+            (vid for vid in range(len(old)) if vid not in dead),
         )
-        for vid in to_update:
-            old[vid] = reached[vid]
 
     # ------------------------------------------------------------------
     # queries

@@ -30,9 +30,10 @@ The interning / freeze–thaw contract
   kernel accepts.  This works because the BCC searches only ever *delete
   vertices* from a community — every intermediate graph is an induced
   subgraph of the frozen one (see :mod:`repro.core.online_bcc`).
-* Mutating phases (Algorithm 4 cascades, graph construction, dataset
-  generation) keep using the object substrate; the CSR backend is a read
-  path only.
+* Graph construction and dataset generation keep using the object
+  substrate.  The CSR pipeline (:mod:`repro.core.pipeline`) runs whole
+  searches — Algorithm 4 cascades included — on id sets over one frozen
+  snapshot and materializes only the answer (:meth:`CSRGraph.induced`).
 
 When each backend is used
 -------------------------
@@ -307,11 +308,12 @@ class CSRGraph(_FlatAdjacency):
 
     Construction is via :meth:`freeze`; the inverse bridge is :meth:`thaw`.
     ``labels`` holds one label id per vertex id.  The snapshot lazily caches
-    derived read-only structures (degree list, adjacency slices, coreness)
-    so repeated kernel calls amortize their construction.
+    derived read-only structures (degree list, adjacency slices, coreness,
+    the same-label / cross-label split and the label-group coreness) so
+    repeated kernel calls amortize their construction.
     """
 
-    __slots__ = ("labels", "_coreness")
+    __slots__ = ("labels", "_coreness", "_label_split", "_group_coreness")
 
     def __init__(
         self,
@@ -323,6 +325,8 @@ class CSRGraph(_FlatAdjacency):
         super().__init__(interner, offsets, neighbors)
         self.labels = labels
         self._coreness: Optional[List[int]] = None
+        self._label_split: Optional[Tuple[List[List[int]], List[List[int]]]] = None
+        self._group_coreness: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # freeze / thaw bridge
@@ -376,6 +380,7 @@ class CSRGraph(_FlatAdjacency):
         neighbors: Sequence[int],
         labels: Sequence[int],
         coreness: Optional[Sequence[int]] = None,
+        group_coreness: Optional[Sequence[int]] = None,
     ) -> "CSRGraph":
         """Adopt ready-made CSR storage — the attach-from-buffer path.
 
@@ -389,7 +394,9 @@ class CSRGraph(_FlatAdjacency):
         materialize lazily on first use, exactly as on the
         :meth:`~repro.store.Snapshot.as_csr_graph` path.  A ``coreness``
         sequence (when the producer already peeled) is materialized
-        eagerly so the first k-core query is an O(n) filter.
+        eagerly so the first k-core query is an O(n) filter, and so is a
+        ``group_coreness`` sequence, which spares :meth:`group_coreness`
+        its peel.
         """
         interner = VertexInterner(order)
         for label in label_order:
@@ -397,6 +404,8 @@ class CSRGraph(_FlatAdjacency):
         csr = cls(interner, offsets, neighbors, labels)
         if coreness is not None:
             csr._coreness = list(coreness)
+        if group_coreness is not None:
+            csr._group_coreness = list(group_coreness)
         return csr
 
     def thaw(self, dead: Optional[Set[int]] = None) -> LabeledGraph:
@@ -422,6 +431,30 @@ class CSRGraph(_FlatAdjacency):
                     g.add_edge(vertex, interner.vertex_of(w))
         return g
 
+    def induced(self, ids: Iterable[int]) -> LabeledGraph:
+        """Build the :class:`LabeledGraph` induced by the ids in ``ids``.
+
+        The answer-materialization path of :mod:`repro.core.pipeline`: the
+        adjacency sets are cut straight out of the frozen slices (C-speed
+        set intersections) and adopted by the graph, with no per-edge
+        ``add_edge`` calls.
+        """
+        keep = set(ids)
+        slices = self.adjacency_slices()
+        labels = self.labels
+        label_of = self.interner.label_of
+        if self.interner._identity:
+            adjacency = {v: keep.intersection(slices[v]) for v in keep}
+            vertex_labels = {v: label_of(labels[v]) for v in keep}
+        else:
+            order = self.interner.vertices()
+            adjacency = {
+                order[v]: {order[w] for w in keep.intersection(slices[v])}
+                for v in keep
+            }
+            vertex_labels = {order[v]: label_of(labels[v]) for v in keep}
+        return LabeledGraph.adopt(adjacency, vertex_labels)
+
     # ------------------------------------------------------------------
     # cached decompositions
     # ------------------------------------------------------------------
@@ -436,6 +469,38 @@ class CSRGraph(_FlatAdjacency):
         if self._coreness is None:
             self._coreness = csr_core_decomposition(self)
         return self._coreness
+
+    def label_split(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """Return (and cache) ``(same, cross)`` per-id neighbour lists.
+
+        ``same[v]`` holds the neighbours carrying ``v``'s label (the edges
+        of its label-induced group), ``cross[v]`` the others (the edges of
+        every cross-group bipartite graph ``v`` belongs to).
+        """
+        if self._label_split is None:
+            labels = self.labels
+            if not isinstance(labels, list):
+                labels = list(labels)
+            same: List[List[int]] = []
+            cross: List[List[int]] = []
+            for v, nbrs in enumerate(self.adjacency_slices()):
+                lv = labels[v]
+                same.append([w for w in nbrs if labels[w] == lv])
+                cross.append([w for w in nbrs if labels[w] != lv])
+            self._label_split = (same, cross)
+        return self._label_split
+
+    def group_coreness(self) -> List[int]:
+        """Return (and cache) each id's coreness inside its own label group.
+
+        The label groups are disjoint, so one peel over the same-label
+        adjacency (:meth:`label_split`) yields every group's coreness at
+        once.  This is the BCindex's coreness component and the automatic
+        k1/k2 of Section 3.5; a snapshot attach supplies it pre-computed.
+        """
+        if self._group_coreness is None:
+            self._group_coreness = core_numbers(self.label_split()[0])
+        return self._group_coreness
 
     def label_of_id(self, vid: int) -> Label:
         """Return the label object of id ``vid``."""
@@ -479,6 +544,21 @@ class CSRBipartiteView(_FlatAdjacency):
         else:
             neighbors = list(map(id_map.__getitem__, flat))
         return cls(interner, offsets, neighbors, len(left))
+
+    @classmethod
+    def from_slices(cls, slices: List[List[int]], n_left: int) -> "CSRBipartiteView":
+        """Adopt per-id neighbour lists over caller-local ids.
+
+        Ids ``0 .. n_left - 1`` are the left side.  No interner is built:
+        the ids are the caller's own (e.g. positions in a list of global
+        ids), and the counting kernels never translate them.  The slices
+        are adopted, and :meth:`rank_sorted` sorts them in place.
+        """
+        offsets = [0]
+        offsets.extend(accumulate(map(len, slices)))
+        view = cls(None, offsets, list(chain.from_iterable(slices)), n_left)
+        view._slices = slices
+        return view
 
     def is_left(self, vid: int) -> bool:
         """Return ``True`` when ``vid`` lies on the left side."""
@@ -634,18 +714,22 @@ def csr_butterfly_degrees_two_sided(bip: CSRBipartiteView) -> List[int]:
 # k-core kernels (Batagelj–Zaversnik [3])
 # ----------------------------------------------------------------------
 def csr_core_decomposition(graph: CSRGraph) -> List[int]:
-    """Return the coreness per id (bucket peeling over flat lists).
+    """Return the coreness per id (bucket peeling over flat lists)."""
+    return core_numbers(graph.adjacency_slices())
+
+
+def core_numbers(slices: Sequence[Sequence[int]]) -> List[int]:
+    """Return the coreness per id of the graph given as per-id neighbour lists.
 
     Lazy-bucket formulation of [3]: vertices are bucketed by degree and
     peeled in increasing order; stale bucket entries are skipped on pop and
     removal is encoded as degree ``-1`` so the inner relaxation needs no
     separate membership test.
     """
-    n = graph.num_vertices()
+    n = len(slices)
     if n == 0:
         return []
-    slices = graph.adjacency_slices()
-    cd = list(graph.degree_list())
+    cd = list(map(len, slices))
     max_degree = max(cd)
     buckets: List[List[int]] = [[] for _ in range(max_degree + 1)]
     for v in range(n):
@@ -719,14 +803,16 @@ def csr_bfs_distances(
     source: int,
     dead: Optional[Set[int]] = None,
     max_depth: Optional[int] = None,
+    alive: Optional[Set[int]] = None,
 ) -> List[int]:
     """Return hop distances per id from ``source`` (:data:`UNREACHED` = -1).
 
     Level-synchronous frontier expansion: each level's candidate set is
     built with C-speed ``set.update`` / set difference instead of a
     per-edge Python membership test.  ``dead`` restricts the traversal to
-    the surviving induced subgraph (dead ids keep distance -1); the caller
-    must pass a live ``source``.
+    the surviving induced subgraph (dead ids keep distance -1), and
+    ``alive`` to the subgraph induced by its ids; the caller must pass a
+    live ``source``.
     """
     n = graph.num_vertices()
     dist = [UNREACHED] * n
@@ -748,6 +834,8 @@ def csr_bfs_distances(
         reached -= visited
         if dead is not None:
             reached -= dead
+        if alive is not None:
+            reached &= alive
         if not reached:
             break
         visited |= reached

@@ -283,6 +283,25 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------
+    @classmethod
+    def adopt(
+        cls, adjacency: Dict[Vertex, Set[Vertex]], labels: Dict[Vertex, Label]
+    ) -> "LabeledGraph":
+        """Build a graph that takes ownership of ready-made adjacency sets.
+
+        ``adjacency`` must be symmetric, free of self-loops and keyed by
+        exactly the vertices of ``labels``; nothing is copied or checked.
+        This is the bulk path for answers cut out of a frozen snapshot
+        (:meth:`repro.graph.csr.CSRGraph.induced`).
+        """
+        graph = cls()
+        graph._adj = adjacency
+        graph._labels = labels
+        for vertex, label in labels.items():
+            graph._label_index.setdefault(label, set()).add(vertex)
+        graph._num_edges = sum(map(len, adjacency.values())) // 2
+        return graph
+
     def copy(self) -> "LabeledGraph":
         """Return a deep copy of the graph (labels included)."""
         clone = LabeledGraph()

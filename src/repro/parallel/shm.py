@@ -1,8 +1,9 @@
 """Zero-copy graph transport for the multi-process compute backend.
 
-A frozen graph's CSR snapshot is four flat little-endian integer arrays
-(offsets, neighbours, per-id labels, optionally coreness) plus two small
-object sequences (vertex order, label order).  This module moves exactly
+A frozen graph's CSR snapshot is flat little-endian integer arrays
+(offsets, neighbours, per-id labels, and the graph and label-group coreness
+when already computed) plus two small object sequences (vertex order, label
+order).  This module moves exactly
 that across the process boundary without copying the arrays per worker:
 
 * :func:`export_graph` writes each array once into a
@@ -51,6 +52,7 @@ SEGMENT_TYPECODES = {
     "neighbors": "i",
     "labels": "i",
     "coreness": "i",
+    "group_coreness": "i",
 }
 
 
@@ -280,8 +282,11 @@ def export_graph(
         "neighbors": csr.neighbors,
         "labels": csr.labels,
     }
-    if csr._coreness is not None:  # ship a warm peel; workers skip theirs
+    # Ship warm peels; workers skip theirs.
+    if csr._coreness is not None:
         payload["coreness"] = csr._coreness
+    if csr._group_coreness is not None:
+        payload["group_coreness"] = csr._group_coreness
     try:
         for name, values in payload.items():
             typecode = SEGMENT_TYPECODES[name]
@@ -382,6 +387,7 @@ def attach_graph(handle: GraphHandle) -> WorkerAttachment:
             views["neighbors"],
             views["labels"],
             coreness=views.get("coreness"),
+            group_coreness=views.get("group_coreness"),
         )
     graph = csr.thaw()
     # Friend access, mirroring LabeledGraph.freeze's own cache fill (and

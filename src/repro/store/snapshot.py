@@ -91,7 +91,6 @@ class SnapshotWriter:
         index: Optional[BCIndex] = None,
         *,
         backend: str = "auto",
-        groups=None,
     ) -> Dict[str, object]:
         """Write a snapshot of ``graph``; returns a summary dict.
 
@@ -109,7 +108,7 @@ class SnapshotWriter:
         ]
         offs, nbrs = csr.adjacency_lists()
         if index is None:
-            index = BCIndex(graph, build=True, backend=backend, groups=groups)
+            index = BCIndex(graph, build=True, backend=backend)
         elif not index.is_built():
             index.build()
 
@@ -413,6 +412,7 @@ class Snapshot:
                 self.segment("neighbors"),
                 self.segment("labels"),
                 coreness=self.segment("coreness"),
+                group_coreness=self.segment("group_coreness"),
             )
         return self._csr
 
@@ -474,9 +474,8 @@ class StoredBCIndex(BCIndex):
         graph: LabeledGraph,
         snapshot: Snapshot,
         backend: str = "auto",
-        groups=None,
     ) -> None:
-        super().__init__(graph, build=False, backend=backend, groups=groups)
+        super().__init__(graph, build=False, backend=backend)
         self._snapshot = snapshot
 
     def build(self) -> None:
@@ -542,6 +541,4 @@ def persist_engine(
     engine.prepare()
     index = engine.ensure_index()
     writer = SnapshotWriter(path, butterfly_pairs=butterfly_pairs)
-    return writer.write(
-        engine.graph, index, backend=engine.config.backend, groups=engine.group
-    )
+    return writer.write(engine.graph, index, backend=engine.config.backend)

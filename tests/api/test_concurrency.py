@@ -207,10 +207,12 @@ class TestMutationDuringServing:
                 STATUS_OK,
             ]
             # The two post-mutation queries observed one version change:
-            # one invalidation, one label-group rebuild per touched label
-            # (2 labels before + 2 after), not one per query.
+            # one invalidation, one freeze-and-prepare per graph version
+            # (1 before + 1 after), not one per query — and the pipeline
+            # never builds a label-group subgraph.
             assert engine.counters_snapshot()["invalidations"] == 1
-            assert engine.counters_snapshot()["group_builds"] == 4
+            assert engine.counters_snapshot()["csr_freezes"] == 2
+            assert engine.counters_snapshot()["group_builds"] == 0
         finally:
             unregister_method("hostile-mutator")
 

@@ -179,12 +179,15 @@ class TestVersionInvalidation:
         engine = BCCEngine(paper_graph).prepare()
         engine.search(Query("lp-bcc", ("ql", "qr")))
         engine.ensure_index()
-        assert engine.counters_snapshot()["group_builds"] >= 1
+        assert engine.is_prepared() and engine.has_index()
+        assert engine.counters_snapshot()["csr_freezes"] == 1
         paper_graph.add_edge("ql", "u1")
         assert not engine.is_prepared()
         assert not engine.has_index()
         response = engine.search(Query("lp-bcc", ("ql", "qr")))
         assert response.status in (STATUS_OK, STATUS_EMPTY)
+        # The pipeline state was rebuilt on the new version's snapshot.
+        assert engine.counters_snapshot()["csr_freezes"] == 2
 
 
 class TestExplain:
