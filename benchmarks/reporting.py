@@ -1,10 +1,12 @@
 """Shared result-writing for the standalone benchmark scripts.
 
 Every bench writes its JSON payload to ``benchmarks/results/`` (the
-git-ignored working directory) **and** mirrors it to a repo-root
-``BENCH_<name>.json`` — the stable, discoverable location CI artifact
-uploads and the acceptance checks read, with no knowledge of the bench's
-internal layout.  One helper keeps the two copies byte-identical.
+git-ignored working directory).  A full-mode payload is also mirrored to a
+repo-root ``BENCH_<name>.json`` — the stable, discoverable location the
+acceptance checks read, with no knowledge of the bench's internal layout.
+A smoke payload (``"mode": "smoke"`` or ``"smoke": true``) stays in the
+results directory only, so a quick parity run never overwrites the
+full-mode numbers at the root.  One helper keeps the copies byte-identical.
 """
 
 from __future__ import annotations
@@ -16,8 +18,15 @@ from typing import List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def is_smoke(payload: object) -> bool:
+    """Whether ``payload`` is marked as a smoke run."""
+    return isinstance(payload, dict) and (
+        payload.get("mode") == "smoke" or payload.get("smoke") is True
+    )
+
+
 def write_results(payload: object, results_path: Path) -> List[Path]:
-    """Write ``payload`` as JSON to ``results_path`` and mirror it repo-root.
+    """Write ``payload`` as JSON to ``results_path``; mirror full runs repo-root.
 
     The mirror keeps the results file's own basename (``BENCH_*.json``),
     so a bench invoked with a custom ``--results`` path still lands a
@@ -28,6 +37,9 @@ def write_results(payload: object, results_path: Path) -> List[Path]:
     results_path = Path(results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)
     results_path.write_text(text, encoding="utf-8")
-    root_copy = REPO_ROOT / results_path.name
-    root_copy.write_text(text, encoding="utf-8")
-    return [results_path, root_copy]
+    written = [results_path]
+    if not is_smoke(payload):
+        root_copy = REPO_ROOT / results_path.name
+        root_copy.write_text(text, encoding="utf-8")
+        written.append(root_copy)
+    return written

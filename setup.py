@@ -1,9 +1,9 @@
-"""Setuptools shim so that ``pip install -e .`` works without the wheel package.
+"""Setuptools shim; all project metadata lives in ``pyproject.toml``.
 
-The offline environment this reproduction targets ships setuptools but not
-``wheel``, so PEP 660 editable wheels cannot be built; keeping a ``setup.py``
-lets pip fall back to the legacy ``setup.py develop`` editable install.  All
-project metadata lives in ``pyproject.toml``.
+Kept so legacy ``python setup.py ...`` commands (e.g. ``--name --version``)
+keep working.  Installs go through the PEP 517 backend that
+``pyproject.toml`` declares (``setuptools.build_meta``); an editable install
+without build isolation needs ``wheel`` (or setuptools >= 70.1) present.
 """
 
 from setuptools import setup

@@ -488,6 +488,11 @@ def _lp_search(
     max_iterations: Optional[int],
     inst: SearchInstrumentation,
 ) -> BCCResult:
+    """The LP-BCC loop over ids, for the global graph or an L2P candidate.
+
+    ``cores`` carries the candidate's per-side coreness (``None``: the
+    engine-wide label-group coreness).
+    """
     ql, qr = prepared.id_of(q_left), prepared.id_of(q_right)
     found = _find_g0(prepared, ql, qr, parameters, inst, cores)
     if found is None:
