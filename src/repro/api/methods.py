@@ -75,32 +75,26 @@ def _run_ctc(engine, query, config, instrumentation):
 )
 def _run_online_bcc(engine, query, config, instrumentation):
     q_left, q_right = query.as_pair()
-    if config.backend == "object":
-        return run_online_bcc(
-            engine.graph,
-            q_left,
-            q_right,
-            k1=config.effective_k1(),
-            k2=config.effective_k2(),
-            b=config.b,
-            bulk_deletion=config.bulk_deletion,
-            max_iterations=config.max_iterations,
-            instrumentation=instrumentation,
-            use_fast_path=config.fast_path,
-            backend=config.backend,
-            groups=engine.group,
-        )
-    return pipeline.online_bcc(
-        engine.prepared_graph(),
-        engine.graph,
-        q_left,
-        q_right,
+    shared = dict(
         k1=config.effective_k1(),
         k2=config.effective_k2(),
         b=config.b,
         bulk_deletion=config.bulk_deletion,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
+    )
+    if config.backend == "object":
+        return run_online_bcc(
+            engine.graph,
+            q_left,
+            q_right,
+            use_fast_path=config.fast_path,
+            backend=config.backend,
+            groups=engine.group,
+            **shared,
+        )
+    return pipeline.online_bcc(
+        engine.prepared_graph(), engine.graph, q_left, q_right, **shared
     )
 
 
@@ -115,26 +109,7 @@ def _run_online_bcc(engine, query, config, instrumentation):
 )
 def _run_lp_bcc(engine, query, config, instrumentation):
     q_left, q_right = query.as_pair()
-    if config.backend == "object":
-        return run_lp_bcc(
-            engine.graph,
-            q_left,
-            q_right,
-            k1=config.effective_k1(),
-            k2=config.effective_k2(),
-            b=config.b,
-            bulk_deletion=config.bulk_deletion,
-            rho=config.rho,
-            max_iterations=config.max_iterations,
-            instrumentation=instrumentation,
-            backend=config.backend,
-            groups=engine.group,
-        )
-    return pipeline.lp_bcc(
-        engine.prepared_graph(),
-        engine.graph,
-        q_left,
-        q_right,
+    shared = dict(
         k1=config.effective_k1(),
         k2=config.effective_k2(),
         b=config.b,
@@ -142,6 +117,18 @@ def _run_lp_bcc(engine, query, config, instrumentation):
         rho=config.rho,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
+    )
+    if config.backend == "object":
+        return run_lp_bcc(
+            engine.graph,
+            q_left,
+            q_right,
+            backend=config.backend,
+            groups=engine.group,
+            **shared,
+        )
+    return pipeline.lp_bcc(
+        engine.prepared_graph(), engine.graph, q_left, q_right, **shared
     )
 
 
@@ -157,37 +144,28 @@ def _run_lp_bcc(engine, query, config, instrumentation):
 )
 def _run_l2p_bcc(engine, query, config, instrumentation):
     q_left, q_right = query.as_pair()
-    if config.backend == "object":
-        return run_l2p_bcc(
-            engine.graph,
-            q_left,
-            q_right,
-            k1=config.effective_k1(),
-            k2=config.effective_k2(),
-            b=config.b,
-            index=engine.ensure_index(),
-            eta=config.eta,
-            path_config=config.path_config,
-            rho=config.rho,
-            max_iterations=config.max_iterations,
-            instrumentation=instrumentation,
-            backend=config.backend,
-            groups=engine.group,
-        )
-    return pipeline.l2p_bcc(
-        engine.prepared_graph(),
-        engine.graph,
-        q_left,
-        q_right,
-        index=engine.ensure_index(),
+    shared = dict(
         k1=config.effective_k1(),
         k2=config.effective_k2(),
         b=config.b,
+        index=engine.ensure_index(),
         eta=config.eta,
         path_config=config.path_config,
         rho=config.rho,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
+    )
+    if config.backend == "object":
+        return run_l2p_bcc(
+            engine.graph,
+            q_left,
+            q_right,
+            backend=config.backend,
+            groups=engine.group,
+            **shared,
+        )
+    return pipeline.l2p_bcc(
+        engine.prepared_graph(), engine.graph, q_left, q_right, **shared
     )
 
 

@@ -73,20 +73,37 @@ class PreparedGraph:
     """Query-independent pipeline state over one frozen CSR snapshot.
 
     Built once per engine (and per graph version); read-only afterwards, so
-    any number of concurrent queries share it.
+    any number of concurrent queries share it.  The neighbour lists are the
+    snapshot's own cached :meth:`~repro.graph.csr.CSRGraph.label_split`:
+    computing the label-group coreness builds them, so a fresh engine pays
+    for both in ``prepare()``, while an engine attached to a snapshot (whose
+    coreness is stored) stays an mmap attach until its first BCC query.
     """
 
-    __slots__ = ("csr", "slices", "labels", "same", "cross", "coreness", "vertex_of", "id_of")
+    __slots__ = ("csr", "labels", "coreness", "vertex_of", "id_of")
 
     def __init__(self, csr: CSRGraph) -> None:
         self.csr = csr
-        self.slices = csr.adjacency_slices()
-        self.same, self.cross = csr.label_split()
         self.coreness = csr.group_coreness()
         labels = csr.labels
         self.labels = labels if isinstance(labels, list) else list(labels)
         self.vertex_of = csr.interner.vertices().__getitem__
         self.id_of = csr.interner.id_of
+
+    @property
+    def slices(self) -> List[List[int]]:
+        """Per-id neighbour lists of the whole graph."""
+        return self.csr.adjacency_slices()
+
+    @property
+    def same(self) -> List[List[int]]:
+        """Per-id neighbours carrying the same label (the label groups)."""
+        return self.csr.label_split()[0]
+
+    @property
+    def cross(self) -> List[List[int]]:
+        """Per-id neighbours carrying another label (the bipartite graphs)."""
+        return self.csr.label_split()[1]
 
     def repr_key(self, vid: int) -> str:
         """Tie-break key of an id: the ``repr`` of its vertex."""

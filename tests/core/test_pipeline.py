@@ -177,3 +177,27 @@ def test_serving_path_builds_no_label_group():
     counters = engine.counters_snapshot()
     assert counters["group_builds"] == 0
     assert counters["csr_freezes"] == 1
+
+
+def test_attached_engine_reads_group_coreness_from_the_snapshot(tmp_path, monkeypatch):
+    import repro.graph.csr as csr_module
+    from repro.store import Snapshot, attach_engine, persist_engine
+
+    def load():
+        return load_dataset("dblp", seed=2021, communities=4, community_size=24)
+
+    bundle = load()
+    pairs = generate_query_pairs(bundle, QuerySpec(count=2), seed=2)
+    built = BCCEngine(bundle.graph).prepare()
+    expected = [built.search(Query("lp-bcc", pair)) for pair in pairs]
+    path = tmp_path / "graph.bccsnap"
+    persist_engine(built, path)
+
+    def no_peel(slices):
+        raise AssertionError("an attached engine must not re-peel group coreness")
+
+    monkeypatch.setattr(csr_module, "core_numbers", no_peel)
+    attached = attach_engine(load().graph, Snapshot(path))
+    got = [attached.search(Query("lp-bcc", pair)) for pair in pairs]
+    assert [_fields(r) for r in got] == [_fields(r) for r in expected]
+    assert attached.counters_snapshot()["group_builds"] == 0
