@@ -554,9 +554,11 @@ class BCCEngine:
     def prepared_graph(self) -> PreparedGraph:
         """Return the pipeline state, freezing and building it on first use.
 
-        The CSR freeze and the per-id label split and label-group coreness
-        (read from a snapshot's ``group_coreness`` segment when the engine
-        was attached) run once per graph version under the freeze lock.
+        The CSR freeze and the label-group coreness run once per graph
+        version under the freeze lock.  Computing the coreness builds the
+        per-id label split too; an engine attached to a snapshot reads the
+        stored ``group_coreness`` segment instead and leaves the split to
+        the snapshot's own cache, filled by the first BCC query.
         """
         self._check_version()
         state = self._pipeline
