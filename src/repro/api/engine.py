@@ -5,9 +5,10 @@ queries through the method registry.  Unlike the legacy one-shot functions it
 *prepares once and serves many*:
 
 * :meth:`prepare` freezes the graph's CSR snapshot (version-cached, so every
-  fast-path kernel on the unmutated graph reuses it) and derives from it the
-  :class:`~repro.core.pipeline.PreparedGraph` the BCC searches run on —
-  same-label / cross-label adjacency and label-group coreness per id;
+  fast-path kernel on the unmutated graph reuses it) and fills the caches
+  the BCC searches of :mod:`repro.core.pipeline` read from it — the
+  label-group coreness and the same-label / cross-label adjacency per id
+  (:meth:`frozen_graph`);
 * :meth:`group` caches label-induced subgraphs for the consumers that still
   take object graphs (mBCC, the ``backend="object"`` reference runners) —
   each group is built once per engine;
@@ -18,13 +19,13 @@ queries through the method registry.  Unlike the legacy one-shot functions it
   call with ``use_cache=False`` and sized via ``result_cache_size``.
 
 The engine is safe to serve from multiple threads: each fill-once cache
-(CSR freeze, label groups, BCindex) is guarded by its own lock with a
-double-checked fill, so a ``search_many(..., max_workers=8)`` batch still
-performs each preparation step exactly once, and counter increments are
-lock-protected.  Mutating the *graph* while queries are in flight remains
-undefined; mutations between calls are detected per serving call and
-invalidate every cache exactly once (counted in the ``"invalidations"``
-counter).
+(CSR freeze and the caches filled on it, label groups, BCindex) is guarded
+by its own lock with a double-checked fill, so a
+``search_many(..., max_workers=8)`` batch still performs each preparation
+step exactly once, and counter increments are lock-protected.  Mutating
+the *graph* while queries are in flight remains undefined; mutations
+between calls are detected per serving call and invalidate every cache
+exactly once (counted in the ``"invalidations"`` counter).
 
 :meth:`counters_snapshot` records how often each preparation step actually
 ran, so tests (and operators) can assert the amortization: a ``search_many``
@@ -73,7 +74,7 @@ from repro.api.registry import MethodSpec, get_method
 from repro.core.bc_index import BCIndex
 from repro.core.bcc_model import resolve_query_labels
 from repro.core.multilabel import resolve_mbcc_parameters, validate_mbcc_query
-from repro.core.pipeline import PreparedGraph
+from repro.core.pipeline import resolve_parameters
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
     REASON_DEADLINE_EXCEEDED,
@@ -90,6 +91,7 @@ from repro.exceptions import (
     VertexNotFoundError,
     WorkerCrashedError,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import Label, LabeledGraph
 
 #: ``search_many`` error policies.
@@ -438,7 +440,6 @@ class BCCEngine:
         self.fault_plan = fault_plan
         self._index: Optional[BCIndex] = index
         self._groups: Dict[Label, LabeledGraph] = {}
-        self._pipeline: Optional[PreparedGraph] = None
         self._graph_version: int = graph.version()
         self._prepared: bool = False
         self._index_build_seconds: float = 0.0
@@ -455,8 +456,8 @@ class BCCEngine:
         # a double-checked pattern, so concurrent serving threads perform
         # every preparation step exactly once.  Lock order (outermost first)
         # is index -> version -> groups -> freeze -> counters; the freeze
-        # lock guards the CSR freeze and the pipeline state derived from it,
-        # and cache / counter locks are leaves.
+        # lock guards the CSR freeze and the pipeline caches filled on the
+        # frozen snapshot, and cache / counter locks are leaves.
         self._freeze_lock = threading.Lock()
         self._groups_lock = threading.Lock()
         self._index_lock = threading.Lock()
@@ -521,8 +522,6 @@ class BCCEngine:
             self._graph_version = version
             with self._groups_lock:
                 self._groups.clear()
-            with self._freeze_lock:
-                self._pipeline = None
             self._index = None
             self._prepared = False
             with self._cache_lock:
@@ -537,42 +536,46 @@ class BCCEngine:
             stale_pool.close()
 
     def prepare(self) -> "BCCEngine":
-        """Freeze the graph and build the pipeline state so every query serves warm.
+        """Freeze the graph and warm its label-group coreness for serving.
 
-        Idempotent on an unmutated graph: the freeze is performed (and
-        counted) only when no current snapshot exists, and the
-        :class:`~repro.core.pipeline.PreparedGraph` is built once, both at
-        most once even under thread contention.  Returns ``self`` so
+        Idempotent on an unmutated graph: the freeze (counted only when no
+        current snapshot exists) and the coreness each run at most once,
+        even under thread contention.  Returns ``self`` so
         ``BCCEngine(graph).prepare()`` chains.
         """
         self._check_version()
         self._count("prepare_calls")
-        self.prepared_graph()
+        self.frozen_graph()
         self._prepared = True
         return self
 
-    def prepared_graph(self) -> PreparedGraph:
-        """Return the pipeline state, freezing and building it on first use.
+    def frozen_graph(self, split: bool = False) -> CSRGraph:
+        """Return the graph's frozen CSR with the pipeline's caches filled.
 
-        The CSR freeze and the label-group coreness run once per graph
-        version under the freeze lock.  Computing the coreness builds the
-        per-id label split too; an engine attached to a snapshot reads the
-        stored ``group_coreness`` segment instead and leaves the split to
-        the snapshot's own cache, filled by the first BCC query.
+        The freeze, the label-group coreness and, with ``split``, the per-id
+        label split run at most once per graph version, under the freeze
+        lock, however many threads ask.  On a fresh engine the coreness is
+        peeled from the split, so :meth:`prepare` builds both; an engine
+        attached to a snapshot reads the stored coreness and leaves the
+        split to its first BCC query.  A mutation makes the graph freeze a
+        new snapshot, so nothing here needs invalidating.
         """
         self._check_version()
-        state = self._pipeline
-        if state is None:
-            with self._freeze_lock:
-                state = self._pipeline
-                if state is None:
-                    if not self.graph.has_frozen():
-                        with obs_span("engine.csr_freeze"):
-                            self.graph.freeze()
-                        self._count("csr_freezes")
-                    state = PreparedGraph(self.graph.freeze())
-                    self._pipeline = state
-        return state
+        graph = self.graph
+        if graph.has_frozen():
+            csr = graph.freeze()
+            if csr.has_group_coreness() and (not split or csr.has_label_split()):
+                return csr
+        with self._freeze_lock:
+            if not graph.has_frozen():
+                with obs_span("engine.csr_freeze"):
+                    graph.freeze()
+                self._count("csr_freezes")
+            csr = graph.freeze()
+            csr.group_coreness()
+            if split:
+                csr.label_split()
+        return csr
 
     def is_prepared(self) -> bool:
         """Return ``True`` once :meth:`prepare` ran for the current graph."""
@@ -609,8 +612,8 @@ class BCCEngine:
         """
         self._check_version()
         # The index's coreness component is the pipeline's label-group
-        # coreness: building the state first keeps the freeze counted.
-        self.prepared_graph()
+        # coreness: filling it here keeps the freeze counted and locked.
+        self.frozen_graph()
         with self._index_lock:
             if self._index is None:
                 self._index = BCIndex(
@@ -1188,8 +1191,13 @@ class BCCEngine:
                 resolved["k2"] = cfg.effective_k2()
                 resolved["note"] = "unset k resolved in the candidate graph"
             else:
-                parameters = self.prepared_graph().parameters(
-                    q_left, q_right, cfg.effective_k1(), cfg.effective_k2(), cfg.b
+                parameters = resolve_parameters(
+                    self.frozen_graph(),
+                    q_left,
+                    q_right,
+                    cfg.effective_k1(),
+                    cfg.effective_k2(),
+                    cfg.b,
                 )
                 resolved["k1"] = parameters.k1
                 resolved["k2"] = parameters.k2

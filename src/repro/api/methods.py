@@ -5,9 +5,9 @@ Each adapter binds a core implementation to the uniform registry signature
 :class:`repro.api.config.SearchConfig` fields into the algorithm's native
 parameters and threading the engine's prepared state into the call.  The
 three BCC pair methods run on the CSR pipeline (:mod:`repro.core.pipeline`)
-over the engine's :class:`~repro.core.pipeline.PreparedGraph`, except with
-``backend="object"``, which selects the object runners (``run_*``) as the
-reference implementation.
+over the engine's frozen graph (:meth:`repro.api.BCCEngine.frozen_graph`),
+except with ``backend="object"``, which selects the object runners
+(``run_*``) as the reference implementation.
 
 Registration order is the paper's figure order — it defines
 ``repro.eval.harness.METHOD_NAMES``.
@@ -94,7 +94,7 @@ def _run_online_bcc(engine, query, config, instrumentation):
             **shared,
         )
     return pipeline.online_bcc(
-        engine.prepared_graph(), engine.graph, q_left, q_right, **shared
+        engine.frozen_graph(split=True), engine.graph, q_left, q_right, **shared
     )
 
 
@@ -128,7 +128,7 @@ def _run_lp_bcc(engine, query, config, instrumentation):
             **shared,
         )
     return pipeline.lp_bcc(
-        engine.prepared_graph(), engine.graph, q_left, q_right, **shared
+        engine.frozen_graph(split=True), engine.graph, q_left, q_right, **shared
     )
 
 
@@ -165,7 +165,7 @@ def _run_l2p_bcc(engine, query, config, instrumentation):
             **shared,
         )
     return pipeline.l2p_bcc(
-        engine.prepared_graph(), engine.graph, q_left, q_right, **shared
+        engine.frozen_graph(split=True), engine.graph, q_left, q_right, **shared
     )
 
 

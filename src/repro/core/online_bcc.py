@@ -81,12 +81,13 @@ def online_bcc_search(
     instrumentation:
         Optional counters (butterfly-counting calls, timings).
     use_fast_path:
-        When True (default), the per-iteration query-distance sweep runs on
-        a CSR snapshot of ``G0`` with a dead-id mask (the greedy loop only
-        ever deletes vertices, so the snapshot stays valid for the whole
-        search).  The result is identical either way — same community, same
-        query distance, same iteration count; only the sweep substrate
-        differs.
+        When True (default), the search runs on the CSR pipeline
+        (:mod:`repro.core.pipeline`: integer ids and alive sets over one
+        frozen snapshot).  When False it runs the object reference runner
+        with its object-graph query-distance sweep
+        (``SearchConfig(backend="object", fast_path=False)``), which shares
+        no sweep code with the pipeline.  The result is identical either
+        way — same community, same query distance, same iteration count.
 
     Returns
     -------
@@ -102,6 +103,7 @@ def online_bcc_search(
         bulk_deletion=bulk_deletion,
         max_iterations=max_iterations,
         fast_path=use_fast_path,
+        backend="auto" if use_fast_path else "object",
     )
     return one_shot_search(
         "online-bcc", graph, (q_left, q_right), config, instrumentation

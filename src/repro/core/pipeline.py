@@ -7,10 +7,13 @@ view, ``G0`` and a mutable community graph, then shrink that graph vertex by
 vertex.  This module runs the same algorithms on the integer ids of the
 engine's frozen :class:`~repro.graph.csr.CSRGraph`:
 
-* :class:`PreparedGraph` is the query-independent state, built once per
-  engine by :meth:`repro.api.BCCEngine.prepare`: per-id same-label and
-  cross-label neighbour lists and each id's label-group coreness (read from
-  a snapshot's ``group_coreness`` segment when the engine was attached);
+* the query-independent state is cached on that snapshot itself: per-id
+  same-label and cross-label neighbour lists
+  (:meth:`~repro.graph.csr.CSRGraph.label_split`) and each id's label-group
+  coreness (:meth:`~repro.graph.csr.CSRGraph.group_coreness`, read from a
+  snapshot's ``group_coreness`` segment when the engine was attached).
+  :meth:`repro.api.BCCEngine.frozen_graph` fills both once, under the
+  engine's freeze lock, before a search runs here;
 * the automatic k1/k2 of Section 3.5 are coreness lookups, and ``L`` / ``R``
   (Algorithm 2, lines 2-3) are BFS components of the query ids over
   same-label ids whose coreness reaches k1 / k2 — ``G0`` is the subgraph
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bc_index import BCIndex
 from repro.core.bcc_model import BCCParameters, BCCResult, resolve_query_labels
@@ -69,60 +72,27 @@ from repro.graph.traversal import shortest_path
 Cores = Tuple[Sequence[int], Sequence[int]]
 
 
-class PreparedGraph:
-    """Query-independent pipeline state over one frozen CSR snapshot.
+def resolve_parameters(
+    csr: CSRGraph,
+    q_left: Vertex,
+    q_right: Vertex,
+    k1: Optional[int] = None,
+    k2: Optional[int] = None,
+    b: int = 1,
+) -> BCCParameters:
+    """(k1, k2, b) with unset cores defaulting to the query coreness (§3.5)."""
+    coreness = csr.group_coreness()
+    if k1 is None:
+        k1 = coreness[csr.id_of(q_left)]
+    if k2 is None:
+        k2 = coreness[csr.id_of(q_right)]
+    return BCCParameters(k1=k1, k2=k2, b=b)
 
-    Built once per engine (and per graph version); read-only afterwards, so
-    any number of concurrent queries share it.  The neighbour lists are the
-    snapshot's own cached :meth:`~repro.graph.csr.CSRGraph.label_split`:
-    computing the label-group coreness builds them, so a fresh engine pays
-    for both in ``prepare()``, while an engine attached to a snapshot (whose
-    coreness is stored) stays an mmap attach until its first BCC query.
-    """
 
-    __slots__ = ("csr", "labels", "coreness", "vertex_of", "id_of")
-
-    def __init__(self, csr: CSRGraph) -> None:
-        self.csr = csr
-        self.coreness = csr.group_coreness()
-        labels = csr.labels
-        self.labels = labels if isinstance(labels, list) else list(labels)
-        self.vertex_of = csr.interner.vertices().__getitem__
-        self.id_of = csr.interner.id_of
-
-    @property
-    def slices(self) -> List[List[int]]:
-        """Per-id neighbour lists of the whole graph."""
-        return self.csr.adjacency_slices()
-
-    @property
-    def same(self) -> List[List[int]]:
-        """Per-id neighbours carrying the same label (the label groups)."""
-        return self.csr.label_split()[0]
-
-    @property
-    def cross(self) -> List[List[int]]:
-        """Per-id neighbours carrying another label (the bipartite graphs)."""
-        return self.csr.label_split()[1]
-
-    def repr_key(self, vid: int) -> str:
-        """Tie-break key of an id: the ``repr`` of its vertex."""
-        return repr(self.vertex_of(vid))
-
-    def parameters(
-        self,
-        q_left: Vertex,
-        q_right: Vertex,
-        k1: Optional[int] = None,
-        k2: Optional[int] = None,
-        b: int = 1,
-    ) -> BCCParameters:
-        """(k1, k2, b) with unset cores defaulting to the query coreness (§3.5)."""
-        if k1 is None:
-            k1 = self.coreness[self.id_of(q_left)]
-        if k2 is None:
-            k2 = self.coreness[self.id_of(q_right)]
-        return BCCParameters(k1=k1, k2=k2, b=b)
+def _repr_key(csr: CSRGraph) -> Callable[[int], str]:
+    """Tie-break key of an id: the ``repr`` of its vertex."""
+    vertex_of = csr.interner.vertices().__getitem__
+    return lambda vid: repr(vertex_of(vid))
 
 
 # ----------------------------------------------------------------------
@@ -212,30 +182,34 @@ def _connected(slices: List[List[int]], source: int, target: int, alive: Set[int
 class _Community:
     """One query's shrinking community: ``G0`` minus the deleted ids."""
 
-    __slots__ = ("prepared", "left", "right", "alive", "deg", "q_left", "q_right", "parameters")
+    __slots__ = (
+        "csr", "same", "cross", "left", "right", "alive", "deg", "q_left", "q_right",
+        "parameters",
+    )
 
     def __init__(
         self,
-        prepared: PreparedGraph,
+        csr: CSRGraph,
         left: Set[int],
         right: Set[int],
         q_left: int,
         q_right: int,
         parameters: BCCParameters,
     ) -> None:
-        self.prepared = prepared
+        self.csr = csr
+        self.same, self.cross = csr.label_split()
         self.left = left
         self.right = right
         self.alive = left | right
         self.q_left = q_left
         self.q_right = q_right
         self.parameters = parameters
-        same = prepared.same
+        same = self.same
         # Intra-label degree of every member (Algorithm 4's k-core counters).
         self.deg = {v: len(side.intersection(same[v])) for side in (left, right) for v in side}
 
     def butterfly_degrees(self) -> Dict[int, int]:
-        return _butterfly_degrees(self.left, self.right, self.prepared.cross)
+        return _butterfly_degrees(self.left, self.right, self.cross)
 
     def has_leader_pair(self, chi: Dict[int, int]) -> bool:
         """Def. 4, condition 4: some vertex per side has χ >= b."""
@@ -246,7 +220,9 @@ class _Community:
         )
 
     def connected(self) -> bool:
-        return _connected(self.prepared.slices, self.q_left, self.q_right, self.alive)
+        return _connected(
+            self.csr.adjacency_slices(), self.q_left, self.q_right, self.alive
+        )
 
     def _cascade(self, side: Set[int], k: int, removals: Iterable[int], removed: List[int]) -> None:
         """Delete ``removals`` from ``side`` and peel it back to a k-core.
@@ -254,7 +230,7 @@ class _Community:
         Every member has intra-label degree >= k before the call, so a
         vertex joins the peel exactly when its counter drops to ``k - 1``.
         """
-        same = self.prepared.same
+        same = self.same
         deg = self.deg
         threshold = k - 1
         stack = [v for v in removals if v in side]
@@ -296,7 +272,7 @@ class _Community:
 
 
 def _find_g0(
-    prepared: PreparedGraph,
+    csr: CSRGraph,
     q_left: int,
     q_right: int,
     parameters: BCCParameters,
@@ -304,16 +280,17 @@ def _find_g0(
     cores: Optional[Cores] = None,
 ) -> Optional[Tuple[_Community, Dict[int, int]]]:
     """Algorithm 2 over ids: ``G0`` as a community, plus its χ, or ``None``."""
-    left_core, right_core = cores if cores is not None else (prepared.coreness,) * 2
-    left = _core_component(q_left, parameters.k1, left_core, prepared.same)
+    left_core, right_core = cores if cores is not None else (csr.group_coreness(),) * 2
+    same, cross = csr.label_split()
+    left = _core_component(q_left, parameters.k1, left_core, same)
     if left is None:
         return None
-    right = _core_component(q_right, parameters.k2, right_core, prepared.same)
+    right = _core_component(q_right, parameters.k2, right_core, same)
     if right is None:
         return None
-    chi = _butterfly_degrees(left, right, prepared.cross)
+    chi = _butterfly_degrees(left, right, cross)
     inst.record_butterfly_counting()
-    community = _Community(prepared, left, right, q_left, q_right, parameters)
+    community = _Community(csr, left, right, q_left, q_right, parameters)
     if not community.has_leader_pair(chi) or not community.connected():
         return None
     return community, chi
@@ -328,7 +305,7 @@ def _no_candidate(parameters: BCCParameters) -> EmptyCommunityError:
 
 
 def _result(
-    prepared: PreparedGraph,
+    csr: CSRGraph,
     best: Set[int],
     labels: Tuple[object, object],
     parameters: BCCParameters,
@@ -338,7 +315,7 @@ def _result(
     leader_pair: Optional[Tuple[Vertex, Vertex]] = None,
 ) -> BCCResult:
     """Materialize the answer: the only :class:`LabeledGraph` a search builds."""
-    community = prepared.csr.induced(best)
+    community = csr.induced(best)
     left_label, right_label = labels
     return BCCResult(
         community=community,
@@ -358,7 +335,7 @@ def _result(
 # Online-BCC (Algorithm 1)
 # ----------------------------------------------------------------------
 def online_bcc(
-    prepared: PreparedGraph,
+    csr: CSRGraph,
     graph: LabeledGraph,
     q_left: Vertex,
     q_right: Vertex,
@@ -373,14 +350,13 @@ def online_bcc(
     """Algorithm 1 on the pipeline; same contract as ``run_online_bcc``."""
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     labels = resolve_query_labels(graph, q_left, q_right)
-    parameters = prepared.parameters(q_left, q_right, k1, k2, b)
-    ql, qr = prepared.id_of(q_left), prepared.id_of(q_right)
-    found = _find_g0(prepared, ql, qr, parameters, inst)
+    parameters = resolve_parameters(csr, q_left, q_right, k1, k2, b)
+    ql, qr = csr.id_of(q_left), csr.id_of(q_right)
+    found = _find_g0(csr, ql, qr, parameters, inst)
     if found is None:
         raise _no_candidate(parameters)
     community = found[0]
     alive = community.alive
-    csr = prepared.csr
 
     best: Optional[Set[int]] = None
     best_distance = math.inf
@@ -398,7 +374,7 @@ def online_bcc(
         if max_iterations is not None and iterations >= max_iterations:
             break
         if not bulk_deletion:
-            candidates = [min(candidates, key=prepared.repr_key)]
+            candidates = [min(candidates, key=_repr_key(csr))]
         valid, removed = community.maintain(candidates, True, inst)
         iterations += 1
         inst.record_iteration(deleted=len(removed))
@@ -407,7 +383,7 @@ def online_bcc(
 
     if best is None:
         raise EmptyCommunityError(reason=REASON_NO_COMMUNITY)
-    return _result(prepared, best, labels, parameters, best_distance, iterations, inst)
+    return _result(csr, best, labels, parameters, best_distance, iterations, inst)
 
 
 # ----------------------------------------------------------------------
@@ -442,8 +418,9 @@ def _leader_tracker(
     The tracker's view holds one cross-neighbour set per alive id, and its
     recount is Algorithm 3 over the community's alive sides.
     """
-    prepared = community.prepared
-    cross, same = prepared.cross, prepared.same
+    csr = community.csr
+    cross, same = community.cross, community.same
+    key = _repr_key(csr)
     left, right = community.left, community.right
     adjacency = {v: right.intersection(cross[v]) for v in left}
     adjacency.update((v, left.intersection(cross[v])) for v in right)
@@ -455,7 +432,7 @@ def _leader_tracker(
         community.parameters.b,
         rho=rho,
         instrumentation=inst,
-        key=prepared.repr_key,
+        key=key,
         recount=community.butterfly_degrees,
     )
     leaders = []
@@ -466,7 +443,7 @@ def _leader_tracker(
             max(chi[v] for v in side),
             _leader_level_sets(query, side, same, rho),
             community.parameters.b,
-            key=prepared.repr_key,
+            key=key,
         )
         leaders.append(Leader(vertex, chi[vertex]))
     tracker.set_leaders(*leaders)
@@ -494,7 +471,7 @@ class _Distances:
 
 
 def _lp_search(
-    prepared: PreparedGraph,
+    csr: CSRGraph,
     labels: Tuple[object, object],
     q_left: Vertex,
     q_right: Vertex,
@@ -510,8 +487,8 @@ def _lp_search(
     ``cores`` carries the candidate's per-side coreness (``None``: the
     engine-wide label-group coreness).
     """
-    ql, qr = prepared.id_of(q_left), prepared.id_of(q_right)
-    found = _find_g0(prepared, ql, qr, parameters, inst, cores)
+    ql, qr = csr.id_of(q_left), csr.id_of(q_right)
+    found = _find_g0(csr, ql, qr, parameters, inst, cores)
     if found is None:
         raise _no_candidate(parameters)
     community, chi = found
@@ -524,7 +501,7 @@ def _lp_search(
             reason=REASON_NO_LEADER_PAIR,
         )
     with inst.time_query_distance():
-        distances = _Distances(prepared.csr, alive, ql, qr)
+        distances = _Distances(csr, alive, ql, qr)
 
     best: Optional[Set[int]] = None
     best_distance = math.inf
@@ -542,7 +519,7 @@ def _lp_search(
         if max_iterations is not None and iterations >= max_iterations:
             break
         if not bulk_deletion:
-            candidates = [min(candidates, key=prepared.repr_key)]
+            candidates = [min(candidates, key=_repr_key(csr))]
         valid, removed = community.maintain(candidates, False, inst)
         iterations += 1
         inst.record_iteration(deleted=len(removed))
@@ -560,14 +537,14 @@ def _lp_search(
     inst.add("distance_partial_updates", float(distances.partial_updates))
     inst.add("distance_full_recomputations", float(distances.full_recomputations))
     if best_pair is not None:
-        best_pair = (prepared.vertex_of(best_pair[0]), prepared.vertex_of(best_pair[1]))
+        best_pair = (csr.vertex_of(best_pair[0]), csr.vertex_of(best_pair[1]))
     return _result(
-        prepared, best, labels, parameters, best_distance, iterations, inst, best_pair
+        csr, best, labels, parameters, best_distance, iterations, inst, best_pair
     )
 
 
 def lp_bcc(
-    prepared: PreparedGraph,
+    csr: CSRGraph,
     graph: LabeledGraph,
     q_left: Vertex,
     q_right: Vertex,
@@ -583,9 +560,9 @@ def lp_bcc(
     """LP-BCC on the pipeline; same contract as ``run_lp_bcc``."""
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     labels = resolve_query_labels(graph, q_left, q_right)
-    parameters = prepared.parameters(q_left, q_right, k1, k2, b)
+    parameters = resolve_parameters(csr, q_left, q_right, k1, k2, b)
     return _lp_search(
-        prepared, labels, q_left, q_right, parameters, None,
+        csr, labels, q_left, q_right, parameters, None,
         bulk_deletion, rho, max_iterations, inst,
     )
 
@@ -594,14 +571,15 @@ def lp_bcc(
 # L2P-BCC (Algorithm 8)
 # ----------------------------------------------------------------------
 def _expand_candidate(
-    prepared: PreparedGraph,
+    csr: CSRGraph,
     path: List[int],
     labels: Tuple[int, int],
     thresholds: Tuple[int, int],
     eta: int,
 ) -> Set[int]:
     """Algorithm 8, line 3, over ids (see ``expand_candidate_graph``)."""
-    slices, label_of, coreness = prepared.slices, prepared.labels, prepared.coreness
+    slices, label_of = csr.adjacency_slices(), csr.labels
+    coreness = csr.group_coreness()
     left_label, right_label = labels
     k_left, k_right = thresholds
     admitted: Set[int] = set()
@@ -629,7 +607,7 @@ def _expand_candidate(
 
 
 def l2p_bcc(
-    prepared: PreparedGraph,
+    csr: CSRGraph,
     graph: LabeledGraph,
     q_left: Vertex,
     q_right: Vertex,
@@ -664,21 +642,22 @@ def l2p_bcc(
             reason=REASON_QUERY_DISCONNECTED,
         )
 
-    path = [prepared.id_of(v) for v in seed_path]
-    ql, qr = prepared.id_of(q_left), prepared.id_of(q_right)
-    label_of, coreness = prepared.labels, prepared.coreness
+    path = [csr.id_of(v) for v in seed_path]
+    ql, qr = csr.id_of(q_left), csr.id_of(q_right)
+    label_of, coreness = csr.labels, csr.group_coreness()
     labels = (label_of[ql], label_of[qr])
     thresholds = tuple(
         min((coreness[v] for v in path if label_of[v] == label), default=0)
         for label in labels
     )
-    candidate = _expand_candidate(prepared, path, labels, thresholds, eta)
+    candidate = _expand_candidate(csr, path, labels, thresholds, eta)
     inst.add("candidate_vertices", float(len(candidate)))
 
     n = len(label_of)
+    same = csr.label_split()[0]
     cores = (
-        _candidate_coreness(ql, prepared.same, candidate, n),
-        _candidate_coreness(qr, prepared.same, candidate, n),
+        _candidate_coreness(ql, same, candidate, n),
+        _candidate_coreness(qr, same, candidate, n),
     )
     if k1 is None:
         k1 = cores[0][ql]
@@ -687,7 +666,7 @@ def l2p_bcc(
     parameters = BCCParameters(k1=k1, k2=k2, b=b)
     try:
         result = _lp_search(
-            prepared, query_labels, q_left, q_right, parameters, cores,
+            csr, query_labels, q_left, q_right, parameters, cores,
             True, rho, max_iterations, inst,
         )
     except EmptyCommunityError:
@@ -696,11 +675,11 @@ def l2p_bcc(
         # The local candidate missed the community; degrade to the global
         # LP-BCC search, exactly as the object runner does.
         inst.add("fallback_to_global", 1.0)
-        fallback = prepared.parameters(
-            q_left, q_right, None if k1 == 0 else k1, None if k2 == 0 else k2, b
+        fallback = resolve_parameters(
+            csr, q_left, q_right, None if k1 == 0 else k1, None if k2 == 0 else k2, b
         )
         result = _lp_search(
-            prepared, query_labels, q_left, q_right, fallback, None,
+            csr, query_labels, q_left, q_right, fallback, None,
             True, rho, max_iterations, inst,
         )
     result.statistics.update(inst.as_dict())

@@ -73,6 +73,18 @@ from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
 UNREACHED = -1
 
 
+def _is_identity(order: List[Vertex]) -> bool:
+    """Whether every vertex is a (non-``bool``) ``int`` equal to its index.
+
+    Checked with C-speed passes (the distinct types, then one list
+    comparison), because a snapshot attach runs it over every vertex.
+    """
+    for kind in set(map(type, order)):
+        if not issubclass(kind, int) or issubclass(kind, bool):
+            return False
+    return order == list(range(len(order)))
+
+
 class VertexInterner:
     """Bidirectional vertex <-> dense integer id (and label <-> label id) map.
 
@@ -87,10 +99,7 @@ class VertexInterner:
 
     def __init__(self, order: Optional[Sequence[Vertex]] = None) -> None:
         self._vertex_of: List[Vertex] = list(order) if order is not None else []
-        self._identity: bool = all(
-            isinstance(v, int) and not isinstance(v, bool) and v == i
-            for i, v in enumerate(self._vertex_of)
-        )
+        self._identity: bool = _is_identity(self._vertex_of)
         self._id_of: Optional[Dict[Vertex, int]] = (
             None
             if self._identity
@@ -475,20 +484,17 @@ class CSRGraph(_FlatAdjacency):
 
         ``same[v]`` holds the neighbours carrying ``v``'s label (the edges
         of its label-induced group), ``cross[v]`` the others (the edges of
-        every cross-group bipartite graph ``v`` belongs to).
+        every cross-group bipartite graph ``v`` belongs to).  The fill is
+        not locked: a serving engine fills it once under its own freeze
+        lock (:meth:`repro.api.BCCEngine.frozen_graph`).
         """
         if self._label_split is None:
-            labels = self.labels
-            if not isinstance(labels, list):
-                labels = list(labels)
-            same: List[List[int]] = []
-            cross: List[List[int]] = []
-            for v, nbrs in enumerate(self.adjacency_slices()):
-                lv = labels[v]
-                same.append([w for w in nbrs if labels[w] == lv])
-                cross.append([w for w in nbrs if labels[w] != lv])
-            self._label_split = (same, cross)
+            self._label_split = split_by_label(self.adjacency_slices(), self.labels)
         return self._label_split
+
+    def has_label_split(self) -> bool:
+        """Whether :meth:`label_split` is already cached."""
+        return self._label_split is not None
 
     def group_coreness(self) -> List[int]:
         """Return (and cache) each id's coreness inside its own label group.
@@ -501,6 +507,10 @@ class CSRGraph(_FlatAdjacency):
         if self._group_coreness is None:
             self._group_coreness = core_numbers(self.label_split()[0])
         return self._group_coreness
+
+    def has_group_coreness(self) -> bool:
+        """Whether :meth:`group_coreness` is already cached (or was attached)."""
+        return self._group_coreness is not None
 
     def label_of_id(self, vid: int) -> Label:
         """Return the label object of id ``vid``."""
@@ -708,6 +718,21 @@ def csr_butterfly_degrees_two_sided(bip: CSRBipartiteView) -> List[int]:
         touched.clear()
         chi[v] = total
     return chi
+
+
+def split_by_label(
+    slices: Sequence[Sequence[int]], labels: Sequence[int]
+) -> Tuple[List[List[int]], List[List[int]]]:
+    """Split per-id neighbour lists into same-label and cross-label lists."""
+    if not isinstance(labels, list):
+        labels = list(labels)
+    same: List[List[int]] = []
+    cross: List[List[int]] = []
+    for v, nbrs in enumerate(slices):
+        lv = labels[v]
+        same.append([w for w in nbrs if labels[w] == lv])
+        cross.append([w for w in nbrs if labels[w] != lv])
+    return same, cross
 
 
 # ----------------------------------------------------------------------

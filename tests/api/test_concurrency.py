@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -101,6 +102,44 @@ class TestFillOnceUnderContention:
             list(pool.map(lambda _: prep(), range(STRESS_WORKERS)))
         assert engine.counters_snapshot()["csr_freezes"] == 1
         assert engine.counters_snapshot()["prepare_calls"] == STRESS_WORKERS
+
+    def test_attached_engine_splits_labels_exactly_once_when_hammered(
+        self, tmp_path, monkeypatch
+    ):
+        """An attached engine leaves the label split to its first BCC
+        queries; concurrent first queries still split exactly once."""
+        import repro.graph.csr as csr_module
+        from repro.store import Snapshot, attach_engine, persist_engine
+
+        path = tmp_path / "graph.bccsnap"
+        built = BCCEngine(generate_baidu_network("tiny", seed=7).graph)
+        persist_engine(built, path)
+        split = csr_module.split_by_label
+        splits = []
+
+        def counted_split(slices, labels):
+            splits.append(1)
+            time.sleep(0.05)  # hold the window open for the other threads
+            return split(slices, labels)
+
+        monkeypatch.setattr(csr_module, "split_by_label", counted_split)
+        bundle = generate_baidu_network("tiny", seed=7)
+        queries = _batch_queries(bundle, count=3)[:STRESS_WORKERS]
+        assert len(queries) == STRESS_WORKERS
+        barrier = threading.Barrier(STRESS_WORKERS, timeout=30)
+        engine = attach_engine(bundle.graph, Snapshot(path))
+        assert splits == []
+
+        def serve(query):
+            barrier.wait()
+            return engine.search(query, use_cache=False)
+
+        with ThreadPoolExecutor(max_workers=STRESS_WORKERS) as pool:
+            responses = list(pool.map(serve, queries))
+        assert len(splits) == 1
+        assert engine.counters_snapshot()["csr_freezes"] == 0
+        expected = [built.search(query, use_cache=False) for query in queries]
+        assert [r.vertices for r in responses] == [r.vertices for r in expected]
 
 
 class TestConcurrentParity:

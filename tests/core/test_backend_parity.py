@@ -218,28 +218,63 @@ class TestTrackerParity:
 
 
 class TestOnlineBCCFastPathParity:
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("bulk", [True, False])
-    def test_fast_path_is_byte_identical(self, seed, bulk):
+    """Online-BCC's fast substrates ≡ the object runner's object-graph sweep.
+
+    ``use_fast_path=False`` (``backend="object"``, ``fast_path=False``) is
+    the reference that shares no sweep code with the CSR pipeline or the
+    object runner's CSR sweep.
+    """
+
+    @staticmethod
+    def _planted(seed):
+        # Dense enough across the labels that every seed has a community
+        # and the sweep runs several iterations.
         graph, communities = planted_partition_graph(
-            [12, 12], 0.55, 0.08, seed=seed, label_for_community=lambda i: "LR"[i]
+            [16, 16], 0.3, 0.2, seed=seed, label_for_community=lambda i: "LR"[i]
         )
-        q_left, q_right = communities[0][0], communities[1][0]
-        fast = online_bcc_search(
-            graph, q_left, q_right, bulk_deletion=bulk, use_fast_path=True
-        )
-        slow = online_bcc_search(
-            graph, q_left, q_right, bulk_deletion=bulk, use_fast_path=False
-        )
-        if fast is None or slow is None:
-            assert fast is None and slow is None
-            return
+        return graph, communities[0][0], communities[1][0]
+
+    @staticmethod
+    def _assert_same(fast, slow):
+        assert fast is not None and slow is not None
         assert set(fast.community.vertices()) == set(slow.community.vertices())
         assert fast.community == slow.community
         assert fast.left_vertices == slow.left_vertices
         assert fast.right_vertices == slow.right_vertices
         assert fast.query_distance == slow.query_distance
         assert fast.iterations == slow.iterations
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_fast_path_is_byte_identical(self, seed, bulk):
+        graph, q_left, q_right = self._planted(seed)
+        fast = online_bcc_search(
+            graph, q_left, q_right, bulk_deletion=bulk, use_fast_path=True
+        )
+        slow = online_bcc_search(
+            graph, q_left, q_right, bulk_deletion=bulk, use_fast_path=False
+        )
+        self._assert_same(fast, slow)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_object_runner_sweeps_agree(self, seed, bulk):
+        from repro.api import BCCEngine, Query, SearchConfig
+
+        graph, q_left, q_right = self._planted(seed)
+        engine = BCCEngine(graph)
+        query = Query("online-bcc", (q_left, q_right))
+        fast, slow = (
+            engine.search(
+                query,
+                config=SearchConfig(
+                    bulk_deletion=bulk, backend="object", fast_path=fast_path
+                ),
+                use_cache=False,
+            ).result
+            for fast_path in (True, False)
+        )
+        self._assert_same(fast, slow)
 
 
 class TestProcessBackendParity:

@@ -1,7 +1,9 @@
 """The CSR pipeline answers exactly like the object reference runners.
 
 ``backend="auto"`` serves Online-BCC, LP-BCC and L2P-BCC on the pipeline
-(:mod:`repro.core.pipeline`); ``backend="object"`` runs the object runners.
+(:mod:`repro.core.pipeline`); ``backend="object"`` runs the object runners,
+here with ``fast_path=False`` so Online-BCC's reference sweep is the
+object-graph one, which shares no code with the pipeline.
 Every response field must agree — status, reason, vertex set, community
 graph, query distance, iterations, leader pair and the Table-4 counts — and
 every ``ok`` answer must also be a valid BCC by Def. 4 with the query
@@ -106,7 +108,9 @@ def _assert_parity(graph, pairs, configs=CONFIGS, methods=METHODS):
                 query = Query(method, pair)
                 got = engine.search(query, config=config, use_cache=False)
                 want = engine.search(
-                    query, config=config.replace(backend="object"), use_cache=False
+                    query,
+                    config=config.replace(backend="object", fast_path=False),
+                    use_cache=False,
                 )
                 assert _fields(got) == _fields(want), (method, pair, config)
                 _assert_valid(graph, got)

@@ -33,7 +33,7 @@ QUERY = Query("online-bcc", ("ql", "qr"))
 @pytest.fixture
 def slow_gateway():
     """A gateway over a graph whose cold search costs tens of ms."""
-    graph = random_labeled_graph(400, 0.04, ["A", "B"], seed=7)
+    graph = random_labeled_graph(800, 0.04, ["A", "B"], seed=7)
     directory = GraphDirectory(sharded=False)
     directory.add("slow", graph)
     with Gateway(directory, port=0, max_in_flight=8) as server:
