@@ -106,7 +106,7 @@ def build_workload(smoke: bool):
         limit = 12
     engine = BCCEngine(
         graph,
-        config=SearchConfig(backend="csr"),
+        config=SearchConfig(backend="thread"),
         result_cache_size=0,  # every search runs the kernel
     )
     engine.prepare()

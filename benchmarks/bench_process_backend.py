@@ -125,7 +125,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # result cache is disabled on both sides so each row pays its kernel.
     # ------------------------------------------------------------------
     threaded_rows = engine.search_many(
-        queries, on_error="return", backend="csr", use_cache=False
+        queries, on_error="return", backend="thread", use_cache=False
     )
     process_rows = engine.search_many(
         queries,
@@ -157,7 +157,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         engine.search_many(
             queries,
             on_error="return",
-            backend="csr",
+            backend="thread",
             max_workers=WORKERS,
             use_cache=False,
         )

@@ -1,7 +1,7 @@
 """Typed, frozen search configuration shared by every registered method.
 
 :class:`SearchConfig` replaces the per-function keyword sprawl of the legacy
-entry points (``use_fast_path=...`` here, ``rho=...`` there) with one
+entry points (``size_budget=...`` here, ``rho=...`` there) with one
 validated, immutable object.  An engine holds a base config; callers derive
 variants with :meth:`SearchConfig.replace` (e.g. a parameter sweep changing
 only ``k``), and per-query overrides ride on :class:`repro.api.query.Query`.
@@ -24,14 +24,14 @@ from repro.core.lp_bcc import DEFAULT_RHO
 from repro.core.path_weight import PathWeightConfig
 from repro.exceptions import QueryError
 
-#: Kernel substrates accepted by :attr:`SearchConfig.backend`.
-#: ``"object"`` selects the object reference runners; every other value
-#: serves the BCC pair methods on the CSR pipeline.  ``"process"``
-#: additionally selects the multi-process batch transport
-#: (:mod:`repro.parallel`): a single ``search`` runs in-process, while
-#: ``search_many`` scatter-gathers the batch across shared-memory worker
-#: processes.
-BACKENDS = ("auto", "object", "csr", "process")
+#: Batch transports accepted by :attr:`SearchConfig.backend`.
+#: ``"thread"`` serves ``search_many`` rows in this process; ``"process"``
+#: scatter-gathers them across shared-memory worker processes
+#: (:mod:`repro.parallel`); ``"auto"`` picks between the two by batch shape.
+BACKENDS = ("auto", "thread", "process")
+
+#: Fields that shape how a search is served, not what it answers.
+_NON_ANSWER_FIELDS = frozenset({"backend", "deadline_ms"})
 
 
 @dataclass(frozen=True)
@@ -59,22 +59,13 @@ class SearchConfig:
     rho:
         Leader search radius of Algorithm 6 (LP-BCC / L2P-BCC).
     backend:
-        Kernel substrate: ``"auto"`` (default), ``"object"``, ``"csr"`` or
-        ``"process"``.  Online-BCC, LP-BCC and L2P-BCC run on the CSR
-        pipeline (:mod:`repro.core.pipeline`: integer ids and alive sets
-        over the engine's one frozen graph) for every value except
-        ``"object"``, which runs the object runners as the reference
-        implementation; both return identical answers and Table-4 counts.
-        For the other methods the value picks the kernel substrate of their
-        own phases.  ``"process"`` behaves like ``"csr"`` inside one
-        process and additionally opts ``search_many`` batches into the
-        shared-memory worker pool of :mod:`repro.parallel`.
+        Batch transport of ``search_many``: ``"auto"`` (default),
+        ``"thread"`` or ``"process"`` (see :data:`BACKENDS` and
+        :meth:`repro.api.BCCEngine.search_many`).  It never changes what a
+        query answers — a single ``search`` runs in-process whatever the
+        value — so it is excluded from result cache keys.
     max_iterations:
         Optional safety cap on peeling iterations.
-    fast_path:
-        With ``backend="object"``, run Online-BCC's query-distance sweep
-        on a frozen CSR snapshot of ``G0`` with a dead-id mask (identical
-        results, faster substrate).
     eta:
         Candidate-graph size threshold of L2P-BCC (Algorithm 8).
     path_config:
@@ -102,7 +93,6 @@ class SearchConfig:
     rho: int = DEFAULT_RHO
     backend: str = "auto"
     max_iterations: Optional[int] = None
-    fast_path: bool = True
     eta: int = DEFAULT_CANDIDATE_SIZE
     path_config: PathWeightConfig = PathWeightConfig()
     core_parameters: Optional[Tuple[int, ...]] = None
@@ -144,20 +134,21 @@ class SearchConfig:
         return dataclasses.replace(self, **changes)
 
     def cache_key(self) -> Tuple[object, ...]:
-        """Return a hashable tuple of every field, for result-cache keys.
+        """Return a hashable tuple of the answer fields, for result-cache keys.
 
         Two equal configs produce the same key, so ``BCCEngine``'s
         per-engine result cache can key one entry on
         ``(method, vertices, resolved config, graph version)``.  Explicit
         field order (rather than relying on ``__hash__``) keeps the key
-        stable and self-describing.  ``deadline_ms`` is excluded: a
-        deadline bounds the wait, not the answer, so the same query under
-        different deadlines must share one cache entry.
+        stable and self-describing.  ``deadline_ms`` and ``backend`` are
+        excluded: a deadline bounds the wait and a transport moves the
+        work, neither changes the answer, so the same query under either
+        must share one cache entry.
         """
         return tuple(
             getattr(self, f.name)
             for f in dataclasses.fields(self)
-            if f.name != "deadline_ms"
+            if f.name not in _NON_ANSWER_FIELDS
         )
 
     def effective_k1(self) -> Optional[int]:

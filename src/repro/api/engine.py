@@ -9,9 +9,8 @@ queries through the method registry.  Unlike the legacy one-shot functions it
   the BCC searches of :mod:`repro.core.pipeline` read from it — the
   label-group coreness and the same-label / cross-label adjacency per id
   (:meth:`frozen_graph`);
-* :meth:`group` caches label-induced subgraphs for the consumers that still
-  take object graphs (mBCC, the ``backend="object"`` reference runners) —
-  each group is built once per engine;
+* :meth:`group` caches label-induced subgraphs for mBCC, the one method
+  that still takes object graphs — each group is built once per engine;
 * :meth:`ensure_index` lazily builds one reusable BCindex for the
   index-based methods, timing the build separately from query time;
 * repeated queries are answered from a bounded LRU result cache keyed on
@@ -30,9 +29,7 @@ exactly once (counted in the ``"invalidations"`` counter).
 :meth:`counters_snapshot` records how often each preparation step actually
 ran, so tests (and operators) can assert the amortization: a ``search_many``
 batch over an unmutated graph performs the CSR freeze and the BCindex build
-at most once.  The legacy ``counters`` attribute remains as a *read-only*
-live view — it used to be a public mutable dict that callers read and wrote
-without the lock; take :meth:`counters_snapshot` for a consistent copy.
+at most once.
 
 The result cache accepts an optional *admission policy* (see
 :mod:`repro.serving.policies`): an object with ``now()``, ``admit(method,
@@ -57,10 +54,9 @@ import time
 import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.api.config import SearchConfig
+from repro.api.config import BACKENDS, SearchConfig
 from repro.obs.tracing import span as obs_span
 from repro.api.query import (
     STATUS_EMPTY,
@@ -198,6 +194,38 @@ def error_response_for(query: Query, exc: Exception) -> SearchResponse:
         status=STATUS_ERROR,
         reason=reason_for_error(exc),
         error=_error_message(exc),
+    )
+
+
+def use_process_transport(
+    engine,
+    backend: Optional[str],
+    config: Optional[SearchConfig],
+    *,
+    rows: int,
+    max_workers: int,
+    instrumentation: Optional[SearchInstrumentation],
+) -> bool:
+    """Whether a ``search_many`` batch goes to the worker-process pool.
+
+    The one transport rule of :class:`BCCEngine` and the sharded router:
+    an explicit ``backend`` wins, else the call ``config``'s, else the
+    engine's.  ``"process"`` always asks for the pool; ``"auto"`` asks for
+    it only for a compute-bound shape — more than one row,
+    ``max_workers > 1``, no shared instrumentation and at least
+    :data:`PROCESS_AUTO_MIN_EDGES` edges.  A value outside
+    :data:`~repro.api.config.BACKENDS` raises :class:`QueryError`.
+    """
+    if backend is None:
+        backend = (config if config is not None else engine.config).backend
+    if backend not in BACKENDS:
+        raise QueryError(f"unknown backend {backend!r}; known: {BACKENDS}")
+    return backend == "process" or (
+        backend == "auto"
+        and rows > 1
+        and max_workers > 1
+        and instrumentation is None
+        and engine.graph.num_edges() >= PROCESS_AUTO_MIN_EDGES
     )
 
 
@@ -473,21 +501,6 @@ class BCCEngine:
             name: 0 for name in ENGINE_COUNTER_NAMES
         }
 
-    @property
-    def counters(self) -> Mapping[str, int]:
-        """Deprecated live view of the engine counters (read-only).
-
-        This used to be a public mutable dict that callers read — and could
-        write — without the counters lock.  It is now a
-        :class:`types.MappingProxyType`, so existing reads keep working but
-        writes raise.  Prefer :meth:`counters_snapshot`, which takes the
-        lock and returns a consistent point-in-time copy.
-        """
-        # Deliberately lock-free: a live read-only *view* cannot take a
-        # snapshot by definition, and single-key reads of int values are
-        # atomic under the GIL.  New code wants counters_snapshot().
-        return MappingProxyType(self._counters)  # noqa: BCC001
-
     def counters_snapshot(self) -> Dict[str, int]:
         """Return a lock-protected, consistent copy of the engine counters.
 
@@ -616,9 +629,7 @@ class BCCEngine:
         self.frozen_graph()
         with self._index_lock:
             if self._index is None:
-                self._index = BCIndex(
-                    self.graph, build=False, backend=self.config.backend
-                )
+                self._index = BCIndex(self.graph, build=False)
             if not self._index.is_built():
                 start = time.perf_counter()
                 with obs_span("engine.index_build"):
@@ -893,14 +904,6 @@ class BCCEngine:
             self._cache_put(cache_key, response, spec.name)
         return response
 
-    # Module-level helpers shared with the sharded serving layer; kept as
-    # (deprecated) aliases because external subclasses may override them.
-    _is_caller_error = staticmethod(is_caller_error)
-
-    def _error_response(self, query: Query, exc: Exception) -> SearchResponse:
-        """A position-aligned ``status="error"`` response for a failed query."""
-        return error_response_for(query, exc)
-
     def search_many(
         self,
         queries: Union[BatchQuery, Iterable[Query]],
@@ -948,8 +951,9 @@ class BCCEngine:
         ``max_workers=1`` with it — the counters are not merged atomically);
         leave it ``None`` to give each response its own per-search counters.
 
-        ``backend`` selects the batch *transport*.  ``"process"`` scatters
-        the rows over a pool of ``max_workers`` worker processes serving
+        ``backend`` selects the batch *transport*: ``"thread"`` serves the
+        rows in this process, ``"process"`` scatters them over a pool of
+        ``max_workers`` worker processes serving
         the same frozen CSR arrays from shared memory (zero-copy), gathers
         position-aligned responses through the wire codec, and applies the
         same ``on_error`` / deadline semantics — including a crashed
@@ -958,7 +962,9 @@ class BCCEngine:
         effective config's ``backend``; ``"auto"`` picks the process
         transport only for compute-bound shapes (``max_workers > 1``, more
         than one row, at least :data:`PROCESS_AUTO_MIN_EDGES` edges, no
-        shared instrumentation).  When shared memory is unavailable (or an
+        shared instrumentation; :func:`use_process_transport`), and any
+        other value raises :class:`~repro.exceptions.QueryError`.  When
+        shared memory is unavailable (or an
         instrumented run was requested explicitly), the batch falls back to
         the threaded path with a one-time :class:`RuntimeWarning` and a
         ``"process_fallbacks"`` counter tick — never an error.  The pool is
@@ -979,18 +985,14 @@ class BCCEngine:
             # consuming a caller's iterator.
             batch = BatchQuery(queries=tuple(queries))
 
-        resolved_backend = backend
-        if resolved_backend is None:
-            base = config if config is not None else self.config
-            resolved_backend = base.backend
-        use_process = resolved_backend == "process" or (
-            resolved_backend == "auto"
-            and max_workers > 1
-            and len(batch.queries) > 1
-            and instrumentation is None
-            and self.graph.num_edges() >= PROCESS_AUTO_MIN_EDGES
-        )
-        if use_process:
+        if use_process_transport(
+            self,
+            backend,
+            config,
+            rows=len(batch.queries),
+            max_workers=max_workers,
+            instrumentation=instrumentation,
+        ):
             responses = self._try_serve_process(
                 batch,
                 config=config,

@@ -5,9 +5,7 @@ Each adapter binds a core implementation to the uniform registry signature
 :class:`repro.api.config.SearchConfig` fields into the algorithm's native
 parameters and threading the engine's prepared state into the call.  The
 three BCC pair methods run on the CSR pipeline (:mod:`repro.core.pipeline`)
-over the engine's frozen graph (:meth:`repro.api.BCCEngine.frozen_graph`),
-except with ``backend="object"``, which selects the object runners
-(``run_*``) as the reference implementation.
+over the engine's frozen graph (:meth:`repro.api.BCCEngine.frozen_graph`).
 
 Registration order is the paper's figure order — it defines
 ``repro.eval.harness.METHOD_NAMES``.
@@ -19,10 +17,7 @@ from repro.api.registry import register_method
 from repro.baselines.ctc import run_ctc
 from repro.baselines.psa import run_psa
 from repro.core import pipeline
-from repro.core.local_search import run_l2p_bcc
-from repro.core.lp_bcc import run_lp_bcc
 from repro.core.multilabel import run_mbcc
-from repro.core.online_bcc import run_online_bcc
 
 
 @register_method(
@@ -75,26 +70,17 @@ def _run_ctc(engine, query, config, instrumentation):
 )
 def _run_online_bcc(engine, query, config, instrumentation):
     q_left, q_right = query.as_pair()
-    shared = dict(
+    return pipeline.online_bcc(
+        engine.frozen_graph(split=True),
+        engine.graph,
+        q_left,
+        q_right,
         k1=config.effective_k1(),
         k2=config.effective_k2(),
         b=config.b,
         bulk_deletion=config.bulk_deletion,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-    )
-    if config.backend == "object":
-        return run_online_bcc(
-            engine.graph,
-            q_left,
-            q_right,
-            use_fast_path=config.fast_path,
-            backend=config.backend,
-            groups=engine.group,
-            **shared,
-        )
-    return pipeline.online_bcc(
-        engine.frozen_graph(split=True), engine.graph, q_left, q_right, **shared
     )
 
 
@@ -109,7 +95,11 @@ def _run_online_bcc(engine, query, config, instrumentation):
 )
 def _run_lp_bcc(engine, query, config, instrumentation):
     q_left, q_right = query.as_pair()
-    shared = dict(
+    return pipeline.lp_bcc(
+        engine.frozen_graph(split=True),
+        engine.graph,
+        q_left,
+        q_right,
         k1=config.effective_k1(),
         k2=config.effective_k2(),
         b=config.b,
@@ -117,18 +107,6 @@ def _run_lp_bcc(engine, query, config, instrumentation):
         rho=config.rho,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-    )
-    if config.backend == "object":
-        return run_lp_bcc(
-            engine.graph,
-            q_left,
-            q_right,
-            backend=config.backend,
-            groups=engine.group,
-            **shared,
-        )
-    return pipeline.lp_bcc(
-        engine.frozen_graph(split=True), engine.graph, q_left, q_right, **shared
     )
 
 
@@ -144,28 +122,21 @@ def _run_lp_bcc(engine, query, config, instrumentation):
 )
 def _run_l2p_bcc(engine, query, config, instrumentation):
     q_left, q_right = query.as_pair()
-    shared = dict(
+    index = engine.ensure_index()
+    return pipeline.l2p_bcc(
+        engine.frozen_graph(split=True),
+        engine.graph,
+        q_left,
+        q_right,
         k1=config.effective_k1(),
         k2=config.effective_k2(),
         b=config.b,
-        index=engine.ensure_index(),
+        index=index,
         eta=config.eta,
         path_config=config.path_config,
         rho=config.rho,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-    )
-    if config.backend == "object":
-        return run_l2p_bcc(
-            engine.graph,
-            q_left,
-            q_right,
-            backend=config.backend,
-            groups=engine.group,
-            **shared,
-        )
-    return pipeline.l2p_bcc(
-        engine.frozen_graph(split=True), engine.graph, q_left, q_right, **shared
     )
 
 
@@ -188,6 +159,5 @@ def _run_mbcc(engine, query, config, instrumentation):
         bulk_deletion=config.bulk_deletion,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
-        backend=config.backend,
         groups=engine.group,
     )

@@ -39,20 +39,10 @@ class BCIndex:
     build:
         When True (default) the coreness component is built immediately;
         otherwise call :meth:`build`.
-    backend:
-        Kernel substrate forwarded to the per-pair butterfly counting
-        (``"auto"`` routes large views through the CSR fast path of
-        :mod:`repro.graph.csr`).
     """
 
-    def __init__(
-        self,
-        graph: LabeledGraph,
-        build: bool = True,
-        backend: str = "auto",
-    ) -> None:
+    def __init__(self, graph: LabeledGraph, build: bool = True) -> None:
         self._graph = graph
-        self._backend = backend
         self._coreness: Optional[Dict[Vertex, int]] = None
         self._max_coreness: int = 0
         self._butterfly_cache: Dict[Tuple[str, str], Dict[Vertex, int]] = {}
@@ -115,7 +105,7 @@ class BCIndex:
         key = self._pair_key(left_label, right_label)
         if key not in self._butterfly_cache:
             bipartite = extract_label_bipartite(self._graph, left_label, right_label)
-            degrees = butterfly_degrees(bipartite, backend=self._backend)
+            degrees = butterfly_degrees(bipartite)
             self._butterfly_cache[key] = degrees
             self._max_butterfly_cache[key] = max(degrees.values()) if degrees else 0
         return self._butterfly_cache[key]

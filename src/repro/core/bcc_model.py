@@ -20,12 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import QueryError
 from repro.graph.bipartite import BipartiteView, extract_bipartite
-from repro.graph.labeled_graph import (
-    LabeledGraph,
-    Label,
-    Vertex,
-    resolve_group_provider,
-)
+from repro.graph.labeled_graph import LabeledGraph, Label, Vertex
 from repro.graph.traversal import are_connected, diameter
 
 
@@ -51,7 +46,6 @@ class BCCParameters:
         k1: Optional[int] = None,
         k2: Optional[int] = None,
         b: int = 1,
-        groups=None,
     ) -> "BCCParameters":
         """Resolve (k1, k2, b), defaulting k1/k2 to the query vertices' coreness.
 
@@ -59,19 +53,14 @@ class BCCParameters:
         set k1 and k2 with the coreness of the two queries q_l and q_r",
         where the coreness is computed within each query vertex's own label
         group (the BCC cores are label-induced subgraphs).
-
-        ``groups`` optionally supplies the label-induced subgraphs (a callable
-        from label to subgraph); a prepared engine passes its per-label cache
-        so repeated queries stop rebuilding the groups.
         """
         from repro.core.kcore import core_decomposition
 
-        group_of = resolve_group_provider(graph, groups)
         if k1 is None:
-            left_group = group_of(graph.label(q_left))
+            left_group = graph.label_induced_subgraph(graph.label(q_left))
             k1 = core_decomposition(left_group).get(q_left, 0)
         if k2 is None:
-            right_group = group_of(graph.label(q_right))
+            right_group = graph.label_induced_subgraph(graph.label(q_right))
             k2 = core_decomposition(right_group).get(q_right, 0)
         return BCCParameters(k1=k1, k2=k2, b=b)
 

@@ -47,14 +47,8 @@ def _choose2(n: int) -> int:
 
 
 def _resolve_backend(bipartite: BipartiteView, backend: str) -> str:
-    """Map ``auto`` to ``csr``/``object`` by bipartite size.
-
-    ``"process"`` is the batch-transport backend (:mod:`repro.parallel`);
-    inside one process its kernels are exactly the CSR kernels.
-    """
+    """Map ``auto`` to ``csr``/``object`` by bipartite size."""
     if backend != "auto":
-        if backend == "process":
-            return "csr"
         if backend not in ("csr", "object"):
             raise ValueError(f"unknown backend {backend!r}")
         return backend

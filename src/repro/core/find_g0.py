@@ -29,13 +29,7 @@ from repro.core.bcc_model import BCCParameters, resolve_query_labels
 from repro.core.butterfly import butterfly_degrees, max_butterfly_degree_per_side
 from repro.core.kcore import k_core_containing
 from repro.graph.bipartite import BipartiteView, extract_bipartite
-from repro.graph.labeled_graph import (
-    LabeledGraph,
-    Label,
-    Vertex,
-    resolve_group_provider,
-    union_graphs,
-)
+from repro.graph.labeled_graph import LabeledGraph, Label, Vertex, union_graphs
 from repro.graph.traversal import are_connected
 
 
@@ -73,8 +67,6 @@ def find_g0(
     parameters: BCCParameters,
     require_connected_query: bool = True,
     instrumentation=None,
-    backend: str = "auto",
-    groups=None,
 ) -> Optional[G0Result]:
     """Run Algorithm 2 and return the maximal candidate BCC, or ``None``.
 
@@ -92,25 +84,16 @@ def find_g0(
     instrumentation:
         Optional :class:`repro.eval.instrumentation.SearchInstrumentation`
         used to count butterfly-counting invocations.
-    backend:
-        Kernel substrate forwarded to the k-core extraction and the
-        butterfly counting (``"auto"`` routes large inputs through the CSR
-        fast path; results are identical either way).
-    groups:
-        Optional callable mapping a label to its label-induced subgraph.  A
-        prepared :class:`repro.api.BCCEngine` passes its per-label cache so a
-        batch of queries builds each group (and its warm CSR snapshot) once.
     """
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)
 
     # Lines 1-3: label groups and their connected k-cores around the queries.
-    group_of = resolve_group_provider(graph, groups)
-    left_group = group_of(left_label)
-    right_group = group_of(right_label)
-    left_core = k_core_containing(left_group, parameters.k1, q_left, backend=backend)
+    left_group = graph.label_induced_subgraph(left_label)
+    right_group = graph.label_induced_subgraph(right_label)
+    left_core = k_core_containing(left_group, parameters.k1, q_left)
     if left_core is None:
         return None
-    right_core = k_core_containing(right_group, parameters.k2, q_right, backend=backend)
+    right_core = k_core_containing(right_group, parameters.k2, q_right)
     if right_core is None:
         return None
 
@@ -120,7 +103,7 @@ def find_g0(
     bipartite = extract_bipartite(graph, left_vertices, right_vertices)
 
     # Lines 5-9: butterfly counting and the leader-existence check.
-    degrees = butterfly_degrees(bipartite, backend=backend)
+    degrees = butterfly_degrees(bipartite)
     if instrumentation is not None:
         instrumentation.record_butterfly_counting()
     max_left, max_right = max_butterfly_degree_per_side(bipartite, degrees)

@@ -37,14 +37,8 @@ CSR_PEEL_MIN_EDGES = 8192
 
 
 def _resolve_backend(graph: LabeledGraph, backend: str, min_edges: int) -> str:
-    """Map ``auto`` to ``csr``/``object`` by snapshot warmth and graph size.
-
-    ``"process"`` is the batch-transport backend (:mod:`repro.parallel`);
-    inside one process its kernels are exactly the CSR kernels.
-    """
+    """Map ``auto`` to ``csr``/``object`` by snapshot warmth and graph size."""
     if backend != "auto":
-        if backend == "process":
-            return "csr"
         if backend not in ("csr", "object"):
             raise ValueError(f"unknown backend {backend!r}")
         return backend
@@ -163,7 +157,6 @@ def maintain_k_core(
     graph: LabeledGraph,
     k: int,
     removed: Iterable[Vertex],
-    required: Optional[Iterable[Vertex]] = None,
 ) -> Set[Vertex]:
     """Delete ``removed`` from ``graph`` in place and restore the k-core property.
 
@@ -179,11 +172,6 @@ def maintain_k_core(
         Minimum degree to restore.
     removed:
         Vertices to delete explicitly (those not present are ignored).
-    required:
-        Optional vertices that must survive; if any of them is cascade-removed
-        the function still completes, and the caller can detect the loss by
-        membership testing (the BCC search treats that as "no longer a valid
-        community").
 
     Returns
     -------
@@ -211,10 +199,6 @@ def maintain_k_core(
         for neighbor in neighbors:
             if neighbor in graph and graph.degree(neighbor) < k:
                 queue.append(neighbor)
-    # ``required`` is accepted for interface clarity; survival is checked by
-    # the caller because the correct reaction (abort vs. continue) depends on
-    # the search algorithm.
-    _ = required
     return deleted
 
 

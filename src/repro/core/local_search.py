@@ -88,14 +88,12 @@ def expand_candidate_graph(
     return graph.induced_subgraph(admitted)
 
 
-def _auto_core_parameter(
-    candidate: LabeledGraph, label, query: Vertex, backend: str = "auto"
-) -> int:
+def _auto_core_parameter(candidate: LabeledGraph, label, query: Vertex) -> int:
     """Return the largest coreness of ``query`` within its label group of ``candidate``."""
     group = candidate.label_induced_subgraph(label)
     if query not in group:
         return 0
-    return core_decomposition(group, backend=backend).get(query, 0)
+    return core_decomposition(group).get(query, 0)
 
 
 def l2p_bcc_search(
@@ -169,24 +167,18 @@ def run_l2p_bcc(
     rho: int = DEFAULT_RHO,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
-    backend: str = "auto",
-    groups=None,
 ) -> BCCResult:
-    """Object reference implementation of method ``"l2p-bcc"``.
+    """Object-graph reference implementation of method ``"l2p-bcc"``.
 
-    The engine runs it for ``backend="object"``; every other backend serves
-    the method on the CSR pipeline (:func:`repro.core.pipeline.l2p_bcc`).
-
-    Parameters match :func:`l2p_bcc_search`; ``backend`` selects the kernel
-    substrate throughout (index build, candidate cores, LP-BCC refinement)
-    and ``groups`` optionally supplies cached label-induced subgraphs used
-    by the global LP-BCC fallback.  Raises :class:`EmptyCommunityError`
-    instead of returning ``None``.
+    The engine serves the method on the CSR pipeline
+    (:func:`repro.core.pipeline.l2p_bcc`); tests compare the two.
+    Parameters match :func:`l2p_bcc_search`.  Raises
+    :class:`EmptyCommunityError` instead of returning ``None``.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)
     if index is None:
-        index = BCIndex(graph, backend=backend)
+        index = BCIndex(graph)
     elif not index.is_built():
         index.build()
 
@@ -224,9 +216,9 @@ def run_l2p_bcc(
     # Line 4: core parameters default to the largest coreness on each side of
     # the candidate graph.
     if k1 is None:
-        k1 = _auto_core_parameter(candidate, left_label, q_left, backend=backend)
+        k1 = _auto_core_parameter(candidate, left_label, q_left)
     if k2 is None:
-        k2 = _auto_core_parameter(candidate, right_label, q_right, backend=backend)
+        k2 = _auto_core_parameter(candidate, right_label, q_right)
     parameters = BCCParameters(k1=k1, k2=k2, b=b)
 
     # Line 5: refine with the LP-BCC loop (bulk deletion of farthest vertices).
@@ -242,7 +234,6 @@ def run_l2p_bcc(
             rho=rho,
             max_iterations=max_iterations,
             instrumentation=inst,
-            backend=backend,
         )
     except EmptyCommunityError:
         if candidate.num_vertices() >= graph.num_vertices():
@@ -262,8 +253,6 @@ def run_l2p_bcc(
             rho=rho,
             max_iterations=max_iterations,
             instrumentation=inst,
-            backend=backend,
-            groups=groups,
         )
     result.statistics.update(inst.as_dict())
     return result

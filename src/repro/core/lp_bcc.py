@@ -85,33 +85,19 @@ def run_lp_bcc(
     rho: int = DEFAULT_RHO,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
-    backend: str = "auto",
-    groups=None,
 ) -> BCCResult:
-    """Object reference implementation of method ``"lp-bcc"``.
+    """Object-graph reference implementation of method ``"lp-bcc"``.
 
-    The engine runs it for ``backend="object"``; every other backend serves
-    the method on the CSR pipeline (:func:`repro.core.pipeline.lp_bcc`).
-
-    Raises :class:`EmptyCommunityError` with a machine-readable ``reason``
-    instead of returning ``None``; ``groups`` optionally supplies cached
-    label-induced subgraphs from a prepared engine.
+    The engine serves the method on the CSR pipeline
+    (:func:`repro.core.pipeline.lp_bcc`); tests compare the two.  Raises
+    :class:`EmptyCommunityError` with a machine-readable ``reason`` instead
+    of returning ``None``.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)
-    parameters = BCCParameters.from_query(
-        graph, q_left, q_right, k1=k1, k2=k2, b=b, groups=groups
-    )
+    parameters = BCCParameters.from_query(graph, q_left, q_right, k1=k1, k2=k2, b=b)
 
-    g0 = find_g0(
-        graph,
-        q_left,
-        q_right,
-        parameters,
-        instrumentation=inst,
-        backend=backend,
-        groups=groups,
-    )
+    g0 = find_g0(graph, q_left, q_right, parameters, instrumentation=inst)
     if g0 is None:
         raise EmptyCommunityError(
             f"no maximal ({parameters.k1}, {parameters.k2}, {parameters.b})-BCC "

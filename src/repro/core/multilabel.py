@@ -79,7 +79,6 @@ def _interaction_graph_edges(
     labels: Sequence[Label],
     b: int,
     instrumentation: Optional[SearchInstrumentation] = None,
-    backend: str = "auto",
 ) -> List[Tuple[Label, Label]]:
     """Return the label pairs that currently have a cross-group interaction.
 
@@ -97,7 +96,7 @@ def _interaction_graph_edges(
         bipartite = extract_bipartite(community, left, right)
         if bipartite.num_edges() == 0:
             continue
-        degrees = butterfly_degrees(bipartite, backend=backend)
+        degrees = butterfly_degrees(bipartite)
         if instrumentation is not None:
             instrumentation.record_butterfly_counting()
         max_left, max_right = max_butterfly_degree_per_side(bipartite, degrees)
@@ -155,7 +154,6 @@ def resolve_mbcc_parameters(
     query_vertices: Sequence[Vertex],
     core_parameters: Optional[Sequence[int]],
     groups=None,
-    backend: str = "auto",
 ) -> Dict[Label, int]:
     """Resolve per-label core parameters, defaulting to each query's coreness."""
     group_of = resolve_group_provider(graph, groups)
@@ -166,7 +164,7 @@ def resolve_mbcc_parameters(
             resolved[label] = core_parameters[position]
         else:
             group = group_of(label)
-            resolved[label] = core_decomposition(group, backend=backend).get(q, 0)
+            resolved[label] = core_decomposition(group).get(q, 0)
     return resolved
 
 
@@ -177,7 +175,6 @@ def find_mbcc_candidate(
     b: int,
     instrumentation: Optional[SearchInstrumentation] = None,
     groups=None,
-    backend: str = "auto",
 ) -> Optional[LabeledGraph]:
     """Generalised Algorithm 2: the maximal connected mBCC candidate ``G0``.
 
@@ -193,7 +190,7 @@ def find_mbcc_candidate(
         label = graph.label(q)
         labels.append(label)
         group = group_of(label)
-        core = k_core_containing(group, core_parameters[label], q, backend=backend)
+        core = k_core_containing(group, core_parameters[label], q)
         if core is None:
             return None
         cores.append(core)
@@ -205,9 +202,7 @@ def find_mbcc_candidate(
         for w in graph.neighbors(u):
             if w in admitted and graph.label(u) != graph.label(w):
                 community.add_edge(u, w)
-    interaction = _interaction_graph_edges(
-        community, labels, b, instrumentation, backend=backend
-    )
+    interaction = _interaction_graph_edges(community, labels, b, instrumentation)
     if not cross_group_connected(labels, interaction):
         return None
     if not are_connected(community, query_vertices):
@@ -269,26 +264,20 @@ def run_mbcc(
     bulk_deletion: bool = True,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
-    backend: str = "auto",
     groups=None,
 ) -> MBCCResult:
     """Algorithm 9 implementation registered as method ``"mbcc"``.
 
-    Parameters match :func:`mbcc_search`; ``backend`` selects the kernel
-    substrate for the candidate cores and butterfly counting, and ``groups``
-    optionally supplies cached label-induced subgraphs.  Raises
-    :class:`EmptyCommunityError` instead of returning ``None``.
+    Parameters match :func:`mbcc_search`; ``groups`` optionally supplies
+    cached label-induced subgraphs.  Raises :class:`EmptyCommunityError`
+    instead of returning ``None``.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     query = list(query_vertices)
     labels = validate_mbcc_query(graph, query)
 
-    resolved = resolve_mbcc_parameters(
-        graph, query, core_parameters, groups=groups, backend=backend
-    )
-    candidate = find_mbcc_candidate(
-        graph, query, resolved, b, inst, groups=groups, backend=backend
-    )
+    resolved = resolve_mbcc_parameters(graph, query, core_parameters, groups=groups)
+    candidate = find_mbcc_candidate(graph, query, resolved, b, inst, groups=groups)
     if candidate is None:
         raise EmptyCommunityError(
             f"no maximal m-labeled candidate with b={b} contains the query",
@@ -329,9 +318,7 @@ def run_mbcc(
 
         if any(q not in community for q in query):
             break
-        interaction = _interaction_graph_edges(
-            community, labels, b, inst, backend=backend
-        )
+        interaction = _interaction_graph_edges(community, labels, b, inst)
         if not cross_group_connected(labels, interaction):
             break
         if not are_connected(community, query):
@@ -341,9 +328,7 @@ def run_mbcc(
     if best_vertices is None:
         raise EmptyCommunityError(reason=REASON_NO_COMMUNITY)
     final_community = original.induced_subgraph(best_vertices)
-    interaction = _interaction_graph_edges(
-        final_community, labels, b, backend=backend
-    )
+    interaction = _interaction_graph_edges(final_community, labels, b)
     return MBCCResult(
         community=final_community,
         groups={lab: final_community.vertices_with_label(lab) for lab in labels},

@@ -13,8 +13,8 @@ set of the best candidate seen so far: every intermediate graph is an induced
 subgraph of ``G0`` (the search deletes vertices, never individual edges), so
 the winning community can be re-induced from ``G0`` at the end.  The engine
 serves the method on the CSR pipeline (:mod:`repro.core.pipeline`), which
-runs the same loop on id sets; :func:`run_online_bcc` is the object
-reference selected by ``backend="object"``.
+runs the same loop on id sets; :func:`run_online_bcc` is the object-graph
+reference that tests compare it against.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ def online_bcc_search(
     bulk_deletion: bool = True,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
-    use_fast_path: bool = True,
 ) -> Optional[BCCResult]:
     """Run the Online-BCC greedy search (Algorithm 1).
 
@@ -80,14 +79,6 @@ def online_bcc_search(
         Optional safety cap on the number of peeling iterations.
     instrumentation:
         Optional counters (butterfly-counting calls, timings).
-    use_fast_path:
-        When True (default), the search runs on the CSR pipeline
-        (:mod:`repro.core.pipeline`: integer ids and alive sets over one
-        frozen snapshot).  When False it runs the object reference runner
-        with its object-graph query-distance sweep
-        (``SearchConfig(backend="object", fast_path=False)``), which shares
-        no sweep code with the pipeline.  The result is identical either
-        way — same community, same query distance, same iteration count.
 
     Returns
     -------
@@ -102,8 +93,6 @@ def online_bcc_search(
         b=b,
         bulk_deletion=bulk_deletion,
         max_iterations=max_iterations,
-        fast_path=use_fast_path,
-        backend="auto" if use_fast_path else "object",
     )
     return one_shot_search(
         "online-bcc", graph, (q_left, q_right), config, instrumentation
@@ -124,7 +113,7 @@ def distance_sweep(
     or ``alive`` as in :func:`~repro.graph.csr.csr_bfs_distances` — then
     :func:`~repro.core.query_distance.farthest_ids` over ``survivors``:
     returns ``dist(G, Q)``, the farthest non-query ids and their distance.
-    Shared by the fast path below and the CSR pipeline.
+    The CSR pipeline's Online-BCC sweep.
     """
     return farthest_ids(
         survivors,
@@ -145,36 +134,23 @@ def run_online_bcc(
     bulk_deletion: bool = True,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
-    use_fast_path: bool = True,
-    backend: str = "auto",
-    groups=None,
 ) -> BCCResult:
-    """Object reference implementation of method ``"online-bcc"``.
+    """Object-graph reference implementation of method ``"online-bcc"``.
 
-    The engine runs it for ``backend="object"``; every other backend serves
-    the method on the CSR pipeline (:func:`repro.core.pipeline.online_bcc`).
+    The engine serves the method on the CSR pipeline
+    (:func:`repro.core.pipeline.online_bcc`); this runner shrinks a mutable
+    copy of ``G0`` and sweeps it with an object-graph BFS, sharing no sweep
+    code with the pipeline, so tests compare the two.
 
-    Parameters match :func:`online_bcc_search` plus the engine plumbing:
-    ``backend`` selects the kernel substrate for Algorithm 2 and ``groups``
-    optionally supplies cached label-induced subgraphs.  Raises
+    Parameters match :func:`online_bcc_search`.  Raises
     :class:`EmptyCommunityError` (with a machine-readable ``reason``) when no
     community exists instead of returning ``None``.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)
-    parameters = BCCParameters.from_query(
-        graph, q_left, q_right, k1=k1, k2=k2, b=b, groups=groups
-    )
+    parameters = BCCParameters.from_query(graph, q_left, q_right, k1=k1, k2=k2, b=b)
 
-    g0 = find_g0(
-        graph,
-        q_left,
-        q_right,
-        parameters,
-        instrumentation=inst,
-        backend=backend,
-        groups=groups,
-    )
+    g0 = find_g0(graph, q_left, q_right, parameters, instrumentation=inst)
     if g0 is None:
         raise EmptyCommunityError(
             f"no maximal ({parameters.k1}, {parameters.k2}, {parameters.b})-BCC "
@@ -186,34 +162,15 @@ def run_online_bcc(
     original = g0.community
     query = [q_left, q_right]
 
-    if use_fast_path:
-        # The sweep substrate: G0 frozen once, shrunk via a dead-id mask.
-        frozen = original.freeze()
-        dead: Set[int] = set()
-        query_ids = [frozen.id_of(q) for q in query]
-        vertex_of = frozen.vertex_of
-        all_ids = range(frozen.num_vertices())
-
     best_vertices: Optional[Set[Vertex]] = None
     best_distance = math.inf
     iterations = 0
 
     while True:
-        if use_fast_path:
-            with inst.time_query_distance():
-                current_distance, candidate_ids, max_distance = distance_sweep(
-                    frozen,
-                    query_ids[0],
-                    query_ids[1],
-                    (vid for vid in all_ids if vid not in dead),
-                    dead=dead,
-                )
-            candidates = [vertex_of(vid) for vid in candidate_ids]
-        else:
-            with inst.time_query_distance():
-                distance_maps = query_distances(community, query)
-                current_distance = graph_query_distance(community, query, distance_maps)
-            candidates, max_distance = farthest_vertices(community, query, distance_maps)
+        with inst.time_query_distance():
+            distance_maps = query_distances(community, query)
+            current_distance = graph_query_distance(community, query, distance_maps)
+        candidates, max_distance = farthest_vertices(community, query, distance_maps)
         if current_distance < best_distance:
             best_distance = current_distance
             best_vertices = set(community.vertices())
@@ -234,9 +191,6 @@ def run_online_bcc(
         )
         iterations += 1
         inst.record_iteration(deleted=len(outcome.removed))
-        if use_fast_path:
-            for removed in outcome.removed:
-                dead.add(frozen.id_of(removed))
         if not outcome.valid:
             break
 

@@ -20,13 +20,10 @@ Algorithm 5:
 Vertices that become unreachable get distance ``inf`` and are therefore
 selected for deletion first by the greedy loop.
 
-The tracker supports two substrates (``backend="auto" | "object" | "csr"``).
-The CSR backend freezes the community once (:mod:`repro.graph.csr`) and
+The tracker freezes the community once (:mod:`repro.graph.csr`) and
 maintains flat per-id distance lists plus a dead-id set; this is valid
 because the search loops only ever *delete* vertices, and the caller reports
 every deletion batch through :meth:`QueryDistanceTracker.remove_vertices`.
-Both backends return identical distances; ``auto`` picks CSR once the
-community is large enough to amortize the freeze.
 """
 
 from __future__ import annotations
@@ -36,12 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.csr import UNREACHED, csr_bfs_distances
 from repro.graph.labeled_graph import LabeledGraph, Vertex
-from repro.graph.traversal import INFINITE_DISTANCE, bfs_distances, multi_source_bfs
-
-#: Community edge count above which ``backend="auto"`` freezes a CSR
-#: snapshot; the tracker runs many sweeps per search, so the threshold is
-#: lower than for one-shot kernels.
-CSR_TRACKER_MIN_EDGES = 256
+from repro.graph.traversal import INFINITE_DISTANCE
 
 
 def update_distances(
@@ -144,39 +136,22 @@ class QueryDistanceTracker:
         supported mutation while a tracker is attached.
     query_vertices:
         The query vertices ``Q``.
-    backend:
-        Distance-sweep substrate; see the module docstring.
     """
 
     def __init__(
-        self,
-        community: LabeledGraph,
-        query_vertices: Sequence[Vertex],
-        backend: str = "auto",
+        self, community: LabeledGraph, query_vertices: Sequence[Vertex]
     ) -> None:
-        self._community = community
         self._queries: List[Vertex] = list(query_vertices)
         self.full_recomputations = 0
         self.partial_updates = 0
-        if backend == "auto":
-            backend = (
-                "csr" if community.num_edges() >= CSR_TRACKER_MIN_EDGES else "object"
-            )
-        elif backend not in ("csr", "object"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self._backend = backend
-        if backend == "csr":
-            self._frozen = community.freeze()
-            self._dead: Set[int] = set()
-            self._query_ids: Dict[Vertex, Optional[int]] = {
-                q: self._frozen.try_id_of(q) for q in self._queries
-            }
-            # Per-query distance list indexed by id; UNREACHED encodes inf,
-            # None encodes "query vertex gone" (the empty map of the object
-            # backend).
-            self._id_dist: Dict[Vertex, Optional[List[int]]] = {}
-        else:
-            self._distances: Dict[Vertex, Dict[Vertex, float]] = {}
+        self._frozen = community.freeze()
+        self._dead: Set[int] = set()
+        self._query_ids: Dict[Vertex, Optional[int]] = {
+            q: self._frozen.try_id_of(q) for q in self._queries
+        }
+        # Per-query distance list indexed by id; UNREACHED encodes inf,
+        # None encodes "query vertex gone" (an empty distance map).
+        self._id_dist: Dict[Vertex, Optional[List[int]]] = {}
         for q in self._queries:
             self.recompute(q)
 
@@ -186,26 +161,13 @@ class QueryDistanceTracker:
     def recompute(self, query: Optional[Vertex] = None) -> None:
         """Recompute distances from scratch for one query vertex (or all)."""
         targets = [query] if query is not None else self._queries
-        if self._backend == "csr":
-            for q in targets:
-                self.full_recomputations += 1
-                qid = self._query_ids.get(q)
-                if qid is None or qid in self._dead:
-                    self._id_dist[q] = None
-                    continue
-                self._id_dist[q] = csr_bfs_distances(self._frozen, qid, dead=self._dead)
-            return
         for q in targets:
             self.full_recomputations += 1
-            if q not in self._community:
-                self._distances[q] = {}
+            qid = self._query_ids.get(q)
+            if qid is None or qid in self._dead:
+                self._id_dist[q] = None
                 continue
-            reached = bfs_distances(self._community, q)
-            dist_map: Dict[Vertex, float] = {
-                v: float(reached.get(v, INFINITE_DISTANCE))
-                for v in self._community.vertices()
-            }
-            self._distances[q] = dist_map
+            self._id_dist[q] = csr_bfs_distances(self._frozen, qid, dead=self._dead)
 
     # ------------------------------------------------------------------
     # incremental update (Algorithm 5)
@@ -216,98 +178,46 @@ class QueryDistanceTracker:
         Must be called once per deletion batch, after the graph mutation.  The
         deleted vertices are dropped from every distance map, and the
         distances of vertices farther than the closest deleted vertex are
-        recomputed with a partial BFS.
+        recomputed with a partial BFS (:func:`update_distances`).
         """
-        deleted_set = {v for v in deleted}
+        deleted_set = set(deleted)
         if not deleted_set:
             return
-        if self._backend == "csr":
-            deleted_ids = set()
-            for v in deleted_set:
-                vid = self._frozen.try_id_of(v)
-                if vid is not None and vid not in self._dead:
-                    deleted_ids.add(vid)
-            # d_min is taken from the stored pre-deletion distances, so the
-            # dead set can be extended before the per-query updates.
-            self._dead |= deleted_ids
-            for q in self._queries:
-                self._update_one_query_csr(q, deleted_ids)
-            return
-        for q in self._queries:
-            self._update_one_query(q, deleted_set)
-
-    def _update_one_query(self, query: Vertex, deleted: Set[Vertex]) -> None:
-        old = self._distances.get(query, {})
-        if query in deleted or query not in self._community:
-            self._distances[query] = {}
-            return
-        # d_min: the closest deleted vertex to the query (pre-deletion distances).
-        d_min = math.inf
-        for v in deleted:
-            d = old.get(v, INFINITE_DISTANCE)
-            if d < d_min:
-                d_min = d
-        # Drop the deleted vertices from the map.
-        for v in deleted:
-            old.pop(v, None)
-        if math.isinf(d_min):
-            # Every deleted vertex was already unreachable: nothing changes.
-            self.partial_updates += 1
-            return
-        # Partition the surviving vertices into settled (<= d_min) and
-        # to-update (> d_min) sets.
-        settled_seeds: Dict[Vertex, int] = {}
-        to_update: Set[Vertex] = set()
-        for v, dist in old.items():
-            if dist <= d_min and not math.isinf(dist):
-                settled_seeds[v] = int(dist)
-            else:
-                to_update.add(v)
-        if not to_update:
-            self.partial_updates += 1
-            return
-        self.partial_updates += 1
-        reached = multi_source_bfs(self._community, settled_seeds, restrict_to=to_update)
-        for v in to_update:
-            old[v] = float(reached.get(v, INFINITE_DISTANCE))
-        # Settled vertices keep their distances; ensure any vertex not present
-        # (e.g. vertices added externally — not expected) defaults to inf.
-        for v in self._community.vertices():
-            if v not in old:
-                old[v] = INFINITE_DISTANCE
-        self._distances[query] = old
-
-    def _update_one_query_csr(self, query: Vertex, deleted_ids: Set[int]) -> None:
-        """Flat-array mirror of :meth:`_update_one_query` (Algorithm 5)."""
-        qid = self._query_ids.get(query)
-        old = self._id_dist.get(query)
-        if qid is None or qid in self._dead or old is None:
-            self._id_dist[query] = None
-            return
         dead = self._dead
-        self.partial_updates += 1
-        update_distances(
-            self._frozen,
-            old,
-            deleted_ids,
-            (vid for vid in range(len(old)) if vid not in dead),
-        )
+        deleted_ids = set()
+        for v in deleted_set:
+            vid = self._frozen.try_id_of(v)
+            if vid is not None and vid not in dead:
+                deleted_ids.add(vid)
+        # d_min is taken from the stored pre-deletion distances, so the
+        # dead set can be extended before the per-query updates.
+        dead |= deleted_ids
+        for q in self._queries:
+            old = self._id_dist.get(q)
+            if old is None or self._query_ids[q] in dead:
+                self._id_dist[q] = None
+                continue
+            self.partial_updates += 1
+            update_distances(
+                self._frozen,
+                old,
+                deleted_ids,
+                (vid for vid in range(len(old)) if vid not in dead),
+            )
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def distance(self, vertex: Vertex, query: Vertex) -> float:
         """Return ``dist(vertex, query)`` in the current community (inf if unknown)."""
-        if self._backend == "csr":
-            dist_list = self._id_dist.get(query)
-            if dist_list is None:
-                return INFINITE_DISTANCE
-            vid = self._frozen.try_id_of(vertex)
-            if vid is None or vid in self._dead:
-                return INFINITE_DISTANCE
-            d = dist_list[vid]
-            return float(d) if d >= 0 else INFINITE_DISTANCE
-        return self._distances.get(query, {}).get(vertex, INFINITE_DISTANCE)
+        dist_list = self._id_dist.get(query)
+        if dist_list is None:
+            return INFINITE_DISTANCE
+        vid = self._frozen.try_id_of(vertex)
+        if vid is None or vid in self._dead:
+            return INFINITE_DISTANCE
+        d = dist_list[vid]
+        return float(d) if d >= 0 else INFINITE_DISTANCE
 
     def query_distance(self, vertex: Vertex) -> float:
         """Return ``dist(vertex, Q) = max_q dist(vertex, q)`` (Def. 5)."""
@@ -320,7 +230,7 @@ class QueryDistanceTracker:
         return worst
 
     def _iter_id_query_distances(self):
-        """Yield ``(vid, dist(v, Q))`` over surviving ids (CSR backend)."""
+        """Yield ``(vid, dist(v, Q))`` over surviving ids."""
         dist_lists = [self._id_dist.get(q) for q in self._queries]
         dead = self._dead
         for vid in range(self._frozen.num_vertices()):
@@ -342,61 +252,37 @@ class QueryDistanceTracker:
     def graph_query_distance(self) -> float:
         """Return ``dist(G, Q)``: the maximum query distance over all vertices."""
         worst = 0.0
-        if self._backend == "csr":
-            for _, value in self._iter_id_query_distances():
-                if math.isinf(value):
-                    return INFINITE_DISTANCE
-                if value > worst:
-                    worst = value
-            return worst
-        for v in self._community.vertices():
-            d = self.query_distance(v)
-            if math.isinf(d):
+        for _, value in self._iter_id_query_distances():
+            if math.isinf(value):
                 return INFINITE_DISTANCE
-            worst = max(worst, d)
+            if value > worst:
+                worst = value
         return worst
 
     def farthest_vertices(self) -> Tuple[List[Vertex], float]:
         """Return the non-query vertices with maximum query distance, and that distance."""
+        query_ids = {vid for vid in self._query_ids.values() if vid is not None}
         best_distance = -1.0
-        best: List[Vertex] = []
-        if self._backend == "csr":
-            query_ids = {
-                vid for vid in self._query_ids.values() if vid is not None
-            }
-            vertex_of = self._frozen.vertex_of
-            best_ids: List[int] = []
-            for vid, value in self._iter_id_query_distances():
-                if vid in query_ids:
-                    continue
-                if value > best_distance:
-                    best_distance = value
-                    best_ids = [vid]
-                elif value == best_distance:
-                    best_ids.append(vid)
-            return [vertex_of(vid) for vid in best_ids], best_distance
-        query_set = set(self._queries)
-        for v in self._community.vertices():
-            if v in query_set:
+        best_ids: List[int] = []
+        for vid, value in self._iter_id_query_distances():
+            if vid in query_ids:
                 continue
-            d = self.query_distance(v)
-            if d > best_distance:
-                best_distance = d
-                best = [v]
-            elif d == best_distance:
-                best.append(v)
-        return best, best_distance
+            if value > best_distance:
+                best_distance = value
+                best_ids = [vid]
+            elif value == best_distance:
+                best_ids.append(vid)
+        vertex_of = self._frozen.vertex_of
+        return [vertex_of(vid) for vid in best_ids], best_distance
 
     def distance_map(self, query: Vertex) -> Dict[Vertex, float]:
         """Return a copy of the distance map for one query vertex."""
-        if self._backend == "csr":
-            dist_list = self._id_dist.get(query)
-            if dist_list is None:
-                return {}
-            vertex_of = self._frozen.vertex_of
-            return {
-                vertex_of(vid): (float(d) if d >= 0 else INFINITE_DISTANCE)
-                for vid, d in enumerate(dist_list)
-                if vid not in self._dead
-            }
-        return dict(self._distances.get(query, {}))
+        dist_list = self._id_dist.get(query)
+        if dist_list is None:
+            return {}
+        vertex_of = self._frozen.vertex_of
+        return {
+            vertex_of(vid): (float(d) if d >= 0 else INFINITE_DISTANCE)
+            for vid, d in enumerate(dist_list)
+            if vid not in self._dead
+        }

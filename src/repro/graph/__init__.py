@@ -9,7 +9,6 @@ from repro.graph.csr import (
     csr_butterfly_degrees,
     csr_core_decomposition,
     csr_k_core_alive,
-    csr_multi_source_bfs,
 )
 from repro.graph.labeled_graph import LabeledGraph, union_graphs
 from repro.graph.statistics import NetworkStatistics, compute_statistics, statistics_table
@@ -24,7 +23,6 @@ from repro.graph.traversal import (
     farthest_vertices,
     graph_query_distance,
     is_connected,
-    multi_source_bfs,
     query_distances,
     shortest_path,
     vertex_query_distance,
@@ -45,7 +43,6 @@ __all__ = [
     "csr_butterfly_degrees",
     "csr_core_decomposition",
     "csr_k_core_alive",
-    "csr_multi_source_bfs",
     "connected_component",
     "connected_components",
     "diameter",
@@ -55,7 +52,6 @@ __all__ = [
     "farthest_vertices",
     "graph_query_distance",
     "is_connected",
-    "multi_source_bfs",
     "query_distances",
     "shortest_path",
     "statistics_table",

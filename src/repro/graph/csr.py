@@ -39,15 +39,17 @@ When each backend is used
 -------------------------
 
 The object-facing kernels (:func:`repro.core.butterfly.butterfly_degrees`,
-:func:`repro.core.kcore.core_decomposition`, ...) accept
+:func:`repro.core.kcore.core_decomposition`,
+:func:`repro.graph.traversal.bfs_distances`, ...) accept
 ``backend="auto" | "object" | "csr"``.  ``auto`` runs the CSR kernel once
-the graph is large enough for the freeze cost to be recovered and falls
-back to the object code on small inputs; both paths return exactly the same
-values (the randomized parity suite in ``tests/core/test_backend_parity.py``
-enforces this).  The search drivers (:func:`repro.core.online_bcc.
-online_bcc_search`, :class:`repro.core.query_distance.QueryDistanceTracker`)
-freeze the candidate community once and sweep over the flat arrays with a
-``dead`` mask.
+the graph is large enough for the freeze cost to be recovered (BFS: once a
+current snapshot is cached) and falls back to the object code on small
+inputs; both paths return exactly the same values (the randomized parity
+suite in ``tests/core/test_backend_parity.py`` enforces this).  Every BCC
+search the engine serves runs on the CSR pipeline, whatever the input
+size.  :class:`repro.core.query_distance.QueryDistanceTracker` (Algorithm
+5, used by mBCC and the LP-BCC reference runner) always freezes its
+community once and sweeps the flat arrays with a ``dead`` mask.
 
 The adjacency is built and iterated as flat plain lists — CPython re-boxes
 every ``array`` element on access while list elements are shared references,
@@ -867,58 +869,4 @@ def csr_bfs_distances(
         for w in reached:
             dist[w] = depth
         frontier = list(reached)
-    return dist
-
-
-def csr_multi_source_bfs(
-    graph: _FlatAdjacency,
-    seeds: Iterable[Tuple[int, int]],
-    dead: Optional[Set[int]] = None,
-    restrict_to: Optional[Set[int]] = None,
-) -> List[int]:
-    """Generalized BFS where each seed id starts at its own level.
-
-    Mirrors :func:`repro.graph.traversal.multi_source_bfs` on int ids: seeds
-    keep their given levels (the minimum wins on duplicates), and when
-    ``restrict_to`` is given only those ids — plus the seeds themselves —
-    may be assigned distances.  Returns a per-id distance list with
-    :data:`UNREACHED` for ids never relaxed.
-    """
-    n = graph.num_vertices()
-    dist = [UNREACHED] * n
-    if n == 0:
-        return dist
-    slices = graph.adjacency_slices()
-    buckets: Dict[int, List[int]] = {}
-    seed_ids: Set[int] = set()
-    for vid, d in seeds:
-        if d < 0:
-            raise ValueError(f"seed distance for id {vid} must be >= 0, got {d}")
-        if dead is not None and vid in dead:
-            continue
-        seed_ids.add(vid)
-        if dist[vid] < 0 or d < dist[vid]:
-            dist[vid] = d
-            buckets.setdefault(d, []).append(vid)
-    if not buckets:
-        return dist
-    level = min(buckets)
-    max_level = max(buckets)
-    while level <= max_level or level in buckets:
-        frontier = buckets.pop(level, [])
-        next_level = level + 1
-        for u in frontier:
-            if dist[u] != level:
-                continue
-            for w in slices[u]:
-                if dead is not None and w in dead:
-                    continue
-                if restrict_to is not None and w not in restrict_to and w not in seed_ids:
-                    continue
-                if dist[w] < 0 or next_level < dist[w]:
-                    dist[w] = next_level
-                    buckets.setdefault(next_level, []).append(w)
-                    if next_level > max_level:
-                        max_level = next_level
-        level += 1
     return dist

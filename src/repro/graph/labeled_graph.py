@@ -404,7 +404,7 @@ class LabeledGraph:
 def resolve_group_provider(graph: LabeledGraph, groups):
     """Return the label→subgraph callable: ``groups`` or the graph's own.
 
-    The search algorithms accept an optional ``groups`` hook so a prepared
+    The mBCC search accepts an optional ``groups`` hook so a prepared
     :class:`repro.api.BCCEngine` can supply its per-label subgraph cache;
     this helper centralises the fallback to
     :meth:`LabeledGraph.label_induced_subgraph` so every consumer resolves

@@ -50,10 +50,9 @@ def bfs_distances(
     """
     if source not in graph:
         raise VertexNotFoundError(source)
-    if backend not in ("auto", "object", "csr", "process"):
+    if backend not in ("auto", "object", "csr"):
         raise ValueError(f"unknown backend {backend!r}")
-    # "process" is the batch-transport backend; its in-process kernel is CSR.
-    if backend in ("csr", "process") or (backend == "auto" and graph.has_frozen()):
+    if backend == "csr" or (backend == "auto" and graph.has_frozen()):
         from repro.graph.csr import csr_bfs_distances  # deferred: csr imports us
 
         frozen = graph.freeze()
@@ -71,97 +70,6 @@ def bfs_distances(
             if w not in distances:
                 distances[w] = du + 1
                 queue.append(w)
-    return distances
-
-
-def multi_source_bfs(
-    graph: LabeledGraph,
-    seeds: Dict[Vertex, int],
-    restrict_to: Optional[Set[Vertex]] = None,
-    backend: str = "auto",
-) -> Dict[Vertex, int]:
-    """Multi-source BFS where each seed starts at its own non-negative level.
-
-    This generalized BFS is the primitive behind Algorithm 5 (fast query
-    distance computation): the already-settled vertices are seeded with their
-    known distances and only the unsettled region is re-explored.
-
-    Parameters
-    ----------
-    graph:
-        The graph to traverse.
-    seeds:
-        Mapping of seed vertex to its fixed starting distance.  Seeds absent
-        from the graph are ignored.
-    restrict_to:
-        If provided, only vertices in this set (plus the seeds) may be
-        assigned distances.
-    backend:
-        As in :func:`bfs_distances`: ``"auto"`` uses the CSR kernel only
-        when the graph already holds a current snapshot.
-
-    Returns
-    -------
-    dict
-        Mapping of vertex to distance for all vertices reached, seeds
-        included.
-    """
-    if backend not in ("auto", "object", "csr", "process"):
-        raise ValueError(f"unknown backend {backend!r}")
-    # "process" is the batch-transport backend; its in-process kernel is CSR.
-    if backend in ("csr", "process") or (backend == "auto" and graph.has_frozen()):
-        from repro.graph.csr import csr_multi_source_bfs  # deferred import
-
-        frozen = graph.freeze()
-        id_seeds = []
-        for vertex, dist in seeds.items():
-            vid = frozen.try_id_of(vertex)
-            if vid is None:
-                continue
-            if dist < 0:
-                raise ValueError(
-                    f"seed distance for {vertex!r} must be >= 0, got {dist}"
-                )
-            id_seeds.append((vid, dist))
-        restrict_ids = None
-        if restrict_to is not None:
-            restrict_ids = {
-                vid
-                for v in restrict_to
-                if (vid := frozen.try_id_of(v)) is not None
-            }
-        dist_list = csr_multi_source_bfs(frozen, id_seeds, restrict_to=restrict_ids)
-        vertex_of = frozen.vertex_of
-        return {vertex_of(i): d for i, d in enumerate(dist_list) if d >= 0}
-    buckets: Dict[int, List[Vertex]] = {}
-    distances: Dict[Vertex, int] = {}
-    for vertex, dist in seeds.items():
-        if vertex not in graph:
-            continue
-        if dist < 0:
-            raise ValueError(f"seed distance for {vertex!r} must be >= 0, got {dist}")
-        if vertex not in distances or dist < distances[vertex]:
-            distances[vertex] = dist
-            buckets.setdefault(dist, []).append(vertex)
-    if not distances:
-        return {}
-    level = min(buckets)
-    max_level = max(buckets)
-    while level <= max_level or level in buckets:
-        frontier = buckets.pop(level, [])
-        for u in frontier:
-            if distances.get(u) != level:
-                continue
-            for w in graph.neighbors(u):
-                if restrict_to is not None and w not in restrict_to and w not in seeds:
-                    continue
-                nd = level + 1
-                if w not in distances or nd < distances[w]:
-                    distances[w] = nd
-                    buckets.setdefault(nd, []).append(w)
-                    if nd > max_level:
-                        max_level = nd
-        level += 1
     return distances
 
 

@@ -105,11 +105,11 @@ def _build_engine(handle: GraphHandle, attachment) -> object:
     config = decode_config(handle.config)
     if config is None:
         config = SearchConfig()
-    # Worker-side kernels must not recurse into another pool: the batch
-    # transport decision was made in the parent, so the worker serves the
-    # same queries through the plain CSR fast path.
+    # Worker-side batches must not recurse into another pool: the batch
+    # transport decision was made in the parent, so the worker serves its
+    # rows on threads.
     if config.backend == "process":
-        config = config.replace(backend="csr")
+        config = config.replace(backend="thread")
     if handle.sharded:
         from repro.serving.sharded import ShardedBCCEngine  # deferred import
 
@@ -124,9 +124,7 @@ def _build_engine(handle: GraphHandle, attachment) -> object:
         engine = BCCEngine(
             attachment.graph,
             config,
-            index=StoredBCIndex(
-                attachment.graph, attachment.snapshot, backend=config.backend
-            ),
+            index=StoredBCIndex(attachment.graph, attachment.snapshot),
             result_cache_size=handle.result_cache_size,
         )
         return engine.prepare()

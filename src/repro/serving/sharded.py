@@ -59,11 +59,11 @@ from typing import Dict, Iterable, List, Optional, Set, Union
 from repro.api.config import SearchConfig
 from repro.api.engine import (
     DEFAULT_RESULT_CACHE_SIZE,
-    PROCESS_AUTO_MIN_EDGES,
     BCCEngine,
     error_response_for,
     is_caller_error,
     serve_batch,
+    use_process_transport,
 )
 from repro.api.query import (
     STATUS_EMPTY,
@@ -434,7 +434,8 @@ class ShardedBCCEngine:
         exactly-once per shard under contention.
 
         ``backend="process"`` (or an ``"auto"`` pick on a compute-bound
-        shape, same heuristic as the monolithic engine) ships the batch to
+        shape, the monolithic engine's rule:
+        :func:`~repro.api.engine.use_process_transport`) ships the batch to
         ``max_workers`` worker processes instead.  Routing still happens
         router-side: cross-shard rows short-circuit in the parent without
         touching any worker, and every in-shard row is *pinned* to worker
@@ -447,18 +448,14 @@ class ShardedBCCEngine:
             batch = queries
         else:
             batch = BatchQuery(queries=tuple(queries))
-        resolved_backend = backend
-        if resolved_backend is None:
-            base = config if config is not None else self.config
-            resolved_backend = base.backend
-        use_process = resolved_backend == "process" or (
-            resolved_backend == "auto"
-            and max_workers > 1
-            and len(batch.queries) > 1
-            and instrumentation is None
-            and self.graph.num_edges() >= PROCESS_AUTO_MIN_EDGES
-        )
-        if use_process:
+        if use_process_transport(
+            self,
+            backend,
+            config,
+            rows=len(batch.queries),
+            max_workers=max_workers,
+            instrumentation=instrumentation,
+        ):
             responses = self._try_serve_process(
                 batch,
                 config=config,

@@ -86,11 +86,7 @@ class SnapshotWriter:
 
     # ------------------------------------------------------------------
     def write(
-        self,
-        graph: LabeledGraph,
-        index: Optional[BCIndex] = None,
-        *,
-        backend: str = "auto",
+        self, graph: LabeledGraph, index: Optional[BCIndex] = None
     ) -> Dict[str, object]:
         """Write a snapshot of ``graph``; returns a summary dict.
 
@@ -108,7 +104,7 @@ class SnapshotWriter:
         ]
         offs, nbrs = csr.adjacency_lists()
         if index is None:
-            index = BCIndex(graph, build=True, backend=backend)
+            index = BCIndex(graph, build=True)
         elif not index.is_built():
             index.build()
 
@@ -469,13 +465,8 @@ class StoredBCIndex(BCIndex):
     method correctly.
     """
 
-    def __init__(
-        self,
-        graph: LabeledGraph,
-        snapshot: Snapshot,
-        backend: str = "auto",
-    ) -> None:
-        super().__init__(graph, build=False, backend=backend)
+    def __init__(self, graph: LabeledGraph, snapshot: Snapshot) -> None:
+        super().__init__(graph, build=False)
         self._snapshot = snapshot
 
     def build(self) -> None:
@@ -515,16 +506,12 @@ def attach_engine(
     :class:`BCCEngine` (result cache size/policy, fault plan).
     """
     snapshot.require_match(graph)
-    cfg = config if config is not None else SearchConfig()
     # Friend access, mirroring LabeledGraph.freeze's own cache fill: the
     # mapped CSR becomes the graph's current frozen snapshot.
     graph._frozen = snapshot.as_csr_graph()
     graph._frozen_version = graph.version()
     engine = BCCEngine(
-        graph,
-        cfg,
-        index=StoredBCIndex(graph, snapshot, backend=cfg.backend),
-        **engine_kwargs,
+        graph, config, index=StoredBCIndex(graph, snapshot), **engine_kwargs
     )
     return engine.prepare()
 
@@ -541,4 +528,4 @@ def persist_engine(
     engine.prepare()
     index = engine.ensure_index()
     writer = SnapshotWriter(path, butterfly_pairs=butterfly_pairs)
-    return writer.write(engine.graph, index, backend=engine.config.backend)
+    return writer.write(engine.graph, index)

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import SearchConfig
+from repro.api import BACKENDS, SearchConfig
 from repro.core.path_weight import PathWeightConfig
 from repro.exceptions import QueryError
 
@@ -19,8 +19,8 @@ class TestDefaults:
         assert config.bulk_deletion is True
         assert config.rho == 2
         assert config.backend == "auto"
+        assert BACKENDS == ("auto", "thread", "process")
         assert config.max_iterations is None
-        assert config.fast_path is True
         assert config.eta == 400
         assert config.path_config == PathWeightConfig()
         assert config.core_parameters is None
@@ -76,6 +76,8 @@ class TestValidation:
             {"b": -1},
             {"rho": -1},
             {"backend": "gpu"},
+            {"backend": "object"},
+            {"backend": "csr"},
             {"max_iterations": -5},
             {"eta": -1},
             {"size_budget": -1},
@@ -112,11 +114,16 @@ class TestDeadlineField:
         assert SearchConfig(deadline_ms=250.0).deadline_ms == 250.0
 
     def test_deadline_excluded_from_cache_key(self):
-        # The deadline bounds the wait, not the answer: two configs that
-        # differ only in deadline_ms must share a result-cache entry.
+        # The deadline bounds the wait and the transport moves the work;
+        # neither changes the answer, so configs that differ only in
+        # deadline_ms or backend must share a result-cache entry.
         base = SearchConfig(k1=4, k2=3)
         assert base.cache_key() == SearchConfig(
             k1=4, k2=3, deadline_ms=100.0
         ).cache_key()
+        for backend in ("thread", "process"):
+            assert base.cache_key() == SearchConfig(
+                k1=4, k2=3, backend=backend
+            ).cache_key()
         # ...while answer-shaping fields still split the key.
         assert base.cache_key() != SearchConfig(k1=5, k2=3).cache_key()

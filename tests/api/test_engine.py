@@ -41,19 +41,12 @@ class TestConstruction:
         with pytest.raises(TypeError):
             BCCEngine(42)
 
-    def test_counters_view_is_read_only_and_snapshot_is_a_copy(self, paper_graph):
-        """The legacy ``counters`` attribute was a public mutable dict that
-        callers could corrupt without the lock; it is now a read-only view,
-        and ``counters_snapshot()`` returns an independent copy."""
+    def test_counters_snapshot_is_a_copy(self, paper_graph):
         engine = BCCEngine(paper_graph).prepare()
-        view = engine.counters
-        assert view["prepare_calls"] == 1
-        with pytest.raises(TypeError):
-            view["prepare_calls"] = 999  # type: ignore[index]
         snapshot = engine.counters_snapshot()
-        assert snapshot == dict(view)
+        assert snapshot["prepare_calls"] == 1
         snapshot["prepare_calls"] = 999  # the caller's copy, not the engine's
-        assert engine.counters["prepare_calls"] == 1
+        assert engine.counters_snapshot()["prepare_calls"] == 1
 
     def test_prepare_chains_and_counts_once(self, paper_graph):
         engine = BCCEngine(paper_graph).prepare()
@@ -383,6 +376,8 @@ class TestErrorPolicy:
             engine.search_many([], on_error="ignore")
         with pytest.raises(QueryError):
             engine.search_many([], max_workers=0)
+        with pytest.raises(QueryError):
+            engine.search_many([], backend="proces")
 
     def test_return_policy_does_not_mask_deep_missing_vertices(self, paper_graph):
         """A VertexNotFoundError for a NON-query vertex is an implementation
@@ -430,6 +425,13 @@ class TestResultCache:
         assert second.result is first.result  # the native result is shared
         assert second.vertices is not first.vertices  # the member set is not
         assert engine.counters_snapshot()["searches"] == 2
+
+    def test_transports_share_one_entry(self, paper_graph):
+        engine = BCCEngine(paper_graph)
+        query = Query("online-bcc", ("ql", "qr"))
+        for backend in ("auto", "thread", "process"):
+            engine.search(query, config=SearchConfig(k1=4, k2=3, backend=backend))
+        assert engine.counters_snapshot()["result_cache_hits"] == 2
 
     def test_distinct_configs_do_not_collide(self, paper_graph):
         engine = BCCEngine(paper_graph)

@@ -11,7 +11,6 @@ where one bipartite side is empty.
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -25,8 +24,7 @@ from repro.core.butterfly import (
     max_butterfly_degree_per_side,
 )
 from repro.core.kcore import core_decomposition, k_core_vertices
-from repro.core.online_bcc import online_bcc_search
-from repro.core.query_distance import QueryDistanceTracker
+from repro.core.online_bcc import online_bcc_search, run_online_bcc
 from repro.graph.bipartite import extract_label_bipartite
 from repro.graph.csr import (
     CSRBipartiteView,
@@ -36,14 +34,13 @@ from repro.graph.csr import (
     csr_butterfly_degrees_two_sided,
     csr_core_decomposition,
     csr_k_core_alive,
-    csr_multi_source_bfs,
 )
 from repro.graph.generators import (
     planted_partition_graph,
     random_bipartite_graph,
     random_labeled_graph,
 )
-from repro.graph.traversal import bfs_distances, multi_source_bfs
+from repro.graph.traversal import bfs_distances
 
 BUTTERFLY_SEEDS = range(80)
 KCORE_SEEDS = range(70)
@@ -158,71 +155,26 @@ class TestBFSParity:
             assert bfs_distances(graph, source, max_depth=max_depth, backend="csr") == reference
             dist = csr_bfs_distances(frozen, frozen.id_of(source), max_depth=max_depth)
             assert {frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0} == reference
-        seeds = {v: rng.randint(0, 3) for v in rng.sample(vertices, min(4, len(vertices)))}
-        reference = multi_source_bfs(graph, seeds, backend="object")
-        assert multi_source_bfs(graph, seeds, backend="csr") == reference
-        id_seeds = [(frozen.id_of(v), d) for v, d in seeds.items()]
-        dist = csr_multi_source_bfs(frozen, id_seeds)
-        assert {frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0} == reference
-
-    def test_restricted_multi_source(self):
-        graph = _random_graph(11, labels=("A",))
-        vertices = list(graph.vertices())
-        if len(vertices) < 4:
-            pytest.skip("graph too small for a restriction test")
-        rng = random.Random(11)
-        seeds = {vertices[0]: 0, vertices[1]: 2}
-        restrict = set(rng.sample(vertices, len(vertices) // 2))
-        reference = multi_source_bfs(graph, seeds, restrict_to=restrict, backend="object")
-        assert multi_source_bfs(graph, seeds, restrict_to=restrict, backend="csr") == reference
 
 
-class TestTrackerParity:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_deletion_sequences(self, seed):
-        rng = random.Random(seed)
-        graph, communities = planted_partition_graph([14, 14], 0.4, 0.06, seed=seed)
-        mirror = graph.copy()
-        queries = [communities[0][0], communities[1][0]]
-        obj = QueryDistanceTracker(graph, queries, backend="object")
-        csr = QueryDistanceTracker(mirror, queries, backend="csr")
-        deletable = [v for v in graph.vertices() if v not in queries]
-        rng.shuffle(deletable)
-        for start in range(0, 15, 3):
-            batch = deletable[start : start + 3]
-            graph.remove_vertices(batch)
-            mirror.remove_vertices(batch)
-            obj.remove_vertices(batch)
-            csr.remove_vertices(batch)
-            assert obj.full_recomputations == csr.full_recomputations
-            assert obj.partial_updates == csr.partial_updates
-            assert obj.graph_query_distance() == csr.graph_query_distance()
-            assert obj.farthest_vertices() == csr.farthest_vertices()
-            for q in queries:
-                assert obj.distance_map(q) == csr.distance_map(q)
-
-    def test_deleting_query_vertex(self):
-        graph, communities = planted_partition_graph([10, 10], 0.5, 0.1, seed=3)
-        mirror = graph.copy()
-        queries = [communities[0][0], communities[1][0]]
-        obj = QueryDistanceTracker(graph, queries, backend="object")
-        csr = QueryDistanceTracker(mirror, queries, backend="csr")
-        graph.remove_vertex(queries[0])
-        mirror.remove_vertex(queries[0])
-        obj.remove_vertices([queries[0]])
-        csr.remove_vertices([queries[0]])
-        probe = communities[1][1]
-        assert math.isinf(obj.distance(probe, queries[0]))
-        assert math.isinf(csr.distance(probe, queries[0]))
-        assert obj.distance_map(queries[0]) == csr.distance_map(queries[0]) == {}
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_kernels_take_substrates_not_transports(backend):
+    graph = _random_graph(3, labels=("A", "B"))
+    source = next(iter(graph.vertices()))
+    with pytest.raises(ValueError):
+        butterfly_degrees(_random_bipartite(3), backend=backend)
+    with pytest.raises(ValueError):
+        core_decomposition(graph, backend=backend)
+    with pytest.raises(ValueError):
+        bfs_distances(graph, source, backend=backend)
 
 
 class TestOnlineBCCFastPathParity:
-    """Online-BCC's fast substrates ≡ the object runner's object-graph sweep.
+    """Online-BCC's served path ≡ the object runner, called directly.
 
-    ``use_fast_path=False`` (``backend="object"``, ``fast_path=False``) is
-    the reference that shares no sweep code with the CSR pipeline or the
-    object runner's CSR sweep.
+    :func:`online_bcc_search` runs the CSR pipeline through a one-shot
+    engine; :func:`run_online_bcc` shrinks a mutable copy of ``G0`` and
+    sweeps it with an object-graph BFS, sharing no sweep code with it.
     """
 
     @staticmethod
@@ -248,32 +200,8 @@ class TestOnlineBCCFastPathParity:
     @pytest.mark.parametrize("bulk", [True, False])
     def test_fast_path_is_byte_identical(self, seed, bulk):
         graph, q_left, q_right = self._planted(seed)
-        fast = online_bcc_search(
-            graph, q_left, q_right, bulk_deletion=bulk, use_fast_path=True
-        )
-        slow = online_bcc_search(
-            graph, q_left, q_right, bulk_deletion=bulk, use_fast_path=False
-        )
-        self._assert_same(fast, slow)
-
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("bulk", [True, False])
-    def test_object_runner_sweeps_agree(self, seed, bulk):
-        from repro.api import BCCEngine, Query, SearchConfig
-
-        graph, q_left, q_right = self._planted(seed)
-        engine = BCCEngine(graph)
-        query = Query("online-bcc", (q_left, q_right))
-        fast, slow = (
-            engine.search(
-                query,
-                config=SearchConfig(
-                    bulk_deletion=bulk, backend="object", fast_path=fast_path
-                ),
-                use_cache=False,
-            ).result
-            for fast_path in (True, False)
-        )
+        fast = online_bcc_search(graph, q_left, q_right, bulk_deletion=bulk)
+        slow = run_online_bcc(graph, q_left, q_right, bulk_deletion=bulk)
         self._assert_same(fast, slow)
 
 

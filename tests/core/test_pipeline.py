@@ -1,13 +1,12 @@
 """The CSR pipeline answers exactly like the object reference runners.
 
-``backend="auto"`` serves Online-BCC, LP-BCC and L2P-BCC on the pipeline
-(:mod:`repro.core.pipeline`); ``backend="object"`` runs the object runners,
-here with ``fast_path=False`` so Online-BCC's reference sweep is the
-object-graph one, which shares no code with the pipeline.
-Every response field must agree — status, reason, vertex set, community
-graph, query distance, iterations, leader pair and the Table-4 counts — and
-every ``ok`` answer must also be a valid BCC by Def. 4 with the query
-distance of Def. 5, recomputed here independently.
+The engine serves Online-BCC, LP-BCC and L2P-BCC on the pipeline
+(:mod:`repro.core.pipeline`); :func:`run_online_bcc`, :func:`run_lp_bcc` and
+:func:`run_l2p_bcc`, called directly, run the same algorithms on mutable
+object graphs.  Every response field must agree — status, reason, vertex
+set, community graph, query distance, iterations, leader pair and the
+Table-4 counts — and every ``ok`` answer must also be a valid BCC by Def. 4
+with the query distance of Def. 5, recomputed here independently.
 """
 
 from __future__ import annotations
@@ -15,12 +14,19 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from functools import partial
 
 import pytest
 
 from repro.api import BCCEngine, Query, SearchConfig
+from repro.api.query import STATUS_EMPTY, STATUS_OK, SearchResponse
 from repro.core.bcc_model import validate_bcc
+from repro.core.local_search import run_l2p_bcc
+from repro.core.lp_bcc import run_lp_bcc
+from repro.core.online_bcc import run_online_bcc
 from repro.datasets import load_dataset
+from repro.eval.instrumentation import SearchInstrumentation
+from repro.exceptions import EmptyCommunityError
 from repro.eval.queries import QuerySpec, generate_query_pairs
 from repro.graph.generators import random_labeled_graph
 from repro.graph.labeled_graph import LabeledGraph
@@ -100,18 +106,52 @@ def _assert_valid(graph, response):
     assert response.query_distance == _def5_distance(community, (q_left, q_right))
 
 
+def _reference(engine, method, pair, config):
+    """The object runner's answer to ``pair``, as the engine would wrap it."""
+    if method == "online-bcc":
+        run = partial(run_online_bcc, bulk_deletion=config.bulk_deletion)
+    elif method == "lp-bcc":
+        run = partial(run_lp_bcc, bulk_deletion=config.bulk_deletion, rho=config.rho)
+    else:
+        run = partial(
+            run_l2p_bcc,
+            index=engine.ensure_index(),
+            eta=config.eta,
+            path_config=config.path_config,
+            rho=config.rho,
+        )
+    inst = SearchInstrumentation()
+    try:
+        result = run(
+            engine.graph,
+            *pair,
+            k1=config.effective_k1(),
+            k2=config.effective_k2(),
+            b=config.b,
+            max_iterations=config.max_iterations,
+            instrumentation=inst,
+        )
+    except EmptyCommunityError as exc:
+        return SearchResponse(
+            method, pair, STATUS_EMPTY, reason=exc.reason, instrumentation=inst
+        )
+    return SearchResponse(
+        method,
+        pair,
+        STATUS_OK,
+        result=result,
+        vertices=set(result.vertices),
+        instrumentation=inst,
+    )
+
+
 def _assert_parity(graph, pairs, configs=CONFIGS, methods=METHODS):
     engine = BCCEngine(graph).prepare()
     for pair in pairs:
         for method in methods:
             for config in configs:
-                query = Query(method, pair)
-                got = engine.search(query, config=config, use_cache=False)
-                want = engine.search(
-                    query,
-                    config=config.replace(backend="object", fast_path=False),
-                    use_cache=False,
-                )
+                got = engine.search(Query(method, pair), config=config, use_cache=False)
+                want = _reference(engine, method, pair, config)
                 assert _fields(got) == _fields(want), (method, pair, config)
                 _assert_valid(graph, got)
 

@@ -68,16 +68,33 @@ class TestExample4:
         assert distance == 3
 
 
+def reference_farthest(graph, queries, reference):
+    """The non-query vertices at maximum query distance, in graph order."""
+    by_vertex = {
+        v: max(reference[q][v] for q in queries)
+        for v in graph.vertices()
+        if v not in queries
+    }
+    worst = max(by_vertex.values(), default=-1.0)
+    return [v for v, d in by_vertex.items() if d == worst], worst
+
+
 class TestCorrectnessAgainstRecomputation:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_deletion_sequences(self, seed):
+    @pytest.mark.parametrize(
+        "size, p_out, deletions, seed",
+        [(12, 0.05, 12, seed) for seed in range(3)]
+        + [(14, 0.06, 15, seed) for seed in range(8)],
+    )
+    def test_random_deletion_sequences(self, size, p_out, deletions, seed):
         rng = random.Random(seed)
-        graph, communities = planted_partition_graph([12, 12], 0.4, 0.05, seed=seed)
+        graph, communities = planted_partition_graph(
+            [size, size], 0.4, p_out, seed=seed
+        )
         queries = [communities[0][0], communities[1][0]]
         tracker = QueryDistanceTracker(graph, queries)
         deletable = [v for v in graph.vertices() if v not in queries]
         rng.shuffle(deletable)
-        for start in range(0, 12, 3):
+        for batches, start in enumerate(range(0, deletions, 3), start=1):
             batch = deletable[start : start + 3]
             graph.remove_vertices(batch)
             tracker.remove_vertices(batch)
@@ -87,6 +104,25 @@ class TestCorrectnessAgainstRecomputation:
                     assert tracker.distance(v, q) == reference[q][v], (
                         f"seed={seed} vertex={v} query={q}"
                     )
+                assert tracker.distance_map(q) == reference[q]
+            farthest, worst = reference_farthest(graph, queries, reference)
+            assert tracker.farthest_vertices() == (farthest, worst)
+            assert tracker.graph_query_distance() == max(
+                max(reference[q].values()) for q in queries
+            )
+            assert tracker.full_recomputations == len(queries)
+            assert tracker.partial_updates == batches * len(queries)
+
+    def test_deleting_query_vertex(self):
+        graph, communities = planted_partition_graph([10, 10], 0.5, 0.1, seed=3)
+        queries = [communities[0][0], communities[1][0]]
+        tracker = QueryDistanceTracker(graph, queries)
+        graph.remove_vertex(queries[0])
+        tracker.remove_vertices([queries[0]])
+        assert math.isinf(tracker.distance(communities[1][1], queries[0]))
+        assert tracker.distance_map(queries[0]) == {}
+        survivor = reference_distances(graph, queries[1:])[queries[1]]
+        assert tracker.distance_map(queries[1]) == survivor
 
     def test_unreachable_vertices_get_infinity(self):
         g = LabeledGraph(edges=[(0, 1), (1, 2), (3, 4)])

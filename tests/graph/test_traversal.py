@@ -20,7 +20,6 @@ from repro.graph.traversal import (
     farthest_vertices,
     graph_query_distance,
     is_connected,
-    multi_source_bfs,
     query_distances,
     shortest_path,
     vertex_query_distance,
@@ -63,38 +62,6 @@ class TestBFS:
         g = two_components()
         dist = bfs_distances(g, 0)
         assert 10 not in dist and 11 not in dist
-
-
-class TestMultiSourceBFS:
-    def test_seeds_keep_given_levels(self):
-        g = path_graph(5)
-        dist = multi_source_bfs(g, {0: 0, 4: 0})
-        assert dist[2] == 2
-        assert dist[1] == 1 and dist[3] == 1
-
-    def test_seed_with_offset_level(self):
-        g = path_graph(4)
-        dist = multi_source_bfs(g, {0: 5})
-        assert dist[3] == 8
-
-    def test_restrict_to_limits_assignment(self):
-        g = path_graph(5)
-        dist = multi_source_bfs(g, {0: 0}, restrict_to={1, 2})
-        assert 3 not in dist and 4 not in dist
-        assert dist[2] == 2
-
-    def test_negative_seed_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            multi_source_bfs(g, {0: -1})
-
-    def test_empty_seeds(self):
-        assert multi_source_bfs(path_graph(3), {}) == {}
-
-    def test_seed_not_in_graph_ignored(self):
-        g = path_graph(3)
-        dist = multi_source_bfs(g, {99: 0, 0: 0})
-        assert dist[2] == 2
 
 
 class TestPathsAndComponents:

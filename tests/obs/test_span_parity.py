@@ -78,10 +78,10 @@ def test_process_and_thread_batches_trace_the_same_logical_shape(
     queries = [
         Query("online-bcc", pair) for pair in cross_pairs(parity_graph, 4)
     ]
-    engine = BCCEngine(parity_graph, config=SearchConfig(backend="csr"))
+    engine = BCCEngine(parity_graph, config=SearchConfig(backend="thread"))
     engine.prepare()
     try:
-        thread_trace, thread_responses = traced_batch(engine, queries, "csr")
+        thread_trace, thread_responses = traced_batch(engine, queries, "thread")
         process_trace, process_responses = traced_batch(
             engine, queries, "process"
         )
@@ -108,7 +108,7 @@ def test_process_rows_graft_remote_worker_spans(parity_graph):
     queries = [
         Query("online-bcc", pair) for pair in cross_pairs(parity_graph, 2)
     ]
-    engine = BCCEngine(parity_graph, config=SearchConfig(backend="csr"))
+    engine = BCCEngine(parity_graph, config=SearchConfig(backend="thread"))
     engine.prepare()
     try:
         trace, _ = traced_batch(engine, queries, "process")

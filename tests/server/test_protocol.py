@@ -101,9 +101,8 @@ class TestConfigRoundTrip:
             b=2,
             bulk_deletion=False,
             rho=4,
-            backend="csr",
+            backend="thread",
             max_iterations=77,
-            fast_path=False,
             eta=9,
             path_config=PathWeightConfig(gamma1=0.25, gamma2=1.75),
             core_parameters=(2, 3, 4),

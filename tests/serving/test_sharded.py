@@ -307,6 +307,8 @@ class TestSearchMany:
             engine.search_many([], on_error="ignore")
         with pytest.raises(QueryError):
             engine.search_many([], max_workers=0)
+        with pytest.raises(QueryError):
+            engine.search_many([], backend="proces")
 
     def test_batch_only_builds_touched_shards(self, two_component_paper_graph):
         engine = ShardedBCCEngine(two_component_paper_graph)
