@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.api import SearchConfig
+from repro.core.bcc_model import BCCParameters, resolve_query_labels
 from repro.core.butterfly import (
     brute_force_butterfly_degrees,
     butterfly_degrees,
@@ -23,8 +24,10 @@ from repro.core.butterfly import (
     enumerate_butterflies,
     max_butterfly_degree_per_side,
 )
+from repro.core.find_g0 import find_g0
 from repro.core.kcore import core_decomposition, k_core_vertices
-from repro.core.online_bcc import online_bcc_search, run_online_bcc
+from repro.core.maintenance import maintain_bcc
+from repro.core.online_bcc import distance_sweep, online_bcc_search, run_online_bcc
 from repro.graph.bipartite import extract_label_bipartite
 from repro.graph.csr import (
     CSRBipartiteView,
@@ -40,7 +43,12 @@ from repro.graph.generators import (
     random_bipartite_graph,
     random_labeled_graph,
 )
-from repro.graph.traversal import bfs_distances
+from repro.graph.traversal import (
+    bfs_distances,
+    farthest_vertices,
+    graph_query_distance,
+    query_distances,
+)
 
 BUTTERFLY_SEEDS = range(80)
 KCORE_SEEDS = range(70)
@@ -156,6 +164,27 @@ class TestBFSParity:
             dist = csr_bfs_distances(frozen, frozen.id_of(source), max_depth=max_depth)
             assert {frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0} == reference
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_restricted_distances_agree(self, seed):
+        """``alive=`` and ``dead=`` ≡ an object BFS on the induced subgraph."""
+        graph = random_labeled_graph(20, 0.2, ["A", "B"], seed=seed)
+        rng = random.Random(seed)
+        kept = set(rng.sample(list(graph.vertices()), 12))
+        source = min(kept, key=repr)
+        frozen = CSRGraph.freeze(graph)
+        alive = {frozen.id_of(v) for v in kept}
+        dead = set(range(frozen.num_vertices())) - alive
+        sub = graph.induced_subgraph(kept)
+        for max_depth in (None, 1, 3):
+            reference = bfs_distances(sub, source, max_depth=max_depth, backend="object")
+            for restriction in ({"alive": alive}, {"dead": dead}):
+                dist = csr_bfs_distances(
+                    frozen, frozen.id_of(source), max_depth=max_depth, **restriction
+                )
+                assert {
+                    frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0
+                } == reference
+
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_kernels_take_substrates_not_transports(backend):
@@ -175,6 +204,7 @@ class TestOnlineBCCFastPathParity:
     :func:`online_bcc_search` runs the CSR pipeline through a one-shot
     engine; :func:`run_online_bcc` shrinks a mutable copy of ``G0`` and
     sweeps it with an object-graph BFS, sharing no sweep code with it.
+    The two sweeps must also agree step by step, not only in the answer.
     """
 
     @staticmethod
@@ -203,6 +233,53 @@ class TestOnlineBCCFastPathParity:
         fast = online_bcc_search(graph, q_left, q_right, bulk_deletion=bulk)
         slow = run_online_bcc(graph, q_left, q_right, bulk_deletion=bulk)
         self._assert_same(fast, slow)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_object_runner_sweeps_agree(self, seed, bulk):
+        """The runner's object-graph sweep ≡ the pipeline's :func:`distance_sweep`.
+
+        Peels ``G0`` exactly as :func:`run_online_bcc` does and, before every
+        deletion, sweeps the survivors both ways: over the object graph, and
+        over the whole input's CSR restricted to the survivors' ids.
+        """
+        graph, q_left, q_right = self._planted(seed)
+        left_label, right_label = resolve_query_labels(graph, q_left, q_right)
+        parameters = BCCParameters.from_query(graph, q_left, q_right)
+        g0 = find_g0(graph, q_left, q_right, parameters)
+        assert g0 is not None
+        community = g0.community.copy()
+        query = [q_left, q_right]
+        frozen = CSRGraph.freeze(graph)
+        ql, qr = frozen.id_of(q_left), frozen.id_of(q_right)
+        iterations = 0
+        while True:
+            maps = query_distances(community, query)
+            want = graph_query_distance(community, query, maps)
+            candidates, max_distance = farthest_vertices(community, query, maps)
+            alive = {frozen.id_of(v) for v in community.vertices()}
+            got, ids, got_max = distance_sweep(frozen, ql, qr, alive, alive=alive)
+            assert got == want
+            assert {frozen.vertex_of(i) for i in ids} == set(candidates)
+            assert got_max == max_distance
+            if not candidates or max_distance <= 0:
+                break
+            to_delete = candidates if bulk else [min(candidates, key=repr)]
+            outcome = maintain_bcc(
+                community,
+                to_delete,
+                parameters,
+                left_label,
+                right_label,
+                query_vertices=query,
+                check_butterfly=True,
+            )
+            iterations += 1
+            if not outcome.valid:
+                break
+        # The replay took the runner's own path.
+        runner = run_online_bcc(graph, q_left, q_right, bulk_deletion=bulk)
+        assert iterations == runner.iterations
 
 
 class TestProcessBackendParity:
