@@ -51,6 +51,15 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
             "_counters": "_counters_lock",
             "_result_cache": "_cache_lock",
         },
+        "ProcessSlot": {
+            "_engine": "_lock",
+        },
+    },
+    "process_engine.py": {
+        "ProcessEngine": {
+            "_pool": "_lock",
+            "_closed": "_lock",
+        },
     },
     "sharded.py": {
         "ShardedBCCEngine": {
@@ -134,7 +143,6 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
         "MetricsRegistry": {
             "_counters": "_lock",
             "_sources": "_lock",
-            "_owned": "_lock",
         },
     },
     "slowlog.py": {

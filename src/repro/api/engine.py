@@ -54,7 +54,7 @@ import time
 import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.config import BACKENDS, SearchConfig
 from repro.obs.tracing import span as obs_span
@@ -139,6 +139,11 @@ def _warn_process_fallback_once(reason: str) -> None:
         RuntimeWarning,
         stacklevel=4,
     )
+
+
+def _fallback(count: Callable[..., None], reason: str) -> None:
+    count("process_fallbacks")
+    _warn_process_fallback_once(reason)
 
 
 def _error_message(exc: BaseException) -> str:
@@ -229,6 +234,88 @@ def use_process_transport(
     )
 
 
+class ProcessSlot:
+    """An engine's process transport: a ProcessEngine built on first use.
+
+    Both engines serve their ``backend="process"`` batches through
+    :meth:`serve`, on a :class:`~repro.parallel.ProcessEngine` built by the
+    first batch (it starts and grows its own worker pool); :meth:`take`
+    empties the slot when the graph mutates.  The lock guards only the
+    slot and is a leaf: closing joins worker processes, so whoever takes
+    an engine out closes it outside every lock it holds.
+    """
+
+    def __init__(self, graph, config: SearchConfig, **options) -> None:
+        self._graph = graph
+        self._config = config
+        self._options = options
+        self._lock = threading.Lock()
+        self._engine = None
+
+    def serve(
+        self,
+        batch: BatchQuery,
+        *,
+        count: Callable[..., None],
+        instrumentation: Optional[SearchInstrumentation],
+        **batch_args,
+    ) -> Optional[List[SearchResponse]]:
+        """``search_many(batch, **batch_args)`` on the slot's engine, or ``None``.
+
+        ``None`` means "fall back to threads".  Both fallbacks are graceful
+        — counted in ``"process_fallbacks"`` through the calling engine's
+        ``count`` hook, warned once per process: caller-supplied
+        instrumentation, whose live counters cannot cross the process
+        boundary, and an unavailable substrate (no shared memory, a failed
+        spawn), which also empties the slot so a later batch retries.
+        Caller errors and error rows propagate from the workers unchanged.
+        (The hook is passed per call: a slot holding its engine's bound
+        method would be a reference cycle that keeps a discarded engine's
+        graph alive until the cyclic collector runs.)
+        """
+        from repro.parallel.process_engine import ProcessEngine
+        from repro.parallel.shm import ProcessBackendUnavailable
+
+        if instrumentation is not None:
+            return _fallback(
+                count,
+                "caller-supplied instrumentation cannot cross the process "
+                "boundary",
+            )
+        with self._lock:
+            if self._engine is None:  # one worker; the batch grows the pool
+                self._engine = ProcessEngine(
+                    self._graph, self._config, workers=1, **self._options
+                )
+            engine = self._engine
+        try:
+            responses = engine.search_many(batch, **batch_args)
+        except ProcessBackendUnavailable as exc:
+            self.close()
+            return _fallback(count, str(exc))
+        count("process_batches")
+        count("process_tasks", len(batch.queries))
+        return responses
+
+    def take(self):
+        """Empty the slot and return what it held (the caller closes it)."""
+        with self._lock:
+            engine, self._engine = self._engine, None
+        return engine
+
+    def stats(self) -> Optional[Dict[str, object]]:
+        """The pool's stats block, or ``None`` while the slot is empty."""
+        with self._lock:
+            engine = self._engine
+        return None if engine is None else engine.worker_stats()
+
+    def close(self) -> None:
+        """Empty the slot and shut its engine down (a later batch rebuilds it)."""
+        engine = self.take()
+        if engine is not None:
+            engine.close()
+
+
 def run_with_deadline(fn, seconds: Optional[float], what: str = "call"):
     """Run ``fn`` but give up after ``seconds`` of wall clock.
 
@@ -276,18 +363,39 @@ def run_with_deadline(fn, seconds: Optional[float], what: str = "call"):
     return box["value"]
 
 
-def deadline_seconds_for(*configs: Optional[SearchConfig]) -> Optional[float]:
-    """The effective deadline (seconds) from a config-precedence chain.
+def resolve_config(*tiers: Optional[SearchConfig]) -> Optional[SearchConfig]:
+    """The config a query runs under: the first tier that is set wins.
 
-    The first non-``None`` config wins *entirely* — exactly the precedence
-    ``search`` applies to every other field — so a call-level config
-    without a deadline deliberately clears a batch-level one.
+    Callers list the tiers they have, highest first — call, query, batch,
+    engine base.  The winner is used *entirely*, so a call-level config
+    without a deadline deliberately clears a batch-level one.  ``None``
+    when no tier is set (a process row that inherits the workers' base).
     """
-    for config in configs:
+    for config in tiers:
         if config is not None:
-            deadline_ms = getattr(config, "deadline_ms", None)
-            return None if deadline_ms is None else deadline_ms / 1000.0
+            return config
     return None
+
+
+def deadline_seconds_for(*tiers: Optional[SearchConfig]) -> Optional[float]:
+    """The deadline, in seconds, of the config :func:`resolve_config` picks."""
+    config = resolve_config(*tiers)
+    deadline_ms = None if config is None else config.deadline_ms
+    return None if deadline_ms is None else deadline_ms / 1000.0
+
+
+def check_batch_args(on_error: str, max_workers: int) -> None:
+    """Raise :class:`QueryError` for an unknown ``on_error`` or ``max_workers < 1``.
+
+    Every ``search_many`` checks its arguments here, whichever transport
+    serves the batch.
+    """
+    if on_error not in ON_ERROR_POLICIES:
+        raise QueryError(
+            f"unknown on_error policy {on_error!r}; known: {ON_ERROR_POLICIES}"
+        )
+    if max_workers < 1:
+        raise QueryError("max_workers must be >= 1")
 
 
 def serve_batch(
@@ -320,42 +428,23 @@ def serve_batch(
     own budget instead of wedging every row behind it; rows without a
     deadline are served inline, unchanged.
     """
-    if on_error not in ON_ERROR_POLICIES:
-        raise QueryError(
-            f"unknown on_error policy {on_error!r}; known: {ON_ERROR_POLICIES}"
-        )
-    if max_workers < 1:
-        raise QueryError("max_workers must be >= 1")
-    batch_config: Optional[SearchConfig] = None
-    if isinstance(queries, BatchQuery):
-        batch_config = queries.config
-        items: List[Query] = list(queries)  # validated in __post_init__
-    else:
-        # Same member-type guarantee as BatchQuery.__post_init__ for plain
-        # iterables: one validator owns the rule, and a bad member fails up
-        # front with its index, not deep inside a worker with an opaque
-        # AttributeError.
-        items = list(BatchQuery(queries=tuple(queries)).queries)
+    check_batch_args(on_error, max_workers)
+    batch = BatchQuery.of(queries)
+    items, batch_config = batch.queries, batch.config
     if items and prepare is not None:
         prepare()
-
-    def effective_config(query: Query) -> Optional[SearchConfig]:
-        if config is None and query.config is None:
-            return batch_config
-        return config
 
     engine_config = getattr(engine, "config", None)
 
     def serve(query: Query) -> SearchResponse:
-        deadline = deadline_seconds_for(
-            config, query.config, batch_config, engine_config
-        )
+        row_config = resolve_config(config, query.config, batch_config)
+        deadline = deadline_seconds_for(row_config, engine_config)
         with obs_span("row", method=query.method):
             try:
                 return run_with_deadline(
                     lambda: engine.search(
                         query,
-                        config=effective_config(query),
+                        config=row_config,
                         instrumentation=instrumentation,
                         use_cache=use_cache,
                     ),
@@ -485,18 +574,20 @@ class BCCEngine:
         # every preparation step exactly once.  Lock order (outermost first)
         # is index -> version -> groups -> freeze -> counters; the freeze
         # lock guards the CSR freeze and the pipeline caches filled on the
-        # frozen snapshot, and cache / counter locks are leaves.
+        # frozen snapshot, and cache / counter / process-slot locks are
+        # leaves.
         self._freeze_lock = threading.Lock()
         self._groups_lock = threading.Lock()
         self._index_lock = threading.Lock()
         self._version_lock = threading.Lock()
         self._cache_lock = threading.Lock()
         self._counters_lock = threading.Lock()
-        # Lazy multi-process batch transport (backend="process").  The pool
-        # lock only guards the slot; pool shutdown always happens outside
-        # every engine lock because close() joins worker processes.
-        self._pool_lock = threading.Lock()
-        self._process_pool: Optional[object] = None
+        self._process = ProcessSlot(
+            self.graph,
+            self.config,
+            result_cache_size=result_cache_size,
+            fault_plan=fault_plan,
+        )
         self._counters: Dict[str, int] = {
             name: 0 for name in ENGINE_COUNTER_NAMES
         }
@@ -527,7 +618,7 @@ class BCCEngine:
         """
         if self.graph.version() == self._graph_version:
             return
-        stale_pool = None
+        stale_process = None
         with self._version_lock:
             version = self.graph.version()
             if version == self._graph_version:
@@ -539,14 +630,12 @@ class BCCEngine:
             self._prepared = False
             with self._cache_lock:
                 self._result_cache.clear()
-            with self._pool_lock:
-                stale_pool = self._process_pool
-                self._process_pool = None
+            stale_process = self._process.take()
             self._count("invalidations")
-        if stale_pool is not None:
+        if stale_process is not None:
             # Workers hold the *old* frozen snapshot; joining them can take
             # a moment, so it happens outside every engine lock.
-            stale_pool.close()
+            stale_process.close()
 
     def prepare(self) -> "BCCEngine":
         """Freeze the graph and warm its label-group coreness for serving.
@@ -781,16 +870,6 @@ class BCCEngine:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def _resolve_config(
-        self, query: Query, override: Optional[SearchConfig]
-    ) -> SearchConfig:
-        """Per-call precedence: call override > query override > engine base."""
-        if override is not None:
-            return override
-        if query.config is not None:
-            return query.config
-        return self.config
-
     def search(
         self,
         query: Query,
@@ -841,7 +920,7 @@ class BCCEngine:
     ) -> SearchResponse:
         self._check_version()
         spec = get_method(query.method)
-        cfg = self._resolve_config(query, config)
+        cfg = resolve_config(config, query.config, self.config)
         if self.fault_plan is not None:
             # The chaos hook: a scheduled fault raises InjectedFault (a
             # replica-level failure, never a caller error) or stalls here.
@@ -952,39 +1031,27 @@ class BCCEngine:
         leave it ``None`` to give each response its own per-search counters.
 
         ``backend`` selects the batch *transport*: ``"thread"`` serves the
-        rows in this process, ``"process"`` scatters them over a pool of
-        ``max_workers`` worker processes serving
-        the same frozen CSR arrays from shared memory (zero-copy), gathers
-        position-aligned responses through the wire codec, and applies the
-        same ``on_error`` / deadline semantics — including a crashed
-        worker, which becomes a ``reason="worker-crashed"`` error row under
-        ``"return"``, never a hang.  ``None`` (the default) defers to the
-        effective config's ``backend``; ``"auto"`` picks the process
-        transport only for compute-bound shapes (``max_workers > 1``, more
-        than one row, at least :data:`PROCESS_AUTO_MIN_EDGES` edges, no
-        shared instrumentation; :func:`use_process_transport`), and any
-        other value raises :class:`~repro.exceptions.QueryError`.  When
-        shared memory is unavailable (or an
-        instrumented run was requested explicitly), the batch falls back to
-        the threaded path with a one-time :class:`RuntimeWarning` and a
-        ``"process_fallbacks"`` counter tick — never an error.  The pool is
-        created lazily, reused across batches, resized up when a later call
-        asks for more workers, and torn down on graph mutation or
-        :meth:`close_process_pool`.
+        rows in this process; ``"process"`` serves them on the engine's
+        :class:`~repro.parallel.ProcessEngine` — ``max_workers`` worker
+        processes over the frozen CSR in shared memory — with the same
+        answers and the same ``on_error`` / deadline semantics (a crashed
+        worker becomes a ``reason="worker-crashed"`` row, never a hang).
+        ``None`` defers to the effective config's ``backend``; ``"auto"``
+        picks processes only for compute-bound shapes
+        (:func:`use_process_transport`); any other value raises
+        :class:`~repro.exceptions.QueryError`.  Without shared memory, or
+        with caller-supplied instrumentation, the batch falls back to
+        threads with a one-time :class:`RuntimeWarning` and a
+        ``"process_fallbacks"`` tick.  The pool starts on the first process
+        batch, grows when a later one asks for more workers, and closes on
+        graph mutation or :meth:`close_process_pool`.
         """
 
         def prepare_once() -> None:
             if not self.is_prepared():
                 self.prepare()
 
-        if isinstance(queries, BatchQuery):
-            batch = queries
-        else:
-            # Validated once here (same member-type rule serve_batch
-            # applies) so the process path can inspect the rows without
-            # consuming a caller's iterator.
-            batch = BatchQuery(queries=tuple(queries))
-
+        batch = BatchQuery.of(queries)  # both transports read the rows
         if use_process_transport(
             self,
             backend,
@@ -993,10 +1060,14 @@ class BCCEngine:
             max_workers=max_workers,
             instrumentation=instrumentation,
         ):
-            responses = self._try_serve_process(
+            # The version lock empties the process slot on a mutation, so
+            # prepare() runs before the slot is read, never inside it.
+            prepare_once()
+            responses = self._process.serve(
                 batch,
-                config=config,
+                count=self._count,
                 instrumentation=instrumentation,
+                config=config,
                 on_error=on_error,
                 max_workers=max_workers,
                 use_cache=use_cache,
@@ -1018,115 +1089,13 @@ class BCCEngine:
     # ------------------------------------------------------------------
     # process batch transport
     # ------------------------------------------------------------------
-    def _try_serve_process(
-        self,
-        batch: BatchQuery,
-        *,
-        config: Optional[SearchConfig],
-        instrumentation: Optional[SearchInstrumentation],
-        on_error: str,
-        max_workers: int,
-        use_cache: bool,
-    ) -> Optional[List[SearchResponse]]:
-        """Serve ``batch`` through the worker pool, or ``None`` to fall back.
-
-        Every fallback (no shared memory, spawn failure, instrumented run)
-        is graceful: counted in ``"process_fallbacks"``, warned exactly
-        once per process, and the caller reverts to the threaded path.
-        Caller errors and error rows propagate from the pool unchanged.
-        """
-        from repro.parallel.shm import ProcessBackendUnavailable
-
-        if instrumentation is not None:
-            # Live counter objects cannot cross the process boundary.
-            self._register_process_fallback(
-                "caller-supplied instrumentation cannot cross the process "
-                "boundary"
-            )
-            return None
-        try:
-            pool = self._ensure_process_pool(max(1, max_workers))
-            rows = [
-                (query, self._row_config(config, query, batch.config), None)
-                for query in batch.queries
-            ]
-            responses = pool.run_batch(rows, on_error=on_error, use_cache=use_cache)
-        except ProcessBackendUnavailable as exc:
-            self._register_process_fallback(str(exc))
-            return None
-        self._count("process_batches")
-        self._count("process_tasks", len(batch.queries))
-        return responses
-
-    @staticmethod
-    def _row_config(
-        config: Optional[SearchConfig],
-        query: Query,
-        batch_config: Optional[SearchConfig],
-    ) -> Optional[SearchConfig]:
-        """The row's effective config under call > query > batch precedence.
-
-        ``None`` means "engine default": the worker's engine was built from
-        this engine's config, so leaving the row config empty applies the
-        same base the threaded path would.
-        """
-        if config is not None:
-            return config
-        if query.config is not None:
-            return query.config
-        return batch_config
-
-    def _ensure_process_pool(self, workers: int):
-        """The live pool, created (or grown) on demand under the pool lock.
-
-        ``prepare()`` runs *before* the pool lock — the export freezes the
-        CSR snapshot, and the version lock acquires the pool lock during
-        invalidation, so taking them in the other order here would deadlock.
-        """
-        from repro.parallel.pool import ProcessWorkerPool
-
-        if not self.is_prepared():
-            self.prepare()
-        stale = None
-        with self._pool_lock:
-            current = self._process_pool
-            if current is not None and current.workers >= workers:
-                return current
-            pool = ProcessWorkerPool(
-                self.graph,
-                self.config,
-                workers,
-                result_cache_size=self._result_cache_size,
-                fault_plan=self.fault_plan,
-            )
-            try:
-                pool.start()
-            except Exception:
-                pool.close()
-                raise
-            self._process_pool = pool
-            stale = current
-        if stale is not None:
-            stale.close()
-        return pool
-
-    def _register_process_fallback(self, reason: str) -> None:
-        self._count("process_fallbacks")
-        _warn_process_fallback_once(reason)
-
     def process_pool_stats(self) -> Optional[Dict[str, object]]:
         """The worker pool's stats block, or ``None`` when no pool is live."""
-        with self._pool_lock:
-            pool = self._process_pool
-        return None if pool is None else pool.stats()
+        return self._process.stats()
 
     def close_process_pool(self) -> None:
         """Shut the worker pool down (idempotent; a later batch respawns it)."""
-        with self._pool_lock:
-            pool = self._process_pool
-            self._process_pool = None
-        if pool is not None:
-            pool.close()
+        self._process.close()
 
     # ------------------------------------------------------------------
     # introspection
@@ -1143,7 +1112,7 @@ class BCCEngine:
         """
         self._check_version()
         spec = get_method(query.method)
-        cfg = self._resolve_config(query, config)
+        cfg = resolve_config(config, query.config, self.config)
         counters = self.counters_snapshot()
         with self._groups_lock:
             # Snapshot: iterating the live dict would race concurrent

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
 from repro.api.config import SearchConfig
 from repro.eval.instrumentation import SearchInstrumentation
@@ -117,6 +117,12 @@ class BatchQuery:
                 raise QueryError(
                     f"batch member {index} is not a Query: {member!r}"
                 )
+
+    @classmethod
+    def of(cls, queries: Union["BatchQuery", Iterable[Query]]) -> "BatchQuery":
+        """``queries`` as a batch: a batch passes through, an iterable is
+        validated once (so a bad member fails up front, with its index)."""
+        return queries if isinstance(queries, cls) else cls(queries=tuple(queries))
 
     def __iter__(self) -> Iterator[Query]:
         return iter(self.queries)

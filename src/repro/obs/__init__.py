@@ -25,10 +25,7 @@ import time
 from typing import Callable, Dict, Optional
 
 from repro.obs.metrics import (
-    Counter,
     EXPORTED_COUNTERS,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     Sample,
     counter_samples,
@@ -45,10 +42,7 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "Counter",
     "EXPORTED_COUNTERS",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Observability",
     "Sample",

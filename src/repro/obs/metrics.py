@@ -7,12 +7,10 @@ them: a layer registers a **source** — a callable returning
 :class:`Sample` rows built from its existing snapshot methods — and the
 registry renders everything as Prometheus text format for ``GET /metrics``.
 Because sources read the same snapshot methods ``/stats`` reads, the two
-endpoints agree by construction.
-
-The registry also owns first-class metrics (:class:`Counter`,
-:class:`Gauge`, :class:`Histogram` — the histogram reuses
-:class:`repro.serving.stats.LatencyHistogram`) for code that has no
-pre-existing counter dict.
+endpoints agree by construction.  Sources are the only way in: a
+histogram arrives as a ``Sample(kind="histogram")`` row carrying a
+:meth:`repro.serving.stats.LatencyHistogram.snapshot` payload, the way
+the directory's ``bcc_graph_latency_seconds`` does.
 
 :data:`EXPORTED_COUNTERS` is the machine-readable manifest of every
 counter name the stack increments; the BCC006 analysis checker
@@ -33,13 +31,10 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "Counter",
     "EXPORTED_COUNTERS",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "REGISTRY_COUNTER_NAMES",
     "Sample",
@@ -186,113 +181,12 @@ def counter_samples(
     return samples
 
 
-class Counter:
-    """A monotonically increasing owned metric."""
-
-    def __init__(self, name: str, help: str = "", labels: Labels = ()) -> None:
-        self.name = name
-        self.help = help
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        with self._lock:
-            self._value += amount
-
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def sample(self) -> Sample:
-        return Sample(
-            name=self.name,
-            value=self.value(),
-            labels=self.labels,
-            kind="counter",
-            help=self.help,
-        )
-
-
-class Gauge:
-    """An owned metric that can go up and down."""
-
-    def __init__(self, name: str, help: str = "", labels: Labels = ()) -> None:
-        self.name = name
-        self.help = help
-        self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def sample(self) -> Sample:
-        return Sample(
-            name=self.name,
-            value=self.value(),
-            labels=self.labels,
-            kind="gauge",
-            help=self.help,
-        )
-
-
-class Histogram:
-    """An owned latency histogram (a labeled ``LatencyHistogram``)."""
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: Labels = (),
-        bounds: Optional[Sequence[float]] = None,
-    ) -> None:
-        self.name = name
-        self.help = help
-        self.labels = labels
-        # Imported here, not at module level: repro.serving.stats imports
-        # the engine package, which itself imports repro.obs.tracing — a
-        # module-level import would be circular.  repro.obs stays
-        # stdlib-only at import time.
-        from repro.serving.stats import LatencyHistogram
-
-        self._histogram = (
-            LatencyHistogram(bounds) if bounds is not None else LatencyHistogram()
-        )
-
-    def observe(self, seconds: float) -> None:
-        self._histogram.observe(seconds)
-
-    def snapshot(self) -> Dict[str, object]:
-        return self._histogram.snapshot()
-
-    def sample(self) -> Sample:
-        return Sample(
-            name=self.name,
-            labels=self.labels,
-            kind="histogram",
-            help=self.help,
-            histogram=self.snapshot(),
-        )
-
-
 class MetricsRegistry:
-    """Sources + owned metrics behind one ``collect()`` / text exposition.
+    """Sample sources behind one ``collect()`` / text exposition.
 
-    Locking: ``_sources``, ``_owned`` and ``_counters`` only under
-    ``_lock`` (leaf — supplier callables run *outside* the lock, so a slow
-    snapshot never blocks registration).
+    Locking: ``_sources`` and ``_counters`` only under ``_lock`` (leaf —
+    supplier callables run *outside* the lock, so a slow snapshot never
+    blocks registration).
     """
 
     def __init__(self) -> None:
@@ -300,7 +194,6 @@ class MetricsRegistry:
         self._sources: "OrderedDict[str, Callable[[], Iterable[Sample]]]" = (
             OrderedDict()
         )
-        self._owned: "OrderedDict[Tuple[str, Labels], object]" = OrderedDict()
         self._counters: Dict[str, int] = {
             name: 0 for name in REGISTRY_COUNTER_NAMES
         }
@@ -324,72 +217,13 @@ class MetricsRegistry:
         with self._lock:
             self._sources[source_id] = supplier
 
-    def unregister_source(self, source_id: str) -> None:
-        with self._lock:
-            self._sources.pop(source_id, None)
-
-    def register_counters(
-        self,
-        source_id: str,
-        prefix: str,
-        supplier: Callable[[], Dict[str, object]],
-        help: str = "",
-        **labels: object,
-    ) -> None:
-        """Sugar: register a counter-dict supplier as a source."""
-
-        def _source() -> List[Sample]:
-            return counter_samples(prefix, supplier(), labels, help)
-
-        self.register_source(source_id, _source)
-
     def sources(self) -> List[str]:
         with self._lock:
             return list(self._sources)
 
-    # -- owned metrics ---------------------------------------------------
-    def counter(self, name: str, help: str = "", **labels: object) -> Counter:
-        """Get-or-create an owned counter (idempotent per name+labels)."""
-        return self._get_owned(Counter, name, help, _labels_of(labels))
-
-    def gauge(self, name: str, help: str = "", **labels: object) -> Gauge:
-        return self._get_owned(Gauge, name, help, _labels_of(labels))
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        bounds: Optional[Sequence[float]] = None,
-        **labels: object,
-    ) -> Histogram:
-        key = (_clean_name(name), _labels_of(labels))
-        with self._lock:
-            metric = self._owned.get(key)
-            if metric is None:
-                metric = Histogram(key[0], help, key[1], bounds=bounds)
-                self._owned[key] = metric
-        if not isinstance(metric, Histogram):
-            raise TypeError(
-                f"metric {name!r} already registered as {type(metric).__name__}"
-            )
-        return metric
-
-    def _get_owned(self, cls, name: str, help: str, labels: Labels):
-        key = (_clean_name(name), labels)
-        with self._lock:
-            metric = self._owned.get(key)
-            if metric is None:
-                metric = cls(key[0], help, labels)
-                self._owned[key] = metric
-        if not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as {type(metric).__name__}"
-            )
-        return metric
-
     # -- collection ------------------------------------------------------
     def collect(self) -> List[Sample]:
-        """Every sample: owned metrics first, then sources in order.
+        """Every source's samples, in registration order.
 
         A raising source is skipped (and counted in ``source_errors``) —
         one broken snapshot must not take down the whole ``/metrics``
@@ -397,10 +231,9 @@ class MetricsRegistry:
         """
         self._count("scrapes")
         with self._lock:
-            owned = list(self._owned.values())
-            suppliers = list(self._sources.items())
-        samples: List[Sample] = [metric.sample() for metric in owned]
-        for source_id, supplier in suppliers:
+            suppliers = list(self._sources.values())
+        samples: List[Sample] = []
+        for supplier in suppliers:
             try:
                 rows = list(supplier())
             except Exception:

@@ -11,8 +11,8 @@ shared memory once and serving queries from N worker processes:
 * :mod:`repro.parallel.pool` — :class:`ProcessWorkerPool`,
   one-task-in-flight dispatch with deadlines, crash detection and
   respawn;
-* :mod:`repro.parallel.process_engine` — :class:`ProcessEngine`, the
-  ``ServingEngine``-surface wrapper replica sets embed.
+* :mod:`repro.parallel.process_engine` — :class:`ProcessEngine`, the one
+  owner of a pool: engines' process batches and replica members.
 
 Callers normally never touch this package directly: pass
 ``backend="process"`` (or let ``backend="auto"`` pick it for large

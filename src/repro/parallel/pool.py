@@ -39,7 +39,7 @@ from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import SearchConfig
-from repro.api.engine import error_response_for
+from repro.api.engine import deadline_seconds_for, error_response_for, is_caller_error
 from repro.api.query import Query, SearchResponse
 from repro.exceptions import (
     DeadlineExceededError,
@@ -55,7 +55,7 @@ from repro.parallel.shm import (
     SharedGraphExport,
     export_graph,
 )
-from repro.obs.tracing import current_span
+from repro.obs.tracing import current_span, span as obs_span
 from repro.parallel.worker import worker_main
 from repro.server.protocol import (
     decode_response,
@@ -76,7 +76,7 @@ DEFAULT_PROCESS_WORKERS = 4
 #: stopped, or stuck in a kernel), so a little slack avoids double kills.
 DEFAULT_DEADLINE_GRACE_SECONDS = 0.5
 
-#: Seconds a closing pool waits for a worker to exit before terminating it.
+#: Seconds a closing pool waits for a worker to exit before killing it.
 _SHUTDOWN_JOIN_SECONDS = 5.0
 
 #: Seconds a spawning pool waits for a worker's ready handshake (attach +
@@ -129,7 +129,7 @@ def _rebuild_error(descriptor: Dict[str, object]) -> Exception:
 
 @dataclass
 class _TaskSpec:
-    """One batch row: the query, its fully resolved config, optional pin."""
+    """One batch row: the query, its config (``None`` = base), optional pin."""
 
     index: int
     query: Query
@@ -163,10 +163,10 @@ class _Inflight:
     spec: _TaskSpec
     task_id: int
     deadline_at: Optional[float]
-    #: The parent-side "row" span open while this task is in flight
-    #: (``None`` when no trace is active); the worker's reported spans are
+    #: The parent-side "row" span open while this task is in flight (a
+    #: no-op span when no trace is active); the worker's reported spans are
     #: grafted under it when the reply lands.
-    span: Optional[object] = None
+    span: object
 
 
 class ProcessWorkerPool:
@@ -178,8 +178,8 @@ class ProcessWorkerPool:
         The graph to export (frozen on export if needed) — or ``None``
         when ``export`` is given.
     config:
-        Worker engines' base :class:`SearchConfig`; per-task configs are
-        resolved by the caller and shipped with each task.
+        Worker engines' base :class:`SearchConfig`.  A task whose config
+        is ``None`` inherits it — its deadline included.
     workers:
         Pool size.  Workers start lazily on the first batch (or eagerly
         via :meth:`start`).
@@ -334,7 +334,8 @@ class ProcessWorkerPool:
         for worker in workers:
             worker.process.join(timeout=_SHUTDOWN_JOIN_SECONDS)
             if worker.process.is_alive():  # pragma: no cover - wedged worker
-                worker.process.terminate()
+                # SIGKILL, not SIGTERM: a stopped worker never acts on TERM.
+                worker.process.kill()
                 worker.process.join(timeout=_SHUTDOWN_JOIN_SECONDS)
             try:
                 worker.conn.close()
@@ -399,7 +400,9 @@ class ProcessWorkerPool:
         except OSError:  # pragma: no cover
             pass
         if stale.process.is_alive():  # watchdog kill: wedged but alive
-            stale.process.terminate()
+            # SIGKILL, not SIGTERM: a stopped (SIGSTOP) worker never acts on
+            # TERM, so the join would sit out its whole timeout.
+            stale.process.kill()
         stale.process.join(timeout=_SHUTDOWN_JOIN_SECONDS)
         fresh = self._spawn(stale.index)
         fresh.counters = dict(stale.counters)
@@ -457,10 +460,12 @@ class ProcessWorkerPool:
     ) -> List[SearchResponse]:
         """Scatter-gather one batch; position-aligned results.
 
-        ``specs`` rows are ``(query, resolved_config, pin)`` — the caller
-        (the engine layer) has already applied config precedence;
-        ``pin`` routes a task to one worker index (shard pinning) or
-        ``None`` for any free worker.
+        ``specs`` rows are ``(query, config, pin)``: ``config`` is the
+        row's config from the call, query and batch tiers, or ``None`` to
+        inherit the pool's base config (the workers' engines were built
+        from it, and the watchdog resolves the row's deadline against it);
+        ``pin`` routes a task to worker ``pin % workers`` (shard pinning)
+        or ``None`` for any free worker.
 
         Error policy mirrors :func:`repro.api.engine.serve_batch`: caller
         errors, expired deadlines and worker crashes become error rows
@@ -476,44 +481,20 @@ class ProcessWorkerPool:
         if not tasks:
             return []
         with self._dispatch_lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            self.start()
-            return self._run_batch_locked(tasks, on_error, use_cache)
-
-    def _run_batch_locked(
-        self, tasks: List[_TaskSpec], on_error: str, use_cache: bool
-    ) -> List[SearchResponse]:
-        self._count("batches")
-        self._count("tasks", len(tasks))
-        # With an active trace, mirror the threaded path's span shape:
-        # one "batch" span with one "row" span per task (opened at send,
-        # finished at reply), worker-side span trees grafted under rows.
-        caller_span = current_span()
-        batch_span = (
-            caller_span.child("batch", rows=len(tasks), transport="process")
-            if caller_span is not None
-            else None
-        )
-        trace_id = (
-            batch_span.trace.request_id if batch_span is not None else None
-        )
-        try:
-            return self._scatter_gather_locked(
-                tasks, on_error, use_cache, batch_span, trace_id
-            )
-        finally:
-            if batch_span is not None:
-                batch_span.finish()
+            self.start()  # raises once the pool is closed
+            self._count("batches")
+            self._count("tasks", len(tasks))
+            # With an active trace, mirror the threaded path's span shape:
+            # one "batch" span with one "row" span per task (opened at send,
+            # finished at reply), worker-side span trees grafted under rows.
+            with obs_span("batch", rows=len(tasks), transport="process") as batch:
+                return self._scatter_gather_locked(tasks, on_error, use_cache, batch)
 
     def _scatter_gather_locked(
-        self,
-        tasks: List[_TaskSpec],
-        on_error: str,
-        use_cache: bool,
-        batch_span,
-        trace_id: Optional[str],
+        self, tasks: List[_TaskSpec], on_error: str, use_cache: bool, batch_span
     ) -> List[SearchResponse]:
+        active = current_span()  # the batch span, when a trace is active
+        trace_id = None if active is None else active.trace.request_id
         with self._workers_lock:
             workers: List[_Worker] = list(self._workers)
         n = len(workers)
@@ -532,30 +513,14 @@ class ProcessWorkerPool:
         def record_failure(spec: _TaskSpec, exc: Exception) -> None:
             nonlocal remaining
             remaining -= 1
-            row_able = isinstance(
-                exc, (QueryError, DeadlineExceededError, WorkerCrashedError)
-            ) or (
-                isinstance(exc, VertexNotFoundError)
-                and getattr(exc, "vertex", None) in spec.query.vertices
+            row_able = is_caller_error(spec.query, exc) or isinstance(
+                exc, (DeadlineExceededError, WorkerCrashedError)
             )
             if on_error == "return" and row_able:
                 results[spec.index] = error_response_for(spec.query, exc)
                 self._count("error_rows")
             else:
                 failures.append((spec.index, exc))
-
-        def record_result(spec: _TaskSpec, response: SearchResponse) -> None:
-            nonlocal remaining
-            remaining -= 1
-            results[spec.index] = response
-            self._count("completed")
-
-        def open_row_span(spec: _TaskSpec, slot: int):
-            if batch_span is None:
-                return None
-            return batch_span.child(
-                "row", method=spec.query.method, worker=slot
-            )
 
         def feed(slot: int) -> None:
             """Keep sending ``slot`` its next task until one sticks."""
@@ -565,51 +530,46 @@ class ProcessWorkerPool:
                     return
                 spec = queue.popleft()
                 task_id = self._next_task_id()
-                worker = workers[slot]
-                deadline = deadline_seconds_for_config(spec.config)
-                if self._send_task(worker, spec, task_id, use_cache, trace_id):
-                    inflight[slot] = _Inflight(
-                        spec=spec,
-                        task_id=task_id,
-                        deadline_at=(
-                            self._clock() + deadline + self._grace
-                            if deadline is not None
-                            else None
-                        ),
-                        span=open_row_span(spec, slot),
-                    )
-                    return
-                # Broken pipe at send: the worker died idle.  Respawn and
-                # retry this same task once on the fresh worker (it never
-                # started running, so resending cannot double-execute).
-                self._count("crashes")
-                self._count_worker(worker, "crashes")
-                workers[slot] = self._replace_worker(worker)
-                if self._send_task(
+                sent = self._send_task(
                     workers[slot], spec, task_id, use_cache, trace_id
-                ):
-                    inflight[slot] = _Inflight(
-                        spec=spec,
-                        task_id=task_id,
-                        deadline_at=(
-                            self._clock() + deadline + self._grace
-                            if deadline is not None
-                            else None
-                        ),
-                        span=open_row_span(spec, slot),
+                )
+                if not sent:
+                    # Broken pipe at send: the worker died idle.  Respawn and
+                    # retry this same task once on the fresh worker (it never
+                    # started running, so resending cannot double-execute).
+                    self._count("crashes")
+                    self._count_worker(workers[slot], "crashes")
+                    workers[slot] = self._replace_worker(workers[slot])
+                    sent = self._send_task(
+                        workers[slot], spec, task_id, use_cache, trace_id
                     )
-                    return
-                record_failure(
-                    spec,
-                    WorkerCrashedError(worker=slot, pid=workers[slot].process.pid),
+                if not sent:
+                    record_failure(
+                        spec,
+                        WorkerCrashedError(worker=slot, pid=workers[slot].process.pid),
+                    )
+                    continue
+                # A row inheriting the base config travels as None; its
+                # deadline is the base's, and the watchdog must know it.
+                deadline = deadline_seconds_for(spec.config, self.config)
+                inflight[slot] = _Inflight(
+                    spec=spec,
+                    task_id=task_id,
+                    deadline_at=(
+                        None
+                        if deadline is None
+                        else self._clock() + deadline + self._grace
+                    ),
+                    span=batch_span.child(
+                        "row", method=spec.query.method, worker=slot
+                    ),
                 )
 
         def lose_inflight(slot: int, exc: Exception, counter: str) -> None:
             """The task in flight on ``slot`` is gone; its worker too."""
             entry = inflight.pop(slot)
             worker = workers[slot]
-            if entry.span is not None:
-                entry.span.annotate(error=counter).finish()
+            entry.span.annotate(error=counter).finish()
             self._count(counter)
             self._count_worker(worker, "crashes" if counter == "crashes" else "errors")
             workers[slot] = self._replace_worker(worker)
@@ -649,14 +609,15 @@ class ProcessWorkerPool:
                     self._count("stale_results")
                     continue
                 del inflight[slot]
-                if entry.span is not None:
-                    entry.span.attach_remote(reply.get("spans"))
-                    entry.span.finish()
+                entry.span.attach_remote(reply.get("spans"))
+                entry.span.finish()
                 if isinstance(reply.get("counters"), dict):
                     with self._counters_lock:
                         worker.engine_counters = dict(reply["counters"])
                 if reply.get("ok"):
-                    record_result(entry.spec, decode_response(reply["response"]))
+                    remaining -= 1
+                    results[entry.spec.index] = decode_response(reply["response"])
+                    self._count("completed")
                     self._count_worker(worker, "completed")
                 else:
                     self._count_worker(worker, "errors")
@@ -668,14 +629,10 @@ class ProcessWorkerPool:
             for slot in list(inflight):
                 entry = inflight[slot]
                 if entry.deadline_at is not None and now >= entry.deadline_at:
-                    deadline = deadline_seconds_for_config(entry.spec.config)
+                    deadline = deadline_seconds_for(entry.spec.config, self.config)
                     lose_inflight(
                         slot,
-                        DeadlineExceededError(
-                            deadline_ms=(
-                                deadline * 1000.0 if deadline is not None else None
-                            )
-                        ),
+                        DeadlineExceededError(deadline_ms=deadline * 1000.0),
                         "deadline_kills",
                     )
                     feed(slot)
@@ -685,27 +642,12 @@ class ProcessWorkerPool:
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    # single-query conveniences (the ProcessEngine surface uses these)
+    # explain
     # ------------------------------------------------------------------
-    def run_one(
-        self,
-        query: Query,
-        config: Optional[SearchConfig] = None,
-        *,
-        use_cache: bool = True,
-        pin: Optional[int] = None,
-    ) -> SearchResponse:
-        """One query through the pool; raises exactly like ``search``."""
-        return self.run_batch(
-            [(query, config, pin)], on_error="raise", use_cache=use_cache
-        )[0]
-
     def explain(self, query: Query, config: Optional[SearchConfig] = None):
         """``engine.explain`` proxied into worker 0."""
         with self._dispatch_lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            self.start()
+            self.start()  # raises once the pool is closed
             with self._workers_lock:
                 worker = self._workers[0]
             task_id = self._next_task_id()
@@ -730,14 +672,6 @@ class ProcessWorkerPool:
             if reply.get("ok"):
                 return reply["explain"]
             raise _rebuild_error(reply["error"])
-
-
-def deadline_seconds_for_config(config: Optional[SearchConfig]) -> Optional[float]:
-    """The resolved config's deadline in seconds (``None`` = no deadline)."""
-    if config is None:
-        return None
-    deadline_ms = config.deadline_ms
-    return None if deadline_ms is None else deadline_ms / 1000.0
 
 
 __all__ = [

@@ -1,41 +1,48 @@
-"""A ``ServingEngine``-surface wrapper over a :class:`ProcessWorkerPool`.
+"""The process transport: the one owner of a worker pool.
 
-:class:`ProcessEngine` makes a worker pool quack like a
-:class:`~repro.api.engine.BCCEngine`: ``search`` / ``search_many`` /
-``explain`` / ``counters_snapshot`` / ``stats``, so the serving layers
-that dispatch on that surface — most importantly
-:class:`~repro.server.replicas.ReplicaSet`, which gains process-backed
-members through it — compose without special cases.
+:class:`ProcessEngine` owns a :class:`ProcessWorkerPool` — creates it
+lazily, grows it when a batch asks for more workers, closes it — and the
+process side of every batch: the argument check, row configs, shard pins
+and ``pool.run_batch``.  ``BCCEngine`` and ``ShardedBCCEngine`` keep one
+in a :class:`~repro.api.engine.ProcessSlot` for their
+``backend="process"`` batches; :class:`~repro.server.replicas.ReplicaSet`
+builds one-worker members over one shared export, which it serves like
+any other engine.
 
-Failure semantics at the replica seam: a member whose worker dies raises
+A member whose worker dies raises
 :class:`~repro.exceptions.WorkerCrashedError`, which
 :func:`~repro.api.engine.is_caller_error` classifies as a *replica*
-failure — the set fails over and the health breaker records it.  The
-pool has already respawned the worker by then, so the breaker's next
-probe hits a healthy member and re-admits it: exactly the PR 6 lifecycle,
-with a process crash instead of an injected fault.
+failure: the set fails over and the health breaker records it.  The pool
+has already respawned the worker, so the breaker's next probe re-admits
+the member.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.api.config import SearchConfig
+from repro.api.engine import check_batch_args, resolve_config
 from repro.api.query import BatchQuery, Query, SearchResponse
 from repro.exceptions import QueryError
-from repro.parallel.pool import DEFAULT_PROCESS_WORKERS, ProcessWorkerPool
+from repro.parallel.pool import (
+    DEFAULT_PROCESS_WORKERS,
+    POOL_COUNTER_NAMES,
+    ProcessWorkerPool,
+)
 from repro.parallel.shm import SharedGraphExport
 
 
 class ProcessEngine:
     """Serve one graph entirely from worker processes.
 
-    Parameters mirror :class:`~repro.api.engine.BCCEngine` where they
-    apply; ``workers`` sizes the pool and ``export`` lets several engines
-    (e.g. replica-set members) share one shared-memory graph export.  The
-    engine owns its pool — :meth:`close` shuts the workers down — but
-    never an export it was handed.
+    ``workers`` is the pool's starting size; a batch asking for more grows
+    it.  ``sharded`` builds worker-side sharded engines for shard-pinned
+    rows.  ``export`` lets several engines share one graph export; the
+    engine owns its pool but never an export it was handed.  The other
+    parameters are the pool's.
     """
 
     def __init__(
@@ -44,6 +51,7 @@ class ProcessEngine:
         config: Optional[SearchConfig] = None,
         *,
         workers: int = DEFAULT_PROCESS_WORKERS,
+        sharded: bool = False,
         export: Optional[SharedGraphExport] = None,
         snapshot_path: Optional[str] = None,
         result_cache_size: int = 0,
@@ -51,12 +59,13 @@ class ProcessEngine:
         clock=time.monotonic,
         start_method: str = "spawn",
     ) -> None:
+        if workers < 1:
+            raise ValueError("a process pool needs at least one worker")
         self.graph = graph
         self.config = config if config is not None else SearchConfig()
-        self._pool = ProcessWorkerPool(
-            graph,
-            self.config,
-            workers,
+        self._workers = workers
+        self._pool_options = dict(
+            sharded=sharded,
             export=export,
             snapshot_path=snapshot_path,
             result_cache_size=result_cache_size,
@@ -64,29 +73,69 @@ class ProcessEngine:
             clock=clock,
             start_method=start_method,
         )
+        # Guards the pool slot only: a pool closes outside it, because
+        # closing joins worker processes.
+        self._lock = threading.Lock()
+        self._pool: Optional[ProcessWorkerPool] = None
+        self._closed = False
 
-    @property
-    def pool(self) -> ProcessWorkerPool:
-        return self._pool
+    # ------------------------------------------------------------------
+    # the pool's life
+    # ------------------------------------------------------------------
+    def _pool_for(self, workers: int) -> ProcessWorkerPool:
+        """The pool, built on first use and rebuilt when ``workers`` outgrows it.
+
+        Workers spawn lazily, on the pool's first batch.  An outgrown pool
+        closes after the lock is released.
+        """
+        outgrown = None
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("process engine is closed")
+            pool = self._pool
+            if pool is None or pool.workers < workers:
+                outgrown = pool
+                pool = ProcessWorkerPool(
+                    self.graph,
+                    self.config,
+                    max(workers, self._workers),
+                    **self._pool_options,
+                )
+                self._pool = pool
+        if outgrown is not None:
+            outgrown.close()
+        return pool
+
+    def _current_pool(self) -> Optional[ProcessWorkerPool]:
+        with self._lock:
+            return self._pool
+
+    def prepare(self) -> "ProcessEngine":
+        """Start the workers (idempotent) so the first query serves warm."""
+        self._pool_for(1).start()
+        return self
+
+    def is_prepared(self) -> bool:
+        pool = self._current_pool()
+        return pool is not None and pool.is_started()
+
+    def close(self) -> None:
+        """Shut the workers down; later calls raise :class:`RuntimeError`."""
+        with self._lock:
+            self._closed = True
+            pool = self._pool
+        if pool is not None:
+            pool.close()
+
+    def __enter__(self) -> "ProcessEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # ServingEngine surface
     # ------------------------------------------------------------------
-    def prepare(self) -> "ProcessEngine":
-        """Start the workers (idempotent) so the first query serves warm."""
-        self._pool.start()
-        return self
-
-    def is_prepared(self) -> bool:
-        return self._pool.is_started()
-
-    def _resolve_config(self, query: Query, override: Optional[SearchConfig]):
-        if override is not None:
-            return override
-        if query.config is not None:
-            return query.config
-        return self.config
-
     def search(
         self,
         query: Query,
@@ -95,20 +144,13 @@ class ProcessEngine:
         instrumentation: Optional[object] = None,
         use_cache: bool = True,
     ) -> SearchResponse:
-        """One query through the pool (raises exactly like ``BCCEngine``).
-
-        ``instrumentation`` cannot cross the process boundary — the wire
-        codec deliberately does not marshal live counter objects — so a
-        caller that needs it must use an in-process engine.
-        """
-        if instrumentation is not None:
-            raise QueryError(
-                "the process backend cannot fill caller-supplied "
-                "instrumentation; use an in-process engine for instrumented runs"
-            )
-        return self._pool.run_one(
-            query, self._resolve_config(query, config), use_cache=use_cache
-        )
+        """One query through the pool (raises exactly like ``BCCEngine``)."""
+        return self.search_many(
+            [query],
+            config=config,
+            instrumentation=instrumentation,
+            use_cache=use_cache,
+        )[0]
 
     def search_many(
         self,
@@ -119,63 +161,69 @@ class ProcessEngine:
         on_error: str = "raise",
         max_workers: int = 1,
         use_cache: bool = True,
+        shards: Optional[Sequence[int]] = None,
     ) -> List[SearchResponse]:
-        """Batch dispatch through the pool, with ``serve_batch`` semantics.
+        """Scatter-gather a batch over the workers, position-aligned.
 
-        Validation and config precedence (call > query > batch > engine)
-        match :func:`repro.api.engine.serve_batch` exactly; dispatch —
-        including per-row deadlines — happens pool-side.  ``max_workers``
-        is accepted for surface compatibility; parallelism is the pool's
-        worker count.
+        Arguments are checked and row configs resolved by the same
+        functions :func:`repro.api.engine.serve_batch` calls.  A row that
+        inherits the engine base travels as ``None`` (the workers' engines
+        were built from it).  Deadlines, error rows and crash handling are
+        the pool's.  The pool grows to ``max_workers`` when it is smaller.
+        ``shards`` gives each row's shard id; the row is pinned to worker
+        ``shard % workers``, so one shard's engine is built by one worker.
+
+        ``instrumentation`` cannot cross the process boundary — the wire
+        codec deliberately does not marshal live counter objects — so it
+        raises :class:`~repro.exceptions.QueryError`.
         """
         if instrumentation is not None:
             raise QueryError(
                 "the process backend cannot fill caller-supplied "
                 "instrumentation; use an in-process engine for instrumented runs"
             )
-        if on_error not in ("raise", "return"):
-            raise QueryError(
-                f"unknown on_error policy {on_error!r}; known: ('raise', 'return')"
-            )
-        if max_workers < 1:
-            raise QueryError("max_workers must be >= 1")
-        batch_config: Optional[SearchConfig] = None
-        if isinstance(queries, BatchQuery):
-            batch_config = queries.config
-            items = list(queries)
-        else:
-            items = list(BatchQuery(queries=tuple(queries)).queries)
-        specs = []
-        for query in items:
-            if config is not None:
-                resolved = config
-            elif query.config is not None:
-                resolved = query.config
-            elif batch_config is not None:
-                resolved = batch_config
-            else:
-                resolved = self.config
-            specs.append((query, resolved, None))
-        return self._pool.run_batch(specs, on_error=on_error, use_cache=use_cache)
+        check_batch_args(on_error, max_workers)
+        batch = BatchQuery.of(queries)
+        if not batch.queries:
+            return []
+        pins = shards if shards is not None else [None] * len(batch.queries)
+        rows = [
+            (query, resolve_config(config, query.config, batch.config), pin)
+            for query, pin in zip(batch.queries, pins)
+        ]
+        return self._pool_for(max_workers).run_batch(
+            rows, on_error=on_error, use_cache=use_cache
+        )
 
     def explain(
         self, query: Query, *, config: Optional[SearchConfig] = None
     ) -> Dict[str, object]:
-        return self._pool.explain(query, self._resolve_config(query, config))
+        return self._pool_for(1).explain(query, resolve_config(config, query.config))
 
     # ------------------------------------------------------------------
     # stats surface
     # ------------------------------------------------------------------
+    def worker_stats(self) -> Dict[str, object]:
+        """The pool's ``/stats`` block (size, counters, per-worker rows)."""
+        pool = self._current_pool()
+        if pool is None:
+            return {
+                "size": self._workers,
+                "counters": dict.fromkeys(POOL_COUNTER_NAMES, 0),
+                "workers": [],
+            }
+        return pool.stats()
+
     def counters_snapshot(self) -> Dict[str, int]:
         """Engine counters aggregated across workers (last piggybacked)."""
         from repro.serving.stats import aggregate_counters, zero_engine_counters
 
-        stats = self._pool.stats()
         parts = [
-            block["engine"] for block in stats["workers"] if block.get("engine")
+            block["engine"]
+            for block in self.worker_stats()["workers"]
+            if block.get("engine")
         ]
-        counters = aggregate_counters([zero_engine_counters(), *parts])
-        return counters
+        return aggregate_counters([zero_engine_counters(), *parts])
 
     def result_cache_info(self) -> Dict[str, object]:
         """Worker-side caches cannot be inspected without a round-trip."""
@@ -193,28 +241,13 @@ class ProcessEngine:
             "policy": None,
         }
 
-    def worker_stats(self) -> Dict[str, object]:
-        """The pool's ``/stats`` block (size, counters, per-worker rows)."""
-        return self._pool.stats()
-
     def worker_pids(self) -> List[int]:
-        return self._pool.worker_pids()
+        pool = self._current_pool()
+        return [] if pool is None else pool.worker_pids()
 
     def has_index(self) -> bool:
         """Index state lives worker-side; report from piggybacked counters."""
         return self.counters_snapshot().get("index_builds", 0) > 0
 
-    def close(self) -> None:
-        self._pool.close()
-
-    def __enter__(self) -> "ProcessEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ProcessEngine(workers={self._pool.workers}, "
-            f"started={self._pool.is_started()})"
-        )
+        return f"ProcessEngine(workers={self._workers}, started={self.is_prepared()})"

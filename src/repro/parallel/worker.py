@@ -13,7 +13,6 @@ Protocol (parent -> worker)::
     {"op": "search", "task": int, "query": <wire query>,
      "config": <wire config> | null, "use_cache": bool}
     {"op": "explain", "task": int, "query": ..., "config": ...}
-    {"op": "stats", "task": int}
     {"op": "shutdown"}
 
 Worker -> parent replies carry the task id, an ``ok`` flag, either a
@@ -22,14 +21,12 @@ parent to re-raise the exact caller error), and a piggybacked snapshot of
 the worker engine's counters, so ``/stats`` never needs a blocking
 round-trip into a busy worker.
 
-Failure discipline: a *caller* error (malformed query, missing query
-vertex, unknown method, expired deadline) is classified worker-side with
-the same :func:`~repro.api.engine.is_caller_error` rule the threaded path
-applies, shipped as a descriptor and re-raised or row-ified in the
-parent.  An *internal* error is reported as ``kind="internal"`` — the
-parent always raises those, exactly like the threaded path.  The worker
-never dies on a query error; only a kill / crash ends the loop, which the
-parent observes as pipe EOF.
+Failure discipline: every error ships as a descriptor the parent rebuilds
+the exception from; the parent then applies the threaded path's own
+:func:`~repro.api.engine.is_caller_error` rule to row or raise it.  An
+*internal* error is reported as ``kind="internal"`` and always raises.
+The worker never dies on a query error; only a kill / crash ends the
+loop, which the parent observes as pipe EOF.
 
 Clock hygiene (BCC002 covers this package): the only clock in this file
 is the deadline enforcement delegated to
@@ -38,15 +35,9 @@ is the deadline enforcement delegated to
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.api.config import SearchConfig
-from repro.api.engine import (
-    BCCEngine,
-    deadline_seconds_for,
-    is_caller_error,
-    run_with_deadline,
-)
+from repro.api.engine import BCCEngine, deadline_seconds_for, run_with_deadline
 from repro.exceptions import (
     DeadlineExceededError,
     QueryError,
@@ -65,51 +56,40 @@ from repro.server.protocol import (
     jsonable,
 )
 
-#: Error kinds a worker reports; the parent rebuilds the matching
-#: exception type from this tag (never by parsing messages).
-ERROR_KINDS = ("query", "vertex", "unknown-method", "deadline", "internal")
+def _describe_error(exc: Exception) -> Dict[str, object]:
+    """A JSON-safe descriptor from which the parent rebuilds ``exc``.
 
-
-def _classify_error(query, exc: Exception) -> Dict[str, object]:
-    """A JSON-safe descriptor from which the parent re-raises ``exc``."""
+    ``kind`` picks the exception type (never parsed from the message).
+    """
     message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
-    descriptor: Dict[str, object] = {"message": message, "caller": False}
+    descriptor: Dict[str, object] = {"message": message}
     if isinstance(exc, DeadlineExceededError):
-        descriptor["kind"] = "deadline"
-        descriptor["caller"] = True
-        descriptor["deadline_ms"] = exc.deadline_ms
+        descriptor.update(kind="deadline", deadline_ms=exc.deadline_ms)
     elif isinstance(exc, VertexNotFoundError):
-        descriptor["kind"] = "vertex"
         vertex = getattr(exc, "vertex", None)
-        descriptor["vertex"] = vertex if isinstance(vertex, (int, str)) else str(vertex)
-        descriptor["caller"] = is_caller_error(query, exc)
+        descriptor.update(
+            kind="vertex",
+            vertex=vertex if isinstance(vertex, (int, str)) else str(vertex),
+        )
     elif isinstance(exc, UnknownMethodError):
-        descriptor["kind"] = "unknown-method"
-        descriptor["method"] = str(getattr(exc, "method", ""))
         # Ship the known-method list so the parent-side rebuild produces
         # the *identical* message the threaded path would — error rows
         # are part of the value-for-value parity surface.
-        descriptor["known"] = [str(k) for k in getattr(exc, "known", ())]
-        descriptor["caller"] = True
+        descriptor.update(
+            kind="unknown-method",
+            method=str(getattr(exc, "method", "")),
+            known=[str(k) for k in getattr(exc, "known", ())],
+        )
     elif isinstance(exc, QueryError):
         descriptor["kind"] = "query"
-        descriptor["caller"] = True
     else:
-        descriptor["kind"] = "internal"
-        descriptor["type"] = type(exc).__name__
+        descriptor.update(kind="internal", type=type(exc).__name__)
     return descriptor
 
 
 def _build_engine(handle: GraphHandle, attachment) -> object:
     """The worker-local serving engine the handle asks for."""
-    config = decode_config(handle.config)
-    if config is None:
-        config = SearchConfig()
-    # Worker-side batches must not recurse into another pool: the batch
-    # transport decision was made in the parent, so the worker serves its
-    # rows on threads.
-    if config.backend == "process":
-        config = config.replace(backend="thread")
+    config = decode_config(handle.config)  # None builds the default config
     if handle.sharded:
         from repro.serving.sharded import ShardedBCCEngine  # deferred import
 
@@ -133,12 +113,8 @@ def _build_engine(handle: GraphHandle, attachment) -> object:
     ).prepare()
 
 
-def _counters(engine) -> Dict[str, int]:
-    return engine.counters_snapshot()
-
-
 def _serve_search(engine, message: Dict[str, object]) -> Dict[str, object]:
-    """Run one search under its (already resolved) config and deadline.
+    """Run one search under its row config (``None`` = engine base) and deadline.
 
     When the message carries a trace context (the parent has an active
     trace), the search runs under a worker-local :class:`Trace` and the
@@ -162,7 +138,7 @@ def _serve_search_untraced(
     query = decode_query(message["query"])
     config = decode_config(message.get("config"))
     use_cache = bool(message.get("use_cache", True))
-    deadline = deadline_seconds_for(config, getattr(engine, "config", None))
+    deadline = deadline_seconds_for(config, engine.config)
     try:
         response = run_with_deadline(
             lambda: engine.search(query, config=config, use_cache=use_cache),
@@ -178,7 +154,7 @@ def _serve_search_untraced(
         return {
             "task": message["task"],
             "ok": False,
-            "error": _classify_error(query, exc),
+            "error": _describe_error(exc),
         }
 
 
@@ -228,21 +204,15 @@ def worker_main(worker_id: int, conn, handle_text: str) -> None:
                 reply = {
                     "task": message["task"],
                     "ok": False,
-                    "error": _classify_error(query, exc),
+                    "error": _describe_error(exc),
                 }
-        elif op == "stats":
-            reply = {"task": message["task"], "ok": True}
         else:
             reply = {
                 "task": message.get("task", -1),
                 "ok": False,
-                "error": {
-                    "kind": "internal",
-                    "caller": False,
-                    "message": f"unknown worker op {op!r}",
-                },
+                "error": {"kind": "internal", "message": f"unknown worker op {op!r}"},
             }
-        reply["counters"] = _counters(engine)
+        reply["counters"] = engine.counters_snapshot()
         try:
             conn.send(json_dumps(reply))
         except (BrokenPipeError, OSError):  # parent went away mid-reply

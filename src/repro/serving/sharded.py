@@ -60,6 +60,8 @@ from repro.api.config import SearchConfig
 from repro.api.engine import (
     DEFAULT_RESULT_CACHE_SIZE,
     BCCEngine,
+    ProcessSlot,
+    check_batch_args,
     error_response_for,
     is_caller_error,
     serve_batch,
@@ -157,10 +159,10 @@ class ShardedBCCEngine:
         self._partition_lock = threading.Lock()
         self._shards_lock = threading.Lock()
         self._counters_lock = threading.Lock()
-        # Lazy process-backend pool (shard-pinned workers); the pool lock
-        # only guards the slot, shutdown happens outside every router lock.
-        self._pool_lock = threading.Lock()
-        self._process_pool: Optional[object] = None
+        # Shard-pinned worker processes for backend="process" batches.
+        self._process = ProcessSlot(
+            graph, self.config, sharded=True, result_cache_size=result_cache_size
+        )
         self._counters: Dict[str, int] = {
             "partitions": 0,
             "searches": 0,
@@ -192,7 +194,7 @@ class ShardedBCCEngine:
         through :meth:`_check_version` so one graph mutation produces
         exactly one re-partition however many threads observe it.
         """
-        stale_pool = None
+        stale_process = None
         with self._partition_lock:
             version = self.graph.version()
             if version == self._graph_version:
@@ -206,15 +208,13 @@ class ShardedBCCEngine:
                 self._components = components
                 self._routing = routing
                 self._shards = OrderedDict()
-            with self._pool_lock:
-                stale_pool = self._process_pool
-                self._process_pool = None
+            stale_process = self._process.take()
             self._graph_version = version
             self._count("partitions")
-        if stale_pool is not None:
+        if stale_process is not None:
             # Worker processes hold the old frozen snapshot; joining them
             # can take a moment, so it happens outside the router locks.
-            stale_pool.close()
+            stale_process.close()
 
     def _check_version(self) -> None:
         """Re-partition exactly once when the underlying graph mutated."""
@@ -345,6 +345,11 @@ class ShardedBCCEngine:
             return None
         return shard_ids.pop()
 
+    def _count_cross_shard(self, elapsed: float) -> None:
+        self._count("searches")
+        self._count("cross_shard_queries")
+        self._latency.observe(elapsed)
+
     def _cross_shard_response(
         self, query: Query, method: str, elapsed: float
     ) -> SearchResponse:
@@ -391,10 +396,8 @@ class ShardedBCCEngine:
             shard_id = self._route(query)
             if shard_id is None:
                 routed.annotate(cross_shard=True)
-                self._count("searches")
-                self._count("cross_shard_queries")
                 elapsed = time.perf_counter() - start
-                self._latency.observe(elapsed)
+                self._count_cross_shard(elapsed)
                 return self._cross_shard_response(query, spec.name, elapsed)
             routed.annotate(shard=shard_id)
             engine = self.shard_engine(shard_id)
@@ -433,21 +436,14 @@ class ShardedBCCEngine:
         shards; each shard engine's fill-once caches keep preparation
         exactly-once per shard under contention.
 
-        ``backend="process"`` (or an ``"auto"`` pick on a compute-bound
-        shape, the monolithic engine's rule:
-        :func:`~repro.api.engine.use_process_transport`) ships the batch to
-        ``max_workers`` worker processes instead.  Routing still happens
-        router-side: cross-shard rows short-circuit in the parent without
-        touching any worker, and every in-shard row is *pinned* to worker
-        ``shard_id % workers`` so one shard's engine is built by exactly
-        one worker process however large the batch.  Unavailable shared
-        memory degrades to the threaded path with a one-time warning and a
-        ``"process_fallbacks"`` counter tick.
+        ``backend`` picks the transport by the monolithic engine's rule
+        (:func:`~repro.api.engine.use_process_transport`).  On processes,
+        routing stays in the parent — cross-shard rows never reach a worker
+        — and each in-shard row is pinned to worker ``shard_id % workers``,
+        so one worker builds each shard's engine.  Fallbacks to threads
+        are the monolithic engine's.
         """
-        if isinstance(queries, BatchQuery):
-            batch = queries
-        else:
-            batch = BatchQuery(queries=tuple(queries))
+        batch = BatchQuery.of(queries)
         if use_process_transport(
             self,
             backend,
@@ -482,19 +478,6 @@ class ShardedBCCEngine:
     # ------------------------------------------------------------------
     # process batch transport
     # ------------------------------------------------------------------
-    @staticmethod
-    def _row_config(
-        config: Optional[SearchConfig],
-        query: Query,
-        batch_config: Optional[SearchConfig],
-    ) -> Optional[SearchConfig]:
-        """Call > query > batch precedence; ``None`` = worker engine base."""
-        if config is not None:
-            return config
-        if query.config is not None:
-            return query.config
-        return batch_config
-
     def _try_serve_process(
         self,
         batch: BatchQuery,
@@ -505,31 +488,20 @@ class ShardedBCCEngine:
         max_workers: int,
         use_cache: bool,
     ) -> Optional[List[SearchResponse]]:
-        """Serve ``batch`` through shard-pinned workers, or ``None`` to fall back."""
-        from repro.api.engine import _warn_process_fallback_once
-        from repro.parallel.shm import ProcessBackendUnavailable
+        """Serve ``batch`` through shard-pinned workers, or ``None`` to fall back.
 
-        if on_error not in ("raise", "return"):
-            # Let serve_batch raise its canonical validation error.
-            return None
-        if instrumentation is not None:
-            self._count("process_fallbacks")
-            _warn_process_fallback_once(
-                "caller-supplied instrumentation cannot cross the process "
-                "boundary"
-            )
-            return None
-        try:
-            pool = self._ensure_process_pool(max(1, max_workers))
-        except ProcessBackendUnavailable as exc:
-            self._count("process_fallbacks")
-            _warn_process_fallback_once(str(exc))
-            return None
-        # Route every row in the parent: cross-shard answers short-circuit
-        # here (no worker ever sees them), routing failures follow the
-        # on_error policy, and in-shard rows carry their pin.
+        Rows are routed in the parent: cross-shard rows short-circuit,
+        routing failures follow ``on_error``, in-shard rows go to the
+        process engine with their shard id.  Router counters tick only once
+        the batch is served, so a fallback never counts a row twice.
+        """
+        # Before routing, which could raise or row a query under a bad policy.
+        check_batch_args(on_error, max_workers)
+        self._check_version()
         responses: List[Optional[SearchResponse]] = [None] * len(batch.queries)
-        remote: List[tuple] = []  # (position, (query, config, pin))
+        cross: List[float] = []
+        remote: List[int] = []
+        shards: List[int] = []
         for position, query in enumerate(batch.queries):
             start = time.perf_counter()
             try:
@@ -541,71 +513,44 @@ class ShardedBCCEngine:
                 responses[position] = error_response_for(query, exc)
                 continue
             if shard_id is None:
-                self._count("searches")
-                self._count("cross_shard_queries")
                 elapsed = time.perf_counter() - start
-                self._latency.observe(elapsed)
+                cross.append(elapsed)
                 responses[position] = self._cross_shard_response(
                     query, spec.name, elapsed
                 )
-                continue
-            row_config = self._row_config(config, query, batch.config)
-            remote.append((position, (query, row_config, shard_id % pool.workers)))
-        if remote:
-            rows = pool.run_batch(
-                [spec for _, spec in remote],
-                on_error=on_error,
-                use_cache=use_cache,
-            )
-            for (position, _), response in zip(remote, rows):
-                responses[position] = response
-                if response.status != "error":
-                    self._count("searches")
-        self._count("process_batches")
-        self._count("process_tasks", len(remote))
+            else:
+                remote.append(position)
+                shards.append(shard_id)
+        rows = self._process.serve(
+            BatchQuery(
+                queries=tuple(batch.queries[p] for p in remote),
+                config=batch.config,
+            ),
+            count=self._count,
+            instrumentation=instrumentation,
+            config=config,
+            on_error=on_error,
+            max_workers=max_workers,
+            use_cache=use_cache,
+            shards=shards,
+        )
+        if rows is None:
+            return None
+        for elapsed in cross:
+            self._count_cross_shard(elapsed)
+        for position, response in zip(remote, rows):
+            responses[position] = response
+            if response.status != "error":
+                self._count("searches")
         return list(responses)  # type: ignore[arg-type]
-
-    def _ensure_process_pool(self, workers: int):
-        """The live shard-pinned pool, created or grown under the pool lock."""
-        from repro.parallel.pool import ProcessWorkerPool
-
-        self._check_version()
-        stale = None
-        with self._pool_lock:
-            current = self._process_pool
-            if current is not None and current.workers >= workers:
-                return current
-            pool = ProcessWorkerPool(
-                self.graph,
-                self.config,
-                workers,
-                sharded=True,
-                result_cache_size=self._result_cache_size,
-            )
-            try:
-                pool.start()
-            except Exception:
-                pool.close()
-                raise
-            self._process_pool = pool
-            stale = current
-        if stale is not None:
-            stale.close()
-        return pool
 
     def process_pool_stats(self) -> Optional[Dict[str, object]]:
         """The worker pool's stats block, or ``None`` when no pool is live."""
-        with self._pool_lock:
-            pool = self._process_pool
-        return None if pool is None else pool.stats()
+        return self._process.stats()
 
     def close_process_pool(self) -> None:
         """Shut the worker pool down (idempotent; a later batch respawns it)."""
-        with self._pool_lock:
-            pool = self._process_pool
-            self._process_pool = None
-        if pool is not None:
-            pool.close()
+        self._process.close()
 
     # ------------------------------------------------------------------
     # introspection

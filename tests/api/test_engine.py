@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import gc
 import math
+import weakref
 
 from repro.api import (
     STATUS_EMPTY,
@@ -47,6 +49,23 @@ class TestConstruction:
         assert snapshot["prepare_calls"] == 1
         snapshot["prepare_calls"] = 999  # the caller's copy, not the engine's
         assert engine.counters_snapshot()["prepare_calls"] == 1
+
+    @pytest.mark.parametrize("engine_type", ["monolithic", "sharded"])
+    def test_discarded_engine_is_freed_by_refcount(self, paper_graph, engine_type):
+        # A reference cycle through an engine (say, its process slot holding
+        # a bound method of it) keeps the graph and caches of every
+        # discarded engine alive until the cyclic collector happens to run.
+        from repro.serving import ShardedBCCEngine
+
+        cls = ShardedBCCEngine if engine_type == "sharded" else BCCEngine
+        gc.disable()
+        try:
+            engine = cls(paper_graph)
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_prepare_chains_and_counts_once(self, paper_graph):
         engine = BCCEngine(paper_graph).prepare()
@@ -378,6 +397,17 @@ class TestErrorPolicy:
             engine.search_many([], max_workers=0)
         with pytest.raises(QueryError):
             engine.search_many([], backend="proces")
+
+    def test_process_backend_rejects_policy_and_workers_too(self, paper_graph):
+        engine = BCCEngine(paper_graph)
+        batch = [Query("lp-bcc", ("ql", "qr"))]
+        try:
+            with pytest.raises(QueryError):
+                engine.search_many(batch, on_error="sideways", backend="process")
+            with pytest.raises(QueryError):
+                engine.search_many(batch, max_workers=0, backend="process")
+        finally:
+            engine.close_process_pool()
 
     def test_return_policy_does_not_mask_deep_missing_vertices(self, paper_graph):
         """A VertexNotFoundError for a NON-query vertex is an implementation

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import re
 
-import pytest
-
 from repro.api.engine import ENGINE_COUNTER_NAMES
 from repro.obs.metrics import (
     EXPORTED_COUNTERS,
@@ -17,6 +15,7 @@ from repro.obs.metrics import (
 from repro.obs.slowlog import SLOWLOG_COUNTER_NAMES
 from repro.obs.tracing import TRACER_COUNTER_NAMES
 from repro.parallel.pool import POOL_COUNTER_NAMES
+from repro.serving.stats import LatencyHistogram
 from repro.store.store import STORE_COUNTER_NAMES
 
 #: One exposition line: ``name{labels} value`` or ``name value``.
@@ -104,44 +103,25 @@ class TestCounterSamples:
 # the registry
 # ----------------------------------------------------------------------
 class TestMetricsRegistry:
-    def test_owned_metrics_collect_and_are_idempotent_per_name(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("bcc_test_ops_total", help="ops")
-        counter.inc()
-        counter.inc(2.0)
-        assert registry.counter("bcc_test_ops_total") is counter
-        gauge = registry.gauge("bcc_test_depth")
-        gauge.set(7.0)
-        histogram = registry.histogram(
-            "bcc_test_latency_seconds", bounds=(0.1, 1.0)
-        )
-        histogram.observe(0.05)
-
-        by_name = {s.name: s for s in registry.collect()}
-        assert by_name["bcc_test_ops_total"].value == 3.0
-        assert by_name["bcc_test_depth"].value == 7.0
-        assert by_name["bcc_test_latency_seconds"].histogram["count"] == 1
-
-    def test_counters_only_go_up(self):
-        counter = MetricsRegistry().counter("bcc_test_total")
-        with pytest.raises(ValueError):
-            counter.inc(-1.0)
-
-    def test_name_collision_across_kinds_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("bcc_test_thing")
-        with pytest.raises(TypeError):
-            registry.gauge("bcc_test_thing")
-
     def test_sources_collect_in_registration_order(self):
         registry = MetricsRegistry()
         registry.register_source("b", lambda: [Sample(name="bcc_from_b")])
-        registry.register_counters("a", "layer_a", lambda: {"ticks": 2})
+        registry.register_source(
+            "a", lambda: counter_samples("layer_a", {"ticks": 2})
+        )
         names = [s.name for s in registry.collect()]
         assert names.index("bcc_from_b") < names.index(
             "bcc_layer_a_ticks_total"
         )
         assert registry.sources() == ["b", "a"]
+
+    def test_registering_an_id_again_replaces_the_source(self):
+        registry = MetricsRegistry()
+        registry.register_source("layer", lambda: [Sample(name="bcc_old")])
+        registry.register_source("layer", lambda: [Sample(name="bcc_new")])
+        names = [s.name for s in registry.collect()]
+        assert "bcc_new" in names and "bcc_old" not in names
+        assert registry.sources() == ["layer"]
 
     def test_raising_source_is_skipped_and_counted(self):
         registry = MetricsRegistry()
@@ -157,15 +137,11 @@ class TestMetricsRegistry:
         registry.collect()
         assert registry.counters_snapshot() == {"scrapes": 2, "source_errors": 2}
 
-    def test_unregister_source(self):
-        registry = MetricsRegistry()
-        registry.register_source("gone", lambda: [Sample(name="bcc_gone")])
-        registry.unregister_source("gone")
-        assert "bcc_gone" not in [s.name for s in registry.collect()]
-
     def test_snapshot_is_a_summary_not_the_samples(self):
         registry = MetricsRegistry()
-        registry.register_counters("layer", "layer", lambda: {"ticks": 1})
+        registry.register_source(
+            "layer", lambda: counter_samples("layer", {"ticks": 1})
+        )
         snapshot = registry.snapshot()
         assert snapshot["sources"] == ["layer"]
         assert snapshot["series"] == len(snapshot["names"]) == 3
@@ -176,30 +152,45 @@ class TestMetricsRegistry:
 # ----------------------------------------------------------------------
 # text exposition
 # ----------------------------------------------------------------------
+def render(*samples):
+    """The exposition of ``samples`` fed through one source."""
+    registry = MetricsRegistry()
+    registry.register_source("test", lambda: list(samples))
+    return registry.render_prometheus()
+
+
 class TestPrometheusRendering:
     def test_help_type_and_value_lines(self):
-        registry = MetricsRegistry()
-        registry.counter("bcc_test_ops_total", help="operations\nserved").inc()
-        text = registry.render_prometheus()
+        text = render(
+            Sample(name="bcc_test_ops_total", value=1.0, help="operations\nserved")
+        )
         assert "# HELP bcc_test_ops_total operations\\nserved" in text
         assert "# TYPE bcc_test_ops_total counter" in text
         assert "\nbcc_test_ops_total 1\n" in text
         assert_valid_exposition(text)
 
     def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.gauge("bcc_test_depth", graph='pa"per\\x').set(1.0)
-        text = registry.render_prometheus()
+        text = render(
+            Sample(
+                name="bcc_test_depth",
+                value=1.0,
+                labels=(("graph", 'pa"per\\x'),),
+                kind="gauge",
+            )
+        )
         assert 'bcc_test_depth{graph="pa\\"per\\\\x"} 1' in text
 
     def test_histogram_buckets_are_cumulated_with_inf(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram(
-            "bcc_test_latency_seconds", bounds=(0.1, 1.0)
-        )
+        histogram = LatencyHistogram((0.1, 1.0))
         for seconds in (0.05, 0.5, 5.0):
             histogram.observe(seconds)
-        text = registry.render_prometheus()
+        text = render(
+            Sample(
+                name="bcc_test_latency_seconds",
+                kind="histogram",
+                histogram=histogram.snapshot(),
+            )
+        )
         # per-bucket counts 1/1/1 cumulate to 1/2/3
         assert 'bcc_test_latency_seconds_bucket{le="0.1"} 1' in text
         assert 'bcc_test_latency_seconds_bucket{le="1"} 2' in text

@@ -310,6 +310,19 @@ class TestSearchMany:
         with pytest.raises(QueryError):
             engine.search_many([], backend="proces")
 
+    def test_process_backend_rejects_policy_and_workers_too(
+        self, two_component_paper_graph
+    ):
+        engine = ShardedBCCEngine(two_component_paper_graph)
+        batch = [Query("lp-bcc", ("ql", "qr"))]
+        try:
+            with pytest.raises(QueryError):
+                engine.search_many(batch, on_error="sideways", backend="process")
+            with pytest.raises(QueryError):
+                engine.search_many(batch, max_workers=0, backend="process")
+        finally:
+            engine.close_process_pool()
+
     def test_batch_only_builds_touched_shards(self, two_component_paper_graph):
         engine = ShardedBCCEngine(two_component_paper_graph)
         engine.search_many([Query("ctc", ("b:s1", "b:u1"))] * 4)
