@@ -55,6 +55,12 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
             "_engine": "_lock",
         },
     },
+    "csr.py": {
+        "CSRGraph": {
+            "_g0_memo": "_g0_lock",
+            "_g0_ids": "_g0_lock",
+        },
+    },
     "process_engine.py": {
         "ProcessEngine": {
             "_pool": "_lock",

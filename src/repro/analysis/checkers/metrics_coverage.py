@@ -9,7 +9,7 @@ of the codebase's counter-bump idioms must appear in the
 adds ``self._count("new_thing")`` without declaring ``"new_thing"``
 fails the linter before it ever ships an invisible counter.
 
-Recognized bump shapes (all four are established idioms in this repo):
+Recognized bump shapes (all five are established idioms in this repo):
 
 * ``self._count("name", ...)`` — the leaf-lock counter helper used by
   the engine, router, pool, store, tracer, registry and slow log; the
@@ -21,6 +21,8 @@ Recognized bump shapes (all four are established idioms in this repo):
   ``gateway`` keeps ``itertools.count()`` and similar out of scope.
 * ``<recv>._counters["name"] += n`` — direct augmented assignment into
   a counters dict with a literal key.
+* ``count("name", ...)`` — an engine's counter hook called by a helper it
+  was handed to (``ProcessSlot.serve``, the pipeline's G0 memo lookups).
 
 Dynamic names (``self._count(counter)``) are deliberately out of scope —
 they forward an already-checked literal from elsewhere.  Files named
@@ -96,6 +98,13 @@ def _bumped_name(node: ast.AST) -> "Optional[Tuple[str, ast.AST]]":
                 if name is not None:
                     return (name, node.args[0])
             return None
+        # count("name", ...) — a counter hook passed in as ``count``.
+        if isinstance(func, ast.Name) and func.id == "count":
+            if node.args:
+                name = _literal_str(node.args[0])
+                if name is not None:
+                    return (name, node.args[0])
+            return None
         # self._count_worker(worker, "name") — second positional arg.
         if (
             isinstance(func, ast.Attribute)
@@ -147,7 +156,7 @@ class MetricsCoverageChecker(Checker):
     name = "metrics-coverage"
     description = (
         "every literal counter name bumped via _count/_count_worker/"
-        "gateway.count/_counters[...] must be declared in the "
+        "gateway.count/count/_counters[...] must be declared in the "
         "EXPORTED_COUNTERS manifest (repro/obs/metrics.py)"
     )
 

@@ -114,6 +114,8 @@ ENGINE_COUNTER_NAMES = (
     "process_batches",
     "process_tasks",
     "process_fallbacks",
+    "g0_memo_hits",
+    "g0_memo_misses",
 )
 
 #: Edge count below which ``backend="auto"`` keeps batches on the threaded
@@ -316,7 +318,12 @@ class ProcessSlot:
             engine.close()
 
 
-def run_with_deadline(fn, seconds: Optional[float], what: str = "call"):
+def run_with_deadline(
+    fn,
+    seconds: Optional[float],
+    what: str = "call",
+    clock: Callable[[], float] = time.monotonic,
+):
     """Run ``fn`` but give up after ``seconds`` of wall clock.
 
     ``None`` runs inline with zero overhead — the no-deadline path is
@@ -325,10 +332,12 @@ def run_with_deadline(fn, seconds: Optional[float], what: str = "call"):
     :class:`~repro.exceptions.DeadlineExceededError` is raised and the
     worker is abandoned (a pure-Python kernel cannot be preempted
     mid-peel; the daemon flag keeps an eternally stalled worker from
-    blocking process exit).  Exceptions from ``fn`` re-raise in the caller
-    unchanged.  This is the one enforcement primitive behind
-    ``search_many``'s per-row deadlines and the HTTP gateway's per-request
-    deadline.
+    blocking process exit).  A worker that finished but, by ``clock``,
+    took longer than ``seconds`` raises the same error: it can finish
+    inside ``Thread.start()``'s hand-off, before the wait even begins.
+    Exceptions from ``fn`` re-raise in the caller unchanged.  This is the
+    one enforcement primitive behind ``search_many``'s per-row deadlines
+    and the HTTP gateway's per-request deadline.
     """
     if seconds is None:
         return fn()
@@ -353,8 +362,9 @@ def run_with_deadline(fn, seconds: Optional[float], what: str = "call"):
         worker = threading.Thread(
             target=context.run, args=(work,), name=f"deadline:{what}", daemon=True
         )
+        start = clock()
         worker.start()
-        if not done.wait(timeout=max(0.0, seconds)):
+        if not done.wait(timeout=max(0.0, seconds)) or clock() - start > seconds:
             if timed is not None:
                 timed.annotate(exceeded=True)
             raise DeadlineExceededError(deadline_ms=seconds * 1000.0)

@@ -5,7 +5,9 @@ Each adapter binds a core implementation to the uniform registry signature
 :class:`repro.api.config.SearchConfig` fields into the algorithm's native
 parameters and threading the engine's prepared state into the call.  The
 three BCC pair methods run on the CSR pipeline (:mod:`repro.core.pipeline`)
-over the engine's frozen graph (:meth:`repro.api.BCCEngine.frozen_graph`).
+over the engine's frozen graph (:meth:`repro.api.BCCEngine.frozen_graph`),
+and hand it the engine's counter hook so the snapshot's G0 memo lookups
+land in that engine's ``g0_memo_hits`` / ``g0_memo_misses``.
 
 Registration order is the paper's figure order — it defines
 ``repro.eval.harness.METHOD_NAMES``.
@@ -81,6 +83,7 @@ def _run_online_bcc(engine, query, config, instrumentation):
         bulk_deletion=config.bulk_deletion,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
+        count=engine._count,
     )
 
 
@@ -107,6 +110,7 @@ def _run_lp_bcc(engine, query, config, instrumentation):
         rho=config.rho,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
+        count=engine._count,
     )
 
 
@@ -137,6 +141,7 @@ def _run_l2p_bcc(engine, query, config, instrumentation):
         rho=config.rho,
         max_iterations=config.max_iterations,
         instrumentation=instrumentation,
+        count=engine._count,
     )
 
 

@@ -18,6 +18,12 @@ engine's frozen :class:`~repro.graph.csr.CSRGraph`:
   (Algorithm 2, lines 2-3) are BFS components of the query ids over
   same-label ids whose coreness reaches k1 / k2 — ``G0`` is the subgraph
   induced by ``L ∪ R``;
+* everything else Algorithm 2 derives — ``G0``'s χ, its intra-label degree
+  counters and Def. 4's leader-pair and connectivity checks — depends on
+  the query only through ``(k1, L, k2, R)``, so it is memoized on the
+  snapshot (:meth:`~repro.graph.csr.CSRGraph.g0`) and each query copies
+  the counters it mutates.  L2P-BCC's candidate cores are per query, so its
+  candidate ``G0`` is built afresh;
 * a query keeps only id sets: the alive community, its two label sides,
   intra-label degree counters for the Algorithm 4 cascade, and (LP-BCC)
   per-id cross-neighbour sets for Algorithm 7 and per-id distance lists for
@@ -38,7 +44,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.bc_index import BCIndex
 from repro.core.bcc_model import BCCParameters, BCCResult, resolve_query_labels
@@ -58,6 +65,7 @@ from repro.exceptions import (
 )
 from repro.graph.bipartite import BipartiteView
 from repro.graph.csr import (
+    G0,
     CSRBipartiteView,
     CSRGraph,
     core_numbers,
@@ -70,6 +78,13 @@ from repro.graph.traversal import shortest_path
 #: Per-side coreness lists: the engine-wide label-group coreness, or the
 #: coreness inside an L2P candidate's label groups.
 Cores = Tuple[Sequence[int], Sequence[int]]
+
+#: An engine's counter hook: ``count(name)`` bumps one engine counter.
+Count = Callable[[str], None]
+
+
+def _uncounted(name: str) -> None:
+    """The counter hook of a search no engine counts."""
 
 
 def resolve_parameters(
@@ -158,6 +173,16 @@ def _butterfly_degrees(
     return dict(zip(order, chi))
 
 
+def _has_leader_pair(
+    chi: Mapping[int, int], left: Iterable[int], right: Iterable[int], b: int
+) -> bool:
+    """Def. 4, condition 4: some vertex per side has χ >= b."""
+    return (
+        max((chi[v] for v in left), default=0) >= b
+        and max((chi[v] for v in right), default=0) >= b
+    )
+
+
 def _connected(slices: List[List[int]], source: int, target: int, alive: Set[int]) -> bool:
     """Whether ``target`` is reachable from ``source`` inside ``alive``."""
     seen = {source}
@@ -192,6 +217,7 @@ class _Community:
         csr: CSRGraph,
         left: Set[int],
         right: Set[int],
+        deg: Dict[int, int],
         q_left: int,
         q_right: int,
         parameters: BCCParameters,
@@ -201,28 +227,14 @@ class _Community:
         self.left = left
         self.right = right
         self.alive = left | right
+        # Intra-label degree of every member (Algorithm 4's k-core counters).
+        self.deg = deg
         self.q_left = q_left
         self.q_right = q_right
         self.parameters = parameters
-        same = self.same
-        # Intra-label degree of every member (Algorithm 4's k-core counters).
-        self.deg = {v: len(side.intersection(same[v])) for side in (left, right) for v in side}
 
     def butterfly_degrees(self) -> Dict[int, int]:
         return _butterfly_degrees(self.left, self.right, self.cross)
-
-    def has_leader_pair(self, chi: Dict[int, int]) -> bool:
-        """Def. 4, condition 4: some vertex per side has χ >= b."""
-        b = self.parameters.b
-        return (
-            max((chi[v] for v in self.left), default=0) >= b
-            and max((chi[v] for v in self.right), default=0) >= b
-        )
-
-    def connected(self) -> bool:
-        return _connected(
-            self.csr.adjacency_slices(), self.q_left, self.q_right, self.alive
-        )
 
     def _cascade(self, side: Set[int], k: int, removals: Iterable[int], removed: List[int]) -> None:
         """Delete ``removals`` from ``side`` and peel it back to a k-core.
@@ -266,9 +278,28 @@ class _Community:
         if check_butterfly:
             chi = self.butterfly_degrees()
             inst.record_butterfly_counting()
-            if not self.has_leader_pair(chi):
+            if not _has_leader_pair(chi, self.left, self.right, self.parameters.b):
                 return False, removed
-        return self.connected(), removed
+        slices = self.csr.adjacency_slices()
+        return _connected(slices, self.q_left, self.q_right, self.alive), removed
+
+
+def _build_g0(csr: CSRGraph, left: Set[int], right: Set[int], b: int) -> G0:
+    """Algorithm 2 past the cores: χ, the degree counters and the checks.
+
+    ``L`` and ``R`` are each connected, so ``G0`` connects the query pair
+    exactly when it connects any id of ``L`` to any id of ``R``: the check
+    is a function of ``(L, R)``, like everything else here.
+    """
+    same, cross = csr.label_split()
+    chi = _butterfly_degrees(left, right, cross)
+    deg = {v: len(side.intersection(same[v])) for side in (left, right) for v in side}
+    valid = _has_leader_pair(chi, left, right, b) and _connected(
+        csr.adjacency_slices(), min(left), min(right), left | right
+    )
+    return G0(
+        frozenset(left), frozenset(right), MappingProxyType(chi), MappingProxyType(deg), valid
+    )
 
 
 def _find_g0(
@@ -278,22 +309,41 @@ def _find_g0(
     parameters: BCCParameters,
     inst: SearchInstrumentation,
     cores: Optional[Cores] = None,
-) -> Optional[Tuple[_Community, Dict[int, int]]]:
-    """Algorithm 2 over ids: ``G0`` as a community, plus its χ, or ``None``."""
+    count: Count = _uncounted,
+) -> Optional[Tuple[_Community, Mapping[int, int]]]:
+    """Algorithm 2 over ids: ``G0`` as a community, plus its χ, or ``None``.
+
+    With the engine-wide coreness (``cores`` unset) ``G0`` comes from the
+    snapshot's memo, and ``count`` (the engine's counter hook) records the
+    lookup as ``g0_memo_hits`` or ``g0_memo_misses``.  The returned χ is
+    shared: read it, never write it.
+    """
     left_core, right_core = cores if cores is not None else (csr.group_coreness(),) * 2
-    same, cross = csr.label_split()
+    same = csr.label_split()[0]
     left = _core_component(q_left, parameters.k1, left_core, same)
     if left is None:
         return None
     right = _core_component(q_right, parameters.k2, right_core, same)
     if right is None:
         return None
-    chi = _butterfly_degrees(left, right, cross)
+    if cores is None:
+        key = (parameters.k1, min(left), parameters.k2, min(right), parameters.b)
+        g0, hit = csr.g0(key, lambda: _build_g0(csr, left, right, parameters.b))
+        if hit:
+            count("g0_memo_hits")
+        else:
+            count("g0_memo_misses")
+    else:
+        g0 = _build_g0(csr, left, right, parameters.b)
+    # Table 4 counts the Algorithm 3 runs the algorithm makes, so a memo hit
+    # still records the count that built its entry.
     inst.record_butterfly_counting()
-    community = _Community(csr, left, right, q_left, q_right, parameters)
-    if not community.has_leader_pair(chi) or not community.connected():
+    if not g0.valid:
         return None
-    return community, chi
+    # ``left`` / ``right`` are this query's own BFS sets, equal to the
+    # entry's; the degree counters are copied.
+    community = _Community(csr, left, right, g0.deg.copy(), q_left, q_right, parameters)
+    return community, g0.chi
 
 
 def _no_candidate(parameters: BCCParameters) -> EmptyCommunityError:
@@ -346,13 +396,17 @@ def online_bcc(
     bulk_deletion: bool = True,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
+    count: Count = _uncounted,
 ) -> BCCResult:
-    """Algorithm 1 on the pipeline; same contract as ``run_online_bcc``."""
+    """Algorithm 1 on the pipeline; same contract as ``run_online_bcc``.
+
+    ``count`` is the serving engine's counter hook for the G0 memo.
+    """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     labels = resolve_query_labels(graph, q_left, q_right)
     parameters = resolve_parameters(csr, q_left, q_right, k1, k2, b)
     ql, qr = csr.id_of(q_left), csr.id_of(q_right)
-    found = _find_g0(csr, ql, qr, parameters, inst)
+    found = _find_g0(csr, ql, qr, parameters, inst, count=count)
     if found is None:
         raise _no_candidate(parameters)
     community = found[0]
@@ -411,7 +465,7 @@ def _leader_level_sets(
 
 
 def _leader_tracker(
-    community: _Community, chi: Dict[int, int], rho: int, inst: SearchInstrumentation
+    community: _Community, chi: Mapping[int, int], rho: int, inst: SearchInstrumentation
 ) -> LeaderPairTracker:
     """Algorithms 6 and 7 over ids: leaders picked on ``G0``, then tracked.
 
@@ -481,14 +535,15 @@ def _lp_search(
     rho: int,
     max_iterations: Optional[int],
     inst: SearchInstrumentation,
+    count: Count = _uncounted,
 ) -> BCCResult:
     """The LP-BCC loop over ids, for the global graph or an L2P candidate.
 
     ``cores`` carries the candidate's per-side coreness (``None``: the
-    engine-wide label-group coreness).
+    engine-wide label-group coreness, whose ``G0`` is memoized).
     """
     ql, qr = csr.id_of(q_left), csr.id_of(q_right)
-    found = _find_g0(csr, ql, qr, parameters, inst, cores)
+    found = _find_g0(csr, ql, qr, parameters, inst, cores, count)
     if found is None:
         raise _no_candidate(parameters)
     community, chi = found
@@ -556,14 +611,18 @@ def lp_bcc(
     rho: int = DEFAULT_RHO,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
+    count: Count = _uncounted,
 ) -> BCCResult:
-    """LP-BCC on the pipeline; same contract as ``run_lp_bcc``."""
+    """LP-BCC on the pipeline; same contract as ``run_lp_bcc``.
+
+    ``count`` is the serving engine's counter hook for the G0 memo.
+    """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     labels = resolve_query_labels(graph, q_left, q_right)
     parameters = resolve_parameters(csr, q_left, q_right, k1, k2, b)
     return _lp_search(
         csr, labels, q_left, q_right, parameters, None,
-        bulk_deletion, rho, max_iterations, inst,
+        bulk_deletion, rho, max_iterations, inst, count,
     )
 
 
@@ -621,13 +680,15 @@ def l2p_bcc(
     rho: int = DEFAULT_RHO,
     max_iterations: Optional[int] = None,
     instrumentation: Optional[SearchInstrumentation] = None,
+    count: Count = _uncounted,
 ) -> BCCResult:
     """Algorithm 8 on the pipeline; same contract as ``run_l2p_bcc``.
 
     The Def. 6 path search still runs on the graph and ``index``; the
     candidate ``G_t`` is an id set, its line-4 k defaults are a peel over
     the candidate's ids, and the line-5 refinement (and the global
-    fallback) is :func:`_lp_search`.
+    fallback) is :func:`_lp_search`.  Only the global fallback reads the
+    G0 memo, and ``count`` (the serving engine's counter hook) records it.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     query_labels = resolve_query_labels(graph, q_left, q_right)
@@ -680,7 +741,7 @@ def l2p_bcc(
         )
         result = _lp_search(
             csr, query_labels, q_left, q_right, fallback, None,
-            True, rho, max_iterations, inst,
+            True, rho, max_iterations, inst, count,
         )
     result.statistics.update(inst.as_dict())
     return result

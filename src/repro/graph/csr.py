@@ -62,10 +62,24 @@ no third-party dependencies anywhere.
 
 from __future__ import annotations
 
+import threading
 from array import array
-from collections import Counter, deque
+from collections import Counter, OrderedDict, deque
 from itertools import accumulate, chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.exceptions import VertexNotFoundError
 from repro.graph.bipartite import BipartiteView
@@ -73,6 +87,32 @@ from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
 
 #: Unreached/unknown distance sentinel used by the BFS kernels.
 UNREACHED = -1
+
+#: The G0 memo of a snapshot holds at most this many ids per vertex
+#: (:meth:`CSRGraph.g0`).  The perfbench graph's 25-29 distinct ``G0`` per
+#: query seed hold 18-22 ids per vertex, so its whole working set stays
+#: resident.
+G0_MEMO_ID_FACTOR = 32
+
+#: A G0 memo key: ``(k1, min id of L, k2, min id of R, b)``.
+G0Key = Tuple[int, int, int, int, int]
+
+
+class G0(NamedTuple):
+    """One ``G0`` of Algorithm 2 over a snapshot's ids, shared read-only.
+
+    ``left`` / ``right`` are the connected cores L and R, ``chi`` the
+    butterfly degree of every id of ``L ∪ R``, ``deg`` its intra-label
+    degree (Algorithm 4's counters; a query mutates a ``copy()``), and
+    ``valid`` whether ``G0`` passed Def. 4's leader-pair and connectivity
+    checks.
+    """
+
+    left: FrozenSet[int]
+    right: FrozenSet[int]
+    chi: Mapping[int, int]
+    deg: Mapping[int, int]
+    valid: bool
 
 
 def _is_identity(order: List[Vertex]) -> bool:
@@ -320,11 +360,19 @@ class CSRGraph(_FlatAdjacency):
     Construction is via :meth:`freeze`; the inverse bridge is :meth:`thaw`.
     ``labels`` holds one label id per vertex id.  The snapshot lazily caches
     derived read-only structures (degree list, adjacency slices, coreness,
-    the same-label / cross-label split and the label-group coreness) so
-    repeated kernel calls amortize their construction.
+    the same-label / cross-label split, the label-group coreness and a
+    bounded memo of Algorithm 2's ``G0``) so repeated kernel calls amortize
+    their construction.
+
+    Locking: ``_g0_lock`` is a leaf guarding ``_g0_memo`` and ``_g0_ids``;
+    ``_g0_fill_lock`` serializes ``G0`` builds, so a lookup never waits
+    behind a fill.
     """
 
-    __slots__ = ("labels", "_coreness", "_label_split", "_group_coreness")
+    __slots__ = (
+        "labels", "_coreness", "_label_split", "_group_coreness",
+        "_g0_memo", "_g0_ids", "_g0_lock", "_g0_fill_lock",
+    )
 
     def __init__(
         self,
@@ -338,6 +386,10 @@ class CSRGraph(_FlatAdjacency):
         self._coreness: Optional[List[int]] = None
         self._label_split: Optional[Tuple[List[List[int]], List[List[int]]]] = None
         self._group_coreness: Optional[List[int]] = None
+        self._g0_memo: "OrderedDict[G0Key, G0]" = OrderedDict()
+        self._g0_ids = 0
+        self._g0_lock = threading.Lock()
+        self._g0_fill_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # freeze / thaw bridge
@@ -513,6 +565,46 @@ class CSRGraph(_FlatAdjacency):
     def has_group_coreness(self) -> bool:
         """Whether :meth:`group_coreness` is already cached (or was attached)."""
         return self._group_coreness is not None
+
+    def g0(self, key: G0Key, build: Callable[[], G0]) -> Tuple[G0, bool]:
+        """Return the memoized ``G0`` under ``key``, and whether it was a hit.
+
+        ``G0`` depends on a query only through ``(k1, L, k2, R)``, and the
+        connected cores at one k level are disjoint, so ``(k1, min id of L,
+        k2, min id of R, b)`` names it exactly.  ``build`` runs once per key,
+        double-checked under the fill lock, however many threads miss it at
+        once.  The memo keeps at most :data:`G0_MEMO_ID_FACTOR` ``* |V|`` ids
+        of ``L ∪ R``, evicting the least recently used entries; it lives and
+        dies with this snapshot.
+        """
+        entry = self._g0_lookup(key)
+        if entry is not None:
+            return entry, True
+        with self._g0_fill_lock:
+            entry = self._g0_lookup(key)
+            if entry is not None:
+                return entry, True
+            entry = build()
+            bound = G0_MEMO_ID_FACTOR * self.num_vertices()
+            with self._g0_lock:
+                self._g0_memo[key] = entry
+                self._g0_ids += len(entry.left) + len(entry.right)
+                while self._g0_ids > bound:
+                    _, old = self._g0_memo.popitem(last=False)
+                    self._g0_ids -= len(old.left) + len(old.right)
+        return entry, False
+
+    def _g0_lookup(self, key: G0Key) -> Optional[G0]:
+        with self._g0_lock:
+            entry = self._g0_memo.get(key)
+            if entry is not None:
+                self._g0_memo.move_to_end(key)
+            return entry
+
+    def g0_entries(self) -> Dict[G0Key, G0]:
+        """A copy of the ``G0`` memo, least recently used first."""
+        with self._g0_lock:
+            return dict(self._g0_memo)
 
     def label_of_id(self, vid: int) -> Label:
         """Return the label object of id ``vid``."""

@@ -61,6 +61,8 @@ EXPORTED_COUNTERS = frozenset(
         "process_batches",
         "process_tasks",
         "process_fallbacks",
+        "g0_memo_hits",
+        "g0_memo_misses",
         # ShardedBCCEngine router (repro/serving/sharded.py)
         "partitions",
         "cross_shard_queries",

@@ -83,6 +83,9 @@ _SHUTDOWN_JOIN_SECONDS = 5.0
 #: thaw of the shared graph) before declaring the start failed.
 _READY_TIMEOUT_SECONDS = 120.0
 
+#: Worker-engine counters the pool also sums over its workers' lifetimes.
+WORKER_ENGINE_TOTALS = ("g0_memo_hits", "g0_memo_misses")
+
 #: Pool-level counter names, in reporting order.
 POOL_COUNTER_NAMES = (
     "batches",
@@ -93,6 +96,7 @@ POOL_COUNTER_NAMES = (
     "respawns",
     "deadline_kills",
     "stale_results",
+    *WORKER_ENGINE_TOTALS,
 )
 
 
@@ -363,6 +367,18 @@ class ProcessWorkerPool:
         with self._counters_lock:
             worker.counters[name] += 1
 
+    def _take_engine_counters(self, worker: _Worker, counters: Dict[str, int]) -> None:
+        """Keep a reply's engine counters; add their growth to the pool totals.
+
+        A respawned worker starts from an empty block, so the totals keep
+        what its predecessor counted.
+        """
+        with self._counters_lock:
+            for name in WORKER_ENGINE_TOTALS:
+                grown = counters.get(name, 0) - worker.engine_counters.get(name, 0)
+                self._counters[name] += grown
+            worker.engine_counters = dict(counters)
+
     def counters_snapshot(self) -> Dict[str, int]:
         with self._counters_lock:
             return dict(self._counters)
@@ -612,8 +628,7 @@ class ProcessWorkerPool:
                 entry.span.attach_remote(reply.get("spans"))
                 entry.span.finish()
                 if isinstance(reply.get("counters"), dict):
-                    with self._counters_lock:
-                        worker.engine_counters = dict(reply["counters"])
+                    self._take_engine_counters(worker, reply["counters"])
                 if reply.get("ok"):
                     remaining -= 1
                     results[entry.spec.index] = decode_response(reply["response"])

@@ -1,4 +1,4 @@
-"""BCC006 fixtures: manifest anchoring, the four bump shapes, noqa."""
+"""BCC006 fixtures: manifest anchoring, the five bump shapes, noqa."""
 
 from conftest import rules_of
 
@@ -84,6 +84,21 @@ def test_gateway_count_receiver_is_scoped(lint):
     )
     assert rules_of(report) == ["BCC006"]
     assert report.findings[0].line == 10
+
+
+def test_count_hook_call_fires(lint):
+    report = lint(
+        {
+            "repro/obs/metrics.py": MANIFEST,
+            "repro/core/bumps.py": '''
+            def helper(count):
+                count("searches")
+                count("mystery", 2)
+            ''',
+        }
+    )
+    assert rules_of(report) == ["BCC006"]
+    assert report.findings[0].line == 4
 
 
 def test_counters_subscript_augassign_fires(lint):

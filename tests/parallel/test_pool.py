@@ -241,6 +241,8 @@ def test_stats_shape_and_piggybacked_engine_counters(pair_graph):
             "respawns",
             "deadline_kills",
             "stale_results",
+            "g0_memo_hits",
+            "g0_memo_misses",
         }
         assert stats["counters"]["batches"] == 1
         assert stats["counters"]["completed"] == 1

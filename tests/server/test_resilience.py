@@ -220,6 +220,17 @@ class TestRunWithDeadline:
         assert elapsed < 5.0  # gave up, did not sit out the 30s
         assert excinfo.value.deadline_ms == pytest.approx(50.0)
 
+    def test_late_answer_is_a_deadline_error(self):
+        # The worker can finish inside Thread.start()'s hand-off, before
+        # the caller even waits: the clock, not the wait, decides.
+        readings = iter([0.0, 2.0])
+        with pytest.raises(DeadlineExceededError):
+            run_with_deadline(lambda: "late", 1.0, clock=lambda: next(readings))
+
+    def test_answer_within_budget_by_the_clock_returns(self):
+        readings = iter([0.0, 0.5])
+        assert run_with_deadline(lambda: "ok", 1.0, clock=lambda: next(readings)) == "ok"
+
     def test_worker_exceptions_reraise_in_caller(self):
         def boom():
             raise KeyError("inner")
