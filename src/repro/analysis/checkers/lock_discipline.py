@@ -55,6 +55,11 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
             "_engine": "_lock",
         },
     },
+    "bc_index.py": {
+        "BCIndex": {
+            "_chi": "_chi_lock",
+        },
+    },
     "csr.py": {
         "CSRGraph": {
             "_g0_memo": "_g0_lock",

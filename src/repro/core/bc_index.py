@@ -13,17 +13,35 @@ The BCindex stores, for every vertex:
   has quadratically many pairs of which a query touches only one.
 
 Both quantities are accessible in O(1) after construction, as the paper
-requires for the weighted shortest-path computation.
+requires for the weighted shortest-path computation; :meth:`BCIndex.id_tables`
+serves them as per-id lists over a frozen snapshot's ids.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+import threading
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.butterfly import butterfly_degrees
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.bipartite import extract_label_bipartite
+from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import LabeledGraph, Label, Vertex
+
+
+class PairChi(NamedTuple):
+    """One label pair's butterfly degrees, filled once as a unit (``by_id``
+    is positional on the snapshot ``csr``)."""
+
+    by_vertex: Dict[Vertex, int]
+    max_chi: int
+    csr: CSRGraph
+    by_id: List[int]
+
+    @classmethod
+    def laid_out(cls, by_vertex: Dict[Vertex, int], max_chi: int, csr: CSRGraph) -> "PairChi":
+        """The entry with ``by_id`` laid out over the ids of ``csr``."""
+        return cls(by_vertex, max_chi, csr, [by_vertex.get(v, 0) for v in csr.interner.vertices()])
 
 
 class BCIndex:
@@ -39,14 +57,18 @@ class BCIndex:
     build:
         When True (default) the coreness component is built immediately;
         otherwise call :meth:`build`.
+
+    Locking: ``_chi_lock`` guards ``_chi`` and is held across a pair's
+    fill, so concurrent first queries on one label pair count it once.
     """
 
     def __init__(self, graph: LabeledGraph, build: bool = True) -> None:
         self._graph = graph
-        self._coreness: Optional[Dict[Vertex, int]] = None
+        #: The snapshot :meth:`build` read; δ is its ``group_coreness()``.
+        self._csr: Optional[CSRGraph] = None
         self._max_coreness: int = 0
-        self._butterfly_cache: Dict[Tuple[str, str], Dict[Vertex, int]] = {}
-        self._max_butterfly_cache: Dict[Tuple[str, str], int] = {}
+        self._chi: Dict[Tuple[str, str], PairChi] = {}
+        self._chi_lock = threading.Lock()
         if build:
             self.build()
 
@@ -56,30 +78,31 @@ class BCIndex:
     def build(self) -> None:
         """Build the coreness component of the index (label-group coreness).
 
-        Reads the frozen snapshot's per-id label-group coreness
+        Adopts the frozen snapshot's per-id label-group coreness
         (:meth:`repro.graph.csr.CSRGraph.group_coreness`) — the same array
         a prepared engine's searches use, so nothing is peeled twice.
         """
         csr = self._graph.freeze()
-        coreness = csr.group_coreness()
-        self._coreness = dict(zip(csr.interner.vertices(), coreness))
-        self._max_coreness = max(coreness, default=0)
+        self._max_coreness = max(csr.group_coreness(), default=0)
+        self._csr = csr
 
     def is_built(self) -> bool:
         """Return ``True`` once :meth:`build` has run."""
-        return self._coreness is not None
+        return self._csr is not None
 
-    def _require_built(self) -> None:
-        if self._coreness is None:
+    def _require_built(self) -> CSRGraph:
+        if self._csr is None:
             raise IndexNotBuiltError("call BCIndex.build() before querying the index")
+        return self._csr
 
     # ------------------------------------------------------------------
     # coreness component
     # ------------------------------------------------------------------
     def coreness(self, vertex: Vertex) -> int:
         """Return the label-group coreness δ(v) of ``vertex``."""
-        self._require_built()
-        return self._coreness.get(vertex, 0)  # type: ignore[union-attr]
+        csr = self._require_built()
+        vid = csr.try_id_of(vertex)
+        return 0 if vid is None else csr.group_coreness()[vid]
 
     def max_coreness(self) -> int:
         """Return δ_max, the maximum label-group coreness over all vertices."""
@@ -88,8 +111,8 @@ class BCIndex:
 
     def coreness_map(self) -> Dict[Vertex, int]:
         """Return a copy of the full coreness mapping."""
-        self._require_built()
-        return dict(self._coreness)  # type: ignore[arg-type]
+        csr = self._require_built()
+        return dict(zip(csr.interner.vertices(), csr.group_coreness()))
 
     # ------------------------------------------------------------------
     # butterfly component (lazy per label pair)
@@ -98,41 +121,65 @@ class BCIndex:
         a, b = str(left_label), str(right_label)
         return (a, b) if a <= b else (b, a)
 
+    def _pair(self, left_label: Label, right_label: Label) -> PairChi:
+        """The pair's χ entry, counted on first use (once, under the lock)."""
+        key = self._pair_key(left_label, right_label)
+        with self._chi_lock:
+            entry = self._chi.get(key)
+            if entry is None:
+                entry = self._chi[key] = self._count_pair(left_label, right_label)
+        return entry
+
+    def _count_pair(self, left_label: Label, right_label: Label) -> PairChi:
+        """Algorithm 3 over the pair's bipartite graph (the fill of :meth:`_pair`)."""
+        bipartite = extract_label_bipartite(self._graph, left_label, right_label)
+        degrees = butterfly_degrees(bipartite)
+        return PairChi.laid_out(degrees, max(degrees.values(), default=0), self._graph.freeze())
+
     def butterfly_degrees_for(
         self, left_label: Label, right_label: Label
     ) -> Dict[Vertex, int]:
         """Return χ(v) for every vertex across the given label pair (cached)."""
-        key = self._pair_key(left_label, right_label)
-        if key not in self._butterfly_cache:
-            bipartite = extract_label_bipartite(self._graph, left_label, right_label)
-            degrees = butterfly_degrees(bipartite)
-            self._butterfly_cache[key] = degrees
-            self._max_butterfly_cache[key] = max(degrees.values()) if degrees else 0
-        return self._butterfly_cache[key]
+        return self._pair(left_label, right_label).by_vertex
 
     def butterfly_degree(
         self, vertex: Vertex, left_label: Label, right_label: Label
     ) -> int:
         """Return χ(vertex) across the given label pair (0 if not involved)."""
-        return self.butterfly_degrees_for(left_label, right_label).get(vertex, 0)
+        return self._pair(left_label, right_label).by_vertex.get(vertex, 0)
 
     def max_butterfly_degree(self, left_label: Label, right_label: Label) -> int:
         """Return χ_max over the bipartite graph of the given label pair."""
-        self.butterfly_degrees_for(left_label, right_label)
-        return self._max_butterfly_cache[self._pair_key(left_label, right_label)]
+        return self._pair(left_label, right_label).max_chi
+
+    def id_tables(
+        self, csr: CSRGraph, left_label: Label, right_label: Label
+    ) -> Tuple[Sequence[int], int, Sequence[int], int]:
+        """Def. 6's inputs over the ids of ``csr``: ``(δ, δ_max, χ, χ_max)``.
+
+        Per-id lists are served as built on their own snapshot, else rebuilt
+        from the vertex-keyed values.
+        """
+        built = self._require_built()
+        pair = self._pair(left_label, right_label)
+        vertices = csr.interner.vertices()
+        delta = csr.group_coreness() if csr is built else list(map(self.coreness, vertices))
+        chi = pair.by_id if csr is pair.csr else [pair.by_vertex.get(v, 0) for v in vertices]
+        return delta, self._max_coreness, chi, pair.max_chi
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def cached_label_pairs(self) -> Tuple[Tuple[str, str], ...]:
         """Return the label pairs whose butterfly degrees have been computed."""
-        return tuple(sorted(self._butterfly_cache))
+        with self._chi_lock:
+            return tuple(sorted(self._chi))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         built = "built" if self.is_built() else "not built"
         return (
             f"BCIndex({built}, |V|={self._graph.num_vertices()}, "
-            f"cached_pairs={len(self._butterfly_cache)})"
+            f"cached_pairs={len(self.cached_label_pairs())})"
         )
 
 

@@ -38,7 +38,6 @@ from repro.core.path_weight import PathWeightConfig, butterfly_core_shortest_pat
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import REASON_QUERY_DISCONNECTED, EmptyCommunityError
 from repro.graph.labeled_graph import LabeledGraph, Vertex
-from repro.graph.traversal import shortest_path
 
 
 DEFAULT_CANDIDATE_SIZE = 400
@@ -186,8 +185,6 @@ def run_l2p_bcc(
     seed_path = butterfly_core_shortest_path(
         graph, q_left, q_right, index, left_label, right_label, config=path_config
     )
-    if seed_path is None:
-        seed_path = shortest_path(graph, q_left, q_right)
     if seed_path is None:
         raise EmptyCommunityError(
             f"query vertices {q_left!r} and {q_right!r} are not connected",

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.bcc_model import BCCParameters
 from repro.core.butterfly import butterfly_degrees, max_butterfly_degree_per_side
 from repro.core.kcore import core_decomposition, k_core_containing
 from repro.core.maintenance import maintain_label_core
@@ -338,13 +337,4 @@ def run_mbcc(
         iterations=iterations,
         interaction_edges=interaction,
         statistics=inst.as_dict(),
-    )
-
-
-def bcc_parameters_from_mbcc(
-    resolved: Dict[Label, int], left_label: Label, right_label: Label, b: int
-) -> BCCParameters:
-    """Helper converting per-label parameters into a two-label BCCParameters."""
-    return BCCParameters(
-        k1=resolved.get(left_label, 0), k2=resolved.get(right_label, 0), b=b
     )

@@ -17,21 +17,23 @@ well-connected liaison vertices.
 
 The weight is *not* edge-additive (the two penalty terms depend on the
 minimum over the whole path), so Dijkstra on edges does not apply directly.
-:func:`butterfly_core_shortest_path` runs an exact label-correcting search
-over states ``(vertex, min_coreness_so_far, min_butterfly_so_far)`` with
-dominance pruning; the number of distinct (coreness, butterfly) minima per
-vertex is small in practice, and a configurable cap bounds the worst case
-(when the cap trips, the result degrades gracefully to the best path found).
+:func:`butterfly_core_shortest_path` runs an exact label-setting search over
+``(vertex, hops, min δ, min χ)`` states with dominance pruning, on the ids of
+the graph's frozen snapshot.  A* pruning (Hart, Nilsson & Raphael, 1968) skips
+a state whose best completion — BFS hops to the target, minima capped by the
+target's δ and χ, scored by the search's own ``weight()`` so no tie is pruned —
+outweighs a target state already pushed.  A cap on states per vertex and on
+heap pops bounds the worst case (a tripped cap yields a hop-shortest path).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bc_index import BCIndex
+from repro.graph.csr import UNREACHED, csr_bfs_distances
 from repro.graph.labeled_graph import LabeledGraph, Label, Vertex
 
 
@@ -66,11 +68,7 @@ def path_weight(
     hops = len(path) - 1
     min_core = min(index.coreness(v) for v in path)
     min_chi = min(index.butterfly_degree(v, left_label, right_label) for v in path)
-    return (
-        hops
-        + config.gamma1 * (delta_max - min_core)
-        + config.gamma2 * (chi_max - min_chi)
-    )
+    return hops + config.gamma1 * (delta_max - min_core) + config.gamma2 * (chi_max - min_chi)
 
 
 def butterfly_core_shortest_path(
@@ -89,7 +87,8 @@ def butterfly_core_shortest_path(
     Parameters
     ----------
     graph:
-        The graph to search (typically the full input graph).
+        The graph to search (typically the full input graph); the search runs
+        on its frozen snapshot (:meth:`LabeledGraph.freeze`).
     source, target:
         Endpoints; ``None`` is returned when they are disconnected.
     index:
@@ -100,108 +99,82 @@ def butterfly_core_shortest_path(
         Penalty weights γ1 and γ2.
     max_labels_per_vertex:
         Dominance-pruning cap: at most this many non-dominated states are kept
-        per vertex.  With the cap exceeded the search stays correct as a
-        heuristic (it returns the best completed path) but may no longer be
-        exact; the default is ample for the candidate sizes used in the
-        evaluation.
+        per vertex.  Past it the search is a heuristic that may no longer be
+        exact; the default is ample for the graphs used in the evaluation.
     max_expansions:
         Hard cap on the number of heap pops; when reached the search falls
-        back to the plain hop-count shortest path so that the caller always
-        gets *some* connecting path when one exists.
+        back to a hop-shortest path so that the caller always gets *some*
+        connecting path when one exists.
     """
-    from repro.graph.traversal import shortest_path as plain_shortest_path
-
     if source not in graph or target not in graph:
         return None
-    delta_max = index.max_coreness()
-    chi_max = index.max_butterfly_degree(left_label, right_label)
-
-    def chi(v: Vertex) -> int:
-        return index.butterfly_degree(v, left_label, right_label)
+    csr = graph.freeze()
+    delta, delta_max, chi, chi_max = index.id_tables(csr, left_label, right_label)
+    s, t = csr.id_of(source), csr.id_of(target)
+    to_target = csr_bfs_distances(csr, t)
+    if to_target[s] == UNREACHED:
+        return None
+    slices = csr.adjacency_slices()
+    delta_t, chi_t = delta[t], chi[t]
 
     def weight(hops: int, min_core: int, min_chi: int) -> float:
-        return (
-            hops
-            + config.gamma1 * (delta_max - min_core)
-            + config.gamma2 * (chi_max - min_chi)
-        )
+        return hops + config.gamma1 * (delta_max - min_core) + config.gamma2 * (chi_max - min_chi)
 
-    counter = itertools.count()
-    initial_core = index.coreness(source)
-    initial_chi = chi(source)
-    heap: List[Tuple[float, int, Vertex, int, int, Tuple[Vertex, ...]]] = [
-        (
-            weight(0, initial_core, initial_chi),
-            next(counter),
-            source,
-            initial_core,
-            initial_chi,
-            (source,),
-        )
-    ]
-    # Non-dominated (hops, min_core, min_chi) label sets per vertex.
-    labels: Dict[Vertex, List[Tuple[int, int, int]]] = {}
-    best_path: Optional[List[Vertex]] = None
-    best_weight = float("inf")
-
-    def dominated(vertex: Vertex, hops: int, min_core: int, min_chi: int) -> bool:
-        for other_hops, other_core, other_chi in labels.get(vertex, []):
-            if (
-                other_hops <= hops
-                and other_core >= min_core
-                and other_chi >= min_chi
-            ):
-                return True
-        return False
-
-    expansions = 0
-    while heap:
-        expansions += 1
-        if expansions > max_expansions:
-            # Give up on exactness: return what we have, or the hop-shortest path.
-            return best_path if best_path is not None else plain_shortest_path(
-                graph, source, target
-            )
-        current_weight, _, vertex, min_core, min_chi, path = heapq.heappop(heap)
-        if current_weight >= best_weight:
-            # Weights are monotone along a path, so nothing better remains.
+    # Heap entries are (weight, state, vertex, hops, min δ, min χ); a state is
+    # its push order (the tie-break) and indexes its (vertex, parent) trail.
+    heap = [(weight(0, delta[s], chi[s]), 0, s, 0, delta[s], chi[s])]
+    trail: List[Tuple[int, int]] = [(s, -1)]
+    # Non-dominated (hops, min δ, min χ) labels per expanded vertex.
+    labels: Dict[int, List[Tuple[int, int, int]]] = {}
+    # The least weight of a target state pushed so far.
+    best_target = float("inf")
+    for _ in range(max_expansions):
+        if not heap:
             break
-        if vertex == target:
-            best_weight = current_weight
-            best_path = list(path)
-            break
-        hops = len(path) - 1
-        if dominated(vertex, hops, min_core, min_chi):
+        _, state, u, hops, min_core, min_chi = heapq.heappop(heap)
+        if u == t:
+            path = []
+            while state >= 0:
+                u, state = trail[state]
+                path.append(csr.vertex_of(u))
+            path.reverse()
+            return path
+        if _dominated(labels.get(u), hops, min_core, min_chi):
             continue
-        entry = labels.setdefault(vertex, [])
+        entry = labels.setdefault(u, [])
         if len(entry) >= max_labels_per_vertex:
             continue
         entry.append((hops, min_core, min_chi))
-        for neighbor in graph.neighbors(vertex):
-            if neighbor in path:
+        hops += 1
+        for w in slices[u]:
+            # A vertex already on this state's path is dominated by its own
+            # earlier label there, so simple paths need no separate check.
+            new_core = min(min_core, delta[w])
+            new_chi = min(min_chi, chi[w])
+            if _dominated(labels.get(w), hops, new_core, new_chi):
                 continue
-            new_core = min(min_core, index.coreness(neighbor))
-            new_chi = min(min_chi, chi(neighbor))
-            new_hops = hops + 1
-            if dominated(neighbor, new_hops, new_core, new_chi):
+            bound = weight(hops + to_target[w], min(new_core, delta_t), min(new_chi, chi_t))
+            if bound > best_target:  # no completion through w can win
                 continue
-            new_weight = weight(new_hops, new_core, new_chi)
-            if new_weight >= best_weight:
-                continue
-            heapq.heappush(
-                heap,
-                (
-                    new_weight,
-                    next(counter),
-                    neighbor,
-                    new_core,
-                    new_chi,
-                    path + (neighbor,),
-                ),
-            )
-    if best_path is not None:
-        return best_path
-    # The state space was exhausted (or capped) without completing a path;
-    # fall back to the plain hop-count shortest path, which is ``None`` only
-    # when the endpoints are genuinely disconnected.
-    return plain_shortest_path(graph, source, target)
+            new_weight = weight(hops, new_core, new_chi)
+            if w == t:
+                best_target = new_weight
+            heapq.heappush(heap, (new_weight, len(trail), w, hops, new_core, new_chi))
+            trail.append((w, state))
+    # A cap tripped (or every state was capped away): fall back to a
+    # hop-shortest path, descending the BFS distances to the target.
+    u, path = s, [source]
+    while u != t:
+        u = next(w for w in slices[u] if to_target[w] == to_target[u] - 1)
+        path.append(csr.vertex_of(u))
+    return path
+
+
+def _dominated(
+    entry: Optional[Sequence[Tuple[int, int, int]]], hops: int, core: int, chi: int
+) -> bool:
+    """Whether a label in ``entry`` has no more hops and no smaller minima."""
+    return entry is not None and any(
+        other_hops <= hops and other_core >= core and other_chi >= chi
+        for other_hops, other_core, other_chi in entry
+    )

@@ -73,7 +73,6 @@ from repro.graph.csr import (
     csr_butterfly_degrees,
 )
 from repro.graph.labeled_graph import LabeledGraph, Vertex
-from repro.graph.traversal import shortest_path
 
 #: Per-side coreness lists: the engine-wide label-group coreness, or the
 #: coreness inside an L2P candidate's label groups.
@@ -684,7 +683,8 @@ def l2p_bcc(
 ) -> BCCResult:
     """Algorithm 8 on the pipeline; same contract as ``run_l2p_bcc``.
 
-    The Def. 6 path search still runs on the graph and ``index``; the
+    The Def. 6 path search runs on the ids of ``graph.freeze()`` (this
+    ``csr``) and returns ``None`` only for a disconnected pair; the
     candidate ``G_t`` is an id set, its line-4 k defaults are a peel over
     the candidate's ids, and the line-5 refinement (and the global
     fallback) is :func:`_lp_search`.  Only the global fallback reads the
@@ -695,8 +695,6 @@ def l2p_bcc(
     seed_path = butterfly_core_shortest_path(
         graph, q_left, q_right, index, *query_labels, config=path_config
     )
-    if seed_path is None:
-        seed_path = shortest_path(graph, q_left, q_right)
     if seed_path is None:
         raise EmptyCommunityError(
             f"query vertices {q_left!r} and {q_right!r} are not connected",

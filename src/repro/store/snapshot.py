@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.config import SearchConfig
 from repro.api.engine import BCCEngine
-from repro.core.bc_index import BCIndex
+from repro.core.bc_index import BCIndex, PairChi
 from repro.exceptions import SnapshotMismatchError, StoreError
 from repro.graph.csr import CSRGraph, VertexInterner
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
@@ -454,40 +454,28 @@ class Snapshot:
 
 
 class StoredBCIndex(BCIndex):
-    """A :class:`BCIndex` whose build step replays a snapshot.
+    """A :class:`BCIndex` that replays a snapshot.
 
-    ``build()`` materializes the label-group coreness from the mapped
-    ``group_coreness`` segment (a zip at C speed) instead of running one
-    core decomposition per label, and :meth:`butterfly_degrees_for` fills
-    the per-pair cache from the persisted tables when present — falling
-    back to the normal lazy computation for pairs the snapshot does not
-    carry, so a ``butterfly_pairs="none"`` snapshot still serves every
-    method correctly.
+    The graph's frozen snapshot is the mapped CSR (:func:`attach_engine`
+    installs it), so ``build()`` reads the label-group coreness from the
+    ``group_coreness`` segment instead of running one core decomposition
+    per label, and a label pair's χ entry is filled from the persisted
+    tables when present — falling back to the normal lazy computation for
+    pairs the snapshot does not carry, so a ``butterfly_pairs="none"``
+    snapshot still serves every method correctly.
     """
 
     def __init__(self, graph: LabeledGraph, snapshot: Snapshot) -> None:
         super().__init__(graph, build=False)
         self._snapshot = snapshot
 
-    def build(self) -> None:
-        stored = self._snapshot.segment("group_coreness")
-        self._coreness = dict(zip(self._snapshot.vertices(), stored))
-        self._max_coreness = max(stored, default=0)
-
-    def butterfly_degrees_for(
-        self, left_label: Label, right_label: Label
-    ) -> Dict[Vertex, int]:
-        key = self._pair_key(left_label, right_label)
-        if key not in self._butterfly_cache:
-            table = self._snapshot.butterfly_table(key)
-            if table is not None:
-                ids, chi, max_chi = table
-                vertex_of = self._snapshot.vertices().__getitem__
-                self._butterfly_cache[key] = {
-                    vertex_of(vid): value for vid, value in zip(ids, chi)
-                }
-                self._max_butterfly_cache[key] = max_chi
-        return super().butterfly_degrees_for(left_label, right_label)
+    def _count_pair(self, left_label: Label, right_label: Label) -> PairChi:
+        table = self._snapshot.butterfly_table(self._pair_key(left_label, right_label))
+        if table is None:
+            return super()._count_pair(left_label, right_label)
+        ids, chi, max_chi = table
+        csr = self._snapshot.as_csr_graph()
+        return PairChi.laid_out(dict(zip(map(csr.vertex_of, ids), chi)), max_chi, csr)
 
 
 def attach_engine(

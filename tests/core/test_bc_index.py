@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
+import repro.core.bc_index as bc_index_module
 from repro.core.bc_index import BCIndex, build_bc_index
 from repro.core.butterfly import butterfly_degrees
 from repro.core.kcore import core_decomposition
+from repro.core.path_weight import butterfly_core_shortest_path
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.bipartite import extract_label_bipartite
-from repro.graph.generators import paper_example_graph
+from repro.graph.generators import paper_example_graph, random_labeled_graph
 
 
 class TestCorenessComponent:
@@ -87,3 +93,85 @@ class TestButterflyComponent:
     def test_build_bc_index_helper(self):
         index = build_bc_index(paper_example_graph())
         assert index.is_built()
+
+
+class TestIdTables:
+    def test_build_snapshot_lists_are_served_as_built(self):
+        g = paper_example_graph()
+        index = BCIndex(g)
+        csr = g.freeze()
+        delta, delta_max, chi, chi_max = index.id_tables(csr, "SE", "UI")
+        assert delta is csr.group_coreness()
+        assert chi is index.id_tables(csr, "UI", "SE")[2]
+        assert delta_max == index.max_coreness()
+        assert chi_max == index.max_butterfly_degree("SE", "UI")
+        for vid, vertex in enumerate(csr.interner.vertices()):
+            assert delta[vid] == index.coreness(vertex)
+            assert chi[vid] == index.butterfly_degree(vertex, "SE", "UI")
+
+    def test_newer_snapshot_is_not_read_by_position(self):
+        g = paper_example_graph()
+        index = BCIndex(g)
+        index.butterfly_degrees_for("SE", "UI")
+        g.remove_vertex(next(iter(g.vertices())))  # shifts every later id
+        csr = g.freeze()
+        delta, _, chi, _ = index.id_tables(csr, "SE", "UI")
+        assert len(delta) == len(chi) == csr.num_vertices()
+        for vid, vertex in enumerate(csr.interner.vertices()):
+            assert delta[vid] == index.coreness(vertex)
+            assert chi[vid] == index.butterfly_degree(vertex, "SE", "UI")
+
+    def test_requires_a_built_index(self):
+        g = paper_example_graph()
+        with pytest.raises(IndexNotBuiltError):
+            BCIndex(g, build=False).id_tables(g.freeze(), "SE", "UI")
+
+
+@pytest.mark.concurrency
+def test_concurrent_first_queries_count_each_pair_once(monkeypatch):
+    """Eight cold-index Def. 6 searches on two label pairs at once: none
+    raises, and each pair's χ is counted exactly once."""
+    g = random_labeled_graph(48, 0.2, ["A", "B", "C"], seed=3)
+    first = {label: min(g.vertices_with_label(label)) for label in "ABC"}
+    queries = [(first["A"], first["B"]), (first["C"], first["A"])]
+    counted = []
+    real_extract = bc_index_module.extract_label_bipartite
+
+    def counting_extract(graph, left_label, right_label):
+        counted.append(frozenset((left_label, right_label)))
+        return real_extract(graph, left_label, right_label)
+
+    monkeypatch.setattr(bc_index_module, "extract_label_bipartite", counting_extract)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            index = BCIndex(g)
+            counted.clear()
+            errors = []
+            start = threading.Barrier(8, timeout=30)
+
+            def search(source, target):
+                try:
+                    start.wait()
+                    butterfly_core_shortest_path(
+                        g, source, target, index, g.label(source), g.label(target)
+                    )
+                except Exception as exc:  # reported by the asserts below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=search, args=queries[i % 2]) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert Counter(counted) == {
+                frozenset(("A", "B")): 1,
+                frozenset(("A", "C")): 1,
+            }
+    finally:
+        sys.setswitchinterval(interval)

@@ -35,7 +35,9 @@ for u, v in sorted(graph.edges()):
 engine = BCCEngine(relabeled, SearchConfig(b=1, max_iterations=60))
 rows = []
 for ql, qr in pairs:
-    for method, bulk in (("lp-bcc", True), ("online-bcc", True), ("online-bcc", False)):
+    for method, bulk in (
+        ("lp-bcc", True), ("online-bcc", True), ("online-bcc", False), ("l2p-bcc", True)
+    ):
         config = SearchConfig(b=1, max_iterations=60, bulk_deletion=bulk)
         response = engine.search(
             Query(method, (f"v{ql}", f"v{qr}")), config=config, use_cache=False
@@ -72,7 +74,7 @@ def _serve(hash_seed: int) -> list:
 
 def test_string_id_answers_agree_across_hash_seeds():
     first, second = _serve(1), _serve(2)
-    assert len(first) == len(second) == 30
+    assert len(first) == len(second) == 40
     assert any(row[2] == "ok" for row in first)
     for a, b in zip(first, second):
         assert a == b

@@ -1,6 +1,16 @@
-"""Unit tests for the butterfly-core path weight (Def. 6) and its search."""
+"""Unit tests for the butterfly-core path weight (Def. 6) and its search.
+
+The served search runs on CSR ids with a completion bound; the object-graph
+search it replaced lives on here as :func:`reference_shortest_path`, and the
+parity tests below require the two to return the same path.
+"""
 
 from __future__ import annotations
+
+import heapq
+import itertools
+import random
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -10,9 +20,133 @@ from repro.core.path_weight import (
     butterfly_core_shortest_path,
     path_weight,
 )
-from repro.graph.generators import paper_example_graph
-from repro.graph.labeled_graph import LabeledGraph
+from repro.datasets import load_dataset
+from repro.eval.queries import QuerySpec, generate_query_pairs
+from repro.graph.generators import paper_example_graph, random_labeled_graph
+from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
 from repro.graph.traversal import shortest_path
+
+GAMMAS = ((0.5, 0.5), (0.3, 0.7), (0.0, 0.0), (2.0, 0.01))
+
+
+def reference_shortest_path(
+    graph: LabeledGraph,
+    source: Vertex,
+    target: Vertex,
+    index: BCIndex,
+    left_label: Label,
+    right_label: Label,
+    config: PathWeightConfig = PathWeightConfig(),
+    max_labels_per_vertex: int = 16,
+    max_expansions: int = 50000,
+) -> Optional[List[Vertex]]:
+    """The object-graph Def. 6 search, without the completion bound.
+
+    A label-correcting search over ``(vertex, min_coreness_so_far,
+    min_butterfly_so_far)`` states with dominance pruning, reading δ and χ
+    through the index's vertex-keyed lookups; it falls back to the plain
+    hop-count shortest path when a cap empties or stops it.
+    """
+    if source not in graph or target not in graph:
+        return None
+    delta_max = index.max_coreness()
+    chi_max = index.max_butterfly_degree(left_label, right_label)
+
+    def chi(v: Vertex) -> int:
+        return index.butterfly_degree(v, left_label, right_label)
+
+    def weight(hops: int, min_core: int, min_chi: int) -> float:
+        return (
+            hops
+            + config.gamma1 * (delta_max - min_core)
+            + config.gamma2 * (chi_max - min_chi)
+        )
+
+    counter = itertools.count()
+    initial_core = index.coreness(source)
+    initial_chi = chi(source)
+    heap: List[Tuple[float, int, Vertex, int, int, Tuple[Vertex, ...]]] = [
+        (
+            weight(0, initial_core, initial_chi),
+            next(counter),
+            source,
+            initial_core,
+            initial_chi,
+            (source,),
+        )
+    ]
+    # Non-dominated (hops, min_core, min_chi) label sets per vertex.
+    labels: Dict[Vertex, List[Tuple[int, int, int]]] = {}
+
+    def dominated(vertex: Vertex, hops: int, min_core: int, min_chi: int) -> bool:
+        for other_hops, other_core, other_chi in labels.get(vertex, []):
+            if (
+                other_hops <= hops
+                and other_core >= min_core
+                and other_chi >= min_chi
+            ):
+                return True
+        return False
+
+    expansions = 0
+    while heap:
+        expansions += 1
+        if expansions > max_expansions:
+            return shortest_path(graph, source, target)
+        _, _, vertex, min_core, min_chi, path = heapq.heappop(heap)
+        if vertex == target:
+            return list(path)
+        hops = len(path) - 1
+        if dominated(vertex, hops, min_core, min_chi):
+            continue
+        entry = labels.setdefault(vertex, [])
+        if len(entry) >= max_labels_per_vertex:
+            continue
+        entry.append((hops, min_core, min_chi))
+        for neighbor in graph.neighbors(vertex):
+            if neighbor in path:
+                continue
+            new_core = min(min_core, index.coreness(neighbor))
+            new_chi = min(min_chi, chi(neighbor))
+            new_hops = hops + 1
+            if dominated(neighbor, new_hops, new_core, new_chi):
+                continue
+            heapq.heappush(
+                heap,
+                (
+                    weight(new_hops, new_core, new_chi),
+                    next(counter),
+                    neighbor,
+                    new_core,
+                    new_chi,
+                    path + (neighbor,),
+                ),
+            )
+    return shortest_path(graph, source, target)
+
+
+def _relabel(graph: LabeledGraph) -> LabeledGraph:
+    """The same graph over string ids, whose repr order differs from numeric order."""
+    renamed = LabeledGraph()
+    for vertex in sorted(graph.vertices()):
+        renamed.add_vertex(f"v{vertex}", label=graph.label(vertex))
+    for u, v in sorted(graph.edges()):
+        renamed.add_edge(f"v{u}", f"v{v}")
+    return renamed
+
+
+def _queries(graph: LabeledGraph, rng: random.Random, count: int):
+    """``count`` random ``(source, target, left_label, right_label)`` rows."""
+    vertices = sorted(graph.vertices(), key=repr)
+    labels = sorted(graph.labels(), key=repr)
+    rows = []
+    for _ in range(count):
+        source, target = rng.sample(vertices, 2)
+        left, right = graph.label(source), graph.label(target)
+        if left == right:
+            right = next(label for label in labels if label != left)
+        rows.append((source, target, left, right))
+    return rows
 
 
 def diamond_graph() -> LabeledGraph:
@@ -112,6 +246,24 @@ class TestWeightedShortestPath:
         assert path is not None
         assert path[0] == "ql" and path[-1] == "qr"
 
+    @pytest.mark.parametrize("string_ids", [False, True])
+    def test_expansion_cap_returns_a_hop_shortest_path(self, string_ids):
+        g = random_labeled_graph(40, 0.12, ["A", "B"], seed=5)
+        if string_ids:
+            g = _relabel(g)
+        index = BCIndex(g)
+        for source, target, left, right in _queries(g, random.Random(5), 30):
+            path = butterfly_core_shortest_path(
+                g, source, target, index, left, right, max_expansions=1
+            )
+            hop_path = shortest_path(g, source, target)
+            if hop_path is None:
+                assert path is None
+                continue
+            assert len(path) == len(hop_path)
+            assert path[0] == source and path[-1] == target
+            assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+
     def test_on_paper_example(self):
         g = paper_example_graph()
         index = BCIndex(g)
@@ -121,3 +273,63 @@ class TestWeightedShortestPath:
         # q_l and q_r are adjacent, and both are butterfly members, so the
         # direct edge is optimal.
         assert len(path) == 2
+
+
+class TestReferenceParity:
+    """The id search returns the object reference's path, tie for tie."""
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("max_labels", [1, 2, 16])
+    def test_random_graphs(self, gamma, max_labels):
+        config = PathWeightConfig(*gamma)
+        rng = random.Random(17)
+        for seed in range(10):
+            labels = ["A", "B", "C"][: 2 + seed % 2]
+            g = random_labeled_graph(
+                rng.randint(10, 40), rng.uniform(0.08, 0.4), labels, seed=seed
+            )
+            if seed % 2:
+                g = _relabel(g)
+            index = BCIndex(g)
+            for source, target, left, right in _queries(g, rng, 8):
+                expected = reference_shortest_path(
+                    g, source, target, index, left, right, config, max_labels
+                )
+                assert butterfly_core_shortest_path(
+                    g, source, target, index, left, right, config, max_labels
+                ) == expected, (seed, source, target)
+
+    def test_baseline_graph_pairs(self):
+        bundle = load_dataset("dblp", seed=2021, communities=12, community_size=32)
+        pairs = generate_query_pairs(bundle, QuerySpec(count=120), seed=2021)
+        assert len(pairs) == 120
+        g = bundle.graph
+        index = BCIndex(g)
+        for source, target in pairs:
+            labels = (g.label(source), g.label(target))
+            assert butterfly_core_shortest_path(
+                g, source, target, index, *labels
+            ) == reference_shortest_path(g, source, target, index, *labels)
+
+    @pytest.mark.parametrize("chi_before_mutation", [False, True])
+    def test_stale_index(self, chi_before_mutation):
+        """A graph mutated after its index was built: ids shift under the
+        index's lists, which must be rebuilt from its vertex-keyed values."""
+        g = _relabel(random_labeled_graph(36, 0.15, ["A", "B"], seed=9))
+        index = BCIndex(g)
+        if chi_before_mutation:
+            index.butterfly_degrees_for("A", "B")
+        rng = random.Random(9)
+        vertices = sorted(g.vertices(), key=repr)
+        for vertex in vertices[:3]:
+            g.remove_vertex(vertex)
+        for _ in range(12):
+            u, v = rng.sample(vertices[3:], 2)
+            g.add_edge(u, v)
+        assert index.id_tables(g.freeze(), "A", "B")[0] is not g.freeze().group_coreness()
+        for gamma in GAMMAS:
+            config = PathWeightConfig(*gamma)
+            for source, target, left, right in _queries(g, rng, 20):
+                assert butterfly_core_shortest_path(
+                    g, source, target, index, left, right, config
+                ) == reference_shortest_path(g, source, target, index, left, right, config)
