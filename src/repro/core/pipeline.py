@@ -19,11 +19,10 @@ engine's frozen :class:`~repro.graph.csr.CSRGraph`:
   same-label ids whose coreness reaches k1 / k2 — ``G0`` is the subgraph
   induced by ``L ∪ R``;
 * everything else Algorithm 2 derives — ``G0``'s χ, its intra-label degree
-  counters and Def. 4's leader-pair and connectivity checks — depends on
-  the query only through ``(k1, L, k2, R)``, so it is memoized on the
-  snapshot (:meth:`~repro.graph.csr.CSRGraph.g0`) and each query copies
-  the counters it mutates.  L2P-BCC's candidate cores are per query, so its
-  candidate ``G0`` is built afresh;
+  counters and Def. 4's leader-pair and connectivity checks — reads only
+  ``L``, ``R`` and b, so it is memoized on the snapshot under ``(L, R, b)``
+  (:meth:`~repro.graph.csr.CSRGraph.g0`) and each query copies the counters
+  it mutates.  L2P-BCC's candidate ``G0`` reads the same memo;
 * a query keeps only id sets: the alive community, its two label sides,
   intra-label degree counters for the Algorithm 4 cascade, and (LP-BCC)
   per-id cross-neighbour sets for Algorithm 7 and per-id distance lists for
@@ -45,7 +44,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.bc_index import BCIndex
 from repro.core.bcc_model import BCCParameters, BCCResult, resolve_query_labels
@@ -283,7 +284,7 @@ class _Community:
         return _connected(slices, self.q_left, self.q_right, self.alive), removed
 
 
-def _build_g0(csr: CSRGraph, left: Set[int], right: Set[int], b: int) -> G0:
+def _build_g0(csr: CSRGraph, left: FrozenSet[int], right: FrozenSet[int], b: int) -> G0:
     """Algorithm 2 past the cores: χ, the degree counters and the checks.
 
     ``L`` and ``R`` are each connected, so ``G0`` connects the query pair
@@ -296,9 +297,7 @@ def _build_g0(csr: CSRGraph, left: Set[int], right: Set[int], b: int) -> G0:
     valid = _has_leader_pair(chi, left, right, b) and _connected(
         csr.adjacency_slices(), min(left), min(right), left | right
     )
-    return G0(
-        frozenset(left), frozenset(right), MappingProxyType(chi), MappingProxyType(deg), valid
-    )
+    return G0(left, right, MappingProxyType(chi), MappingProxyType(deg), valid)
 
 
 def _find_g0(
@@ -312,10 +311,10 @@ def _find_g0(
 ) -> Optional[Tuple[_Community, Mapping[int, int]]]:
     """Algorithm 2 over ids: ``G0`` as a community, plus its χ, or ``None``.
 
-    With the engine-wide coreness (``cores`` unset) ``G0`` comes from the
-    snapshot's memo, and ``count`` (the engine's counter hook) records the
-    lookup as ``g0_memo_hits`` or ``g0_memo_misses``.  The returned χ is
-    shared: read it, never write it.
+    ``cores`` cuts L and R (unset: the engine-wide coreness).  The rest of
+    ``G0`` comes from the snapshot's memo under ``(L, R, b)``, and ``count``
+    (the engine's counter hook) records the lookup as ``g0_memo_hits`` or
+    ``g0_memo_misses``.  The returned χ is shared: read it, never write it.
     """
     left_core, right_core = cores if cores is not None else (csr.group_coreness(),) * 2
     same = csr.label_split()[0]
@@ -325,15 +324,12 @@ def _find_g0(
     right = _core_component(q_right, parameters.k2, right_core, same)
     if right is None:
         return None
-    if cores is None:
-        key = (parameters.k1, min(left), parameters.k2, min(right), parameters.b)
-        g0, hit = csr.g0(key, lambda: _build_g0(csr, left, right, parameters.b))
-        if hit:
-            count("g0_memo_hits")
-        else:
-            count("g0_memo_misses")
+    key = (frozenset(left), frozenset(right), parameters.b)
+    g0, hit = csr.g0(key, lambda: _build_g0(csr, *key))
+    if hit:
+        count("g0_memo_hits")
     else:
-        g0 = _build_g0(csr, left, right, parameters.b)
+        count("g0_memo_misses")
     # Table 4 counts the Algorithm 3 runs the algorithm makes, so a memo hit
     # still records the count that built its entry.
     inst.record_butterfly_counting()
@@ -539,7 +535,7 @@ def _lp_search(
     """The LP-BCC loop over ids, for the global graph or an L2P candidate.
 
     ``cores`` carries the candidate's per-side coreness (``None``: the
-    engine-wide label-group coreness, whose ``G0`` is memoized).
+    engine-wide label-group coreness).
     """
     ql, qr = csr.id_of(q_left), csr.id_of(q_right)
     found = _find_g0(csr, ql, qr, parameters, inst, cores, count)
@@ -687,8 +683,8 @@ def l2p_bcc(
     ``csr``) and returns ``None`` only for a disconnected pair; the
     candidate ``G_t`` is an id set, its line-4 k defaults are a peel over
     the candidate's ids, and the line-5 refinement (and the global
-    fallback) is :func:`_lp_search`.  Only the global fallback reads the
-    G0 memo, and ``count`` (the serving engine's counter hook) records it.
+    fallback) is :func:`_lp_search`.  Both read the G0 memo, and ``count``
+    (the serving engine's counter hook) records each lookup.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     query_labels = resolve_query_labels(graph, q_left, q_right)
@@ -726,7 +722,7 @@ def l2p_bcc(
     try:
         result = _lp_search(
             csr, query_labels, q_left, q_right, parameters, cores,
-            True, rho, max_iterations, inst,
+            True, rho, max_iterations, inst, count,
         )
     except EmptyCommunityError:
         if len(candidate) >= graph.num_vertices():

@@ -90,12 +90,12 @@ UNREACHED = -1
 
 #: The G0 memo of a snapshot holds at most this many ids per vertex
 #: (:meth:`CSRGraph.g0`).  The perfbench graph's 25-29 distinct ``G0`` per
-#: query seed hold 18-22 ids per vertex, so its whole working set stays
-#: resident.
+#: query seed, L2P's candidates included, hold 18-22 ids per vertex, so its
+#: whole working set stays resident.
 G0_MEMO_ID_FACTOR = 32
 
-#: A G0 memo key: ``(k1, min id of L, k2, min id of R, b)``.
-G0Key = Tuple[int, int, int, int, int]
+#: A G0 memo key: ``(L, R, b)``, the cores as the entry's own frozensets.
+G0Key = Tuple[FrozenSet[int], FrozenSet[int], int]
 
 
 class G0(NamedTuple):
@@ -569,13 +569,13 @@ class CSRGraph(_FlatAdjacency):
     def g0(self, key: G0Key, build: Callable[[], G0]) -> Tuple[G0, bool]:
         """Return the memoized ``G0`` under ``key``, and whether it was a hit.
 
-        ``G0`` depends on a query only through ``(k1, L, k2, R)``, and the
-        connected cores at one k level are disjoint, so ``(k1, min id of L,
-        k2, min id of R, b)`` names it exactly.  ``build`` runs once per key,
-        double-checked under the fill lock, however many threads miss it at
-        once.  The memo keeps at most :data:`G0_MEMO_ID_FACTOR` ``* |V|`` ids
-        of ``L ∪ R``, evicting the least recently used entries; it lives and
-        dies with this snapshot.
+        Algorithm 2 past the cores reads only ``L``, ``R`` and ``b``, so the
+        key ``(L, R, b)`` names ``G0`` exactly, whichever coreness (this
+        snapshot's or an L2P candidate's) cut the cores.  ``build`` runs once
+        per key, double-checked under the fill lock, however many threads
+        miss it at once.  The memo keeps at most :data:`G0_MEMO_ID_FACTOR`
+        ``* |V|`` ids of ``L ∪ R``, evicting the least recently used entries;
+        it lives and dies with this snapshot.
         """
         entry = self._g0_lookup(key)
         if entry is not None:

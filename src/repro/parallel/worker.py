@@ -179,6 +179,8 @@ def worker_main(worker_id: int, conn, handle_text: str) -> None:
         finally:
             conn.close()
         return
+    # A sharded engine's own counters are its router's; its shards do the work.
+    counters = engine.engine_counters if handle.sharded else engine.counters_snapshot
     conn.send(json_dumps({"ready": True, "worker": worker_id}))
     while True:
         try:
@@ -212,7 +214,7 @@ def worker_main(worker_id: int, conn, handle_text: str) -> None:
                 "ok": False,
                 "error": {"kind": "internal", "message": f"unknown worker op {op!r}"},
             }
-        reply["counters"] = engine.counters_snapshot()
+        reply["counters"] = counters()
         try:
             conn.send(json_dumps(reply))
         except (BrokenPipeError, OSError):  # parent went away mid-reply

@@ -122,6 +122,9 @@ ACCESS_LOGGER = logging.getLogger("repro.server.access")
 #: POST verbs served under ``/graphs/{name}/...``.
 _POST_VERBS = ("search", "search_many", "explain")
 
+#: A served POST's answer, ``(status, JSON payload)``, written after its trace.
+_Reply = Tuple[int, object]
+
 
 class _ClientError(Exception):
     """Internal: abort request handling with a specific HTTP error."""
@@ -335,11 +338,14 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             gateway.count("requests")
             # A no-op until tracing is enabled; once on, the whole POST
             # (routing, failover, kernels, even process-pool workers) hangs
-            # its spans off this request-id-keyed trace.
+            # its spans off this request-id-keyed trace.  The trace reaches
+            # the slow log before the answer leaves, so a caller reading
+            # /debug/slow after its response finds it.
             with gateway.observability.tracer.trace(
                 self.request_id, path=self.path
             ):
-                status = self._serve_post(name, verb)
+                reply = self._serve_post(name, verb)
+            status = self._send_json(*reply)
         except _ClientError as exc:
             status = self._send_error_json(exc.status, exc.code, str(exc))
         except AllReplicasEjectedError as exc:
@@ -387,7 +393,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             )
         return name, verb
 
-    def _serve_post(self, name: str, verb: str) -> int:
+    def _serve_post(self, name: str, verb: str) -> _Reply:
         fault_plan = self.gateway.fault_plan
         if fault_plan is not None:
             fault_plan.on("gateway.request", endpoint=verb, graph=name)
@@ -416,7 +422,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 500, "internal", f"response is not wire-encodable: {exc}"
             )
 
-    def _serve_search(self, name: str, payload: Dict[str, object]) -> int:
+    def _serve_search(self, name: str, payload: Dict[str, object]) -> _Reply:
         query = decode_query(payload.get("query"))
         config = decode_config(payload.get("config"))
         use_cache = bool(payload.get("use_cache", True))
@@ -450,7 +456,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             gateway.count("degraded")
             replay = dict(stale)
             replay["degraded"] = True
-            return self._send_json(
+            return (
                 http_status_for_response(
                     str(replay.get("status", "ok")), replay.get("reason")
                 ),
@@ -461,12 +467,9 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             # Only genuinely served answers become degraded-mode material;
             # caching error rows would replay failures.
             gateway.degraded_cache_put(degraded_key, encoded)
-        return self._send_json(
-            http_status_for_response(response.status, response.reason),
-            encoded,
-        )
+        return http_status_for_response(response.status, response.reason), encoded
 
-    def _serve_search_many(self, name: str, payload: Dict[str, object]) -> int:
+    def _serve_search_many(self, name: str, payload: Dict[str, object]) -> _Reply:
         batch = decode_batch(payload)
         # The call-level override rides separately from the batch's shared
         # config ("config" inside the batch payload): in-process precedence
@@ -500,15 +503,12 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 "query-error",
                 str(exc),
             )
-        return self._send_json(
-            200,
-            {
-                "count": len(responses),
-                "responses": [self._encode_response(r) for r in responses],
-            },
-        )
+        return 200, {
+            "count": len(responses),
+            "responses": [self._encode_response(r) for r in responses],
+        }
 
-    def _serve_explain(self, name: str, payload: Dict[str, object]) -> int:
+    def _serve_explain(self, name: str, payload: Dict[str, object]) -> _Reply:
         query = decode_query(payload.get("query"))
         config = decode_config(payload.get("config"))
         engine = self.gateway.directory.get(name)
@@ -520,7 +520,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 "query-error",
                 str(exc),
             )
-        return self._send_json(200, {"explain": jsonable(report)})
+        return 200, {"explain": jsonable(report)}
 
 
 class Gateway:

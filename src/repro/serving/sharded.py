@@ -594,6 +594,13 @@ class ShardedBCCEngine:
         with self._counters_lock:
             return dict(self._counters)
 
+    def engine_counters(self) -> Dict[str, int]:
+        """The resident shards' engine counters, summed (all-zero if none)."""
+        with self._shards_lock:
+            engines = list(self._shards.values())
+        parts = [engine.counters_snapshot() for engine in engines]
+        return aggregate_counters([zero_engine_counters(), *parts])
+
     def stats(self, name: str = "sharded-engine") -> ServingStats:
         """The stats-endpoint snapshot: router + per-shard engine stats.
 

@@ -1,8 +1,9 @@
 """The per-snapshot G0 memo (:meth:`repro.graph.csr.CSRGraph.g0`).
 
-Algorithm 2's ``G0`` depends on a query only through ``(k1, L, k2, R)``, so
-the pipeline keeps it, its χ, its degree counters and its Def. 4 checks on
-the frozen snapshot.  A memo hit must change nothing a caller can see: every
+Algorithm 2's ``G0`` past the cores reads only ``(L, R, b)``, so the
+pipeline keeps it, its χ, its degree counters and its Def. 4 checks on the
+frozen snapshot under that key, for every search that cuts a ``G0`` (L2P's
+candidate included).  A memo hit must change nothing a caller can see: every
 answer, leader pair and Table-4 count equals a cold search's.  Lookups are
 counted per engine (``g0_memo_hits`` / ``g0_memo_misses``), never in a
 search's statistics.
@@ -27,8 +28,8 @@ from repro.store.snapshot import Snapshot, attach_engine, persist_engine
 
 CONFIG = SearchConfig(b=1, max_iterations=60)
 
-#: (method, config): L2P with a tiny candidate falls back to the global
-#: search, the one L2P step that reads the memo.
+#: (method, config): L2P with a tiny candidate also falls back to the
+#: global search, a second lookup.
 CASES = {
     "online": ("online-bcc", CONFIG),
     "lp": ("lp-bcc", CONFIG),
@@ -98,14 +99,13 @@ def test_cold_and_warm_memo_answer_identically(bundle, pairs, case):
     counters = engine.counters_snapshot()
     misses = len(engine.frozen_graph().g0_entries())
     assert counters["g0_memo_misses"] == misses
-    if method == "l2p-bcc":
-        # Only the global fallback looks G0 up; the second pass hits.
-        fallbacks = sum(row["statistics"].get("fallback_to_global", 0) for row in cold)
-        assert counters["g0_memo_hits"] + misses == 2 * fallbacks
-        assert (counters["g0_memo_hits"] > 0) == (case == "l2p-fallback")
-    else:
-        assert counters["g0_memo_hits"] + misses == 2 * len(pairs)
-        assert counters["g0_memo_hits"] >= len(pairs)
+    # One lookup per G0 a search cuts: L2P's candidate's, plus its global
+    # fallback's when taken.  The second pass hits every key.
+    fallbacks = sum(row["statistics"].get("fallback_to_global", 0) for row in cold)
+    lookups = len(pairs) + fallbacks
+    assert counters["g0_memo_hits"] + misses == 2 * lookups
+    assert counters["g0_memo_hits"] >= lookups
+    assert (fallbacks > 0) == (case == "l2p-fallback")
 
 
 def test_a_search_leaves_its_entry_unchanged(bundle, pairs):
@@ -124,6 +124,63 @@ def test_a_search_leaves_its_entry_unchanged(bundle, pairs):
         g0.chi[vertex] = 0  # shared read-only
     with pytest.raises(TypeError):
         g0.deg[vertex] = 0
+
+
+def _search_all(engine, method, pairs):
+    for pair in pairs:
+        engine.search(Query(method, pair), use_cache=False)
+
+
+def _lookups(engine):
+    counters = engine.counters_snapshot()
+    return counters["g0_memo_hits"], counters["g0_memo_misses"]
+
+
+def _core_sharing_k1s(graph, pairs):
+    """A pair and two explicit k1 whose searches cut the same cores."""
+    csr = BCCEngine(graph).prepare().frozen_graph()
+    for pair in pairs:
+        k1s_by_cores = {}
+        for k1 in range(1, csr.group_coreness()[csr.id_of(pair[0])] + 1):
+            engine = BCCEngine(graph.copy(), CONFIG.replace(k1=k1))
+            engine.search(Query("lp-bcc", pair), use_cache=False)
+            (key,) = engine.frozen_graph().g0_entries()
+            k1s_by_cores.setdefault(key, []).append(k1)
+            if len(k1s_by_cores[key]) == 2:
+                return pair, k1s_by_cores[key]
+    raise AssertionError("no pair cuts equal cores under two k1")
+
+
+def test_equal_cores_under_different_k1_share_one_entry(bundle, pairs):
+    graph = bundle.graph.copy()
+    pair, k1s = _core_sharing_k1s(graph, pairs)
+    engine = BCCEngine(graph.copy(), CONFIG)
+    for k1 in k1s:
+        config = CONFIG.replace(k1=k1)
+        got = engine.search(Query("lp-bcc", pair), config=config, use_cache=False)
+        assert _fields(got) == _fields(_cold(graph, "lp-bcc", pair, config))
+        assert got.result.parameters.k1 == k1
+    assert len(engine.frozen_graph().g0_entries()) == 1
+    assert _lookups(engine) == (1, 1)
+
+
+def test_an_l2p_pass_reuses_an_lp_passs_entries(bundle, pairs):
+    alone = BCCEngine(bundle.graph.copy(), CONFIG)
+    _search_all(alone, "l2p-bcc", pairs)
+    l2p_keys = set(alone.frozen_graph().g0_entries())
+
+    engine = BCCEngine(bundle.graph.copy(), CONFIG)
+    _search_all(engine, "lp-bcc", pairs)
+    lp_keys = set(engine.frozen_graph().g0_entries())
+    hits, misses = _lookups(engine)
+    _search_all(engine, "l2p-bcc", pairs)
+    more_hits, more_misses = _lookups(engine)
+
+    # Some candidate cores equal the global ones: those lookups hit.
+    assert l2p_keys & lp_keys
+    assert more_misses - misses == len(l2p_keys - lp_keys)
+    assert (more_hits - hits) + (more_misses - misses) == sum(_lookups(alone))
+    assert set(engine.frozen_graph().g0_entries()) == lp_keys | l2p_keys
 
 
 def test_a_mutation_drops_the_memo(bundle, pairs):
@@ -182,6 +239,21 @@ def test_eight_threads_on_one_cold_key_miss_once(bundle, pairs):
 
 
 @pytest.mark.concurrency
+def test_eight_threads_on_one_cold_l2p_query_miss_once(bundle, pairs):
+    # A pair whose candidate answers: one G0, no global fallback.
+    pair = next(
+        pair
+        for pair in pairs
+        if "fallback_to_global" not in _cold(bundle.graph, "l2p-bcc", pair).result.statistics
+    )
+    engine = BCCEngine(bundle.graph.copy(), CONFIG).prepare()
+    query = Query("l2p-bcc", pair)
+    responses = _race(lambda: engine.search(query, use_cache=False))
+    assert _lookups(engine) == (7, 1)
+    assert len({frozenset(r.vertices) for r in responses}) == 1
+
+
+@pytest.mark.concurrency
 def test_concurrent_misses_build_once(bundle):
     csr = bundle.graph.copy().freeze()
     entry = G0(frozenset({0}), frozenset({1}), {}, {}, True)
@@ -192,7 +264,7 @@ def test_concurrent_misses_build_once(bundle):
         time.sleep(0.05)  # hold the fill while the other threads miss
         return entry
 
-    results = _race(lambda: csr.g0((1, 0, 1, 1, 1), build))
+    results = _race(lambda: csr.g0((entry.left, entry.right, 1), build))
     assert len(builds) == 1
     assert sorted(hit for _, hit in results) == [False] + [True] * 7
     assert all(g0 is entry for g0, _ in results)
@@ -263,3 +335,22 @@ def test_a_process_batch_reports_its_workers_lookups(bundle, pairs):
     assert pool["g0_memo_hits"] >= len(pairs)
     # The parent engine looked nothing up: its workers did.
     assert engine.counters_snapshot()["g0_memo_hits"] == 0
+
+
+@pytest.mark.parallel
+def test_a_sharded_process_batch_reports_its_workers_lookups(bundle, pairs):
+    sharded = ShardedBCCEngine(bundle.graph.copy(), CONFIG)
+    queries = [Query("lp-bcc", pair) for pair in pairs] * 2
+    try:
+        rows = sharded.search_many(
+            queries, backend="process", max_workers=1, use_cache=False
+        )
+        assert [row.status for row in rows] == ["ok"] * len(queries)
+        pool = sharded.process_pool_stats()["counters"]
+    finally:
+        sharded.close_process_pool()
+    # A sharded worker reports its shards' lookups, not its router's.
+    assert pool["g0_memo_hits"] + pool["g0_memo_misses"] == len(queries)
+    assert pool["g0_memo_hits"] >= len(pairs)
+    # The parent's shards looked nothing up: the workers' did.
+    assert sharded.stats().counters["g0_memo_hits"] == 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -217,6 +218,33 @@ class TestSlowQueryCapture:
         assert deadline_span["meta"]["budget_ms"] == pytest.approx(1.0)
         # The span that consumed the budget is still open in the document.
         assert unfinished, "no span marked unfinished in the retained trace"
+
+    @pytest.mark.parametrize("deadline_ms", [None, 1.0])
+    def test_a_trace_reaches_the_slow_log_before_its_response(
+        self, slow_gateway, monkeypatch, deadline_ms
+    ):
+        # Hold the trace's hand-off to the slow log: the answer (the 504
+        # too) must wait for it instead of racing it to the caller.
+        tracer = slow_gateway.observability.tracer
+        tracer.enable()
+        slow_gateway.observability.slow_log.set_threshold_ms(0.0)
+        finished = tracer._finished
+
+        def late_finish(trace):
+            time.sleep(0.2)
+            finished(trace)
+
+        monkeypatch.setattr(tracer, "_finished", late_finish)
+        client = GatewayClient(slow_gateway.url, timeout_seconds=10.0)
+        pair = next(iter(slow_gateway.directory.get("slow").graph.cross_edges()))
+        query = Query("online-bcc", pair)
+        config = SearchConfig(deadline_ms=deadline_ms)
+        if deadline_ms is None:
+            client.search("slow", query, config=config)
+        else:
+            with pytest.raises(DeadlineExceededError):
+                client.search("slow", query, config=config)
+        assert len(slow_gateway.observability.slow_log.snapshot()) == 1
 
 
 # ----------------------------------------------------------------------
