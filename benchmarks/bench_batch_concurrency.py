@@ -54,8 +54,8 @@ from repro.eval.queries import QuerySpec, generate_query_pairs  # noqa: E402
 
 RESULTS_PATH = REPO_ROOT / "benchmarks" / "results" / "BENCH_batch.json"
 
-#: The largest (densest) Table-3 synthetic network, at the same full scale
-#: as benchmarks/bench_backend_speed.py; --smoke shrinks it.
+#: The largest (densest) Table-3 synthetic network at full scale; --smoke
+#: shrinks it.
 LARGEST = "orkut"
 FULL_SCALE = {"communities": 8, "community_size": 128}
 SMOKE_SCALE = {"communities": 4, "community_size": 20}

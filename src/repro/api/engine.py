@@ -5,7 +5,7 @@ queries through the method registry.  Unlike the legacy one-shot functions it
 *prepares once and serves many*:
 
 * :meth:`prepare` freezes the graph's CSR snapshot (version-cached, so every
-  fast-path kernel on the unmutated graph reuses it) and fills the caches
+  CSR kernel on the unmutated graph reuses it) and fills the caches
   the BCC searches of :mod:`repro.core.pipeline` read from it — the
   label-group coreness and the same-label / cross-label adjacency per id
   (:meth:`frozen_graph`);

@@ -13,7 +13,6 @@ from repro.core.butterfly import (
     brute_force_butterfly_degrees,
     butterfly_degree_of,
     butterfly_degrees,
-    butterfly_degrees_priority,
     enumerate_butterflies,
     max_butterfly_degree_per_side,
     total_butterflies,
@@ -77,7 +76,6 @@ __all__ = [
     "butterfly_core_shortest_path",
     "butterfly_degree_of",
     "butterfly_degrees",
-    "butterfly_degrees_priority",
     "core_decomposition",
     "cross_group_connected",
     "decompose_community",

@@ -6,25 +6,19 @@ butterfly degrees to certify cross-group interaction (Def. 4, condition 4).
 
 This module implements:
 
-* :func:`butterfly_degrees` — Algorithm 3: per-vertex butterfly degrees via
-  wedge counting with a hash map (``χ(v) = Σ_w C(|N(v) ∩ N(w)|, 2)`` over
-  2-hop neighbours ``w``);
-* :func:`butterfly_degree_of` — the same count restricted to one vertex;
+* :func:`butterfly_degrees` — Algorithm 3: per-vertex butterfly degrees,
+  counted with the vertex-priority strategy of Wang et al. [41] over the
+  view's flat-array snapshot (:func:`repro.graph.csr.csr_butterfly_degrees`);
+* :func:`butterfly_degree_of` — the per-vertex wedge count of Algorithm 3
+  (``χ(v) = Σ_w C(|N(v) ∩ N(w)|, 2)`` over 2-hop neighbours ``w``) for one
+  vertex;
 * :func:`total_butterflies` — the global butterfly count of a bipartite graph
   (each butterfly touches four vertices, so it equals ``Σ_v χ(v) / 4``);
-* :func:`butterfly_degrees_priority` — the vertex-priority optimisation of
-  Wang et al. [41]: wedges are enumerated from the endpoint with the lower
-  (degree, id) priority so each wedge is charged once, halving the work while
-  producing identical counts;
 * :func:`max_butterfly_degree_per_side` — the ``max_l`` / ``max_r`` values
   Algorithm 2 checks against ``b``;
 * :func:`brute_force_butterfly_degrees` — an O(n⁴) reference used by tests.
 
-All functions accept a :class:`~repro.graph.bipartite.BipartiteView`.  The
-counting entry points additionally accept ``backend="auto" | "object" |
-"csr"``; the CSR fast path (:mod:`repro.graph.csr`) produces identical
-counts over interned integer ids and is chosen automatically for large
-views.
+All functions accept a :class:`~repro.graph.bipartite.BipartiteView`.
 """
 
 from __future__ import annotations
@@ -36,30 +30,10 @@ from repro.graph.bipartite import BipartiteView
 from repro.graph.csr import CSRBipartiteView, csr_butterfly_degrees
 from repro.graph.labeled_graph import Vertex
 
-#: Cross-edge count above which ``backend="auto"`` freezes the view and
-#: counts over flat arrays (below it the freeze overhead dominates).
-CSR_BUTTERFLY_MIN_EDGES = 128
-
 
 def _choose2(n: int) -> int:
     """Return ``n`` choose 2."""
     return n * (n - 1) // 2
-
-
-def _resolve_backend(bipartite: BipartiteView, backend: str) -> str:
-    """Map ``auto`` to ``csr``/``object`` by bipartite size."""
-    if backend != "auto":
-        if backend not in ("csr", "object"):
-            raise ValueError(f"unknown backend {backend!r}")
-        return backend
-    return "csr" if bipartite.num_edges() >= CSR_BUTTERFLY_MIN_EDGES else "object"
-
-
-def _csr_butterfly_degrees(bipartite: BipartiteView) -> Dict[Vertex, int]:
-    """Freeze the view and count butterflies over flat integer arrays."""
-    frozen = CSRBipartiteView.freeze(bipartite)
-    vertex_of = frozen.vertex_of
-    return {vertex_of(i): c for i, c in enumerate(csr_butterfly_degrees(frozen))}
 
 
 def butterfly_degree_of(bipartite: BipartiteView, vertex: Vertex) -> int:
@@ -80,75 +54,16 @@ def butterfly_degree_of(bipartite: BipartiteView, vertex: Vertex) -> int:
     return sum(_choose2(count) for count in paths.values())
 
 
-def butterfly_degrees(bipartite: BipartiteView, backend: str = "auto") -> Dict[Vertex, int]:
+def butterfly_degrees(bipartite: BipartiteView) -> Dict[Vertex, int]:
     """Return χ(v) for every vertex of the bipartite graph (Algorithm 3).
 
-    ``backend`` selects the counting substrate: ``"object"`` runs the plain
-    per-vertex wedge count over the adjacency sets, ``"csr"`` freezes the
-    view and runs the flat-array vertex-priority kernel
-    (:func:`repro.graph.csr.csr_butterfly_degrees`), and ``"auto"`` picks by
-    size.  Every backend returns exactly the same counts.
+    Freezes the view and counts over flat integer arrays with
+    :func:`repro.graph.csr.csr_butterfly_degrees`; the counts equal
+    :func:`butterfly_degree_of` per vertex.
     """
-    if _resolve_backend(bipartite, backend) == "csr":
-        return _csr_butterfly_degrees(bipartite)
-    degrees: Dict[Vertex, int] = {}
-    for vertex in bipartite.vertices():
-        degrees[vertex] = butterfly_degree_of(bipartite, vertex)
-    return degrees
-
-
-def butterfly_degrees_priority(
-    bipartite: BipartiteView, backend: str = "auto"
-) -> Dict[Vertex, int]:
-    """Return χ(v) for every vertex using single-enumeration wedge processing.
-
-    Inspired by the vertex-priority counting of Wang et al. [41]: instead of
-    re-counting butterflies once per member vertex (as the plain Algorithm 3
-    does), every butterfly is enumerated exactly once — from the
-    lower-priority endpoint of its *left* same-side pair — and its
-    contribution is credited to all four member vertices in one pass.  The
-    enumeration side is chosen as the side with the smaller total degree so
-    that the wedge work is minimised.  The output matches
-    :func:`butterfly_degrees` exactly; only the work performed differs.  The
-    ``"csr"``/``"auto"`` backends route to the flat-array implementation of
-    the same strategy.
-    """
-    if _resolve_backend(bipartite, backend) == "csr":
-        return _csr_butterfly_degrees(bipartite)
-    degrees: Dict[Vertex, int] = {v: 0 for v in bipartite.vertices()}
-
-    left = bipartite.left()
-    right = bipartite.right()
-    left_work = sum(bipartite.degree(v) for v in left)
-    right_work = sum(bipartite.degree(v) for v in right)
-    enumeration_side = left if left_work <= right_work else right
-
-    def priority(v: Vertex) -> Tuple[int, str]:
-        return (bipartite.degree(v), repr(v))
-
-    for v in enumeration_side:
-        pv = priority(v)
-        # Wedge counts to same-side 2-hop neighbours with higher priority, and
-        # the multiset of middle vertices for each such endpoint pair.
-        paths: Dict[Vertex, int] = {}
-        middles: Dict[Vertex, list] = {}
-        for u in bipartite.neighbors(v):
-            for w in bipartite.neighbors(u):
-                if w == v or priority(w) <= pv:
-                    continue
-                paths[w] = paths.get(w, 0) + 1
-                middles.setdefault(w, []).append(u)
-        for w, count in paths.items():
-            butterflies = _choose2(count)
-            if butterflies == 0:
-                continue
-            degrees[v] += butterflies
-            degrees[w] += butterflies
-            # Each middle vertex u participates in (count - 1) butterflies of
-            # this (v, w) pair: one for each choice of the other middle vertex.
-            for u in middles[w]:
-                degrees[u] += count - 1
-    return degrees
+    frozen = CSRBipartiteView.freeze(bipartite)
+    vertex_of = frozen.vertex_of
+    return {vertex_of(i): c for i, c in enumerate(csr_butterfly_degrees(frozen))}
 
 
 def total_butterflies(bipartite: BipartiteView) -> int:
@@ -228,7 +143,7 @@ def brute_force_butterfly_degrees(bipartite: BipartiteView) -> Dict[Vertex, int]
     """Reference implementation: count butterflies by explicit enumeration.
 
     Only suitable for small graphs; used by the test suite to validate
-    :func:`butterfly_degrees` and :func:`butterfly_degrees_priority`.
+    :func:`butterfly_degrees`.
     """
     degrees: Dict[Vertex, int] = {v: 0 for v in bipartite.vertices()}
     for l1, l2, r1, r2 in enumerate_butterflies(bipartite):

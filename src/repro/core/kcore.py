@@ -4,7 +4,8 @@ The BCC model requires each labeled group of the community to be a k-core
 (Def. 1 and Def. 4, conditions 2-3).  This module provides:
 
 * :func:`core_decomposition` — the Batagelj–Zaversnik bucket algorithm [3]
-  computing the coreness of every vertex in ``O(|E|)`` time;
+  computing the coreness of every vertex in ``O(|E|)`` time, run once per
+  graph version on the graph's CSR snapshot (:meth:`LabeledGraph.freeze`);
 * :func:`k_core` / :func:`k_core_containing` — peeling-based extraction of the
   maximal subgraph of minimum degree ``k`` (optionally the connected
   component containing a query vertex);
@@ -20,123 +21,48 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import compress
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from repro.exceptions import VertexNotFoundError
 from repro.graph.csr import csr_k_core_alive
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import connected_component
 
-#: Edge count above which ``backend="auto"`` prefers the CSR fast path for a
-#: full core decomposition (below it the freeze overhead dominates).
-CSR_CORE_MIN_EDGES = 2048
 
-#: Edge count above which ``backend="auto"`` freezes for a single k-core
-#: peel even without a warm snapshot.
-CSR_PEEL_MIN_EDGES = 8192
-
-
-def _resolve_backend(graph: LabeledGraph, backend: str, min_edges: int) -> str:
-    """Map ``auto`` to ``csr``/``object`` by snapshot warmth and graph size."""
-    if backend != "auto":
-        if backend not in ("csr", "object"):
-            raise ValueError(f"unknown backend {backend!r}")
-        return backend
-    if graph.has_frozen() or graph.num_edges() >= min_edges:
-        return "csr"
-    return "object"
-
-
-def core_decomposition(graph: LabeledGraph, backend: str = "auto") -> Dict[Vertex, int]:
+def core_decomposition(graph: LabeledGraph) -> Dict[Vertex, int]:
     """Return the coreness of every vertex (Batagelj–Zaversnik).
 
     The coreness δ(v) is the largest ``k`` such that ``v`` belongs to a
-    k-core of the graph.  Runs in time linear in the number of edges using
-    bucket sorting by degree.  ``backend`` selects the adjacency substrate
-    (``"auto"``, ``"object"``, ``"csr"``); every backend returns identical
-    values — the CSR path peels flat integer arrays and serves repeated
-    calls on an unmutated graph from the snapshot's coreness cache.
+    k-core of the graph.  The bucket peel runs over the flat arrays of the
+    graph's CSR snapshot, which caches the result, so repeated calls on an
+    unmutated graph peel once.
     """
-    if _resolve_backend(graph, backend, CSR_CORE_MIN_EDGES) == "csr":
-        frozen = graph.freeze()
-        vertex_of = frozen.vertex_of
-        return {vertex_of(i): c for i, c in enumerate(frozen.coreness())}
-    degrees: Dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices()}
-    if not degrees:
-        return {}
-    max_degree = max(degrees.values())
-    buckets: List[List[Vertex]] = [[] for _ in range(max_degree + 1)]
-    for vertex, degree in degrees.items():
-        buckets[degree].append(vertex)
-    coreness: Dict[Vertex, int] = {}
-    current_degrees = dict(degrees)
-    removed: Set[Vertex] = set()
-    k = 0
-    for d in range(max_degree + 1):
-        queue = buckets[d]
-        index = 0
-        while index < len(queue):
-            vertex = queue[index]
-            index += 1
-            if vertex in removed or current_degrees[vertex] > d:
-                # Stale bucket entry: the vertex has been re-bucketed at a
-                # lower degree or already peeled.
-                continue
-            k = max(k, current_degrees[vertex])
-            coreness[vertex] = k
-            removed.add(vertex)
-            for neighbor in graph.neighbors(vertex):
-                if neighbor in removed:
-                    continue
-                if current_degrees[neighbor] > current_degrees[vertex]:
-                    current_degrees[neighbor] -= 1
-                    new_degree = current_degrees[neighbor]
-                    if new_degree <= d:
-                        queue.append(neighbor)
-                    else:
-                        buckets[new_degree].append(neighbor)
-    return coreness
+    frozen = graph.freeze()
+    vertex_of = frozen.vertex_of
+    return {vertex_of(i): c for i, c in enumerate(frozen.coreness())}
 
 
-def k_core_vertices(graph: LabeledGraph, k: int, backend: str = "auto") -> Set[Vertex]:
+def k_core_vertices(graph: LabeledGraph, k: int) -> Set[Vertex]:
     """Return the vertex set of the maximal k-core of ``graph`` (may be empty).
 
-    With the CSR backend the peel runs over flat arrays; when the snapshot's
-    coreness cache is warm (e.g. during a k-sweep) extraction degrades to an
-    O(|V|) coreness filter.  All backends return the identical (unique)
-    maximal k-core.
+    The peel runs over the flat arrays of the graph's CSR snapshot; when the
+    snapshot's coreness is already cached (e.g. during a k-sweep) extraction
+    is an O(|V|) coreness filter.
     """
     if k <= 0:
         return set(graph.vertices())
-    if _resolve_backend(graph, backend, CSR_PEEL_MIN_EDGES) == "csr":
-        frozen = graph.freeze()
-        alive = csr_k_core_alive(frozen, k)
-        return set(compress(frozen.interner.vertices(), alive))
-    degrees: Dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices()}
-    alive: Set[Vertex] = set(degrees)
-    queue = deque(v for v, d in degrees.items() if d < k)
-    queued = set(queue)
-    while queue:
-        vertex = queue.popleft()
-        if vertex not in alive:
-            continue
-        alive.discard(vertex)
-        for neighbor in graph.neighbors(vertex):
-            if neighbor in alive:
-                degrees[neighbor] -= 1
-                if degrees[neighbor] < k and neighbor not in queued:
-                    queue.append(neighbor)
-                    queued.add(neighbor)
-    return alive
+    frozen = graph.freeze()
+    alive = csr_k_core_alive(frozen, k)
+    return set(compress(frozen.interner.vertices(), alive))
 
 
-def k_core(graph: LabeledGraph, k: int, backend: str = "auto") -> LabeledGraph:
+def k_core(graph: LabeledGraph, k: int) -> LabeledGraph:
     """Return the maximal k-core of ``graph`` as a new labeled graph."""
-    return graph.induced_subgraph(k_core_vertices(graph, k, backend=backend))
+    return graph.induced_subgraph(k_core_vertices(graph, k))
 
 
 def k_core_containing(
-    graph: LabeledGraph, k: int, vertex: Vertex, backend: str = "auto"
+    graph: LabeledGraph, k: int, vertex: Vertex
 ) -> Optional[LabeledGraph]:
     """Return the connected k-core containing ``vertex``, or ``None``.
 
@@ -145,7 +71,7 @@ def k_core_containing(
     """
     if vertex not in graph:
         raise VertexNotFoundError(vertex)
-    survivors = k_core_vertices(graph, k, backend=backend)
+    survivors = k_core_vertices(graph, k)
     if vertex not in survivors:
         return None
     core = graph.induced_subgraph(survivors)
@@ -213,9 +139,9 @@ def max_core_value_containing(graph: LabeledGraph, vertex: Vertex) -> int:
     return core_decomposition(graph).get(vertex, 0)
 
 
-def degeneracy(graph: LabeledGraph, backend: str = "auto") -> int:
+def degeneracy(graph: LabeledGraph) -> int:
     """Return the degeneracy (maximum coreness) of the graph."""
-    coreness = core_decomposition(graph, backend=backend)
+    coreness = core_decomposition(graph)
     return max(coreness.values()) if coreness else 0
 
 

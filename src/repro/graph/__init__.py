@@ -1,4 +1,4 @@
-"""Graph substrate: labeled graphs, traversal, bipartite views, CSR backend, I/O, generators."""
+"""Graph substrate: labeled graphs, traversal, bipartite views, CSR kernels, I/O, generators."""
 
 from repro.graph.bipartite import BipartiteView, extract_bipartite, extract_label_bipartite
 from repro.graph.csr import (
@@ -7,7 +7,6 @@ from repro.graph.csr import (
     VertexInterner,
     csr_bfs_distances,
     csr_butterfly_degrees,
-    csr_core_decomposition,
     csr_k_core_alive,
 )
 from repro.graph.labeled_graph import LabeledGraph, union_graphs
@@ -41,7 +40,6 @@ __all__ = [
     "compute_statistics",
     "csr_bfs_distances",
     "csr_butterfly_degrees",
-    "csr_core_decomposition",
     "csr_k_core_alive",
     "connected_component",
     "connected_components",

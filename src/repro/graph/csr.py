@@ -1,4 +1,4 @@
-"""CSR fast-path backend: integer-interned flat-array graph kernels.
+"""CSR graph snapshots and the flat-array graph kernels.
 
 The object substrate (:class:`~repro.graph.labeled_graph.LabeledGraph` and
 :class:`~repro.graph.bipartite.BipartiteView`) keys adjacency by arbitrary
@@ -8,10 +8,10 @@ pipeline — butterfly-degree counting (Algorithm 3), k-core peeling
 (Algorithms 2/4) and the per-iteration BFS query-distance sweep
 (Algorithms 1/5) — spend almost all of their time in exactly those visits,
 so this module provides a compact CSR (compressed sparse row) mirror of both
-graph classes and ports the three kernels to operate natively on integer ids
-over flat arrays.  This is the same layout that makes the
-Batagelj–Zaversnik peeling [3] and the vertex-priority butterfly counting of
-Wang et al. [41] fast in practice.
+graph classes and runs the three kernels natively on integer ids over flat
+arrays.  This is the same layout that makes the Batagelj–Zaversnik peeling
+[3] and the vertex-priority butterfly counting of Wang et al. [41] fast in
+practice.
 
 The interning / freeze–thaw contract
 ------------------------------------
@@ -19,9 +19,7 @@ The interning / freeze–thaw contract
 * A :class:`VertexInterner` maps vertices and labels to dense integer ids
   (``0 .. n-1``) and back.  Ids are assigned in **iteration order** of the
   frozen graph, so a CSR snapshot visits vertices in exactly the same order
-  as the object graph it mirrors — sweep results that depend on iteration
-  order (e.g. tie-breaking among farthest vertices) are therefore identical
-  between the two backends.
+  as the object graph it mirrors.
 * :meth:`CSRGraph.freeze` takes an immutable snapshot of a
   :class:`LabeledGraph` (:meth:`LabeledGraph.freeze` caches one per graph
   version, so repeated kernel calls on an unmutated graph pay the freeze
@@ -35,21 +33,19 @@ The interning / freeze–thaw contract
   searches — Algorithm 4 cascades included — on id sets over one frozen
   snapshot and materializes only the answer (:meth:`CSRGraph.induced`).
 
-When each backend is used
--------------------------
+One kernel per algorithm
+------------------------
 
-The object-facing kernels (:func:`repro.core.butterfly.butterfly_degrees`,
-:func:`repro.core.kcore.core_decomposition`,
-:func:`repro.graph.traversal.bfs_distances`, ...) accept
-``backend="auto" | "object" | "csr"``.  ``auto`` runs the CSR kernel once
-the graph is large enough for the freeze cost to be recovered (BFS: once a
-current snapshot is cached) and falls back to the object code on small
-inputs; both paths return exactly the same values (the randomized parity
-suite in ``tests/core/test_backend_parity.py`` enforces this).  Every BCC
-search the engine serves runs on the CSR pipeline, whatever the input
-size.  :class:`repro.core.query_distance.QueryDistanceTracker` (Algorithm
-5, used by mBCC and the LP-BCC reference runner) always freezes its
-community once and sweeps the flat arrays with a ``dead`` mask.
+Each kernel has one implementation, here.  The object-facing entry points
+are thin: :func:`repro.core.butterfly.butterfly_degrees` freezes the view
+and runs :func:`csr_butterfly_degrees`;
+:func:`repro.core.kcore.core_decomposition` and
+:func:`repro.core.kcore.k_core_vertices` read the graph snapshot's
+:meth:`CSRGraph.coreness` and :func:`csr_k_core_alive`.  Breadth-first
+search is the exception in the other direction:
+:func:`repro.graph.traversal.bfs_distances` walks the adjacency sets, so a
+depth-limited search never pays a whole-graph freeze, while callers that
+already hold ids run :func:`csr_bfs_distances`.
 
 The adjacency is built and iterated as flat plain lists — CPython re-boxes
 every ``array`` element on access while list elements are shared references,
@@ -530,7 +526,7 @@ class CSRGraph(_FlatAdjacency):
         peeling once per snapshot.
         """
         if self._coreness is None:
-            self._coreness = csr_core_decomposition(self)
+            self._coreness = core_numbers(self.adjacency_slices())
         return self._coreness
 
     def label_split(self) -> Tuple[List[List[int]], List[List[int]]]:
@@ -705,9 +701,8 @@ class CSRBipartiteView(_FlatAdjacency):
 def csr_butterfly_degrees(bip: CSRBipartiteView) -> List[int]:
     """Return χ(v) per id via single-enumeration wedge counting.
 
-    Mirrors the vertex-priority strategy of
-    :func:`repro.core.butterfly.butterfly_degrees_priority`: every butterfly
-    is enumerated exactly once — from the lower-priority endpoint of its
+    The vertex-priority strategy of Wang et al. [41]: every butterfly is
+    enumerated exactly once — from the lower-priority endpoint of its
     same-side pair on the enumeration side — and credited to all four
     members.  Because adjacency is rank-sorted (see
     :meth:`CSRBipartiteView.rank_sorted`), the higher-priority wedge
@@ -780,40 +775,6 @@ def csr_butterfly_degrees(bip: CSRBipartiteView) -> List[int]:
     return chi
 
 
-def csr_butterfly_degrees_two_sided(bip: CSRBipartiteView) -> List[int]:
-    """Return χ(v) per id by per-vertex wedge counting (plain Algorithm 3).
-
-    Enumerates every vertex's own wedges over the flat arrays; kept as a
-    second exact kernel for cross-validation of
-    :func:`csr_butterfly_degrees` and for instrumented comparisons.
-    """
-    n = bip.num_vertices()
-    chi = [0] * n
-    if n == 0:
-        return chi
-    slices = bip.adjacency_slices()
-    paths = [0] * n
-    touched: List[int] = []
-    append = touched.append
-    for v in range(n):
-        for u in slices[v]:
-            for w in slices[u]:
-                if w == v:
-                    continue
-                c = paths[w]
-                if c == 0:
-                    append(w)
-                paths[w] = c + 1
-        total = 0
-        for w in touched:
-            c = paths[w]
-            total += c * (c - 1) // 2
-            paths[w] = 0
-        touched.clear()
-        chi[v] = total
-    return chi
-
-
 def split_by_label(
     slices: Sequence[Sequence[int]], labels: Sequence[int]
 ) -> Tuple[List[List[int]], List[List[int]]]:
@@ -832,11 +793,6 @@ def split_by_label(
 # ----------------------------------------------------------------------
 # k-core kernels (Batagelj–Zaversnik [3])
 # ----------------------------------------------------------------------
-def csr_core_decomposition(graph: CSRGraph) -> List[int]:
-    """Return the coreness per id (bucket peeling over flat lists)."""
-    return core_numbers(graph.adjacency_slices())
-
-
 def core_numbers(slices: Sequence[Sequence[int]]) -> List[int]:
     """Return the coreness per id of the graph given as per-id neighbour lists.
 

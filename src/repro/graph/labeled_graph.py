@@ -317,7 +317,7 @@ class LabeledGraph:
         """Return a cached CSR snapshot of this graph (see :mod:`repro.graph.csr`).
 
         The snapshot is rebuilt lazily after any mutation (tracked through an
-        internal version counter), so repeated fast-path kernel calls on an
+        internal version counter), so repeated kernel calls on an
         unmutated graph pay the freeze cost once.
         """
         from repro.graph.csr import CSRGraph  # deferred: csr imports this module
@@ -340,8 +340,13 @@ class LabeledGraph:
         return self._version
 
     def induced_subgraph(self, vertices: Iterable[Vertex]) -> "LabeledGraph":
-        """Return the subgraph induced by ``vertices`` (labels preserved)."""
-        keep = {v for v in vertices if v in self._adj}
+        """Return the subgraph induced by ``vertices`` (labels preserved).
+
+        The subgraph iterates its vertices in the order ``vertices`` gives
+        them, so an ordered argument fixes the subgraph's iteration order
+        (and the ids of its CSR snapshot).
+        """
+        keep = dict.fromkeys(v for v in vertices if v in self._adj)
         sub = LabeledGraph()
         for v in keep:
             sub.add_vertex(v, label=self._labels[v])

@@ -24,9 +24,13 @@ def bfs_distances(
     graph: LabeledGraph,
     source: Vertex,
     max_depth: Optional[int] = None,
-    backend: str = "auto",
 ) -> Dict[Vertex, int]:
     """Return hop distances from ``source`` to every reachable vertex.
+
+    A plain breadth-first search over the adjacency sets: a depth-limited
+    search (Algorithm 6's ρ-hop leader search, query generation) touches
+    only the vertices it reaches and never freezes the graph.  Callers that
+    already hold integer ids use :func:`repro.graph.csr.csr_bfs_distances`.
 
     Parameters
     ----------
@@ -37,11 +41,6 @@ def bfs_distances(
     max_depth:
         If given, the traversal stops after this many hops; vertices farther
         away are omitted from the result.
-    backend:
-        ``"object"`` walks the adjacency sets; ``"csr"`` runs the flat-array
-        kernel on the graph's CSR snapshot; ``"auto"`` uses CSR only when a
-        current snapshot is already cached (a one-shot BFS does not recover
-        the freeze cost).  All backends return identical distances.
 
     Returns
     -------
@@ -50,15 +49,6 @@ def bfs_distances(
     """
     if source not in graph:
         raise VertexNotFoundError(source)
-    if backend not in ("auto", "object", "csr"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "csr" or (backend == "auto" and graph.has_frozen()):
-        from repro.graph.csr import csr_bfs_distances  # deferred: csr imports us
-
-        frozen = graph.freeze()
-        dist = csr_bfs_distances(frozen, frozen.id_of(source), max_depth=max_depth)
-        vertex_of = frozen.vertex_of
-        return {vertex_of(i): d for i, d in enumerate(dist) if d >= 0}
     distances: Dict[Vertex, int] = {source: 0}
     queue = deque([source])
     while queue:
@@ -118,14 +108,19 @@ def connected_component(graph: LabeledGraph, source: Vertex) -> Set[Vertex]:
 
 
 def connected_components(graph: LabeledGraph) -> List[Set[Vertex]]:
-    """Return all connected components as a list of vertex sets."""
-    remaining: Set[Vertex] = set(graph.vertices())
+    """Return all connected components as a list of vertex sets.
+
+    Components are numbered by their first vertex in ``graph.vertices()``
+    order, so the numbering depends on the graph alone, never on set
+    iteration order (which follows ``PYTHONHASHSEED`` for string vertices).
+    """
+    seen: Set[Vertex] = set()
     components: List[Set[Vertex]] = []
-    while remaining:
-        seed = next(iter(remaining))
-        component = connected_component(graph, seed)
-        components.append(component)
-        remaining -= component
+    for vertex in graph.vertices():
+        if vertex not in seen:
+            component = connected_component(graph, vertex)
+            components.append(component)
+            seen |= component
     return components
 
 

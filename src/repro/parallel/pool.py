@@ -190,9 +190,6 @@ class ProcessWorkerPool:
     sharded:
         Build worker-side :class:`ShardedBCCEngine` s, for shard-pinned
         dispatch (see :meth:`run_batch`'s per-task ``pin``).
-    snapshot_path:
-        An existing ``.bccsnap`` file: workers ``mmap`` it directly and
-        no shared-memory blocks are created.
     export:
         A ready :class:`SharedGraphExport` to serve from (shared across
         pools by :class:`~repro.server.replicas.ReplicaSet`); the pool
@@ -214,7 +211,6 @@ class ProcessWorkerPool:
         workers: int = DEFAULT_PROCESS_WORKERS,
         *,
         sharded: bool = False,
-        snapshot_path: Optional[str] = None,
         export: Optional[SharedGraphExport] = None,
         result_cache_size: int = 0,
         fault_plan: Optional[object] = None,
@@ -240,7 +236,6 @@ class ProcessWorkerPool:
                 graph,
                 encode_config(self.config),
                 sharded=sharded,
-                snapshot_path=snapshot_path,
                 result_cache_size=result_cache_size,
             )
             self._owns_export = True

@@ -53,7 +53,6 @@ class ProcessEngine:
         workers: int = DEFAULT_PROCESS_WORKERS,
         sharded: bool = False,
         export: Optional[SharedGraphExport] = None,
-        snapshot_path: Optional[str] = None,
         result_cache_size: int = 0,
         fault_plan: Optional[object] = None,
         clock=time.monotonic,
@@ -67,7 +66,6 @@ class ProcessEngine:
         self._pool_options = dict(
             sharded=sharded,
             export=export,
-            snapshot_path=snapshot_path,
             result_cache_size=result_cache_size,
             fault_plan=fault_plan,
             clock=clock,

@@ -16,9 +16,6 @@ that across the process boundary without copying the arrays per worker:
   :class:`~repro.graph.labeled_graph.LabeledGraph` whose frozen CSR
   snapshot *is* the mapped storage, via :meth:`CSRGraph.attach`.
   N workers therefore share one physical copy of the adjacency.
-* When a ``.bccsnap`` store snapshot already exists, the handle can point
-  at the file instead (``kind="snapshot"``): workers ``mmap`` it directly
-  and no shared-memory blocks are created at all.
 
 Availability is probed, not assumed: :func:`shared_memory_available`
 actually creates (and unlinks) a tiny segment, so a restricted
@@ -128,28 +125,24 @@ def _wire_scalar(value) -> bool:
 class GraphHandle:
     """A JSON-safe description a worker needs to rebuild the served graph.
 
-    ``kind="shm"`` names shared-memory segments; ``kind="snapshot"``
-    points at a ``.bccsnap`` file the worker maps directly.  ``sharded``
-    asks the worker to build a :class:`ShardedBCCEngine` over the thawed
-    graph (partitioning is deterministic in iteration order, so parent
-    and worker agree on shard ids).  ``config`` is the engine base config
+    ``segments`` names the shared-memory blocks.  ``sharded`` asks the
+    worker to build a :class:`ShardedBCCEngine` over the thawed graph
+    (partitioning is deterministic in iteration order, so parent and
+    worker agree on shard ids).  ``config`` is the engine base config
     as a wire-codec payload.
     """
 
-    kind: str  # "shm" | "snapshot"
     segments: Dict[str, Tuple[str, str, int]]  # name -> (shm name, typecode, count)
     vertices: Optional[List[object]]  # None: identity (vertex i == id i)
     num_vertices: int
     labels: List[object]
     config: Optional[Dict[str, object]]
     sharded: bool = False
-    snapshot_path: Optional[str] = None
     result_cache_size: int = 0
 
     def to_payload(self) -> Dict[str, object]:
         """The JSON document shipped to workers through the wire codec."""
         return {
-            "kind": self.kind,
             "segments": {
                 name: list(ref) for name, ref in self.segments.items()
             },
@@ -158,14 +151,12 @@ class GraphHandle:
             "labels": self.labels,
             "config": self.config,
             "sharded": self.sharded,
-            "snapshot_path": self.snapshot_path,
             "result_cache_size": self.result_cache_size,
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "GraphHandle":
         return cls(
-            kind=payload["kind"],
             segments={
                 name: tuple(ref) for name, ref in payload["segments"].items()
             },
@@ -174,7 +165,6 @@ class GraphHandle:
             labels=list(payload["labels"]),
             config=payload["config"],
             sharded=bool(payload.get("sharded", False)),
-            snapshot_path=payload.get("snapshot_path"),
             result_cache_size=int(payload.get("result_cache_size", 0)),
         )
 
@@ -223,17 +213,15 @@ def export_graph(
     config_payload: Optional[Dict[str, object]] = None,
     *,
     sharded: bool = False,
-    snapshot_path: Optional[str] = None,
     result_cache_size: int = 0,
 ) -> SharedGraphExport:
     """Export ``graph``'s frozen CSR snapshot for worker processes.
 
     Freezes the graph if needed (the caller's engine counts that freeze by
-    preparing first), then either records ``snapshot_path`` for direct
-    worker-side ``mmap`` (no blocks created) or writes each CSR segment
-    into shared memory once.  Raises :class:`ProcessBackendUnavailable`
-    when the host cannot create shared memory or the graph's vertex /
-    label objects would not survive the JSON wire codec.
+    preparing first), then writes each CSR segment into shared memory
+    once.  Raises :class:`ProcessBackendUnavailable` when the host cannot
+    create shared memory or the graph's vertex / label objects would not
+    survive the JSON wire codec.
     """
     csr = graph.freeze()
     order = csr.interner.vertices()
@@ -257,19 +245,6 @@ def export_graph(
                     "the process backend needs int/str vertices"
                 )
         vertices = list(order)
-    if snapshot_path is not None:
-        handle = GraphHandle(
-            kind="snapshot",
-            segments={},
-            vertices=vertices,
-            num_vertices=len(order),
-            labels=label_order,
-            config=config_payload,
-            sharded=sharded,
-            snapshot_path=str(snapshot_path),
-            result_cache_size=result_cache_size,
-        )
-        return SharedGraphExport(handle=handle, blocks=[])
     if not shared_memory_available():
         raise ProcessBackendUnavailable(
             "multiprocessing.shared_memory is unavailable on this host "
@@ -304,7 +279,6 @@ def export_graph(
             f"could not write CSR segments into shared memory: {exc}"
         ) from exc
     handle = GraphHandle(
-        kind="shm",
         segments=segments,
         vertices=vertices,
         num_vertices=len(order),
@@ -320,17 +294,16 @@ def export_graph(
 class WorkerAttachment:
     """A worker's view of the exported graph: served graph + mapped refs.
 
-    ``keepalive`` pins the shared-memory blocks (or the mapped snapshot)
-    and ``views`` the cast memoryviews over them, for as long as the CSR
-    storage may be read.  :meth:`release` drops the views *before* the
-    blocks — a ``SharedMemory`` cannot close its mapping while cast
-    views still export pointers into it — and never unlinks: the parent
-    owns segment lifetime.
+    ``keepalive`` pins the shared-memory blocks and ``views`` the cast
+    memoryviews over them, for as long as the CSR storage may be read.
+    :meth:`release` drops the views *before* the blocks — a
+    ``SharedMemory`` cannot close its mapping while cast views still
+    export pointers into it — and never unlinks: the parent owns segment
+    lifetime.
     """
 
     graph: LabeledGraph
     csr: CSRGraph
-    snapshot: Optional[object]
     keepalive: List[object] = field(default_factory=list)
     views: List[memoryview] = field(default_factory=list)
 
@@ -365,30 +338,22 @@ def attach_graph(handle: GraphHandle) -> WorkerAttachment:
     order: Sequence[object] = (
         range(handle.num_vertices) if handle.vertices is None else handle.vertices
     )
-    snapshot = None
     keepalive: List[object] = []
     views: Dict[str, memoryview] = {}
-    if handle.kind == "snapshot":
-        from repro.store.snapshot import Snapshot  # deferred: store imports api
-
-        snapshot = Snapshot(handle.snapshot_path)
-        csr = snapshot.as_csr_graph()
-        keepalive.append(snapshot)
-    else:
-        for name, (shm_name, typecode, count) in handle.segments.items():
-            block = _attach_block(shm_name)
-            keepalive.append(block)
-            itemsize = array(typecode).itemsize
-            views[name] = memoryview(block.buf)[: count * itemsize].cast(typecode)
-        csr = CSRGraph.attach(
-            list(order),
-            handle.labels,
-            views["offsets"],
-            views["neighbors"],
-            views["labels"],
-            coreness=views.get("coreness"),
-            group_coreness=views.get("group_coreness"),
-        )
+    for name, (shm_name, typecode, count) in handle.segments.items():
+        block = _attach_block(shm_name)
+        keepalive.append(block)
+        itemsize = array(typecode).itemsize
+        views[name] = memoryview(block.buf)[: count * itemsize].cast(typecode)
+    csr = CSRGraph.attach(
+        list(order),
+        handle.labels,
+        views["offsets"],
+        views["neighbors"],
+        views["labels"],
+        coreness=views.get("coreness"),
+        group_coreness=views.get("group_coreness"),
+    )
     graph = csr.thaw()
     # Friend access, mirroring LabeledGraph.freeze's own cache fill (and
     # Snapshot.attach_engine): the mapped CSR is the frozen snapshot.
@@ -397,7 +362,6 @@ def attach_graph(handle: GraphHandle) -> WorkerAttachment:
     return WorkerAttachment(
         graph=graph,
         csr=csr,
-        snapshot=snapshot,
         keepalive=keepalive,
         views=list(views.values()),
     )

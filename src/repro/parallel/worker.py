@@ -98,16 +98,6 @@ def _build_engine(handle: GraphHandle, attachment) -> object:
             config,
             result_cache_size=handle.result_cache_size,
         )
-    if attachment.snapshot is not None:
-        from repro.store.snapshot import StoredBCIndex  # deferred import
-
-        engine = BCCEngine(
-            attachment.graph,
-            config,
-            index=StoredBCIndex(attachment.graph, attachment.snapshot),
-            result_cache_size=handle.result_cache_size,
-        )
-        return engine.prepare()
     return BCCEngine(
         attachment.graph, config, result_cache_size=handle.result_cache_size
     ).prepare()

@@ -54,7 +54,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.api.config import SearchConfig
 from repro.api.engine import (
@@ -176,7 +176,7 @@ class ShardedBCCEngine:
             "process_fallbacks": 0,
         }
         self._latency = LatencyHistogram()
-        self._components: List[Set[Vertex]] = []
+        self._components: List[List[Vertex]] = []
         self._routing: Dict[Vertex, int] = {}
         # Insertion/access-ordered so the budget can evict least recently
         # *used* (not least recently built): every hit re-ranks its shard.
@@ -199,11 +199,17 @@ class ShardedBCCEngine:
             version = self.graph.version()
             if version == self._graph_version:
                 return
-            components = connected_components(self.graph)
+            found = connected_components(self.graph)
             routing: Dict[Vertex, int] = {}
-            for shard_id, component in enumerate(components):
+            for shard_id, component in enumerate(found):
                 for vertex in component:
                     routing[vertex] = shard_id
+            # Members in graph order, not set order: a shard subgraph's
+            # vertex order is pinned by its persisted snapshot, so it must
+            # not follow PYTHONHASHSEED.
+            components: List[List[Vertex]] = [[] for _ in found]
+            for vertex in self.graph.vertices():
+                components[routing[vertex]].append(vertex)
             with self._shards_lock:
                 self._components = components
                 self._routing = routing

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.datasets import (
@@ -14,6 +19,30 @@ from repro.datasets import (
 )
 from repro.graph.generators import paper_example_graph, paper_small_example_graph
 from repro.graph.labeled_graph import LabeledGraph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_under_hash_seed(script: str, hash_seed: int, *args: str) -> str:
+    """Run ``script`` in a fresh interpreter with ``PYTHONHASHSEED`` set to
+    ``hash_seed`` and return its stdout.
+
+    String hashes, and so the iteration order of sets of string vertices,
+    change with the hash seed; two such runs show whether a result depends
+    on that order.
+    """
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return done.stdout
 
 
 @pytest.fixture

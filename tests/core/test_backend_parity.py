@@ -1,12 +1,13 @@
-"""Randomized parity suite: CSR kernels ≡ object-graph kernels ≡ brute force.
+"""Randomized parity suite: every graph kernel ≡ an independent reference.
 
-The CSR fast path (:mod:`repro.graph.csr`) must be an exact drop-in for the
-object-graph kernels — not approximately, but value-for-value.  This suite
-drives all three butterfly/k-core/BFS kernels over 220 random graphs
-(80 bipartite + 70 labeled + 70 traversal instances, plus edge cases) and
-asserts exact equality, including the brute-force O(n⁴) butterfly reference
-on the smaller instances, disconnected graphs, and single-label graphs
-where one bipartite side is empty.
+Each kernel has one implementation (:mod:`repro.graph.csr`), so this suite
+checks it against code that shares nothing with it, value for value, over
+220 random graphs (80 bipartite + 70 labeled + 70 traversal instances,
+plus edge cases): butterfly degrees against the brute-force O(n⁴)
+enumeration and the per-vertex wedge count, coreness and k-cores against
+the small object-graph peel below, and the id-level BFS against the
+object-graph BFS.  Disconnected graphs and single-label graphs (one
+bipartite side empty) are included.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from repro.api import SearchConfig
 from repro.core.bcc_model import BCCParameters, resolve_query_labels
 from repro.core.butterfly import (
     brute_force_butterfly_degrees,
+    butterfly_degree_of,
     butterfly_degrees,
-    butterfly_degrees_priority,
     enumerate_butterflies,
     max_butterfly_degree_per_side,
 )
@@ -34,8 +35,6 @@ from repro.graph.csr import (
     CSRGraph,
     csr_bfs_distances,
     csr_butterfly_degrees,
-    csr_butterfly_degrees_two_sided,
-    csr_core_decomposition,
     csr_k_core_alive,
 )
 from repro.graph.generators import (
@@ -79,26 +78,53 @@ def _chi_dict(frozen: CSRBipartiteView, chi):
     return {frozen.vertex_of(i): c for i, c in enumerate(chi)}
 
 
+def reference_k_core(graph, k):
+    """The maximal k-core by repeated deletion of vertices of degree < k."""
+    alive = set(graph.vertices())
+    degree = {v: graph.degree(v) for v in alive}
+    stack = [v for v in alive if degree[v] < k]
+    while stack:
+        vertex = stack.pop()
+        if vertex not in alive:
+            continue
+        alive.discard(vertex)
+        for neighbor in graph.neighbors(vertex):
+            if neighbor in alive:
+                degree[neighbor] -= 1
+                if degree[neighbor] < k:
+                    stack.append(neighbor)
+    return alive
+
+
+def reference_coreness(graph):
+    """δ(v) as the largest k whose k-core (:func:`reference_k_core`) holds v."""
+    coreness = {v: 0 for v in graph.vertices()}
+    k = 1
+    while True:
+        core = reference_k_core(graph, k)
+        if not core:
+            return coreness
+        for vertex in core:
+            coreness[vertex] = k
+        k += 1
+
+
 class TestButterflyParity:
     @pytest.mark.parametrize("seed", BUTTERFLY_SEEDS)
-    def test_all_backends_agree(self, seed):
+    def test_counts_match_the_references(self, seed):
         view = _random_bipartite(seed)
-        reference = butterfly_degrees(view, backend="object")
-        assert butterfly_degrees(view, backend="csr") == reference
-        assert butterfly_degrees_priority(view, backend="object") == reference
-        assert butterfly_degrees_priority(view, backend="csr") == reference
+        reference = brute_force_butterfly_degrees(view)
+        assert {v: butterfly_degree_of(view, v) for v in view.vertices()} == reference
+        assert butterfly_degrees(view) == reference
         frozen = CSRBipartiteView.freeze(view)
         assert _chi_dict(frozen, csr_butterfly_degrees(frozen)) == reference
-        assert _chi_dict(frozen, csr_butterfly_degrees_two_sided(frozen)) == reference
-        if view.num_vertices() <= 18:
-            assert brute_force_butterfly_degrees(view) == reference
 
     def test_single_label_graph_has_empty_side(self):
         graph = random_labeled_graph(12, 0.4, ["only"], seed=5)
         view = extract_label_bipartite(graph, "only", "missing")
-        reference = butterfly_degrees(view, backend="object")
-        assert butterfly_degrees(view, backend="csr") == reference
-        assert all(chi == 0 for chi in reference.values())
+        degrees = butterfly_degrees(view)
+        assert degrees == brute_force_butterfly_degrees(view)
+        assert all(chi == 0 for chi in degrees.values())
 
     def test_enumerate_butterflies_matches_brute_force(self):
         view = _random_bipartite(3)
@@ -108,7 +134,7 @@ class TestButterflyParity:
             assert view.side(r1) == view.side(r2) == "right"
             for vertex in (l1, l2, r1, r2):
                 degrees[vertex] += 1
-        assert degrees == butterfly_degrees(view, backend="object")
+        assert degrees == {v: butterfly_degree_of(view, v) for v in view.vertices()}
 
     def test_empty_degree_map_is_authoritative(self):
         view = _random_bipartite(7)
@@ -121,30 +147,30 @@ class TestButterflyParity:
 
 class TestKCoreParity:
     @pytest.mark.parametrize("seed", KCORE_SEEDS)
-    def test_coreness_and_cores_agree(self, seed):
+    def test_coreness_and_cores_match_the_reference_peel(self, seed):
         graph = _random_graph(seed)
-        reference = core_decomposition(graph, backend="object")
-        assert core_decomposition(graph, backend="csr") == reference
+        reference = reference_coreness(graph)
         frozen = CSRGraph.freeze(graph)
         n = frozen.num_vertices()
-        assert {frozen.vertex_of(i): c for i, c in enumerate(csr_core_decomposition(frozen))} == reference
         max_k = (max(reference.values()) if reference else 0) + 2
+        # Cold: the flat-array peel, with no coreness cached.
         for k in range(0, max_k):
-            expected = k_core_vertices(graph, k, backend="object")
-            assert k_core_vertices(graph, k, backend="csr") == expected
+            expected = reference_k_core(graph, k)
+            assert k_core_vertices(graph, k) == expected
             alive = csr_k_core_alive(frozen, k)
             assert {frozen.vertex_of(i) for i in range(n) if alive[i]} == expected
-        # Warm-coreness extraction (the O(n) filter) must agree too.
-        frozen.coreness()
+        assert core_decomposition(graph) == reference
+        assert {frozen.vertex_of(i): c for i, c in enumerate(frozen.coreness())} == reference
+        # Warm: the O(n) coreness filter.
         for k in range(0, max_k):
+            expected = reference_k_core(graph, k)
+            assert k_core_vertices(graph, k) == expected
             alive = csr_k_core_alive(frozen, k)
-            assert {frozen.vertex_of(i) for i in range(n) if alive[i]} == \
-                k_core_vertices(graph, k, backend="object")
+            assert {frozen.vertex_of(i) for i in range(n) if alive[i]} == expected
 
     def test_disconnected_components(self):
         graph = planted_partition_graph([8, 8, 8], 0.8, 0.0, seed=2)[0]
-        assert core_decomposition(graph, backend="csr") == \
-            core_decomposition(graph, backend="object")
+        assert core_decomposition(graph) == reference_coreness(graph)
 
 
 class TestBFSParity:
@@ -156,11 +182,9 @@ class TestBFSParity:
             return
         rng = random.Random(seed)
         frozen = CSRGraph.freeze(graph)
-        n = frozen.num_vertices()
         source = rng.choice(vertices)
         for max_depth in (None, 0, 1, 3):
-            reference = bfs_distances(graph, source, max_depth=max_depth, backend="object")
-            assert bfs_distances(graph, source, max_depth=max_depth, backend="csr") == reference
+            reference = bfs_distances(graph, source, max_depth=max_depth)
             dist = csr_bfs_distances(frozen, frozen.id_of(source), max_depth=max_depth)
             assert {frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0} == reference
 
@@ -176,7 +200,7 @@ class TestBFSParity:
         dead = set(range(frozen.num_vertices())) - alive
         sub = graph.induced_subgraph(kept)
         for max_depth in (None, 1, 3):
-            reference = bfs_distances(sub, source, max_depth=max_depth, backend="object")
+            reference = bfs_distances(sub, source, max_depth=max_depth)
             for restriction in ({"alive": alive}, {"dead": dead}):
                 dist = csr_bfs_distances(
                     frozen, frozen.id_of(source), max_depth=max_depth, **restriction
@@ -184,18 +208,6 @@ class TestBFSParity:
                 assert {
                     frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0
                 } == reference
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_kernels_take_substrates_not_transports(backend):
-    graph = _random_graph(3, labels=("A", "B"))
-    source = next(iter(graph.vertices()))
-    with pytest.raises(ValueError):
-        butterfly_degrees(_random_bipartite(3), backend=backend)
-    with pytest.raises(ValueError):
-        core_decomposition(graph, backend=backend)
-    with pytest.raises(ValueError):
-        bfs_distances(graph, source, backend=backend)
 
 
 class TestOnlineBCCFastPathParity:

@@ -10,12 +10,8 @@ compares every response field, the leader pair and the Table-4 counts.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+from tests.conftest import run_under_hash_seed
 
 SCRIPT = r"""
 import json
@@ -58,18 +54,7 @@ print(json.dumps(rows))
 
 
 def _serve(hash_seed: int) -> list:
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = str(hash_seed)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    return json.loads(done.stdout)
+    return json.loads(run_under_hash_seed(SCRIPT, hash_seed))
 
 
 def test_string_id_answers_agree_across_hash_seeds():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datasets import load_dataset
 from repro.eval.queries import (
     QuerySpec,
     degree_rank_threshold,
@@ -90,6 +91,12 @@ class TestGenerateQueryPairs:
         a = generate_query_pairs(tiny_baidu_bundle, QuerySpec(count=4), seed=5)
         b = generate_query_pairs(tiny_baidu_bundle, QuerySpec(count=4), seed=5)
         assert a == b
+
+    def test_a_cached_snapshot_does_not_change_the_draw(self):
+        bundle = load_dataset("dblp", seed=7)
+        cold = generate_query_pairs(bundle, QuerySpec(count=6), seed=3)
+        bundle.graph.freeze()  # as a prepared engine leaves it
+        assert generate_query_pairs(bundle, QuerySpec(count=6), seed=3) == cold
 
     def test_impossible_spec_returns_fewer_pairs(self, tiny_baidu_bundle):
         pairs = generate_query_pairs(

@@ -54,6 +54,11 @@ class TestBFS:
         dist = bfs_distances(g, 0, max_depth=2)
         assert dist == {0: 0, 1: 1, 2: 2}
 
+    def test_depth_limited_search_leaves_the_graph_unfrozen(self):
+        g = path_graph(5)
+        assert bfs_distances(g, 0, max_depth=1) == {0: 0, 1: 1}
+        assert not g.has_frozen()
+
     def test_missing_source_raises(self):
         with pytest.raises(VertexNotFoundError):
             bfs_distances(path_graph(3), 99)
@@ -83,7 +88,7 @@ class TestPathsAndComponents:
         g = two_components()
         components = connected_components(g)
         assert len(components) == 2
-        assert {0, 1, 2, 3} in components and {10, 11} in components
+        assert components == [{0, 1, 2, 3}, {10, 11}]
         assert connected_component(g, 10) == {10, 11}
 
     def test_is_connected(self):

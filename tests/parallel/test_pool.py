@@ -265,23 +265,6 @@ def test_explain_round_trips_through_a_worker(pair_graph):
     assert info["resolved"].keys() == reference["resolved"].keys()
 
 
-def test_snapshot_handle_attaches_without_shm(pair_graph, tmp_path):
-    from repro.store.snapshot import persist_engine
-
-    engine = BCCEngine(pair_graph).prepare()
-    path = tmp_path / "pool.bccsnap"
-    persist_engine(engine, path)
-    pair = cross_pairs(pair_graph, 1)[0]
-    expected = engine.search(Query("online-bcc", pair))
-    with ProcessWorkerPool(
-        pair_graph, engine.config, workers=1, snapshot_path=str(path)
-    ) as pool:
-        assert pool.handle.kind == "snapshot"
-        assert not pool.handle.segments  # no shared-memory blocks at all
-        rows = pool.run_batch([(Query("online-bcc", pair), None, None)])
-    assert canonical(rows[0]) == canonical(expected)
-
-
 def test_unavailable_substrate_raises_cleanly(pair_graph, monkeypatch):
     import repro.parallel.shm as shm
 

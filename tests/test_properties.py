@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.butterfly import (
     brute_force_butterfly_degrees,
+    butterfly_degree_of,
     butterfly_degrees,
-    butterfly_degrees_priority,
     total_butterflies,
 )
 from repro.core.kcore import core_decomposition, is_k_core, k_core_vertices, maintain_k_core
@@ -104,7 +104,7 @@ def test_k_core_maintenance_matches_recomputation(graph, k, data):
 def test_butterfly_implementations_agree(view):
     reference = brute_force_butterfly_degrees(view)
     assert butterfly_degrees(view) == reference
-    assert butterfly_degrees_priority(view) == reference
+    assert {v: butterfly_degree_of(view, v) for v in view.vertices()} == reference
 
 
 @given(bipartite_views())
