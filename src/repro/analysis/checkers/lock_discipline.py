@@ -69,6 +69,7 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
     "process_engine.py": {
         "ProcessEngine": {
             "_pool": "_lock",
+            "_pool_version": "_lock",
             "_closed": "_lock",
         },
     },
@@ -85,6 +86,7 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
             "_searches": "_route_lock",
             "_failovers": "_route_lock",
             "_replica_failures": "_route_lock",
+            "_graph_version": "_members_lock",
         },
     },
     "pool.py": {

@@ -143,11 +143,6 @@ def _warn_process_fallback_once(reason: str) -> None:
     )
 
 
-def _fallback(count: Callable[..., None], reason: str) -> None:
-    count("process_fallbacks")
-    _warn_process_fallback_once(reason)
-
-
 def _error_message(exc: BaseException) -> str:
     """The exception message, unwrapping KeyError's repr-quoting."""
     # VertexNotFoundError subclasses KeyError, whose str() wraps the message
@@ -211,7 +206,6 @@ def use_process_transport(
     *,
     rows: int,
     max_workers: int,
-    instrumentation: Optional[SearchInstrumentation],
 ) -> bool:
     """Whether a ``search_many`` batch goes to the worker-process pool.
 
@@ -219,9 +213,9 @@ def use_process_transport(
     an explicit ``backend`` wins, else the call ``config``'s, else the
     engine's.  ``"process"`` always asks for the pool; ``"auto"`` asks for
     it only for a compute-bound shape — more than one row,
-    ``max_workers > 1``, no shared instrumentation and at least
-    :data:`PROCESS_AUTO_MIN_EDGES` edges.  A value outside
-    :data:`~repro.api.config.BACKENDS` raises :class:`QueryError`.
+    ``max_workers > 1`` and at least :data:`PROCESS_AUTO_MIN_EDGES`
+    edges.  A value outside :data:`~repro.api.config.BACKENDS` raises
+    :class:`QueryError`.
     """
     if backend is None:
         backend = (config if config is not None else engine.config).backend
@@ -231,7 +225,6 @@ def use_process_transport(
         backend == "auto"
         and rows > 1
         and max_workers > 1
-        and instrumentation is None
         and engine.graph.num_edges() >= PROCESS_AUTO_MIN_EDGES
     )
 
@@ -259,18 +252,16 @@ class ProcessSlot:
         batch: BatchQuery,
         *,
         count: Callable[..., None],
-        instrumentation: Optional[SearchInstrumentation],
         **batch_args,
     ) -> Optional[List[SearchResponse]]:
         """``search_many(batch, **batch_args)`` on the slot's engine, or ``None``.
 
-        ``None`` means "fall back to threads".  Both fallbacks are graceful
-        — counted in ``"process_fallbacks"`` through the calling engine's
-        ``count`` hook, warned once per process: caller-supplied
-        instrumentation, whose live counters cannot cross the process
-        boundary, and an unavailable substrate (no shared memory, a failed
-        spawn), which also empties the slot so a later batch retries.
-        Caller errors and error rows propagate from the workers unchanged.
+        ``None`` means "fall back to threads": the substrate is unavailable
+        (no shared memory, a failed spawn).  The fallback is graceful —
+        counted in ``"process_fallbacks"`` through the calling engine's
+        ``count`` hook, warned once per process — and empties the slot so
+        a later batch retries.  Caller errors and error rows propagate
+        from the workers unchanged.
         (The hook is passed per call: a slot holding its engine's bound
         method would be a reference cycle that keeps a discarded engine's
         graph alive until the cyclic collector runs.)
@@ -278,12 +269,6 @@ class ProcessSlot:
         from repro.parallel.process_engine import ProcessEngine
         from repro.parallel.shm import ProcessBackendUnavailable
 
-        if instrumentation is not None:
-            return _fallback(
-                count,
-                "caller-supplied instrumentation cannot cross the process "
-                "boundary",
-            )
         with self._lock:
             if self._engine is None:  # one worker; the batch grows the pool
                 self._engine = ProcessEngine(
@@ -294,7 +279,9 @@ class ProcessSlot:
             responses = engine.search_many(batch, **batch_args)
         except ProcessBackendUnavailable as exc:
             self.close()
-            return _fallback(count, str(exc))
+            count("process_fallbacks")
+            _warn_process_fallback_once(str(exc))
+            return None
         count("process_batches")
         count("process_tasks", len(batch.queries))
         return responses
@@ -413,7 +400,6 @@ def serve_batch(
     queries: Union[BatchQuery, Iterable[Query]],
     *,
     config: Optional[SearchConfig],
-    instrumentation: Optional[SearchInstrumentation],
     on_error: str,
     max_workers: int,
     use_cache: bool,
@@ -422,9 +408,9 @@ def serve_batch(
     """The one batch-dispatch implementation behind every ``search_many``.
 
     ``engine`` is anything with the uniform ``search(query, *, config,
-    instrumentation, use_cache)`` method — the monolithic
-    :class:`BCCEngine` and the sharded router both delegate here, so batch
-    semantics (validation, config precedence, per-query error policy,
+    use_cache)`` method — the monolithic :class:`BCCEngine`, the sharded
+    router and the replica set all delegate here, so batch semantics
+    (validation, config precedence, per-query error policy,
     position-aligned thread-pool dispatch) can never diverge between them.
     ``prepare`` optionally runs once before a non-empty batch is served.
 
@@ -453,10 +439,7 @@ def serve_batch(
             try:
                 return run_with_deadline(
                     lambda: engine.search(
-                        query,
-                        config=row_config,
-                        instrumentation=instrumentation,
-                        use_cache=use_cache,
+                        query, config=row_config, use_cache=use_cache
                     ),
                     deadline,
                     what=f"row:{query.method}",
@@ -885,7 +868,6 @@ class BCCEngine:
         query: Query,
         *,
         config: Optional[SearchConfig] = None,
-        instrumentation: Optional[SearchInstrumentation] = None,
         use_cache: bool = True,
     ) -> SearchResponse:
         """Serve one query and return a uniform :class:`SearchResponse`.
@@ -896,9 +878,9 @@ class BCCEngine:
         Repeated queries are answered from the engine's LRU result cache
         (same method, vertices, resolved config and graph version) with
         fresh timings carrying a ``cache_hit`` marker.  ``use_cache=False``
-        bypasses the cache for this call, and a caller-supplied
-        ``instrumentation`` does too — the caller wants the algorithm's
-        counters, so the algorithm actually runs.
+        bypasses the cache for this call.  A searched response carries the
+        search's own :class:`~repro.eval.instrumentation.SearchInstrumentation`
+        (the Table-4 counters); a cache hit carries ``None``.
 
         With an active trace (see :mod:`repro.obs.tracing`) the phases —
         cache lookup, CSR freeze, index build, kernel — report themselves
@@ -907,12 +889,7 @@ class BCCEngine:
         with obs_span(
             "engine.search", method=getattr(query, "method", None)
         ) as timed:
-            response = self._search_impl(
-                query,
-                config=config,
-                instrumentation=instrumentation,
-                use_cache=use_cache,
-            )
+            response = self._search_impl(query, config, use_cache)
             if timed is not None:
                 timed.annotate(
                     status=response.status,
@@ -921,12 +898,7 @@ class BCCEngine:
             return response
 
     def _search_impl(
-        self,
-        query: Query,
-        *,
-        config: Optional[SearchConfig],
-        instrumentation: Optional[SearchInstrumentation],
-        use_cache: bool,
+        self, query: Query, config: Optional[SearchConfig], use_cache: bool
     ) -> SearchResponse:
         self._check_version()
         spec = get_method(query.method)
@@ -938,7 +910,7 @@ class BCCEngine:
                 "engine.search", method=spec.name, vertices=query.vertices
             )
         cache_key: Optional[Tuple] = None
-        if use_cache and self._result_cache_size > 0 and instrumentation is None:
+        if use_cache and self._result_cache_size > 0:
             cache_key = (
                 spec.name,
                 query.vertices,
@@ -952,11 +924,7 @@ class BCCEngine:
                 self._count("searches")
                 self._count("result_cache_hits")
                 return self._replay(cached, time.perf_counter() - lookup_start)
-        inst = (
-            instrumentation
-            if instrumentation is not None
-            else SearchInstrumentation()
-        )
+        inst = SearchInstrumentation()
         self._tls.index_seconds = 0.0
         start = time.perf_counter()
         reason: Optional[str] = None
@@ -998,7 +966,6 @@ class BCCEngine:
         queries: Union[BatchQuery, Iterable[Query]],
         *,
         config: Optional[SearchConfig] = None,
-        instrumentation: Optional[SearchInstrumentation] = None,
         on_error: str = "raise",
         max_workers: int = 1,
         use_cache: bool = True,
@@ -1033,12 +1000,8 @@ class BCCEngine:
         raised after in-flight queries finish.  Note that CPython's GIL
         serializes the pure-Python kernels, so threads help when a kernel
         releases the GIL or queries hit the result cache — not for raw
-        single-core compute.
-
-        A caller-supplied ``instrumentation`` is shared by the whole batch
-        and therefore aggregates counters across every query (use
-        ``max_workers=1`` with it — the counters are not merged atomically);
-        leave it ``None`` to give each response its own per-search counters.
+        single-core compute.  Each searched row carries its own counters,
+        as a sequential :meth:`search` would.
 
         ``backend`` selects the batch *transport*: ``"thread"`` serves the
         rows in this process; ``"process"`` serves them on the engine's
@@ -1049,12 +1012,11 @@ class BCCEngine:
         ``None`` defers to the effective config's ``backend``; ``"auto"``
         picks processes only for compute-bound shapes
         (:func:`use_process_transport`); any other value raises
-        :class:`~repro.exceptions.QueryError`.  Without shared memory, or
-        with caller-supplied instrumentation, the batch falls back to
-        threads with a one-time :class:`RuntimeWarning` and a
-        ``"process_fallbacks"`` tick.  The pool starts on the first process
-        batch, grows when a later one asks for more workers, and closes on
-        graph mutation or :meth:`close_process_pool`.
+        :class:`~repro.exceptions.QueryError`.  Without shared memory the
+        batch falls back to threads with a one-time :class:`RuntimeWarning`
+        and a ``"process_fallbacks"`` tick.  The pool starts on the first
+        process batch, grows when a later one asks for more workers, and
+        closes on graph mutation or :meth:`close_process_pool`.
         """
 
         def prepare_once() -> None:
@@ -1063,12 +1025,7 @@ class BCCEngine:
 
         batch = BatchQuery.of(queries)  # both transports read the rows
         if use_process_transport(
-            self,
-            backend,
-            config,
-            rows=len(batch.queries),
-            max_workers=max_workers,
-            instrumentation=instrumentation,
+            self, backend, config, rows=len(batch.queries), max_workers=max_workers
         ):
             # The version lock empties the process slot on a mutation, so
             # prepare() runs before the slot is read, never inside it.
@@ -1076,7 +1033,6 @@ class BCCEngine:
             responses = self._process.serve(
                 batch,
                 count=self._count,
-                instrumentation=instrumentation,
                 config=config,
                 on_error=on_error,
                 max_workers=max_workers,
@@ -1089,7 +1045,6 @@ class BCCEngine:
             self,
             batch,
             config=config,
-            instrumentation=instrumentation,
             on_error=on_error,
             max_workers=max_workers,
             use_cache=use_cache,

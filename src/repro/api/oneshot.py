@@ -31,6 +31,10 @@ def one_shot_search(
 ):
     """Serve one query on a throwaway engine, returning the native result.
 
+    The search's counters land on its own response (and so in the
+    result's ``statistics``); a caller's ``instrumentation`` accumulates
+    them across calls.
+
     Methods registered with ``missing_vertex_is_empty`` (the CTC/PSA
     baselines' historical contract) translate an unknown *query* vertex into
     ``None`` here; the engine itself always raises.  The query vertices are
@@ -46,5 +50,7 @@ def one_shot_search(
             engine.graph.require_vertices(query.vertices)
         except VertexNotFoundError:
             return None
-    response = engine.search(query, instrumentation=instrumentation)
+    response = engine.search(query)
+    if instrumentation is not None:
+        instrumentation.merge(response.instrumentation)
     return response.result

@@ -124,7 +124,6 @@ def run_method(
     k: Optional[int] = None,
     b: int = _HARNESS_DEFAULT,  # type: ignore[assignment]
     index: Optional[BCIndex] = None,
-    instrumentation: Optional[SearchInstrumentation] = None,
     max_iterations: Optional[int] = _HARNESS_DEFAULT,  # type: ignore[assignment]
     engine: Optional[BCCEngine] = None,
 ) -> QueryOutcome:
@@ -152,8 +151,6 @@ def run_method(
     index:
         Optional pre-built BCindex shared across queries (used by L2P-BCC);
         ignored when ``engine`` is given (the engine owns its index).
-    instrumentation:
-        Optional counters forwarded to the method.
     max_iterations:
         Safety cap forwarded to the peeling loops; same default policy as
         ``b`` (engine config when an engine is supplied, else 200).
@@ -166,7 +163,8 @@ def run_method(
     -------
     QueryOutcome
         ``seconds`` is pure query time; any lazy BCindex build triggered by
-        this call is reported separately in ``index_seconds``.
+        this call is reported separately in ``index_seconds``, and the
+        search's counters in ``instrumentation``.
     """
     spec = get_method(method)
     caller_engine = engine is not None
@@ -202,14 +200,12 @@ def run_method(
                 query=(q_left, q_right),
                 found=False,
                 f1=0.0 if truth is not None else None,
-                instrumentation=instrumentation,
                 status="empty",
                 reason=REASON_MISSING_VERTEX,
             )
     response = engine.search(
         Query(method=spec.name, vertices=(q_left, q_right)),
         config=config,
-        instrumentation=instrumentation,
         # Timing honesty: the harness measures the algorithm, so a warm
         # caller engine's result cache must not turn a repeated query's
         # seconds into cache-lookup time.

@@ -6,7 +6,8 @@ degrees, and the number of times the full butterfly-counting procedure
 (Algorithm 3) is invoked.  :class:`SearchInstrumentation` collects exactly
 those quantities; every search algorithm accepts an optional instance and
 records into it, so the benchmark harness can reproduce the table without
-touching algorithm internals.
+touching algorithm internals.  A served search records into a fresh
+instance, which its response carries beside its wall time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class SearchInstrumentation:
     butterfly_counting_calls: int = 0
     query_distance_seconds: float = 0.0
     leader_update_seconds: float = 0.0
-    total_seconds: float = 0.0
     iterations: int = 0
     vertices_deleted: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
@@ -63,15 +63,6 @@ class SearchInstrumentation:
         finally:
             self.leader_update_seconds += time.perf_counter() - start
 
-    @contextmanager
-    def time_total(self) -> Iterator[None]:
-        """Context manager accumulating wall time into the total-seconds counter."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.total_seconds += time.perf_counter() - start
-
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
@@ -80,7 +71,6 @@ class SearchInstrumentation:
         self.butterfly_counting_calls += other.butterfly_counting_calls
         self.query_distance_seconds += other.query_distance_seconds
         self.leader_update_seconds += other.leader_update_seconds
-        self.total_seconds += other.total_seconds
         self.iterations += other.iterations
         self.vertices_deleted += other.vertices_deleted
         for key, value in other.extra.items():
@@ -92,7 +82,6 @@ class SearchInstrumentation:
             "butterfly_counting_calls": float(self.butterfly_counting_calls),
             "query_distance_seconds": self.query_distance_seconds,
             "leader_update_seconds": self.leader_update_seconds,
-            "total_seconds": self.total_seconds,
             "iterations": float(self.iterations),
             "vertices_deleted": float(self.vertices_deleted),
         }
@@ -104,7 +93,6 @@ class SearchInstrumentation:
         self.butterfly_counting_calls = 0
         self.query_distance_seconds = 0.0
         self.leader_update_seconds = 0.0
-        self.total_seconds = 0.0
         self.iterations = 0
         self.vertices_deleted = 0
         self.extra.clear()

@@ -26,7 +26,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from repro.api.config import SearchConfig
 from repro.api.engine import check_batch_args, resolve_config
 from repro.api.query import BatchQuery, Query, SearchResponse
-from repro.exceptions import QueryError
 from repro.parallel.pool import (
     DEFAULT_PROCESS_WORKERS,
     POOL_COUNTER_NAMES,
@@ -41,8 +40,10 @@ class ProcessEngine:
     ``workers`` is the pool's starting size; a batch asking for more grows
     it.  ``sharded`` builds worker-side sharded engines for shard-pinned
     rows.  ``export`` lets several engines share one graph export; the
-    engine owns its pool but never an export it was handed.  The other
-    parameters are the pool's.
+    engine owns its pool but never an export it was handed.  An engine
+    that exports its own graph rebuilds its pool after the graph mutates,
+    so it never answers from a stale export.  The other parameters are
+    the pool's.
     """
 
     def __init__(
@@ -75,24 +76,30 @@ class ProcessEngine:
         # closing joins worker processes.
         self._lock = threading.Lock()
         self._pool: Optional[ProcessWorkerPool] = None
+        self._pool_version: Optional[int] = None  # graph version it exports
         self._closed = False
 
     # ------------------------------------------------------------------
     # the pool's life
     # ------------------------------------------------------------------
     def _pool_for(self, workers: int) -> ProcessWorkerPool:
-        """The pool, built on first use and rebuilt when ``workers`` outgrows it.
+        """The pool, built on first use and rebuilt when it is outgrown or stale.
 
-        Workers spawn lazily, on the pool's first batch.  An outgrown pool
-        closes after the lock is released.
+        A pool is outgrown when ``workers`` exceeds its size, and stale when
+        it exported the engine's graph at an older version.  Workers spawn
+        lazily, on the pool's first batch.  A replaced pool closes after
+        the lock is released.
         """
-        outgrown = None
+        replaced = None
+        own_export = self._pool_options["export"] is None
         with self._lock:
             if self._closed:
                 raise RuntimeError("process engine is closed")
             pool = self._pool
-            if pool is None or pool.workers < workers:
-                outgrown = pool
+            version = self.graph.version() if own_export else None
+            stale = version != self._pool_version
+            if pool is None or pool.workers < workers or stale:
+                replaced = pool
                 pool = ProcessWorkerPool(
                     self.graph,
                     self.config,
@@ -100,8 +107,9 @@ class ProcessEngine:
                     **self._pool_options,
                 )
                 self._pool = pool
-        if outgrown is not None:
-            outgrown.close()
+                self._pool_version = version
+        if replaced is not None:
+            replaced.close()
         return pool
 
     def _current_pool(self) -> Optional[ProcessWorkerPool]:
@@ -139,23 +147,16 @@ class ProcessEngine:
         query: Query,
         *,
         config: Optional[SearchConfig] = None,
-        instrumentation: Optional[object] = None,
         use_cache: bool = True,
     ) -> SearchResponse:
         """One query through the pool (raises exactly like ``BCCEngine``)."""
-        return self.search_many(
-            [query],
-            config=config,
-            instrumentation=instrumentation,
-            use_cache=use_cache,
-        )[0]
+        return self.search_many([query], config=config, use_cache=use_cache)[0]
 
     def search_many(
         self,
         queries: Union[BatchQuery, Iterable[Query]],
         *,
         config: Optional[SearchConfig] = None,
-        instrumentation: Optional[object] = None,
         on_error: str = "raise",
         max_workers: int = 1,
         use_cache: bool = True,
@@ -170,16 +171,7 @@ class ProcessEngine:
         the pool's.  The pool grows to ``max_workers`` when it is smaller.
         ``shards`` gives each row's shard id; the row is pinned to worker
         ``shard % workers``, so one shard's engine is built by one worker.
-
-        ``instrumentation`` cannot cross the process boundary — the wire
-        codec deliberately does not marshal live counter objects — so it
-        raises :class:`~repro.exceptions.QueryError`.
         """
-        if instrumentation is not None:
-            raise QueryError(
-                "the process backend cannot fill caller-supplied "
-                "instrumentation; use an in-process engine for instrumented runs"
-            )
         check_batch_args(on_error, max_workers)
         batch = BatchQuery.of(queries)
         if not batch.queries:

@@ -27,6 +27,7 @@ not for machines that never could run them).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -169,6 +170,17 @@ class GraphHandle:
         )
 
 
+def _unlink_blocks(blocks: List[object]) -> None:
+    """Close and unlink every block (a worker's existing map stays valid)."""
+    for block in blocks:
+        try:
+            block.close()
+            block.unlink()
+        except OSError:  # pragma: no cover - already reaped
+            pass
+    blocks.clear()
+
+
 @dataclass
 class SharedGraphExport:
     """Owner of the shared-memory blocks behind one exported graph.
@@ -177,23 +189,18 @@ class SharedGraphExport:
     every block (idempotent).  The pool closes its export when it shuts
     down; a :class:`~repro.server.replicas.ReplicaSet` with process
     members shares one export across all member pools and closes it once.
+    An export nobody closed — its engine replaced and dropped — unlinks
+    its blocks when it is collected, or at interpreter exit.
     """
 
     handle: GraphHandle
     blocks: List[object] = field(default_factory=list)
-    closed: bool = False
+
+    def __post_init__(self) -> None:
+        self._unlink = weakref.finalize(self, _unlink_blocks, self.blocks)
 
     def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        for block in self.blocks:
-            try:
-                block.close()
-                block.unlink()
-            except OSError:  # pragma: no cover - already reaped
-                pass
-        self.blocks.clear()
+        self._unlink()
 
 
 def _export_segment(values: Sequence[int], typecode: str):
@@ -269,12 +276,7 @@ def export_graph(
             blocks.append(block)
             segments[name] = (block.name, typecode, count)
     except (OSError, ValueError) as exc:
-        for block in blocks:
-            try:
-                block.close()
-                block.unlink()
-            except OSError:  # pragma: no cover
-                pass
+        _unlink_blocks(blocks)
         raise ProcessBackendUnavailable(
             f"could not write CSR segments into shared memory: {exc}"
         ) from exc

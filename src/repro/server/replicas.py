@@ -53,7 +53,6 @@ from repro.api.engine import (
     serve_batch,
 )
 from repro.api.query import BatchQuery, Query, SearchResponse
-from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import AllReplicasEjectedError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.tracing import span as obs_span
@@ -102,7 +101,8 @@ class ReplicaSet:
         with one worker process, every member attached to **one** shared
         graph export — N members map the CSR arrays N times but copy them
         zero times — so a member crash is a real process death the health
-        breaker ejects and the pool respawns behind it.  When shared
+        breaker ejects and the pool respawns behind it.  A graph mutation
+        re-exports the graph and rebuilds the members, once.  When shared
         memory is unavailable the set degrades to thread members with a
         one-time warning.  Process-backed sets should be :meth:`close`\\ d.
 
@@ -138,28 +138,16 @@ class ReplicaSet:
             raise TypeError(f"expected a LabeledGraph or bundle, got {type(graph)!r}")
         self.graph: LabeledGraph = graph
         self.config: SearchConfig = config if config is not None else SearchConfig()
-        self._export: Optional[object] = None  # shared graph export (process)
-        engines: Optional[List[object]] = None
-        if member_backend == "process":
-            engines = self._build_process_members(
-                replicas, sharded, result_cache_size
-            )
-            if engines is None:  # graceful degrade: thread members
-                member_backend = "thread"
-        if engines is None:
-            engine_type = ShardedBCCEngine if sharded else BCCEngine
-            engines = [
-                engine_type(
-                    graph,
-                    self.config,
-                    result_cache_size=result_cache_size,
-                    result_cache_policy=result_cache_policy,
-                )
-                for _ in range(replicas)
-            ]
-        self._engines: List[object] = engines
-        self._member_backend = member_backend
         self._sharded = sharded
+        self._result_cache_size = result_cache_size
+        self._result_cache_policy = result_cache_policy
+        # Guards the graph version the process members were exported at;
+        # a mutation rebuilds them once (see _check_version).
+        self._members_lock = threading.Lock()
+        self._graph_version = graph.version()
+        self._member_backend = member_backend
+        self._export: Optional[object] = None  # shared graph export (process)
+        self._engines: List[object] = self._build_members(replicas)
         self._fault_plan = fault_plan
         self.health_policy = (
             health_policy if health_policy is not None else HealthPolicy()
@@ -180,34 +168,67 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # process-backed members
     # ------------------------------------------------------------------
-    def _build_process_members(
-        self, replicas: int, sharded: bool, result_cache_size: int
-    ) -> Optional[List[object]]:
-        """N one-worker process engines over one shared export, or ``None``.
+    def _build_members(self, replicas: int) -> List[object]:
+        """``replicas`` engines of the set's member backend.
 
-        ``None`` means the substrate is unavailable; the caller degrades
-        to thread members (one-time warning, never an error).
+        Process members are one-worker process engines over one shared
+        export, which this sets.  When the substrate is unavailable the
+        set degrades to thread members (one-time warning, never an error).
         """
         from repro.api.engine import _warn_process_fallback_once
         from repro.parallel.process_engine import ProcessEngine
         from repro.parallel.shm import ProcessBackendUnavailable, export_graph
         from repro.server.protocol import encode_config
 
-        try:
-            export = export_graph(
-                self.graph,
-                encode_config(self.config),
-                sharded=sharded,
-                result_cache_size=result_cache_size,
-            )
-        except ProcessBackendUnavailable as exc:
-            _warn_process_fallback_once(str(exc))
-            return None
+        export = None
+        if self._member_backend == "process":
+            try:
+                export = export_graph(
+                    self.graph,
+                    encode_config(self.config),
+                    sharded=self._sharded,
+                    result_cache_size=self._result_cache_size,
+                )
+            except ProcessBackendUnavailable as exc:
+                _warn_process_fallback_once(str(exc))
+                self._member_backend = "thread"
         self._export = export
+        if export is not None:
+            return [
+                ProcessEngine(self.graph, self.config, workers=1, export=export)
+                for _ in range(replicas)
+            ]
+        engine_type = ShardedBCCEngine if self._sharded else BCCEngine
         return [
-            ProcessEngine(self.graph, self.config, workers=1, export=export)
+            engine_type(
+                self.graph,
+                self.config,
+                result_cache_size=self._result_cache_size,
+                result_cache_policy=self._result_cache_policy,
+            )
             for _ in range(replicas)
         ]
+
+    def _check_version(self) -> None:
+        """Re-export the graph and rebuild process members once per mutation.
+
+        Process members serve the export they were built over, so after a
+        mutation they would answer from the old graph; thread members
+        follow mutations themselves.  The stale members and their export
+        close outside the lock, because closing joins worker processes.
+        """
+        if self._export is None:  # thread members, or a closed set
+            return
+        with self._members_lock:
+            version = self.graph.version()
+            if self._export is None or version == self._graph_version:
+                return
+            self._graph_version = version
+            stale, stale_export = self._engines, self._export
+            self._engines = self._build_members(len(stale))
+        for engine in stale:
+            engine.close()
+        stale_export.close()
 
     @property
     def member_backend(self) -> str:
@@ -304,7 +325,6 @@ class ReplicaSet:
         query: Query,
         *,
         config: Optional[SearchConfig] = None,
-        instrumentation: Optional[SearchInstrumentation] = None,
         use_cache: bool = True,
     ) -> SearchResponse:
         """Serve one query from the least-loaded healthy replica.
@@ -322,6 +342,7 @@ class ReplicaSet:
         replica's error propagates — or :class:`AllReplicasEjectedError`
         when nothing would even admit the query.
         """
+        self._check_version()
         tried: Set[int] = set()
         last_error: Optional[BaseException] = None
         while True:
@@ -345,10 +366,7 @@ class ReplicaSet:
                             vertices=query.vertices,
                         )
                     response = self._engines[replica_id].search(
-                        query,
-                        config=config,
-                        instrumentation=instrumentation,
-                        use_cache=use_cache,
+                        query, config=config, use_cache=use_cache
                     )
             except BaseException as exc:
                 if is_caller_error(query, exc):
@@ -387,7 +405,6 @@ class ReplicaSet:
         queries: Union[BatchQuery, Iterable[Query]],
         *,
         config: Optional[SearchConfig] = None,
-        instrumentation: Optional[SearchInstrumentation] = None,
         on_error: str = "raise",
         max_workers: int = 1,
         use_cache: bool = True,
@@ -403,7 +420,6 @@ class ReplicaSet:
             self,
             queries,
             config=config,
-            instrumentation=instrumentation,
             on_error=on_error,
             max_workers=max_workers,
             use_cache=use_cache,
@@ -417,6 +433,7 @@ class ReplicaSet:
         Explain routes like a search would (least-loaded at this instant)
         but does not hold the slot — it never runs the query.
         """
+        self._check_version()
         with self._route_lock:
             replica_id = min(
                 range(len(self._engines)), key=lambda i: (self._in_flight[i], i)

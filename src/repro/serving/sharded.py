@@ -74,7 +74,6 @@ from repro.api.query import (
     SearchResponse,
 )
 from repro.api.registry import get_method
-from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
     REASON_CROSS_SHARD,
     VertexNotFoundError,
@@ -377,7 +376,6 @@ class ShardedBCCEngine:
         query: Query,
         *,
         config: Optional[SearchConfig] = None,
-        instrumentation: Optional[SearchInstrumentation] = None,
         use_cache: bool = True,
     ) -> SearchResponse:
         """Serve one query from the shard that owns its vertices.
@@ -407,12 +405,7 @@ class ShardedBCCEngine:
                 return self._cross_shard_response(query, spec.name, elapsed)
             routed.annotate(shard=shard_id)
             engine = self.shard_engine(shard_id)
-            response = engine.search(
-                query,
-                config=config,
-                instrumentation=instrumentation,
-                use_cache=use_cache,
-            )
+            response = engine.search(query, config=config, use_cache=use_cache)
             self._count("searches")
             self._latency.observe(time.perf_counter() - start)
             return response
@@ -422,7 +415,6 @@ class ShardedBCCEngine:
         queries: Union[BatchQuery, Iterable[Query]],
         *,
         config: Optional[SearchConfig] = None,
-        instrumentation: Optional[SearchInstrumentation] = None,
         on_error: str = "raise",
         max_workers: int = 1,
         use_cache: bool = True,
@@ -451,17 +443,11 @@ class ShardedBCCEngine:
         """
         batch = BatchQuery.of(queries)
         if use_process_transport(
-            self,
-            backend,
-            config,
-            rows=len(batch.queries),
-            max_workers=max_workers,
-            instrumentation=instrumentation,
+            self, backend, config, rows=len(batch.queries), max_workers=max_workers
         ):
             responses = self._try_serve_process(
                 batch,
                 config=config,
-                instrumentation=instrumentation,
                 on_error=on_error,
                 max_workers=max_workers,
                 use_cache=use_cache,
@@ -475,7 +461,6 @@ class ShardedBCCEngine:
             self,
             batch,
             config=config,
-            instrumentation=instrumentation,
             on_error=on_error,
             max_workers=max_workers,
             use_cache=use_cache,
@@ -489,7 +474,6 @@ class ShardedBCCEngine:
         batch: BatchQuery,
         *,
         config: Optional[SearchConfig],
-        instrumentation: Optional[SearchInstrumentation],
         on_error: str,
         max_workers: int,
         use_cache: bool,
@@ -533,7 +517,6 @@ class ShardedBCCEngine:
                 config=batch.config,
             ),
             count=self._count,
-            instrumentation=instrumentation,
             config=config,
             on_error=on_error,
             max_workers=max_workers,
@@ -548,6 +531,7 @@ class ShardedBCCEngine:
             responses[position] = response
             if response.status != "error":
                 self._count("searches")
+                self._latency.observe(response.timings["total_seconds"])
         return list(responses)  # type: ignore[arg-type]
 
     def process_pool_stats(self) -> Optional[Dict[str, object]]:

@@ -34,6 +34,15 @@ from repro.exceptions import (
 )
 
 
+def work_counts(response):
+    """A search's counters without its timers."""
+    return {
+        key: value
+        for key, value in response.instrumentation.as_dict().items()
+        if not key.endswith("_seconds")
+    }
+
+
 class TestConstruction:
     def test_accepts_bundle(self, tiny_baidu_bundle):
         engine = BCCEngine(tiny_baidu_bundle)
@@ -149,15 +158,15 @@ class TestSearch:
         assert response.status == STATUS_OK
 
     def test_instrumentation_passthrough(self, paper_graph):
-        from repro.eval.instrumentation import SearchInstrumentation
-
-        inst = SearchInstrumentation()
         engine = BCCEngine(paper_graph)
-        response = engine.search(
-            Query("online-bcc", ("ql", "qr")), instrumentation=inst
-        )
-        assert response.instrumentation is inst
-        assert inst.butterfly_counting_calls >= 1
+        query = Query("online-bcc", ("ql", "qr"))
+        response = engine.search(query)
+        assert response.instrumentation.butterfly_counting_calls >= 1
+        # A cache hit ran no algorithm; a bypass gets a fresh object.
+        assert engine.search(query).instrumentation is None
+        again = engine.search(query, use_cache=False)
+        assert again.instrumentation is not response.instrumentation
+        assert work_counts(again) == work_counts(response)
 
 
 class TestIndexLifecycle:
@@ -256,6 +265,21 @@ class TestSearchMany:
             assert got.status == want.status
             assert got.vertices == want.vertices
             assert got.iterations == want.iterations
+
+    def test_threaded_rows_carry_their_own_counters(self, tiny_baidu_bundle):
+        pairs = generate_query_pairs(
+            tiny_baidu_bundle, QuerySpec(count=6), seed=3
+        )
+        queries = [Query("lp-bcc", pair) for pair in pairs]
+        batch = BCCEngine(tiny_baidu_bundle).search_many(
+            queries, max_workers=4, use_cache=False
+        )
+        engine = BCCEngine(tiny_baidu_bundle)
+        sequential = [engine.search(q, use_cache=False) for q in queries]
+        assert len({id(r.instrumentation) for r in batch}) == len(queries)
+        assert [work_counts(r) for r in batch] == [
+            work_counts(r) for r in sequential
+        ]
 
     def test_batch_query_carries_shared_config(self, paper_graph):
         batch = BatchQuery(
@@ -483,19 +507,6 @@ class TestResultCache:
         assert "cache_hit" not in bypassed.timings
         assert engine.counters_snapshot()["result_cache_hits"] == 0
 
-    def test_caller_instrumentation_bypasses_cache(self, paper_graph):
-        from repro.eval.instrumentation import SearchInstrumentation
-
-        engine = BCCEngine(paper_graph, SearchConfig(k1=4, k2=3))
-        query = Query("online-bcc", ("ql", "qr"))
-        engine.search(query)
-        inst = SearchInstrumentation()
-        response = engine.search(query, instrumentation=inst)
-        # The algorithm actually ran and filled the caller's counters.
-        assert response.instrumentation is inst
-        assert inst.butterfly_counting_calls >= 1
-        assert engine.counters_snapshot()["result_cache_hits"] == 0
-
     def test_zero_size_disables_caching(self, paper_graph):
         engine = BCCEngine(
             paper_graph, SearchConfig(k1=4, k2=3), result_cache_size=0
@@ -531,6 +542,23 @@ class TestResultCache:
         assert "cache_hit" in cached[1].timings
         fresh = engine.search_many(queries, use_cache=False)
         assert all("cache_hit" not in r.timings for r in fresh)
+
+
+class TestOneShotInstrumentation:
+    def test_accumulator_sums_while_results_report_their_own_search(
+        self, paper_graph
+    ):
+        from repro.core.lp_bcc import lp_bcc_search
+        from repro.eval.instrumentation import SearchInstrumentation
+
+        acc = SearchInstrumentation()
+        for _ in range(2):
+            result = lp_bcc_search(
+                paper_graph, "ql", "qr", k1=4, k2=3, b=1, instrumentation=acc
+            )
+            assert result.statistics["butterfly_counting_calls"] == 1
+            assert result.statistics["iterations"] == 1
+        assert (acc.butterfly_counting_calls, acc.iterations) == (2, 2)
 
 
 class TestOneShotMissingVertexTranslation:

@@ -60,9 +60,9 @@ class TestRunMethod:
 
     def test_instrumentation_passthrough(self, tiny_baidu_bundle):
         q_left, q_right = tiny_baidu_bundle.default_query()
-        inst = SearchInstrumentation()
-        run_method("Online-BCC", tiny_baidu_bundle, q_left, q_right, b=1, instrumentation=inst)
-        assert inst.butterfly_counting_calls >= 1
+        outcome = run_method("Online-BCC", tiny_baidu_bundle, q_left, q_right, b=1)
+        assert isinstance(outcome.instrumentation, SearchInstrumentation)
+        assert outcome.instrumentation.butterfly_counting_calls >= 1
 
 
 class TestEvaluateMethods:

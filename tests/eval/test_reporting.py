@@ -100,8 +100,6 @@ class TestInstrumentation:
             pass
         with inst.time_leader_update():
             pass
-        with inst.time_total():
-            pass
         inst.add("custom", 2.0)
         payload = inst.as_dict()
         assert payload["butterfly_counting_calls"] == 4
@@ -109,6 +107,8 @@ class TestInstrumentation:
         assert payload["vertices_deleted"] == 5
         assert payload["custom"] == 2.0
         assert payload["query_distance_seconds"] >= 0
+        # Wall time is the response's timings["total_seconds"], not a counter.
+        assert "total_seconds" not in payload
 
     def test_merge(self):
         a = SearchInstrumentation(butterfly_counting_calls=2)

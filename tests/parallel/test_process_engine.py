@@ -10,8 +10,10 @@ die inside the PR 6 health lifecycle.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
+import sys
 import warnings
 
 import pytest
@@ -19,6 +21,7 @@ import pytest
 import repro.api.engine as engine_mod
 from repro.api import BCCEngine, Query, SearchConfig
 from repro.exceptions import QueryError, WorkerCrashedError
+from repro.graph.generators import paper_example_graph
 from repro.parallel import ProcessEngine
 from repro.serving import GraphDirectory, ShardedBCCEngine
 from repro.server.replicas import ReplicaSet
@@ -27,6 +30,10 @@ from repro.server.protocol import encode_response
 from tests.serving.conftest import random_multi_component_graph
 
 pytestmark = pytest.mark.parallel
+
+#: Under it the Fig. 1 example answers ``(ql, qr)`` with a community
+#: holding ``u1``; without ``u1`` it has none.
+PAPER_CONFIG = SearchConfig(k1=4, k2=3)
 
 
 def cross_pairs(graph, limit):
@@ -93,19 +100,16 @@ class TestProcessEngine:
             with pytest.raises(QueryError):
                 engine.search_many(queries, max_workers=0)
 
-    def test_instrumentation_is_rejected_not_silently_dropped(
-        self, pair_graph
-    ):
-        pair = cross_pairs(pair_graph, 1)[0]
-        with ProcessEngine(pair_graph, workers=1) as engine:
-            with pytest.raises(QueryError):
-                engine.search(
-                    Query("online-bcc", pair), instrumentation=object()
-                )
-            with pytest.raises(QueryError):
-                engine.search_many(
-                    [Query("online-bcc", pair)], instrumentation=object()
-                )
+    def test_follows_graph_mutation(self):
+        # The engine exports its own graph, so a mutation rebuilds its pool.
+        graph = paper_example_graph()
+        query = Query("online-bcc", ("ql", "qr"))
+        with ProcessEngine(graph, PAPER_CONFIG, workers=1) as engine:
+            assert "u1" in engine.search(query).vertices
+            graph.remove_vertex("u1")
+            expected = BCCEngine(graph, PAPER_CONFIG).search(query)
+            assert expected.status == "empty"
+            assert canonical(engine.search(query)) == canonical(expected)
 
     def test_counters_aggregate_across_workers(self, pair_graph):
         pairs = cross_pairs(pair_graph, 4)
@@ -239,6 +243,24 @@ class TestShardedBackend:
             sharded.close_process_pool()
         assert sharded.stats().workers is None
 
+    def test_both_transports_record_every_served_row(self):
+        graph, _ = random_multi_component_graph(90125, num_components=3)
+        queries = [Query("lp-bcc", p) for p in cross_pairs(graph, 6)]
+        seen = {}
+        for backend in ("thread", "process"):
+            sharded = ShardedBCCEngine(graph)
+            try:
+                sharded.search_many(
+                    queries, backend=backend, max_workers=2, use_cache=False
+                )
+                seen[backend] = (
+                    sharded.counters_snapshot()["searches"],
+                    sharded.stats().latency["count"],
+                )
+            finally:
+                sharded.close_process_pool()
+        assert seen["process"] == seen["thread"] == (len(queries),) * 2
+
 
 # ----------------------------------------------------------------------
 # ReplicaSet: process-backed members
@@ -266,6 +288,42 @@ class TestReplicaProcessMembers:
                 assert block["health"]["state"] == "ok"
         # close() is idempotent.
         replica_set.close()
+
+    def test_members_follow_graph_mutation(self, monkeypatch):
+        graph = paper_example_graph()
+        query = Query("online-bcc", ("ql", "qr"))
+        with ReplicaSet(
+            graph, PAPER_CONFIG, replicas=1, member_backend="process"
+        ) as replica_set:
+            stale_member = replica_set.replica_engine(0)
+            assert "u1" in replica_set.search(query).vertices
+            builds = []
+            build = replica_set._build_members
+            monkeypatch.setattr(
+                replica_set,
+                "_build_members",
+                lambda replicas: builds.append(replicas) or build(replicas),
+            )
+            graph.remove_vertex("u1")
+            expected = canonical(BCCEngine(graph, PAPER_CONFIG).search(query))
+            assert expected["status"] == "empty"
+            # After each mutation more threads than cores race to notice it.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for round_ in range(4):
+                    if round_:  # an isolated vertex leaves the answer alone
+                        graph.add_vertex(f"isolated-{round_}", "SE")
+                    rows = replica_set.search_many(
+                        [query] * 8, max_workers=8, use_cache=False
+                    )
+                    assert [canonical(r) for r in rows] == [expected] * 8
+            finally:
+                sys.setswitchinterval(interval)
+            assert builds == [1] * 4  # one rebuild per mutation
+            assert replica_set.counters_snapshot()["replica_failures"] == 0
+            with pytest.raises(RuntimeError):
+                stale_member.search(query)
 
     def test_worker_crashed_is_a_replica_failure_that_fails_over(
         self, pair_graph
@@ -346,3 +404,21 @@ class TestDirectory:
         # remove() closed the members: their pools refuse new batches.
         with pytest.raises(RuntimeError):
             engine.replica_engine(0).search(Query("online-bcc", pair))
+
+    def test_replaced_engine_unlinks_its_export(self, pair_graph):
+        from multiprocessing import shared_memory
+
+        directory = GraphDirectory()
+        engine = directory.add("demo", pair_graph)
+        queries = [Query("online-bcc", p) for p in cross_pairs(pair_graph, 2)]
+        directory.serve_many("demo", queries, backend="process", max_workers=2)
+        pool = engine._process._engine._current_pool()
+        names = [ref[0] for ref in pool.handle.segments.values()]
+        del engine, pool
+        # Re-adding swaps the engine without closing it (requests may
+        # still be in flight); dropping the last reference unlinks.
+        directory.add("demo", pair_graph)
+        gc.collect()
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
