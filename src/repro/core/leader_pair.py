@@ -15,14 +15,18 @@ paper proposes:
 * **Algorithm 7 — leader butterfly-degree update.**  When a vertex ``v`` is
   deleted, the leader ``p``'s butterfly degree decreases by the number of
   butterflies containing both ``p`` and ``v``; that number can be computed
-  locally from common neighbourhoods, without any global recount.
+  locally from common neighbourhoods, without any global recount
+  (:func:`updated_leader_degree`).  Summed over a deletion batch, the
+  losses equal the leader's χ before minus its χ after, so
+  :class:`LeaderPairTracker` counts each surviving leader once per batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Collection, Dict, Iterable, Optional, Tuple
 
+from repro.eval.instrumentation import SearchInstrumentation
 from repro.graph.bipartite import BipartiteView
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import bfs_distances
@@ -175,58 +179,66 @@ class LeaderPairTracker:
     """Maintains a leader pair and its butterfly degrees across deletions.
 
     This is the runtime companion of Algorithms 6 and 7 used by LP-BCC and
-    L2P-BCC: the tracker owns a :class:`BipartiteView` of the current
-    community, keeps the two leaders' butterfly degrees up to date as vertices
-    are deleted (Algorithm 7), and falls back to a full butterfly recount plus
-    re-identification (Algorithm 6) only when a leader is deleted or its
-    degree drops below ``b``.
+    L2P-BCC.  The tracker holds no graph: it reads the caller's community
+    through three callables, keeps the two leaders' butterfly degrees up to
+    date as vertices are deleted (Algorithm 7), and falls back to a full
+    butterfly recount plus re-identification (Algorithm 6) only when a
+    leader is deleted or its degree drops below ``b``.
+
+    Algorithm 7's per-vertex losses telescope: summed over a deletion batch
+    they equal χ_before(p) − χ_after(p).  So the caller deletes each batch
+    from its own community first, and :meth:`remove_vertices` sets each
+    surviving leader's degree to its χ in what is left, the value the
+    per-vertex updates of :func:`updated_leader_degree` add up to.
 
     Parameters
     ----------
-    bipartite:
-        The cross-group bipartite view of the community; the tracker mutates
-        it as vertices are deleted.
+    sides:
+        Zero-argument callable returning the community's current (left,
+        right) vertex sides.
+    degree_of:
+        Callable returning one vertex's current χ in the community.
+    recount:
+        Zero-argument callable returning fresh χ values for the whole
+        current community (Algorithm 3).
     butterfly_degrees:
         Initial χ values (from Algorithm 2's counting).
     q_left, q_right:
-        The query vertices (used when re-identifying leaders).
+        The query vertices (preferred as leaders when adequate).
     b:
         Butterfly-degree requirement.
-    rho:
-        Leader search radius for Algorithm 6.
     instrumentation:
         Optional counter object; full recounts are recorded as
-        butterfly-counting calls and leader updates are timed into
-        ``leader_update_seconds``.
+        butterfly-counting calls and each batch's leader update is timed
+        into ``leader_update_seconds``.
     key:
         Tie-break key among equally good leaders (largest wins); the vertex
         ``repr`` by default.  Callers tracking integer ids pass the ``repr``
         of the vertex behind each id.
-    recount:
-        Optional zero-argument callable returning fresh χ values for the
-        current view (Algorithm 3); defaults to counting the view itself.
     """
 
     def __init__(
         self,
-        bipartite: BipartiteView,
+        sides: Callable[[], Tuple[Collection[Vertex], Collection[Vertex]]],
+        degree_of: Callable[[Vertex], int],
+        recount: Callable[[], Dict[Vertex, int]],
         butterfly_degrees: Dict[Vertex, int],
         q_left: Vertex,
         q_right: Vertex,
         b: int,
-        rho: int = 2,
-        instrumentation=None,
+        instrumentation: Optional[SearchInstrumentation] = None,
         key: Callable[[Vertex], object] = repr,
-        recount: Optional[Callable[[], Dict[Vertex, int]]] = None,
     ) -> None:
-        self._bipartite = bipartite
+        self._sides = sides
+        self._degree_of = degree_of
+        self._recount = recount
         self._q_left = q_left
         self._q_right = q_right
         self._b = b
-        self._rho = rho
-        self._instrumentation = instrumentation
+        self._inst = (
+            instrumentation if instrumentation is not None else SearchInstrumentation()
+        )
         self._key = key
-        self._recount = recount
         self.full_recounts = 0
         self._left_leader: Optional[Leader] = None
         self._right_leader: Optional[Leader] = None
@@ -236,10 +248,9 @@ class LeaderPairTracker:
     # initialisation / re-identification
     # ------------------------------------------------------------------
     def _initialise_leaders(self, degrees: Dict[Vertex, int]) -> None:
-        left_best = self._best_on_side(self._bipartite.left(), degrees, self._q_left)
-        right_best = self._best_on_side(self._bipartite.right(), degrees, self._q_right)
-        self._left_leader = left_best
-        self._right_leader = right_best
+        left, right = self._sides()
+        self._left_leader = self._best_on_side(left, degrees, self._q_left)
+        self._right_leader = self._best_on_side(right, degrees, self._q_right)
 
     def _best_on_side(
         self, side, degrees: Dict[Vertex, int], query: Vertex
@@ -279,39 +290,22 @@ class LeaderPairTracker:
     # ------------------------------------------------------------------
     # deletion handling
     # ------------------------------------------------------------------
-    def remove_vertices(self, deleted) -> None:
-        """Apply a batch of deletions, updating leader degrees (Algorithm 7)."""
-        deleted = [v for v in deleted if v in self._bipartite]
-        for vertex in deleted:
-            self._apply_single_deletion(vertex)
+    def remove_vertices(self, deleted: Iterable[Vertex]) -> None:
+        """Algorithm 7 for a batch the caller has already deleted.
 
-    def _apply_single_deletion(self, vertex: Vertex) -> None:
-        timer = (
-            self._instrumentation.time_leader_update()
-            if self._instrumentation is not None
-            else _null_context()
-        )
-        with timer:
-            for side_name in ("left", "right"):
-                leader = self._left_leader if side_name == "left" else self._right_leader
-                if leader is None or leader.vertex == vertex:
-                    continue
-                same_side = self._bipartite.side(vertex) == self._bipartite.side(
-                    leader.vertex
-                )
-                loss = updated_leader_degree(
-                    self._bipartite, leader.vertex, same_side, vertex
-                )
-                leader.butterfly_degree -= loss
-            left_lost = self._left_leader is not None and self._left_leader.vertex == vertex
-            right_lost = (
-                self._right_leader is not None and self._right_leader.vertex == vertex
-            )
-        self._bipartite.remove_vertex(vertex)
-        if left_lost:
-            self._left_leader = None
-        if right_lost:
-            self._right_leader = None
+        A deleted leader is dropped; a surviving one takes its χ in the
+        shrunken community, the sum of its per-vertex losses subtracted.
+        """
+        gone = set(deleted)
+        with self._inst.time_leader_update():
+            self._left_leader = self._surviving(self._left_leader, gone)
+            self._right_leader = self._surviving(self._right_leader, gone)
+
+    def _surviving(self, leader: Optional[Leader], gone) -> Optional[Leader]:
+        if leader is None or leader.vertex in gone:
+            return None
+        leader.butterfly_degree = self._degree_of(leader.vertex)
+        return leader
 
     # ------------------------------------------------------------------
     # validity checking
@@ -329,35 +323,13 @@ class LeaderPairTracker:
         """Ensure a valid leader pair exists, recounting butterflies if needed.
 
         Returns True when the butterfly constraint of Def. 4 still holds for
-        the current bipartite graph.  A full recount (Algorithm 3) happens
-        only when the incrementally tracked leaders no longer satisfy the
-        requirement.
+        the current community.  A full recount (Algorithm 3) happens only
+        when the tracked leaders no longer satisfy the requirement.
         """
         if self.leaders_satisfy_requirement():
             return True
-        if self._recount is not None:
-            degrees = self._recount()
-        else:
-            from repro.core.butterfly import butterfly_degrees as count_all
-
-            degrees = count_all(self._bipartite)
+        degrees = self._recount()
         self.full_recounts += 1
-        if self._instrumentation is not None:
-            self._instrumentation.record_butterfly_counting()
+        self._inst.record_butterfly_counting()
         self._initialise_leaders(degrees)
         return self.leaders_satisfy_requirement()
-
-    @property
-    def bipartite(self) -> BipartiteView:
-        """The tracked cross-group bipartite view (mutated by deletions)."""
-        return self._bipartite
-
-
-class _null_context:
-    """A no-op context manager used when no instrumentation is attached."""
-
-    def __enter__(self):  # noqa: D105 - trivial
-        return self
-
-    def __exit__(self, *exc):  # noqa: D105 - trivial
-        return False

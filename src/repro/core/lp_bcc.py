@@ -7,8 +7,8 @@ LP-BCC is the Online-BCC greedy framework (Algorithm 1) equipped with:
   (:class:`~repro.core.query_distance.QueryDistanceTracker`);
 * **leader-pair identification and maintenance** (Algorithms 6 and 7) — the
   butterfly constraint is certified through a tracked leader pair whose
-  degrees are updated locally per deletion, and the full butterfly counting
-  of Algorithm 3 is re-run only when a tracked leader is lost
+  degrees are updated locally per deletion batch, and the full butterfly
+  counting of Algorithm 3 is re-run only when a tracked leader is lost
   (:class:`~repro.core.leader_pair.LeaderPairTracker`);
 * **bulk deletion** — all vertices at the maximum query distance are removed
   per iteration (the setting used throughout Section 8).
@@ -21,9 +21,11 @@ how the intermediate quantities are computed.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional, Set
 
 from repro.core.bcc_model import BCCParameters, BCCResult, resolve_query_labels
+from repro.core.butterfly import butterfly_degree_of, butterfly_degrees
 from repro.core.find_g0 import find_g0
 from repro.core.leader_pair import LeaderPairTracker, identify_leader_pair
 from repro.core.maintenance import maintain_bcc
@@ -120,13 +122,17 @@ def run_lp_bcc(
         parameters.b,
         rho=rho,
     )
+    # The tracker counts on this copy of G0's bipartite graph, which each
+    # deletion batch leaves before the tracker hears of it.
+    bipartite = g0.bipartite.copy()
     leader_tracker = LeaderPairTracker(
-        g0.bipartite.copy(),
+        lambda: (bipartite.left(), bipartite.right()),
+        partial(butterfly_degree_of, bipartite),
+        partial(butterfly_degrees, bipartite),
         g0.butterfly_degrees,
         q_left,
         q_right,
         parameters.b,
-        rho=rho,
         instrumentation=inst,
     )
     leader_tracker.set_leaders(left_leader, right_leader)
@@ -175,6 +181,7 @@ def run_lp_bcc(
             break
 
         # Keep the auxiliary structures consistent with the shrunken graph.
+        bipartite.remove_vertices(outcome.removed)
         leader_tracker.remove_vertices(outcome.removed)
         with inst.time_query_distance():
             distance_tracker.remove_vertices(outcome.removed)

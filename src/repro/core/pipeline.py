@@ -25,8 +25,8 @@ engine's frozen :class:`~repro.graph.csr.CSRGraph`:
   it mutates.  L2P-BCC's candidate ``G0`` reads the same memo;
 * a query keeps only id sets: the alive community, its two label sides,
   intra-label degree counters for the Algorithm 4 cascade, and (LP-BCC)
-  per-id cross-neighbour sets for Algorithm 7 and per-id distance lists for
-  Algorithm 5;
+  per-id distance lists for Algorithm 5.  Algorithm 7 counts a leader's χ
+  on the alive sides after each deletion batch;
 * Algorithm 3 runs :func:`~repro.graph.csr.csr_butterfly_degrees` on a
   bipartite view cut straight from the alive ids;
 * only the returned community becomes a :class:`LabeledGraph`.
@@ -42,7 +42,8 @@ the candidate's own label groups, so their coreness is peeled per query.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
+from operator import mul
 from types import MappingProxyType
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
@@ -64,7 +65,6 @@ from repro.exceptions import (
     REASON_QUERY_DISCONNECTED,
     EmptyCommunityError,
 )
-from repro.graph.bipartite import BipartiteView
 from repro.graph.csr import (
     G0,
     CSRBipartiteView,
@@ -235,6 +235,21 @@ class _Community:
 
     def butterfly_degrees(self) -> Dict[int, int]:
         return _butterfly_degrees(self.left, self.right, self.cross)
+
+    def butterfly_degree_of(self, v: int) -> int:
+        """χ(v) in the alive community: Σ C(P[w], 2) over its 2-hop ids ``w``.
+
+        ``P[w]`` counts the alive cross neighbours ``v`` and ``w`` share,
+        gathered by set intersections into a :class:`Counter`.
+        """
+        cross = self.cross
+        own, other = (self.left, self.right) if v in self.left else (self.right, self.left)
+        paths: Counter = Counter()
+        for u in other.intersection(cross[v]):
+            paths.update(own.intersection(cross[u]))
+        del paths[v]
+        counts = paths.values()
+        return (sum(map(mul, counts, counts)) - sum(counts)) // 2
 
     def _cascade(self, side: Set[int], k: int, removals: Iterable[int], removed: List[int]) -> None:
         """Delete ``removals`` from ``side`` and peel it back to a k-core.
@@ -464,25 +479,21 @@ def _leader_tracker(
 ) -> LeaderPairTracker:
     """Algorithms 6 and 7 over ids: leaders picked on ``G0``, then tracked.
 
-    The tracker's view holds one cross-neighbour set per alive id, and its
-    recount is Algorithm 3 over the community's alive sides.
+    The tracker reads the community itself: its alive sides, one id's χ
+    after each deletion batch, and Algorithm 3 over the alive sides.
     """
-    csr = community.csr
-    cross, same = community.cross, community.same
-    key = _repr_key(csr)
+    key = _repr_key(community.csr)
     left, right = community.left, community.right
-    adjacency = {v: right.intersection(cross[v]) for v in left}
-    adjacency.update((v, left.intersection(cross[v])) for v in right)
     tracker = LeaderPairTracker(
-        BipartiteView.adopt(set(left), set(right), adjacency),
+        lambda: (left, right),
+        community.butterfly_degree_of,
+        community.butterfly_degrees,
         chi,
         community.q_left,
         community.q_right,
         community.parameters.b,
-        rho=rho,
         instrumentation=inst,
         key=key,
-        recount=community.butterfly_degrees,
     )
     leaders = []
     for query, side in ((community.q_left, left), (community.q_right, right)):
@@ -490,7 +501,7 @@ def _leader_tracker(
             query,
             chi.__getitem__,
             max(chi[v] for v in side),
-            _leader_level_sets(query, side, same, rho),
+            _leader_level_sets(query, side, community.same, rho),
             community.parameters.b,
             key=key,
         )

@@ -52,24 +52,6 @@ class BipartiteView:
             for u, v in edges:
                 self.add_edge(u, v)
 
-    @classmethod
-    def adopt(
-        cls, left: Set[Vertex], right: Set[Vertex], adjacency: Dict[Vertex, Set[Vertex]]
-    ) -> "BipartiteView":
-        """Build a view that takes ownership of ready-made sides and cross sets.
-
-        ``adjacency`` must map every vertex of ``left | right`` to its
-        neighbours on the other side, symmetrically; nothing is copied or
-        checked.  This is the bulk path for views over the alive ids of a
-        frozen graph (:mod:`repro.core.pipeline`).
-        """
-        view = cls.__new__(cls)
-        view._left = left
-        view._right = right
-        view._adj = adjacency
-        view._num_edges = sum(len(adjacency[v]) for v in left)
-        return view
-
     # ------------------------------------------------------------------
     # construction / mutation
     # ------------------------------------------------------------------

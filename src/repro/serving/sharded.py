@@ -679,10 +679,6 @@ class ShardedBCCEngine:
             workers=self.process_pool_stats(),
         )
 
-    def observe_latency(self, seconds: float) -> None:
-        """Feed the latency histogram (for callers timing at their edge)."""
-        self._latency.observe(seconds)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._shards_lock:
             built = len(self._shards)
