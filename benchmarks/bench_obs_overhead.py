@@ -51,7 +51,7 @@ if str(REPO_ROOT / "benchmarks") not in sys.path:
 from reporting import write_results  # noqa: E402
 
 import repro.api.engine as engine_mod  # noqa: E402
-from repro.api import BCCEngine, Query, SearchConfig  # noqa: E402
+from repro.api import BCCEngine, Query  # noqa: E402
 from repro.graph.generators import random_labeled_graph  # noqa: E402
 from repro.obs.tracing import Trace, span  # noqa: E402
 
@@ -104,11 +104,7 @@ def build_workload(smoke: bool):
         # raw per-call cost (the micro row reports that separately).
         graph = random_labeled_graph(400, 0.04, ["A", "B"], seed=SEED)
         limit = 12
-    engine = BCCEngine(
-        graph,
-        config=SearchConfig(backend="thread"),
-        result_cache_size=0,  # every search runs the kernel
-    )
+    engine = BCCEngine(graph, result_cache_size=0)  # every search runs the kernel
     engine.prepare()
     queries = []
     for pair in graph.cross_edges():

@@ -12,8 +12,8 @@ BCindex) and serves many queries; the legacy free functions
 (``online_bcc_search`` & co.) remain as thin one-shot wrappers over it.
 """
 
-from repro.api.config import BACKENDS, SearchConfig
-from repro.api.engine import ON_ERROR_POLICIES, BCCEngine
+from repro.api.config import SearchConfig
+from repro.api.engine import BACKENDS, ON_ERROR_POLICIES, BCCEngine
 from repro.api.oneshot import one_shot_search
 from repro.api.query import (
     STATUS_EMPTY,

@@ -24,15 +24,6 @@ from repro.core.lp_bcc import DEFAULT_RHO
 from repro.core.path_weight import PathWeightConfig
 from repro.exceptions import QueryError
 
-#: Batch transports accepted by :attr:`SearchConfig.backend`.
-#: ``"thread"`` serves ``search_many`` rows in this process; ``"process"``
-#: scatter-gathers them across shared-memory worker processes
-#: (:mod:`repro.parallel`); ``"auto"`` picks between the two by batch shape.
-BACKENDS = ("auto", "thread", "process")
-
-#: Fields that shape how a search is served, not what it answers.
-_NON_ANSWER_FIELDS = frozenset({"backend", "deadline_ms"})
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -58,12 +49,6 @@ class SearchConfig:
         experimental setting) instead of a single one.
     rho:
         Leader search radius of Algorithm 6 (LP-BCC / L2P-BCC).
-    backend:
-        Batch transport of ``search_many``: ``"auto"`` (default),
-        ``"thread"`` or ``"process"`` (see :data:`BACKENDS` and
-        :meth:`repro.api.BCCEngine.search_many`).  It never changes what a
-        query answers — a single ``search`` runs in-process whatever the
-        value — so it is excluded from result cache keys.
     max_iterations:
         Optional safety cap on peeling iterations.
     eta:
@@ -91,7 +76,6 @@ class SearchConfig:
     b: int = 1
     bulk_deletion: bool = True
     rho: int = DEFAULT_RHO
-    backend: str = "auto"
     max_iterations: Optional[int] = None
     eta: int = DEFAULT_CANDIDATE_SIZE
     path_config: PathWeightConfig = PathWeightConfig()
@@ -109,8 +93,6 @@ class SearchConfig:
             raise QueryError("butterfly parameter b must be non-negative")
         if self.rho < 0:
             raise QueryError("leader search radius rho must be non-negative")
-        if self.backend not in BACKENDS:
-            raise QueryError(f"unknown backend {self.backend!r}; known: {BACKENDS}")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise QueryError("max_iterations must be non-negative or None")
         # Zero budgets are legal degenerate settings the algorithms define
@@ -140,15 +122,14 @@ class SearchConfig:
         per-engine result cache can key one entry on
         ``(method, vertices, resolved config, graph version)``.  Explicit
         field order (rather than relying on ``__hash__``) keeps the key
-        stable and self-describing.  ``deadline_ms`` and ``backend`` are
-        excluded: a deadline bounds the wait and a transport moves the
-        work, neither changes the answer, so the same query under either
-        must share one cache entry.
+        stable and self-describing.  ``deadline_ms`` is excluded: a
+        deadline bounds the wait, not the answer, so the same query under
+        any deadline must share one cache entry.
         """
         return tuple(
             getattr(self, f.name)
             for f in dataclasses.fields(self)
-            if f.name not in _NON_ANSWER_FIELDS
+            if f.name != "deadline_ms"
         )
 
     def effective_k1(self) -> Optional[int]:

@@ -56,7 +56,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.api.config import BACKENDS, SearchConfig
+from repro.api.config import SearchConfig
 from repro.obs.tracing import span as obs_span
 from repro.api.query import (
     STATUS_EMPTY,
@@ -93,6 +93,11 @@ from repro.graph.labeled_graph import Label, LabeledGraph
 #: ``search_many`` error policies.
 ON_ERROR_POLICIES = ("raise", "return")
 
+#: ``search_many`` transports: ``"thread"`` (the default) serves the rows
+#: in this process; ``"process"`` scatter-gathers them across
+#: shared-memory worker processes (:mod:`repro.parallel`).
+BACKENDS = ("thread", "process")
+
 #: Default capacity of the per-engine LRU result cache (entries).
 DEFAULT_RESULT_CACHE_SIZE = 128
 
@@ -117,12 +122,6 @@ ENGINE_COUNTER_NAMES = (
     "g0_memo_hits",
     "g0_memo_misses",
 )
-
-#: Edge count below which ``backend="auto"`` keeps batches on the threaded
-#: path: under it the per-task wire marshalling and worker startup dominate
-#: any kernel parallelism, and the small-graph test workloads stay exactly
-#: on the code path they always exercised.
-PROCESS_AUTO_MIN_EDGES = 2048
 
 # One warning per process when the process backend falls back to threads
 # (satellite: unavailable shared memory must degrade loudly-once, not
@@ -199,34 +198,16 @@ def error_response_for(query: Query, exc: Exception) -> SearchResponse:
     )
 
 
-def use_process_transport(
-    engine,
-    backend: Optional[str],
-    config: Optional[SearchConfig],
-    *,
-    rows: int,
-    max_workers: int,
-) -> bool:
+def use_process_transport(backend: str) -> bool:
     """Whether a ``search_many`` batch goes to the worker-process pool.
 
-    The one transport rule of :class:`BCCEngine` and the sharded router:
-    an explicit ``backend`` wins, else the call ``config``'s, else the
-    engine's.  ``"process"`` always asks for the pool; ``"auto"`` asks for
-    it only for a compute-bound shape — more than one row,
-    ``max_workers > 1`` and at least :data:`PROCESS_AUTO_MIN_EDGES`
-    edges.  A value outside :data:`~repro.api.config.BACKENDS` raises
-    :class:`QueryError`.
+    The one transport check of :class:`BCCEngine` and the sharded router:
+    ``"process"`` asks for the pool, ``"thread"`` serves in this process,
+    and a value outside :data:`BACKENDS` raises :class:`QueryError`.
     """
-    if backend is None:
-        backend = (config if config is not None else engine.config).backend
     if backend not in BACKENDS:
         raise QueryError(f"unknown backend {backend!r}; known: {BACKENDS}")
-    return backend == "process" or (
-        backend == "auto"
-        and rows > 1
-        and max_workers > 1
-        and engine.graph.num_edges() >= PROCESS_AUTO_MIN_EDGES
-    )
+    return backend == "process"
 
 
 class ProcessSlot:
@@ -969,7 +950,7 @@ class BCCEngine:
         on_error: str = "raise",
         max_workers: int = 1,
         use_cache: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "thread",
     ) -> List[SearchResponse]:
         """Serve a batch of queries over one warm snapshot.
 
@@ -1003,20 +984,19 @@ class BCCEngine:
         single-core compute.  Each searched row carries its own counters,
         as a sequential :meth:`search` would.
 
-        ``backend`` selects the batch *transport*: ``"thread"`` serves the
-        rows in this process; ``"process"`` serves them on the engine's
-        :class:`~repro.parallel.ProcessEngine` — ``max_workers`` worker
-        processes over the frozen CSR in shared memory — with the same
-        answers and the same ``on_error`` / deadline semantics (a crashed
-        worker becomes a ``reason="worker-crashed"`` row, never a hang).
-        ``None`` defers to the effective config's ``backend``; ``"auto"``
-        picks processes only for compute-bound shapes
-        (:func:`use_process_transport`); any other value raises
-        :class:`~repro.exceptions.QueryError`.  Without shared memory the
-        batch falls back to threads with a one-time :class:`RuntimeWarning`
-        and a ``"process_fallbacks"`` tick.  The pool starts on the first
-        process batch, grows when a later one asks for more workers, and
-        closes on graph mutation or :meth:`close_process_pool`.
+        ``backend`` selects the batch *transport*: ``"thread"`` (the
+        default) serves the rows in this process; ``"process"`` serves them
+        on the engine's :class:`~repro.parallel.ProcessEngine` —
+        ``max_workers`` worker processes over the frozen CSR in shared
+        memory — with the same answers and the same ``on_error`` /
+        deadline semantics (a crashed worker becomes a
+        ``reason="worker-crashed"`` row, never a hang).  Any other value
+        raises :class:`~repro.exceptions.QueryError`.  Without shared
+        memory the batch falls back to threads with a one-time
+        :class:`RuntimeWarning` and a ``"process_fallbacks"`` tick.  The
+        pool starts on the first process batch, grows when a later one asks
+        for more workers, and closes on graph mutation or
+        :meth:`close_process_pool`.
         """
 
         def prepare_once() -> None:
@@ -1024,9 +1004,7 @@ class BCCEngine:
                 self.prepare()
 
         batch = BatchQuery.of(queries)  # both transports read the rows
-        if use_process_transport(
-            self, backend, config, rows=len(batch.queries), max_workers=max_workers
-        ):
+        if use_process_transport(backend):
             # The version lock empties the process slot on a mutation, so
             # prepare() runs before the slot is read, never inside it.
             prepare_once()

@@ -175,6 +175,29 @@ def updated_leader_degree(
     return loss
 
 
+def side_max_leader(
+    side: Collection[Vertex],
+    degrees: Dict[Vertex, int],
+    query: Vertex,
+    key: Callable[[Vertex], object] = repr,
+) -> Optional[Leader]:
+    """Pick a leader on one side, preferring the query vertex when adequate.
+
+    This is Algorithm 6 without the hop-distance refinement (which needs
+    the intra-group graph): the query wins when its χ exceeds half the
+    side's maximum, else the vertex of maximum χ with the largest ``key``.
+    ``None`` for an empty side.
+    """
+    if not side:
+        return None
+    b_max = max(degrees.get(v, 0) for v in side)
+    if query in side and degrees.get(query, 0) > b_max / 2.0:
+        return Leader(query, degrees.get(query, 0))
+    # The largest (degree, key): the key only among the top degree.
+    best_vertex = max((v for v in side if degrees.get(v, 0) == b_max), key=key)
+    return Leader(best_vertex, b_max)
+
+
 class LeaderPairTracker:
     """Maintains a leader pair and its butterfly degrees across deletions.
 
@@ -182,8 +205,10 @@ class LeaderPairTracker:
     L2P-BCC.  The tracker holds no graph: it reads the caller's community
     through three callables, keeps the two leaders' butterfly degrees up to
     date as vertices are deleted (Algorithm 7), and falls back to a full
-    butterfly recount plus re-identification (Algorithm 6) only when a
-    leader is deleted or its degree drops below ``b``.
+    butterfly recount plus re-identification (:func:`side_max_leader`)
+    only when a leader is deleted or its degree drops below ``b``.  It
+    starts with no leaders: the caller installs Algorithm 6's pair with
+    :meth:`set_leaders`.
 
     Algorithm 7's per-vertex losses telescope: summed over a deletion batch
     they equal χ_before(p) − χ_after(p).  So the caller deletes each batch
@@ -201,8 +226,6 @@ class LeaderPairTracker:
     recount:
         Zero-argument callable returning fresh χ values for the whole
         current community (Algorithm 3).
-    butterfly_degrees:
-        Initial χ values (from Algorithm 2's counting).
     q_left, q_right:
         The query vertices (preferred as leaders when adequate).
     b:
@@ -222,7 +245,6 @@ class LeaderPairTracker:
         sides: Callable[[], Tuple[Collection[Vertex], Collection[Vertex]]],
         degree_of: Callable[[Vertex], int],
         recount: Callable[[], Dict[Vertex, int]],
-        butterfly_degrees: Dict[Vertex, int],
         q_left: Vertex,
         q_right: Vertex,
         b: int,
@@ -242,36 +264,10 @@ class LeaderPairTracker:
         self.full_recounts = 0
         self._left_leader: Optional[Leader] = None
         self._right_leader: Optional[Leader] = None
-        self._initialise_leaders(butterfly_degrees)
 
     # ------------------------------------------------------------------
-    # initialisation / re-identification
+    # leaders
     # ------------------------------------------------------------------
-    def _initialise_leaders(self, degrees: Dict[Vertex, int]) -> None:
-        left, right = self._sides()
-        self._left_leader = self._best_on_side(left, degrees, self._q_left)
-        self._right_leader = self._best_on_side(right, degrees, self._q_right)
-
-    def _best_on_side(
-        self, side, degrees: Dict[Vertex, int], query: Vertex
-    ) -> Optional[Leader]:
-        """Pick a leader on one side, preferring the query vertex when adequate.
-
-        This is Algorithm 6 without the hop-distance refinement (which needs
-        the intra-group graph); callers with access to the group subgraphs
-        can use :func:`identify_leader` and :meth:`set_leaders` instead.
-        """
-        if not side:
-            return None
-        b_max = max(degrees.get(v, 0) for v in side)
-        if query in side and degrees.get(query, 0) > b_max / 2.0:
-            return Leader(query, degrees.get(query, 0))
-        # The largest (degree, key): the key only among the top degree.
-        best_vertex = max(
-            (v for v in side if degrees.get(v, 0) == b_max), key=self._key
-        )
-        return Leader(best_vertex, b_max)
-
     def set_leaders(self, left: Leader, right: Leader) -> None:
         """Install externally identified leaders (e.g. from :func:`identify_leader`)."""
         self._left_leader = left
@@ -331,5 +327,7 @@ class LeaderPairTracker:
         degrees = self._recount()
         self.full_recounts += 1
         self._inst.record_butterfly_counting()
-        self._initialise_leaders(degrees)
+        left, right = self._sides()
+        self._left_leader = side_max_leader(left, degrees, self._q_left, self._key)
+        self._right_leader = side_max_leader(right, degrees, self._q_right, self._key)
         return self.leaders_satisfy_requirement()

@@ -129,7 +129,6 @@ def run_lp_bcc(
         lambda: (bipartite.left(), bipartite.right()),
         partial(butterfly_degree_of, bipartite),
         partial(butterfly_degrees, bipartite),
-        g0.butterfly_degrees,
         q_left,
         q_right,
         parameters.b,

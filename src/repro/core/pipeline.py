@@ -488,7 +488,6 @@ def _leader_tracker(
         lambda: (left, right),
         community.butterfly_degree_of,
         community.butterfly_degrees,
-        chi,
         community.q_left,
         community.q_right,
         community.parameters.b,

@@ -15,9 +15,9 @@ shared memory once and serving queries from N worker processes:
   owner of a pool: engines' process batches and replica members.
 
 Callers normally never touch this package directly: pass
-``backend="process"`` (or let ``backend="auto"`` pick it for large
-compute-bound batches) to ``BCCEngine.search_many`` /
-``ShardedBCCEngine.search_many``, or ``member_backend="process"`` to
+``backend="process"`` to ``BCCEngine.search_many`` /
+``ShardedBCCEngine.search_many`` (the default ``"thread"`` never starts
+a worker), or ``member_backend="process"`` to
 :class:`~repro.server.replicas.ReplicaSet`.
 """
 

@@ -62,7 +62,7 @@ class ProcessBackendUnavailable(ReproError):
     graph's vertices/labels do not survive the JSON wire codec the pool
     marshals tasks through.  The engine layer catches it and falls back
     to the threaded batch path with a one-time warning and a counter —
-    ``backend="auto"`` must degrade, never raise.
+    a ``backend="process"`` batch must degrade, never raise.
     """
 
 

@@ -481,9 +481,14 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             raise _ClientError(
                 400, "bad-request", f"unknown on_error policy {on_error!r}"
             )
+        # Each worker is a serving thread: a batch may ask for no more of
+        # them than the gateway admits requests.
+        limit = self.gateway.max_in_flight
         max_workers = payload.get("max_workers", 1)
-        if not isinstance(max_workers, int) or max_workers < 1:
-            raise _ClientError(400, "bad-request", "max_workers must be an int >= 1")
+        if not isinstance(max_workers, int) or not 1 <= max_workers <= limit:
+            raise _ClientError(
+                400, "bad-request", f"max_workers must be an int in [1, {limit}]"
+            )
         use_cache = bool(payload.get("use_cache", True))
         try:
             responses = self.gateway.directory.serve_many(
@@ -537,7 +542,9 @@ class Gateway:
         :attr:`port` — the pattern tests, benchmarks and examples use).
     max_in_flight:
         Bounded admission: at most this many POST requests are served
-        concurrently; overflow is answered ``429`` + ``Retry-After``.
+        concurrently; overflow is answered ``429`` + ``Retry-After``.  It
+        also caps a ``search_many`` request's ``max_workers`` (``400``
+        above it).
     retry_after_seconds:
         The hint sent with 429 (overload) and 503 (unavailable) responses.
     max_body_bytes:

@@ -77,7 +77,9 @@ __all__ = [
 ]
 
 #: Wire-schema version; served on ``/healthz`` so clients can detect skew.
-PROTOCOL_VERSION = 1
+#: Version 2 dropped the config's ``backend`` field, which a version-1
+#: peer still sends and this codec refuses.
+PROTOCOL_VERSION = 2
 
 #: Wire spellings of the non-finite floats JSON cannot carry.
 _POS_INF = "inf"
@@ -193,7 +195,7 @@ def encode_trace_context(request_id: str) -> Dict[str, object]:
 
     Carried as an *optional* message field by the process-pool task
     protocol — untraced messages omit it entirely, so the common case
-    stays byte-identical to protocol version 1 payloads.
+    carries no extra field.
     """
     if not isinstance(request_id, str) or not request_id:
         raise ProtocolError("a trace context needs a non-empty request id")

@@ -418,7 +418,7 @@ class ShardedBCCEngine:
         on_error: str = "raise",
         max_workers: int = 1,
         use_cache: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "thread",
     ) -> List[SearchResponse]:
         """Scatter-gather a batch across shards, preserving batch semantics.
 
@@ -434,7 +434,7 @@ class ShardedBCCEngine:
         shards; each shard engine's fill-once caches keep preparation
         exactly-once per shard under contention.
 
-        ``backend`` picks the transport by the monolithic engine's rule
+        ``backend`` is the monolithic engine's transport switch
         (:func:`~repro.api.engine.use_process_transport`).  On processes,
         routing stays in the parent — cross-shard rows never reach a worker
         — and each in-shard row is pinned to worker ``shard_id % workers``,
@@ -442,9 +442,7 @@ class ShardedBCCEngine:
         are the monolithic engine's.
         """
         batch = BatchQuery.of(queries)
-        if use_process_transport(
-            self, backend, config, rows=len(batch.queries), max_workers=max_workers
-        ):
+        if use_process_transport(backend):
             responses = self._try_serve_process(
                 batch,
                 config=config,

@@ -18,14 +18,18 @@ class TestDefaults:
         assert config.b == 1
         assert config.bulk_deletion is True
         assert config.rho == 2
-        assert config.backend == "auto"
-        assert BACKENDS == ("auto", "thread", "process")
+        assert BACKENDS == ("thread", "process")
         assert config.max_iterations is None
         assert config.eta == 400
         assert config.path_config == PathWeightConfig()
         assert config.core_parameters is None
         assert config.size_budget == 2000
         assert config.shrink_rounds == 50
+
+    def test_no_transport_field(self):
+        # search_many(backend=...) alone picks a batch's transport.
+        with pytest.raises(TypeError):
+            SearchConfig(backend="process")
 
     def test_frozen(self):
         config = SearchConfig()
@@ -75,9 +79,6 @@ class TestValidation:
             {"k": -3},
             {"b": -1},
             {"rho": -1},
-            {"backend": "gpu"},
-            {"backend": "object"},
-            {"backend": "csr"},
             {"max_iterations": -5},
             {"eta": -1},
             {"size_budget": -1},
@@ -114,16 +115,11 @@ class TestDeadlineField:
         assert SearchConfig(deadline_ms=250.0).deadline_ms == 250.0
 
     def test_deadline_excluded_from_cache_key(self):
-        # The deadline bounds the wait and the transport moves the work;
-        # neither changes the answer, so configs that differ only in
-        # deadline_ms or backend must share a result-cache entry.
+        # The deadline bounds the wait, not the answer, so configs that
+        # differ only in deadline_ms must share a result-cache entry.
         base = SearchConfig(k1=4, k2=3)
         assert base.cache_key() == SearchConfig(
             k1=4, k2=3, deadline_ms=100.0
         ).cache_key()
-        for backend in ("thread", "process"):
-            assert base.cache_key() == SearchConfig(
-                k1=4, k2=3, backend=backend
-            ).cache_key()
         # ...while answer-shaping fields still split the key.
         assert base.cache_key() != SearchConfig(k1=5, k2=3).cache_key()

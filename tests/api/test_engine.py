@@ -480,13 +480,6 @@ class TestResultCache:
         assert second.vertices is not first.vertices  # the member set is not
         assert engine.counters_snapshot()["searches"] == 2
 
-    def test_transports_share_one_entry(self, paper_graph):
-        engine = BCCEngine(paper_graph)
-        query = Query("online-bcc", ("ql", "qr"))
-        for backend in ("auto", "thread", "process"):
-            engine.search(query, config=SearchConfig(k1=4, k2=3, backend=backend))
-        assert engine.counters_snapshot()["result_cache_hits"] == 2
-
     def test_distinct_configs_do_not_collide(self, paper_graph):
         engine = BCCEngine(paper_graph)
         query = ("ql", "qr")

@@ -13,6 +13,7 @@ from repro.core.leader_pair import (
     LeaderPairTracker,
     identify_leader,
     identify_leader_pair,
+    side_max_leader,
     updated_leader_degree,
 )
 from repro.core.pipeline import _find_g0, resolve_parameters
@@ -117,16 +118,21 @@ class TestUpdatedLeaderDegree:
 
 
 def tracker_over(view, degrees, q_left, q_right, **kwargs):
-    """A tracker that counts on ``view``, the community its caller shrinks."""
-    return LeaderPairTracker(
+    """A tracker that counts on ``view``, the community its caller shrinks,
+    holding the side-max leaders of ``degrees``."""
+    tracker = LeaderPairTracker(
         lambda: (view.left(), view.right()),
         partial(butterfly_degree_of, view),
         partial(butterfly_degrees, view),
-        degrees,
         q_left,
         q_right,
         **kwargs,
     )
+    tracker.set_leaders(
+        side_max_leader(view.left(), degrees, q_left),
+        side_max_leader(view.right(), degrees, q_right),
+    )
+    return tracker
 
 
 def delete(view, tracker, vertices):
@@ -205,6 +211,21 @@ class TestLeaderPairTracker:
         pair = tracker.leader_pair()
         assert pair is not None
         assert len(pair) == 2
+
+    def test_fresh_tracker_holds_no_leaders(self):
+        """The caller installs Algorithm 6's pair; the tracker picks none."""
+        graph, left, right, bipartite, degrees = figure3_setup()
+        view = bipartite.copy()
+        tracker = LeaderPairTracker(
+            lambda: (view.left(), view.right()),
+            partial(butterfly_degree_of, view),
+            partial(butterfly_degrees, view),
+            "ql",
+            "qr",
+            b=1,
+        )
+        assert tracker.leaders() == (None, None)
+        assert tracker.leader_pair() is None
 
 
 def _batches(view, leaders, rng):

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.api import BCCEngine, Query, SearchConfig
+from repro.api import BCCEngine, Query
 from repro.graph.generators import random_labeled_graph
 from repro.obs.tracing import Trace
 from tests.obs.conftest import FakeClock
@@ -78,7 +78,7 @@ def test_process_and_thread_batches_trace_the_same_logical_shape(
     queries = [
         Query("online-bcc", pair) for pair in cross_pairs(parity_graph, 4)
     ]
-    engine = BCCEngine(parity_graph, config=SearchConfig(backend="thread"))
+    engine = BCCEngine(parity_graph)
     engine.prepare()
     try:
         thread_trace, thread_responses = traced_batch(engine, queries, "thread")
@@ -108,7 +108,7 @@ def test_process_rows_graft_remote_worker_spans(parity_graph):
     queries = [
         Query("online-bcc", pair) for pair in cross_pairs(parity_graph, 2)
     ]
-    engine = BCCEngine(parity_graph, config=SearchConfig(backend="thread"))
+    engine = BCCEngine(parity_graph)
     engine.prepare()
     try:
         trace, _ = traced_batch(engine, queries, "process")

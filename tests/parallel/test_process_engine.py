@@ -2,10 +2,10 @@
 
 ``test_pool.py`` proves the transport; this file proves the integration
 contracts: ``backend="process"`` is invisible in answers (value-for-value
-parity with the threaded path), the ``auto`` heuristic never engages on
-shapes it cannot help, unavailability degrades with one warning and a
+parity with the threaded path), a batch that names no backend never
+starts a worker, unavailability degrades with one warning and a
 counter — never an error — and process-backed replica members live and
-die inside the PR 6 health lifecycle.
+die inside the replica health lifecycle.
 """
 
 from __future__ import annotations
@@ -20,10 +20,13 @@ import pytest
 
 import repro.api.engine as engine_mod
 from repro.api import BCCEngine, Query, SearchConfig
+from repro.datasets import load_dataset
+from repro.eval.queries import QuerySpec, generate_query_pairs
 from repro.exceptions import QueryError, WorkerCrashedError
 from repro.graph.generators import paper_example_graph
 from repro.parallel import ProcessEngine
 from repro.serving import GraphDirectory, ShardedBCCEngine
+from repro.server import Gateway, GatewayClient
 from repro.server.replicas import ReplicaSet
 from repro.server.protocol import encode_response
 
@@ -43,6 +46,19 @@ def cross_pairs(graph, limit):
         if len(pairs) >= limit:
             break
     return pairs
+
+
+@pytest.fixture(scope="module")
+def perfbench_bundle():
+    """perfbench's baseline graph: dblp, seed 2021, 12 x 32, 4,289 edges."""
+    bundle = load_dataset("dblp", seed=2021, communities=12, community_size=32)
+    assert bundle.graph.num_edges() == 4289
+    return bundle
+
+
+def perfbench_queries(bundle):
+    pairs = generate_query_pairs(bundle, QuerySpec(count=4), seed=2021)
+    return [Query("lp-bcc", pair) for pair in pairs]
 
 
 def canonical(response):
@@ -162,17 +178,38 @@ class TestEngineBackend:
         finally:
             engine.close_process_pool()
 
-    def test_auto_never_engages_below_the_edge_floor(self, pair_graph):
-        # pair_graph is far under PROCESS_AUTO_MIN_EDGES: auto must keep
-        # the threaded path and never pay a pool spawn (or a fallback).
-        assert pair_graph.num_edges() < engine_mod.PROCESS_AUTO_MIN_EDGES
-        engine = BCCEngine(pair_graph)
-        queries = [
-            Query("online-bcc", p) for p in cross_pairs(pair_graph, 4)
-        ]
-        engine.search_many(queries, on_error="return", max_workers=4)
-        assert engine.process_pool_stats() is None
-        assert engine.counters_snapshot()["process_fallbacks"] == 0
+    def test_default_transport_is_threads_on_the_perfbench_graph(
+        self, perfbench_bundle
+    ):
+        # A multi-row, multi-worker batch that names no backend stays on
+        # threads and never pays a pool spawn (or a fallback).
+        engine = BCCEngine(perfbench_bundle)
+        queries = perfbench_queries(perfbench_bundle)
+        try:
+            rows = engine.search_many(queries, max_workers=4)
+            assert len(rows) == len(queries)
+            counters = engine.counters_snapshot()
+            assert counters["process_batches"] == 0
+            assert counters["process_fallbacks"] == 0
+            assert engine.process_pool_stats() is None
+        finally:
+            engine.close_process_pool()
+
+    def test_no_gateway_request_reaches_worker_processes(self, perfbench_bundle):
+        # The wire carries no transport: an HTTP batch is served on threads.
+        directory = GraphDirectory(sharded=False)
+        directory.add("dblp", perfbench_bundle)
+        engine = directory.get("dblp")
+        queries = perfbench_queries(perfbench_bundle)
+        try:
+            with Gateway(directory, port=0) as gateway:
+                client = GatewayClient(gateway.url, timeout_seconds=30.0)
+                rows = client.search_many("dblp", queries, max_workers=2)
+            assert len(rows) == len(queries)
+            assert engine.counters_snapshot()["process_batches"] == 0
+            assert engine.process_pool_stats() is None
+        finally:
+            engine.close_process_pool()
 
     def test_unavailable_substrate_falls_back_with_one_warning(
         self, pair_graph, fresh_fallback_state

@@ -219,6 +219,24 @@ class TestSearchManyEndpoint:
         )
         assert status == 400
 
+    def test_max_workers_above_max_in_flight_is_400(self, paper_directory):
+        """A batch may ask for no more worker threads than the gateway
+        admits requests."""
+        with Gateway(paper_directory, port=0, max_in_flight=2) as gateway:
+            body = json.dumps(
+                {"queries": [{"method": "online-bcc", "vertices": ["ql", "qr"],
+                              "config": None}],
+                 "config": None, "max_workers": 3}
+            ).encode()
+            status, payload = raw_request(
+                f"{gateway.url}/graphs/paper/search_many", method="POST", body=body
+            )
+            assert status == 400
+            assert payload["code"] == "bad-request"
+            client = GatewayClient(gateway.url, timeout_seconds=10.0)
+            rows = client.search_many("paper", [OK_QUERY] * 2, max_workers=2)
+            assert [row.status for row in rows] == [STATUS_OK, STATUS_OK]
+
 
 class TestExplainEndpoint:
     def test_explain_reports_dispatch(self, client):

@@ -101,7 +101,6 @@ class TestConfigRoundTrip:
             b=2,
             bulk_deletion=False,
             rho=4,
-            backend="thread",
             max_iterations=77,
             eta=9,
             path_config=PathWeightConfig(gamma1=0.25, gamma2=1.75),
@@ -114,9 +113,11 @@ class TestConfigRoundTrip:
         assert restored.core_parameters == (2, 3, 4)  # tuple, not list
         assert restored.cache_key() == config.cache_key()
 
-    def test_unknown_fields_mean_schema_skew(self):
+    # "backend" is what a protocol-version-1 peer still sends.
+    @pytest.mark.parametrize("field", ["warp_speed", "backend"])
+    def test_unknown_fields_mean_schema_skew(self, field):
         payload = encode_config(SearchConfig())
-        payload["warp_speed"] = True
+        payload[field] = "auto"
         with pytest.raises(ProtocolError):
             decode_config(payload)
 
