@@ -36,7 +36,10 @@ deletions, leader pair and Table-4 counts — because the algorithms only
 ever delete vertices, so every intermediate community is an induced
 subgraph of ``G0`` and is fully described by its alive ids.  L2P-BCC passes
 its Algorithm 8 candidate as an id set; inside it the cores are taken over
-the candidate's own label groups, so their coreness is peeled per query.
+the candidate's own label groups.  When the expansion drained its queue
+(the candidate is closed), that coreness is the snapshot's group coreness
+and nothing is peeled; a candidate cut short by η, or read at a user-set k
+below its path threshold, is peeled per query.
 """
 
 from __future__ import annotations
@@ -74,10 +77,6 @@ from repro.graph.csr import (
     csr_butterfly_degrees,
 )
 from repro.graph.labeled_graph import LabeledGraph, Vertex
-
-#: Per-side coreness lists: the engine-wide label-group coreness, or the
-#: coreness inside an L2P candidate's label groups.
-Cores = Tuple[Sequence[int], Sequence[int]]
 
 #: An engine's counter hook: ``count(name)`` bumps one engine counter.
 Count = Callable[[str], None]
@@ -137,16 +136,18 @@ def _core_component(
 
 
 def _candidate_coreness(
-    query: int, same: List[List[int]], candidate: Set[int], n: int
+    queries: Sequence[int], same: List[List[int]], candidate: Set[int], n: int
 ) -> List[int]:
-    """Coreness inside ``candidate``'s label group, over ``query``'s component.
+    """Coreness inside ``candidate``'s label groups, over the queries' components.
 
-    Cores live per connected component, so peeling the query's component
-    of the candidate group gives the values Algorithm 8 (line 4) and the
-    candidate-restricted Algorithm 2 need; every other id reads -1.
+    Cores live per connected component, so peeling the components of the
+    candidate groups that hold the queries gives the values Algorithm 8
+    (line 4) and the candidate-restricted Algorithm 2 need; every other id
+    reads -1.  Same-label ids never reach another label, so both queries'
+    components go through one peel.
     """
-    component = [query]
-    seen = {query}
+    component = list(queries)
+    seen = set(component)
     for u in component:
         for w in same[u]:
             if w not in seen and w in candidate:
@@ -321,22 +322,24 @@ def _find_g0(
     q_right: int,
     parameters: BCCParameters,
     inst: SearchInstrumentation,
-    cores: Optional[Cores] = None,
+    coreness: Optional[Sequence[int]] = None,
     count: Count = _uncounted,
 ) -> Optional[Tuple[_Community, Mapping[int, int]]]:
     """Algorithm 2 over ids: ``G0`` as a community, plus its χ, or ``None``.
 
-    ``cores`` cuts L and R (unset: the engine-wide coreness).  The rest of
+    ``coreness`` cuts L and R (unset: the engine-wide coreness); each BFS
+    walks only its own label, so one list serves both sides.  The rest of
     ``G0`` comes from the snapshot's memo under ``(L, R, b)``, and ``count``
     (the engine's counter hook) records the lookup as ``g0_memo_hits`` or
     ``g0_memo_misses``.  The returned χ is shared: read it, never write it.
     """
-    left_core, right_core = cores if cores is not None else (csr.group_coreness(),) * 2
+    if coreness is None:
+        coreness = csr.group_coreness()
     same = csr.label_split()[0]
-    left = _core_component(q_left, parameters.k1, left_core, same)
+    left = _core_component(q_left, parameters.k1, coreness, same)
     if left is None:
         return None
-    right = _core_component(q_right, parameters.k2, right_core, same)
+    right = _core_component(q_right, parameters.k2, coreness, same)
     if right is None:
         return None
     key = (frozenset(left), frozenset(right), parameters.b)
@@ -535,7 +538,7 @@ def _lp_search(
     q_left: Vertex,
     q_right: Vertex,
     parameters: BCCParameters,
-    cores: Optional[Cores],
+    coreness: Optional[Sequence[int]],
     bulk_deletion: bool,
     rho: int,
     max_iterations: Optional[int],
@@ -544,11 +547,11 @@ def _lp_search(
 ) -> BCCResult:
     """The LP-BCC loop over ids, for the global graph or an L2P candidate.
 
-    ``cores`` carries the candidate's per-side coreness (``None``: the
-    engine-wide label-group coreness).
+    ``coreness`` is the coreness inside the candidate's label groups
+    (``None``: the engine-wide label-group coreness).
     """
     ql, qr = csr.id_of(q_left), csr.id_of(q_right)
-    found = _find_g0(csr, ql, qr, parameters, inst, cores, count)
+    found = _find_g0(csr, ql, qr, parameters, inst, coreness, count)
     if found is None:
         raise _no_candidate(parameters)
     community, chi = found
@@ -640,8 +643,12 @@ def _expand_candidate(
     labels: Tuple[int, int],
     thresholds: Tuple[int, int],
     eta: int,
-) -> Set[int]:
-    """Algorithm 8, line 3, over ids (see ``expand_candidate_graph``)."""
+) -> Tuple[Set[int], bool]:
+    """Algorithm 8, line 3, over ids (see ``expand_candidate_graph``).
+
+    Also returns whether the queue drained, i.e. the candidate is closed:
+    it holds every qualifying neighbour of each of its ids.
+    """
     slices, label_of = csr.adjacency_slices(), csr.labels
     coreness = csr.group_coreness()
     left_label, right_label = labels
@@ -667,7 +674,7 @@ def _expand_candidate(
                 continue
             admitted.add(w)
             queue.append(w)
-    return admitted
+    return admitted, not queue
 
 
 def l2p_bcc(
@@ -691,10 +698,17 @@ def l2p_bcc(
 
     The Def. 6 path search runs on the ids of ``graph.freeze()`` (this
     ``csr``) and returns ``None`` only for a disconnected pair; the
-    candidate ``G_t`` is an id set, its line-4 k defaults are a peel over
-    the candidate's ids, and the line-5 refinement (and the global
-    fallback) is :func:`_lp_search`.  Both read the G0 memo, and ``count``
-    (the serving engine's counter hook) records each lookup.
+    candidate ``G_t`` is an id set, and the line-5 refinement (and the
+    global fallback) is :func:`_lp_search`.  Both read the G0 memo, and
+    ``count`` (the serving engine's counter hook) records each lookup.
+
+    Line 4 and the candidate's Algorithm 2 read the coreness inside
+    ``G_t``'s label groups.  When the expansion drained its queue, each
+    side of ``G_t`` is a union of whole components of its threshold core
+    ``{v : δ(v) >= threshold}``; k-cores nest, so that coreness is the
+    snapshot's group coreness, and a core BFS at k >= threshold stays in
+    ``G_t``.  Only a candidate cut short by η, or a user-set k below its
+    threshold, is peeled.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     query_labels = resolve_query_labels(graph, q_left, q_right)
@@ -715,23 +729,21 @@ def l2p_bcc(
         min((coreness[v] for v in path if label_of[v] == label), default=0)
         for label in labels
     )
-    candidate = _expand_candidate(csr, path, labels, thresholds, eta)
+    candidate, closed = _expand_candidate(csr, path, labels, thresholds, eta)
     inst.add("candidate_vertices", float(len(candidate)))
 
-    n = len(label_of)
-    same = csr.label_split()[0]
-    cores = (
-        _candidate_coreness(ql, same, candidate, n),
-        _candidate_coreness(qr, same, candidate, n),
-    )
+    if not closed or any(k is not None and k < t for k, t in zip((k1, k2), thresholds)):
+        coreness = _candidate_coreness(
+            (ql, qr), csr.label_split()[0], candidate, len(label_of)
+        )
     if k1 is None:
-        k1 = cores[0][ql]
+        k1 = coreness[ql]
     if k2 is None:
-        k2 = cores[1][qr]
+        k2 = coreness[qr]
     parameters = BCCParameters(k1=k1, k2=k2, b=b)
     try:
         result = _lp_search(
-            csr, query_labels, q_left, q_right, parameters, cores,
+            csr, query_labels, q_left, q_right, parameters, coreness,
             True, rho, max_iterations, inst, count,
         )
     except EmptyCommunityError:

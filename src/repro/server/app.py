@@ -45,10 +45,12 @@ Two serving-tier policies live at this boundary:
 
 Every request emits one structured JSON access-log line on the
 ``repro.server.access`` logger (method, path, status, duration, in-flight
-gauge, request id) — parseable telemetry, not prose.  Callers may supply
-an ``X-Request-Id`` header (generated when absent); it is echoed on the
-response and stamped into error payloads, so one id follows a request
-through client logs, access logs and error bodies.
+gauge, request id) — parseable telemetry, not prose.  The line is written
+just before the response body, so a client that has read its answer finds
+it; a request whose client went away before its headers were written logs
+499.  Callers may supply an ``X-Request-Id`` header (generated when
+absent); it is echoed on the response and stamped into error payloads, so
+one id follows a request through client logs, access logs and error bodies.
 """
 
 from __future__ import annotations
@@ -189,49 +191,61 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         """This request's id (assigned at the top of do_GET / do_POST)."""
         return getattr(self, "_request_id", "") or "-"
 
-    def _access_log(self, method: str, status: int, started: float) -> None:
+    def _begin(self) -> None:
+        """Start this request's clock and assign its id (top of do_GET / do_POST)."""
+        self._started = time.perf_counter()
+        self._logged = False
+        self._assign_request_id()
+
+    def _access_log(self, status: int) -> None:
+        """Emit this request's one access-log line; later calls do nothing."""
+        if self._logged:
+            return
+        self._logged = True
+        if not ACCESS_LOGGER.isEnabledFor(logging.INFO):
+            return
         record = {
-            "method": method,
+            "method": self.command,
             "path": self.path,
             "status": status,
-            "duration_ms": round((time.perf_counter() - started) * 1000.0, 3),
+            "duration_ms": round((time.perf_counter() - self._started) * 1000.0, 3),
             "in_flight": self.gateway.in_flight(),
             "request_id": self.request_id,
         }
         ACCESS_LOGGER.info("%s", json.dumps(record, sort_keys=True))
+
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: Tuple[Tuple[str, str], ...] = (),
+    ) -> None:
+        """Write one response; the access-log line goes out before the body."""
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("X-Request-Id", self.request_id)
+        for name, value in headers:
+            self.send_header(name, value)
+        self.end_headers()
+        self._access_log(status)
+        self.wfile.write(body)
 
     def _send_json(
         self,
         status: int,
         payload: object,
         headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> int:
+    ) -> None:
         body = json_dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Request-Id", self.request_id)
-        for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-        return status
+        self._send(status, body, "application/json; charset=utf-8", headers)
 
-    def _send_error_json(self, status: int, code: str, message: str) -> int:
-        return self._send_json(
+    def _send_error_json(self, status: int, code: str, message: str) -> None:
+        self._send_json(
             status,
             {"error": message, "code": code, "request_id": self.request_id},
         )
-
-    def _send_text(self, status: int, body: str, content_type: str) -> int:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.send_header("X-Request-Id", self.request_id)
-        self.end_headers()
-        self.wfile.write(data)
-        return status
 
     def _read_body(self) -> bytes:
         length_header = self.headers.get("Content-Length")
@@ -259,59 +273,49 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     # GET endpoints (observability; never subject to backpressure)
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        started = time.perf_counter()
         gateway = self.gateway
-        self._assign_request_id()
+        self._begin()
         try:
             if self.path == "/healthz":
                 payload = gateway.health_payload()
                 # A gateway whose every replica of some graph is ejected is
                 # not healthy: load balancers reading /healthz should stop
                 # sending it traffic until a probe re-admits a replica.
-                status = self._send_json(
-                    503 if payload["status"] == "down" else 200, payload
-                )
+                self._send_json(503 if payload["status"] == "down" else 200, payload)
             elif self.path == "/graphs":
-                status = self._send_json(
-                    200, {"graphs": gateway.directory.names()}
-                )
+                self._send_json(200, {"graphs": gateway.directory.names()})
             elif self.path == "/stats":
-                status = self._send_json(200, gateway.directory.stats_payload())
+                self._send_json(200, gateway.directory.stats_payload())
             elif self.path == "/metrics":
-                status = self._send_text(
+                self._send(
                     200,
-                    gateway.observability.registry.render_prometheus(),
+                    gateway.observability.registry.render_prometheus().encode("utf-8"),
                     "text/plain; version=0.0.4; charset=utf-8",
                 )
             elif self.path == "/debug/slow":
-                status = self._send_json(
-                    200, gateway.observability.slow_log.payload()
-                )
+                self._send_json(200, gateway.observability.slow_log.payload())
             else:
-                status = self._send_error_json(
+                self._send_error_json(
                     404, "not-found", f"no such endpoint: {self.path}"
                 )
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            return
+            self._access_log(499)  # client went away; nothing to send
         except Exception as exc:  # pragma: no cover - defensive boundary
-            status = self._send_error_json(500, "internal", repr(exc))
-        self._access_log("GET", status, started)
+            self._send_error_json(500, "internal", repr(exc))
 
     # ------------------------------------------------------------------
     # POST endpoints (query serving; bounded admission)
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        started = time.perf_counter()
         gateway = self.gateway
-        self._assign_request_id()
+        self._begin()
         try:
             name, verb = self._route_post()
         except _ClientError as exc:
             # The body was never read: the keep-alive stream is desynced,
             # so answer and drop the connection.
             self.close_connection = True
-            status = self._send_error_json(exc.status, exc.code, str(exc))
-            self._access_log("POST", status, started)
+            self._send_error_json(exc.status, exc.code, str(exc))
             return
         if not gateway.try_acquire():
             gateway.count("rejections")
@@ -319,7 +323,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             # 429 answer rides out on a closing connection, which also
             # stops a retrying client from hammering a warm socket.
             self.close_connection = True
-            status = self._send_json(
+            self._send_json(
                 429,
                 {
                     "error": (
@@ -332,7 +336,6 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 },
                 headers=(("Retry-After", str(gateway.retry_after_seconds)),),
             )
-            self._access_log("POST", status, started)
             return
         try:
             gateway.count("requests")
@@ -345,15 +348,15 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 self.request_id, path=self.path
             ):
                 reply = self._serve_post(name, verb)
-            status = self._send_json(*reply)
+            self._send_json(*reply)
         except _ClientError as exc:
-            status = self._send_error_json(exc.status, exc.code, str(exc))
+            self._send_error_json(exc.status, exc.code, str(exc))
         except AllReplicasEjectedError as exc:
             # Every replica of the graph is ejected and no degraded answer
             # was available: tell the client when to come back instead of
             # hanging or answering 500.
             gateway.count("unavailable")
-            status = self._send_json(
+            self._send_json(
                 503,
                 {
                     "error": str(exc),
@@ -364,21 +367,20 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 headers=(("Retry-After", str(gateway.retry_after_seconds)),),
             )
         except GraphNotFoundError as exc:
-            status = self._send_json(
+            self._send_json(
                 404,
                 {"error": str(exc), "code": "graph-not-found",
                  "graph": str(exc.name)},
             )
         except ProtocolError as exc:
-            status = self._send_error_json(400, "bad-request", str(exc))
+            self._send_error_json(400, "bad-request", str(exc))
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            status = 499  # client went away; nothing to send
+            self._access_log(499)  # client went away; nothing to send
         except Exception as exc:  # pragma: no cover - defensive boundary
             gateway.count("errors")
-            status = self._send_error_json(500, "internal", repr(exc))
+            self._send_error_json(500, "internal", repr(exc))
         finally:
             gateway.release()
-        self._access_log("POST", status, started)
 
     def _route_post(self) -> Tuple[str, str]:
         parts = self.path.strip("/").split("/")

@@ -18,6 +18,7 @@ from functools import partial
 
 import pytest
 
+import repro.core.pipeline as pipeline
 from repro.api import BCCEngine, Query, SearchConfig
 from repro.api.query import STATUS_EMPTY, STATUS_OK, SearchResponse
 from repro.core.bcc_model import validate_bcc
@@ -52,6 +53,7 @@ CONFIGS = (
     SearchConfig(b=1, max_iterations=1),
     SearchConfig(k=50),  # k above every coreness: no candidate
     SearchConfig(b=10_000),  # b above every butterfly degree
+    SearchConfig(b=1, eta=8),  # η cuts L2P's candidate short: it is peeled
 )
 
 
@@ -245,3 +247,60 @@ def test_attached_engine_reads_group_coreness_from_the_snapshot(tmp_path, monkey
     got = [attached.search(Query("lp-bcc", pair)) for pair in pairs]
     assert [_fields(r) for r in got] == [_fields(r) for r in expected]
     assert attached.counters_snapshot()["group_builds"] == 0
+
+
+def test_closed_candidates_are_not_peeled(monkeypatch):
+    """|V| <= η on this graph, so every L2P candidate is closed and keeps
+    the snapshot's group coreness: no search peels its label groups."""
+    bundle = load_dataset("dblp", seed=2021, communities=12, community_size=32)
+    pairs = generate_query_pairs(bundle, QuerySpec(count=8), seed=11)
+    engine = BCCEngine(bundle.graph, SearchConfig(b=1, max_iterations=60)).prepare()
+    engine.ensure_index()
+    queries = [Query("l2p-bcc", pair) for pair in pairs]
+    expected = [_fields(engine.search(query, use_cache=False)) for query in queries]
+
+    def no_peel(slices):
+        raise AssertionError("a closed candidate must not be peeled")
+
+    monkeypatch.setattr(pipeline, "core_numbers", no_peel)
+    got = [_fields(engine.search(query, use_cache=False)) for query in queries]
+    assert got == expected
+    assert sum(row["status"] == "ok" for row in got) >= 6
+
+
+@pytest.mark.parametrize("case", ["random", "baseline"])
+def test_closed_candidate_coreness_is_the_group_coreness(monkeypatch, case):
+    """Inside a closed candidate, each query's component of its label group
+    peels to the group coreness the snapshot already holds."""
+    if case == "random":
+        cases = [_random_case(seed, ("A", "B", "C")) for seed in range(16)]
+    else:
+        bundle = load_dataset("dblp", seed=2021, communities=12, community_size=32)
+        cases = [(bundle.graph, generate_query_pairs(bundle, QuerySpec(count=12), seed=5))]
+    cut = []
+    expand = pipeline._expand_candidate
+
+    def spy(*args):
+        cut.append(expand(*args))
+        return cut[-1]
+
+    monkeypatch.setattr(pipeline, "_expand_candidate", spy)
+    checked = 0
+    for graph, pairs in cases:
+        engine = BCCEngine(graph).prepare()
+        csr = engine.frozen_graph(split=True)
+        for pair in pairs:
+            cut.clear()
+            engine.search(Query("l2p-bcc", pair), use_cache=False)
+            if not cut or not cut[0][1]:
+                continue
+            queries = tuple(map(csr.id_of, pair))
+            peeled = pipeline._candidate_coreness(
+                queries, csr.label_split()[0], cut[0][0], len(csr.labels)
+            )
+            components = [v for v, c in enumerate(peeled) if c >= 0]
+            assert set(queries) <= set(components) <= cut[0][0]
+            group = csr.group_coreness()
+            assert [peeled[v] for v in components] == [group[v] for v in components]
+            checked += 1
+    assert checked >= 12

@@ -321,17 +321,9 @@ class TestBackpressure:
 
 class TestAccessLogs:
     def test_structured_json_lines_are_emitted(self, client, caplog):
-        import time
-
         with caplog.at_level(logging.INFO, logger=ACCESS_LOGGER.name):
             client.search("paper", OK_QUERY)
             client.healthz()
-            # The access line is logged *after* the response body is sent,
-            # so the server thread may still be writing it when the client
-            # returns — poll instead of racing.
-            deadline = time.monotonic() + 5.0
-            while len(caplog.records) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
         records = [json.loads(record.getMessage()) for record in caplog.records]
         posts = [r for r in records if r["method"] == "POST"]
         gets = [r for r in records if r["method"] == "GET"]
@@ -340,6 +332,37 @@ class TestAccessLogs:
         assert posts[0]["status"] == 200
         assert posts[0]["duration_ms"] >= 0.0
         assert "in_flight" in posts[0]
+
+    def test_line_lands_before_the_answer(self, client):
+        """A handler that holds each record 0.5 s still has it stored by the
+        time the client has read its answer."""
+        import time
+
+        class HeldHandler(logging.Handler):
+            def __init__(self):
+                super().__init__()
+                self.lines = []
+
+            def emit(self, record):
+                time.sleep(0.5)
+                self.lines.append(json.loads(record.getMessage()))
+
+        held = HeldHandler()
+        level = ACCESS_LOGGER.level
+        ACCESS_LOGGER.addHandler(held)
+        ACCESS_LOGGER.setLevel(logging.INFO)
+        try:
+            client.healthz()
+            assert [line["path"] for line in held.lines] == ["/healthz"]
+            client.search("paper", OK_QUERY)
+            assert [line["path"] for line in held.lines] == [
+                "/healthz", "/graphs/paper/search",
+            ]
+        finally:
+            ACCESS_LOGGER.removeHandler(held)
+            ACCESS_LOGGER.setLevel(level)
+        # The search's line is written while it still holds its slot.
+        assert held.lines[1]["in_flight"] >= 1
 
 
 class TestLifecycle:
