@@ -8,10 +8,11 @@ lexically: every read or write of a field listed in
 :data:`GUARDED_FIELDS` must appear inside a ``with <receiver>.<lock>:``
 block naming the *same receiver* and the *matching lock*.
 
-The receiver matters: ``LatencyHistogram.merge`` snapshots
-``other._counts`` under ``with other._lock:`` — holding ``self._lock``
-there would be the bug.  Tracking ``(receiver, lock)`` pairs makes that
-pattern first-class instead of a false positive.
+The receiver matters: a method that reads another instance's guarded
+field (``other._counts``) must hold *that* instance's lock
+(``with other._lock:``) — holding ``self._lock`` there would be the bug.
+Tracking ``(receiver, lock)`` pairs makes that pattern first-class
+instead of a false positive.
 
 Deliberate non-goals, matching the codebase's documented conventions:
 
@@ -110,9 +111,7 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
     },
     "directory.py": {
         "GraphDirectory": {
-            "_engines": "_lock",
-            "_latency": "_lock",
-            "_store_modes": "_lock",
+            "_served": "_lock",
         },
     },
     "stats.py": {

@@ -209,6 +209,15 @@ def run_l2p_bcc(
         eta,
     )
     inst.add("candidate_vertices", float(candidate.num_vertices()))
+    # The expansion's queue drained (G_t is closed) exactly when |G_t| <= eta:
+    # once past eta, the last vertex popped admitted one, so it is queued.
+    # A closed G_t holds the global connected cores at any k >= its side's
+    # threshold (k-cores nest), so line 5 then runs the global search.
+    user_ks = (k1, k2)
+    global_search = candidate.num_vertices() <= eta and all(
+        k is None or k >= t
+        for k, t in zip(user_ks, (k_left_threshold, k_right_threshold))
+    )
 
     # Line 4: core parameters default to the largest coreness on each side of
     # the candidate graph.
@@ -233,7 +242,11 @@ def run_l2p_bcc(
             instrumentation=inst,
         )
     except EmptyCommunityError:
-        if candidate.num_vertices() >= graph.num_vertices():
+        # After a global search the fallback could only fail again — unless
+        # it re-resolves a user-set k of 0.
+        if candidate.num_vertices() >= graph.num_vertices() or (
+            global_search and 0 not in user_ks
+        ):
             raise
         # The local candidate missed the community (e.g. eta too small for the
         # required cores); fall back to the global LP-BCC search so that the

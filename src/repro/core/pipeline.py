@@ -708,7 +708,8 @@ def l2p_bcc(
     ``{v : δ(v) >= threshold}``; k-cores nest, so that coreness is the
     snapshot's group coreness, and a core BFS at k >= threshold stays in
     ``G_t``.  Only a candidate cut short by η, or a user-set k below its
-    threshold, is peeled.
+    threshold, is peeled.  An unpeeled candidate's search is the global
+    LP-BCC search, so its empty answer skips the global fallback.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     query_labels = resolve_query_labels(graph, q_left, q_right)
@@ -732,7 +733,11 @@ def l2p_bcc(
     candidate, closed = _expand_candidate(csr, path, labels, thresholds, eta)
     inst.add("candidate_vertices", float(len(candidate)))
 
-    if not closed or any(k is not None and k < t for k, t in zip((k1, k2), thresholds)):
+    user_ks = (k1, k2)
+    peeled = not closed or any(
+        k is not None and k < t for k, t in zip(user_ks, thresholds)
+    )
+    if peeled:
         coreness = _candidate_coreness(
             (ql, qr), csr.label_split()[0], candidate, len(label_of)
         )
@@ -747,7 +752,10 @@ def l2p_bcc(
             True, rho, max_iterations, inst, count,
         )
     except EmptyCommunityError:
-        if len(candidate) >= graph.num_vertices():
+        # Unpeeled, the search just run was the global one (group coreness,
+        # same (k1, k2, b)), so the fallback could only fail again — unless
+        # it re-resolves a user-set k of 0.
+        if len(candidate) >= graph.num_vertices() or (not peeled and 0 not in user_ks):
             raise
         # The local candidate missed the community; degrade to the global
         # LP-BCC search, exactly as the object runner does.

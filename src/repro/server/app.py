@@ -433,7 +433,14 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         deadline = deadline_seconds_for(
             config, query.config, getattr(engine, "config", None)
         )
-        degraded_key = gateway.degraded_cache_key(name, payload)
+        # Only a replica set (the host with a health_summary, as in
+        # GraphDirectory.readiness) raises AllReplicasEjectedError, so only
+        # its answers are worth keeping for degraded mode.
+        degraded_key = (
+            gateway.degraded_cache_key(name, payload)
+            if hasattr(engine, "health_summary")
+            else None
+        )
         try:
             response = run_with_deadline(
                 lambda: gateway.directory.serve(
@@ -452,7 +459,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         except AllReplicasEjectedError:
             # Degraded mode: replay the last good answer for this exact
             # request (marked so) rather than failing — stale beats down.
-            stale = gateway.degraded_cache_get(degraded_key)
+            stale = degraded_key and gateway.degraded_cache_get(degraded_key)
             if stale is None:
                 raise  # → 503 + Retry-After in do_POST
             gateway.count("degraded")
@@ -465,7 +472,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                 replay,
             )
         encoded = self._encode_response(response)
-        if response.status != "error":
+        if degraded_key is not None and response.status != "error":
             # Only genuinely served answers become degraded-mode material;
             # caching error rows would replay failures.
             gateway.degraded_cache_put(degraded_key, encoded)

@@ -11,10 +11,10 @@ graph behind one ``ServingEngine``-shaped front (``search`` /
   fewest in-flight queries (ties break to the lowest replica id, so
   single-threaded traffic is deterministic and a warmed replica stays
   warm);
-* **merged stats** — per-replica latency histograms are merged bucket-wise
-  via :meth:`repro.serving.stats.LatencyHistogram.merge` and engine
-  counters are summed, so the stats endpoint shows the set as one engine
-  *plus* a per-replica breakdown (routed counts, in-flight gauge);
+* **merged stats** — engine counters are summed, so the stats endpoint
+  shows the set as one engine *plus* a per-replica breakdown (routed
+  counts, in-flight gauge); its latency is the directory's, recorded once
+  per call at the :class:`repro.serving.GraphDirectory` edge;
 * **shared substrate, private state** — replicas share the underlying
   ``LabeledGraph`` (whose version-cached CSR freeze is paid once for the
   whole set) but each owns its result cache, label groups, BCindex and
@@ -59,7 +59,6 @@ from repro.obs.tracing import span as obs_span
 from repro.server.resilience import HealthPolicy, ReplicaHealth
 from repro.serving.sharded import ShardedBCCEngine
 from repro.serving.stats import (
-    LatencyHistogram,
     ServingStats,
     aggregate_counters,
     engine_payload,
@@ -161,9 +160,6 @@ class ReplicaSet:
         self._searches = 0
         self._failovers = 0
         self._replica_failures = 0
-        self._latency: List[LatencyHistogram] = [
-            LatencyHistogram() for _ in range(replicas)
-        ]
 
     # ------------------------------------------------------------------
     # process-backed members
@@ -390,12 +386,10 @@ class ReplicaSet:
                 # success, caller error, replica failure — or a crashing
                 # replica would permanently look loaded and skew routing.
                 self._release(replica_id)
-            elapsed = time.perf_counter() - start
-            health.record_success(elapsed)
+            health.record_success(time.perf_counter() - start)
             # Served queries only: a malformed query raised above and is
-            # neither a search nor a latency observation (same rule as the
-            # monolithic and sharded engines).
-            self._latency[replica_id].observe(elapsed)
+            # not a search (same rule as the monolithic and sharded
+            # engines).
             with self._route_lock:
                 self._searches += 1
             return response
@@ -499,20 +493,13 @@ class ReplicaSet:
             "states": states,
         }
 
-    def merged_latency(self) -> LatencyHistogram:
-        """All per-replica histograms merged into one (shared bounds)."""
-        merged = LatencyHistogram(self._latency[0].bounds)
-        for histogram in self._latency:
-            merged.merge(histogram)
-        return merged
-
     def stats(self, name: str = "replica-set") -> ServingStats:
         """The stats-endpoint snapshot: merged totals + per-replica blocks.
 
-        ``latency`` is the bucket-wise merge of every replica's histogram;
         ``replicas`` carries one block per replica with its routed count,
         current in-flight gauge and engine counters, so an operator can see
         both the set as one engine and whether routing is balanced.
+        ``latency`` is empty: the directory edge records it.
         """
         with self._route_lock:
             routed = list(self._routed)
@@ -589,7 +576,6 @@ class ReplicaSet:
                 "entries": cache_entries,
                 "hit_rate": (cache_hits / lookups) if lookups else None,
             },
-            latency=self.merged_latency().snapshot(),
             replicas=tuple(blocks),
             health=self.health_summary(),
         )

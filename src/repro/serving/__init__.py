@@ -10,10 +10,11 @@ asks for: many graphs, many shards, one uniform ``Query`` /
   ``reason="cross-shard"``, and ``search_many`` scatter-gathers with the
   monolithic engine's exact batch semantics.
 * :class:`GraphDirectory` — named engines (sharded or monolithic) wired to
-  the dataset registry, so any registered network is servable by name.
+  the dataset registry, so any registered network is servable by name; it
+  is the one place a served request's latency is recorded.
 * :class:`ServingStats` / :class:`LatencyHistogram` — the JSON-serializable
-  "stats endpoint" payload: per-shard counters, cache hit rates, latency
-  histograms.
+  "stats endpoint" payload: per-shard counters, cache hit rates and the
+  directory's one latency histogram per served graph.
 * :mod:`repro.serving.policies` — cache admission policies (TTL expiry,
   per-method size budgets) layered onto the engine's LRU result cache.
 """

@@ -11,9 +11,11 @@ is servable by name::
     response = directory.serve("baidu-tiny", Query("lp-bcc", pair))
     print(directory.stats()["baidu-tiny"].to_json(indent=2))
 
-Per-graph latency histograms are recorded at the directory edge (covering
-routing *and* search), so the aggregated :meth:`stats` payload is the whole
-process's "stats endpoint".
+Each served graph's latency histogram is recorded here, at the directory
+edge (covering routing *and* search): one observation per ``serve`` /
+``serve_many`` call, whatever the host — monolithic, sharded or replicated
+engines keep none of their own.  The aggregated :meth:`stats` payload is
+the whole process's "stats endpoint".
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ from repro.serving.stats import (
 #: or a replica set (``repro.server.replicas.ReplicaSet`` — imported lazily
 #: to keep ``repro.serving`` importable without the server package).
 ServingEngine = Union[BCCEngine, ShardedBCCEngine, object]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Served:
+    """One served name: its engine, edge-latency histogram and store mode."""
+
+    engine: ServingEngine
+    latency: LatencyHistogram
+    #: How the store hosted it (``"attached"`` / ``"built"`` /
+    #: ``"sharded"``); ``None`` without a store.
+    store_mode: Optional[str]
 
 
 class GraphDirectory:
@@ -106,9 +119,7 @@ class GraphDirectory:
         self._store = store
         self._max_resident_shards = max_resident_shards
         self._lock = threading.Lock()
-        self._engines: Dict[str, ServingEngine] = {}
-        self._latency: Dict[str, LatencyHistogram] = {}
-        self._store_modes: Dict[str, str] = {}
+        self._served: Dict[str, _Served] = {}
         self._started_monotonic = time.monotonic()
         if observability is None:
             observability = Observability()
@@ -152,18 +163,36 @@ class GraphDirectory:
         :class:`repro.server.replicas.ReplicaSet` — N engines (sharded or
         monolithic per the ``sharded`` flag) behind least-loaded routing —
         so one hot graph scales horizontally without the caller noticing.
-        ``health_policy`` (a :class:`repro.server.resilience.HealthPolicy`)
-        and ``fault_plan`` (a :class:`repro.server.faults.FaultPlan`) are
-        forwarded to the replica set; for single-engine hosting only
-        ``fault_plan`` applies (monolithic engines hook the
-        ``"engine.search"`` fault site, and there is no replica health to
-        police).
+        ``health_policy`` (a :class:`repro.server.resilience.HealthPolicy`),
+        ``fault_plan`` (a :class:`repro.server.faults.FaultPlan`) and
+        ``member_backend`` are forwarded to the replica set.  A single
+        monolithic engine takes only ``fault_plan`` (it hooks the
+        ``"engine.search"`` fault site; there is no replica health to
+        police), and a single sharded engine only ``max_resident_shards``.
+        An option the chosen host would drop raises ``ValueError``.
         """
         if not name or not isinstance(name, str):
             raise ValueError("a served graph needs a non-empty string name")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         use_sharded = self._sharded_default if sharded is None else sharded
+        single = replicas == 1
+        host = (
+            "replica set" if not single
+            else "sharded engine" if use_sharded
+            else "monolithic engine"
+        )
+        for option, dropped in (
+            ("health_policy", single and health_policy is not None),
+            ("member_backend", single and member_backend != "thread"),
+            ("fault_plan", host == "sharded engine" and fault_plan is not None),
+            (
+                "max_resident_shards",
+                host != "sharded engine" and max_resident_shards is not None,
+            ),
+        ):
+            if dropped:
+                raise ValueError(f"{option} does not apply to a {host}")
         engine_config = config if config is not None else self._config
         cache_size = (
             self._result_cache_size
@@ -230,13 +259,9 @@ class GraphDirectory:
                 result_cache_policy=cache_policy,
                 fault_plan=fault_plan,
             )
+        served = _Served(engine, LatencyHistogram(), store_mode)
         with self._lock:
-            self._engines[name] = engine
-            self._latency[name] = LatencyHistogram()
-            if store_mode is not None:
-                self._store_modes[name] = store_mode
-            else:
-                self._store_modes.pop(name, None)
+            self._served[name] = served
         return engine
 
     def load(
@@ -268,11 +293,14 @@ class GraphDirectory:
 
     def get(self, name: str) -> ServingEngine:
         """The engine serving ``name`` (:class:`GraphNotFoundError` if absent)."""
+        return self._lookup(name).engine
+
+    def _lookup(self, name: str) -> _Served:
         with self._lock:
-            engine = self._engines.get(name)
-            if engine is None:
-                raise GraphNotFoundError(name, known=self._engines)
-            return engine
+            served = self._served.get(name)
+            if served is None:
+                raise GraphNotFoundError(name, known=self._served)
+            return served
 
     def remove(self, name: str) -> None:
         """Stop serving ``name`` (:class:`GraphNotFoundError` if absent).
@@ -282,42 +310,39 @@ class GraphDirectory:
         their processes, which must never stall unrelated serving calls.
         """
         with self._lock:
-            if name not in self._engines:
-                raise GraphNotFoundError(name, known=self._engines)
-            engine = self._engines.pop(name)
-            del self._latency[name]
-            self._store_modes.pop(name, None)
-        closer = getattr(engine, "close", None)
+            served = self._served.pop(name, None)
+            if served is None:
+                raise GraphNotFoundError(name, known=self._served)
+        closer = getattr(served.engine, "close", None)
         if closer is None:
-            closer = getattr(engine, "close_process_pool", None)
+            closer = getattr(served.engine, "close_process_pool", None)
         if closer is not None:
             closer()
 
     def names(self) -> List[str]:
         """The graphs currently served, sorted."""
         with self._lock:
-            return sorted(self._engines)
+            return sorted(self._served)
 
     def __contains__(self, name: str) -> bool:
         with self._lock:
-            return name in self._engines
+            return name in self._served
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._engines)
+            return len(self._served)
 
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
     def serve(self, name: str, query: Query, **kwargs: object) -> SearchResponse:
         """Serve one query against the named graph, recording edge latency."""
-        engine = self.get(name)
-        histogram = self._histogram(name)
+        served = self._lookup(name)
         start = time.perf_counter()
         try:
-            return engine.search(query, **kwargs)  # type: ignore[arg-type]
+            return served.engine.search(query, **kwargs)  # type: ignore[arg-type]
         finally:
-            histogram.observe(time.perf_counter() - start)
+            served.latency.observe(time.perf_counter() - start)
 
     def serve_many(
         self,
@@ -330,52 +355,42 @@ class GraphDirectory:
         The batch's wall-clock is recorded as one edge-latency observation —
         per-query latencies live in each response's ``timings``.
         """
-        engine = self.get(name)
-        histogram = self._histogram(name)
+        served = self._lookup(name)
         start = time.perf_counter()
         try:
-            return engine.search_many(queries, **kwargs)  # type: ignore[arg-type]
+            return served.engine.search_many(queries, **kwargs)  # type: ignore[arg-type]
         finally:
-            histogram.observe(time.perf_counter() - start)
-
-    def _histogram(self, name: str) -> LatencyHistogram:
-        with self._lock:
-            histogram = self._latency.get(name)
-        if histogram is None:
-            # Raced a remove() after get(): serve the in-flight query and
-            # drop its observation — re-inserting here would leave an
-            # orphan histogram for a graph no longer served.
-            return LatencyHistogram()
-        return histogram
+            served.latency.observe(time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, ServingStats]:
-        """Per-graph :class:`ServingStats`, keyed by served name."""
+        """Per-graph :class:`ServingStats`, keyed by served name.
+
+        Every graph's ``latency`` is its edge histogram, whatever the host.
+        """
         with self._lock:
-            engines = dict(self._engines)
-            histograms = dict(self._latency)
-            store_modes = dict(self._store_modes)
+            served = dict(self._served)
         snapshots: Dict[str, ServingStats] = {}
-        for name, engine in engines.items():
+        for name, record in served.items():
+            engine = record.engine
             if isinstance(engine, BCCEngine):
-                snapshot = ServingStats.from_engine(
-                    engine, name=name, latency=histograms.get(name)
-                )
-                mode = store_modes.get(name)
-                if mode is not None:
+                snapshot = ServingStats.from_engine(engine, name=name)
+                if record.store_mode is not None:
                     # "attached" = served from a snapshot (no freeze, no
                     # index build); "built" = snapshot miss, rebuilt and
                     # persisted for the next process.
                     snapshot = dataclasses.replace(
-                        snapshot, store={"mode": mode}
+                        snapshot, store={"mode": record.store_mode}
                     )
             else:
                 # Sharded engines and replica sets build their own
                 # aggregated snapshot (per-shard / per-replica blocks).
                 snapshot = engine.stats(name=name)
-            snapshots[name] = snapshot
+            snapshots[name] = dataclasses.replace(
+                snapshot, latency=record.latency.snapshot()
+            )
         return snapshots
 
     def readiness(self) -> Dict[str, Dict[str, object]]:
@@ -388,10 +403,10 @@ class GraphDirectory:
         substance behind the gateway's ``/healthz``.
         """
         with self._lock:
-            engines = dict(self._engines)
+            served = dict(self._served)
         readiness: Dict[str, Dict[str, object]] = {}
-        for name, engine in engines.items():
-            summary = getattr(engine, "health_summary", None)
+        for name, record in served.items():
+            summary = getattr(record.engine, "health_summary", None)
             readiness[name] = summary() if callable(summary) else {"state": "ok"}
         return readiness
 
@@ -411,7 +426,11 @@ class GraphDirectory:
             return None
         summary = self._store.summary()
         with self._lock:
-            summary["modes"] = dict(self._store_modes)
+            summary["modes"] = {
+                name: record.store_mode
+                for name, record in self._served.items()
+                if record.store_mode is not None
+            }
         return summary
 
     def _metric_samples(self) -> List[Sample]:

@@ -82,7 +82,6 @@ from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import connected_components
 from repro.obs.tracing import span as obs_span
 from repro.serving.stats import (
-    LatencyHistogram,
     ServingStats,
     aggregate_counters,
     engine_payload,
@@ -153,8 +152,7 @@ class ShardedBCCEngine:
         self._store_key = store_key
         self._max_resident_shards = max_resident_shards
         # Lock order (outermost first): partition -> shards; the counters
-        # lock is a leaf, never held while acquiring another lock.  The
-        # latency histogram carries its own internal lock.
+        # lock is a leaf, never held while acquiring another lock.
         self._partition_lock = threading.Lock()
         self._shards_lock = threading.Lock()
         self._counters_lock = threading.Lock()
@@ -174,7 +172,6 @@ class ShardedBCCEngine:
             "process_tasks": 0,
             "process_fallbacks": 0,
         }
-        self._latency = LatencyHistogram()
         self._components: List[List[Vertex]] = []
         self._routing: Dict[Vertex, int] = {}
         # Insertion/access-ordered so the budget can evict least recently
@@ -350,11 +347,6 @@ class ShardedBCCEngine:
             return None
         return shard_ids.pop()
 
-    def _count_cross_shard(self, elapsed: float) -> None:
-        self._count("searches")
-        self._count("cross_shard_queries")
-        self._latency.observe(elapsed)
-
     def _cross_shard_response(
         self, query: Query, method: str, elapsed: float
     ) -> SearchResponse:
@@ -400,14 +392,15 @@ class ShardedBCCEngine:
             shard_id = self._route(query)
             if shard_id is None:
                 routed.annotate(cross_shard=True)
-                elapsed = time.perf_counter() - start
-                self._count_cross_shard(elapsed)
-                return self._cross_shard_response(query, spec.name, elapsed)
+                self._count("searches")
+                self._count("cross_shard_queries")
+                return self._cross_shard_response(
+                    query, spec.name, time.perf_counter() - start
+                )
             routed.annotate(shard=shard_id)
             engine = self.shard_engine(shard_id)
             response = engine.search(query, config=config, use_cache=use_cache)
             self._count("searches")
-            self._latency.observe(time.perf_counter() - start)
             return response
 
     def search_many(
@@ -487,7 +480,7 @@ class ShardedBCCEngine:
         check_batch_args(on_error, max_workers)
         self._check_version()
         responses: List[Optional[SearchResponse]] = [None] * len(batch.queries)
-        cross: List[float] = []
+        cross = 0
         remote: List[int] = []
         shards: List[int] = []
         for position, query in enumerate(batch.queries):
@@ -501,10 +494,9 @@ class ShardedBCCEngine:
                 responses[position] = error_response_for(query, exc)
                 continue
             if shard_id is None:
-                elapsed = time.perf_counter() - start
-                cross.append(elapsed)
+                cross += 1
                 responses[position] = self._cross_shard_response(
-                    query, spec.name, elapsed
+                    query, spec.name, time.perf_counter() - start
                 )
             else:
                 remote.append(position)
@@ -523,13 +515,11 @@ class ShardedBCCEngine:
         )
         if rows is None:
             return None
-        for elapsed in cross:
-            self._count_cross_shard(elapsed)
+        served = sum(response.status != "error" for response in rows)
+        self._count("searches", cross + served)
+        self._count("cross_shard_queries", cross)
         for position, response in zip(remote, rows):
             responses[position] = response
-            if response.status != "error":
-                self._count("searches")
-                self._latency.observe(response.timings["total_seconds"])
         return list(responses)  # type: ignore[arg-type]
 
     def process_pool_stats(self) -> Optional[Dict[str, object]]:
@@ -594,7 +584,9 @@ class ShardedBCCEngine:
 
         Never-built shards appear with explicitly all-zero engine counters
         — the machine-checkable laziness proof that untouched components
-        performed no freezes, no index builds, no searches.
+        performed no freezes, no index builds, no searches.  ``latency``
+        is empty: a served graph's latency is recorded once, at the
+        :class:`repro.serving.GraphDirectory` edge.
         """
         self._check_version()
         with self._shards_lock:
@@ -671,7 +663,6 @@ class ShardedBCCEngine:
             },
             counters=counters,
             cache=cache_totals,
-            latency=self._latency.snapshot(),
             shards=tuple(blocks),
             store=store_block,
             workers=self.process_pool_stats(),

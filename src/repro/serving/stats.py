@@ -6,8 +6,9 @@ freeze/index cost), and *what does latency look like* (a histogram, not an
 average).  :class:`ServingStats` answers all three with one JSON-serializable
 snapshot — the payload a ``/stats`` endpoint would return — assembled from
 the lock-protected engine counters (:meth:`BCCEngine.counters_snapshot`),
-the result-cache info and a :class:`LatencyHistogram` fed by the serving
-layer.
+the result-cache info and a :class:`LatencyHistogram`.  Latency has one
+owner: :class:`repro.serving.GraphDirectory` keeps one histogram per
+served graph at its edge; engines keep none.
 
 Nothing here blocks serving: snapshots copy under short leaf locks, and the
 histogram's ``observe`` is a counter bump under its own lock.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.engine import ENGINE_COUNTER_NAMES, BCCEngine
@@ -33,7 +34,7 @@ STATS_SCHEMA_VERSION = 2
 #: an implicit overflow bucket.  Community searches on the evaluation
 #: networks span exactly this range — cache hits land in the first buckets,
 #: cold index builds in the last.
-DEFAULT_LATENCY_BOUNDS: Tuple[float, ...] = (
+LATENCY_BOUNDS: Tuple[float, ...] = (
     0.0001,
     0.000316,
     0.001,
@@ -51,71 +52,31 @@ DEFAULT_LATENCY_BOUNDS: Tuple[float, ...] = (
 class LatencyHistogram:
     """A fixed-bucket latency histogram safe to fill from serving threads.
 
-    Buckets are cumulative-style upper bounds (Prometheus ``le`` idiom) with
-    a final overflow bucket.  Quantiles are estimated as the upper bound of
-    the bucket containing the quantile rank — deliberately conservative
-    (never under-reports) and cheap enough for a per-request hot path.
+    Buckets are the :data:`LATENCY_BOUNDS` upper bounds (Prometheus ``le``
+    idiom) with a final overflow bucket.  Quantiles are estimated as the
+    upper bound of the bucket containing the quantile rank — deliberately
+    conservative (never under-reports) and cheap enough for a per-request
+    hot path.
     """
 
-    def __init__(self, bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS) -> None:
-        self._bounds: Tuple[float, ...] = tuple(sorted(bounds))
-        if not self._bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        self._counts: List[int] = [0] * (len(self._bounds) + 1)  # + overflow
+    def __init__(self) -> None:
+        self._counts: List[int] = [0] * (len(LATENCY_BOUNDS) + 1)  # + overflow
         self._count = 0
         self._sum = 0.0
         self._max = 0.0
         self._lock = threading.Lock()
 
-    @property
-    def bounds(self) -> Tuple[float, ...]:
-        """The (sorted, immutable) bucket upper bounds."""
-        return self._bounds
-
     def observe(self, seconds: float) -> None:
         """Record one request latency."""
         if seconds < 0:
             seconds = 0.0
-        index = bisect_left(self._bounds, seconds)
+        index = bisect_left(LATENCY_BOUNDS, seconds)
         with self._lock:
             self._counts[index] += 1
             self._count += 1
             self._sum += seconds
             if seconds > self._max:
                 self._max = seconds
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Accumulate ``other``'s observations into this histogram.
-
-        Bucket counts, totals and maxima are summed/maxed, so N per-replica
-        histograms merge into one set-level histogram without losing bucket
-        resolution.  Both histograms must share the same bounds — merging
-        across different bucket layouts would silently misfile counts, so it
-        raises ``ValueError`` instead.  Returns ``self`` so merges chain.
-        """
-        if not isinstance(other, LatencyHistogram):
-            raise TypeError(f"cannot merge {type(other)!r} into a histogram")
-        if other._bounds != self._bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self._bounds} != {other._bounds}"
-            )
-        # Snapshot the source under its own lock first; lock order is
-        # other -> self, and merge targets are private per-merge objects,
-        # so no concurrent opposite-order merge can deadlock.
-        with other._lock:
-            counts = list(other._counts)
-            count = other._count
-            total = other._sum
-            observed_max = other._max
-        with self._lock:
-            for index, value in enumerate(counts):
-                self._counts[index] += value
-            self._count += count
-            self._sum += total
-            if observed_max > self._max:
-                self._max = observed_max
-        return self
 
     def _quantile_upper_bound(
         self, counts: List[int], rank: float, observed_max: float
@@ -130,8 +91,8 @@ class LatencyHistogram:
         for index, count in enumerate(counts):
             running += count
             if running >= target and count:
-                if index < len(self._bounds):
-                    return self._bounds[index]
+                if index < len(LATENCY_BOUNDS):
+                    return LATENCY_BOUNDS[index]
                 return observed_max  # overflow bucket: the observed max
         return 0.0
 
@@ -144,7 +105,7 @@ class LatencyHistogram:
             observed_max = self._max
         buckets = [
             {"le": bound, "count": counts[index]}
-            for index, bound in enumerate(self._bounds)
+            for index, bound in enumerate(LATENCY_BOUNDS)
         ]
         buckets.append({"le": "inf", "count": counts[-1]})
         snapshot: Dict[str, object] = {
@@ -201,9 +162,12 @@ class ServingStats:
     that is the laziness proof a test or an operator reads off the
     endpoint.  A replicated engine (:class:`repro.server.ReplicaSet`)
     reports ``kind="replicated"`` with one ``replicas`` block per replica
-    (routed counts, in-flight gauge, per-replica engine counters) and a
-    latency histogram merged across replicas via
-    :meth:`LatencyHistogram.merge`.
+    (routed counts, in-flight gauge, per-replica engine counters).
+
+    An engine's own snapshot carries an empty ``latency``: engines keep
+    no latency.  :meth:`repro.serving.GraphDirectory.stats` fills it from
+    the one histogram the directory keeps per served graph — one
+    observation per ``serve`` / ``serve_many`` call, whatever the host.
     """
 
     name: str
@@ -211,7 +175,9 @@ class ServingStats:
     graph: Dict[str, int]
     counters: Dict[str, int]
     cache: Dict[str, object]
-    latency: Dict[str, object]
+    latency: Dict[str, object] = field(
+        default_factory=lambda: LatencyHistogram().snapshot()
+    )
     shards: Tuple[Dict[str, object], ...] = ()
     replicas: Tuple[Dict[str, object], ...] = ()
     #: Replica-set health summary (``state``/``available``/``states``);
@@ -227,12 +193,7 @@ class ServingStats:
     workers: Optional[Dict[str, object]] = None
 
     @classmethod
-    def from_engine(
-        cls,
-        engine: BCCEngine,
-        name: str = "engine",
-        latency: Optional[LatencyHistogram] = None,
-    ) -> "ServingStats":
+    def from_engine(cls, engine: BCCEngine, name: str = "engine") -> "ServingStats":
         """Snapshot a monolithic :class:`BCCEngine`.
 
         (Sharded engines build their own snapshot — see
@@ -250,11 +211,6 @@ class ServingStats:
             },
             counters=payload["counters"],
             cache=payload["cache"],
-            latency=(
-                latency.snapshot()
-                if latency is not None
-                else LatencyHistogram().snapshot()
-            ),
             workers=pool_stats() if pool_stats is not None else None,
         )
 

@@ -67,7 +67,7 @@ def test_wrong_lock_still_fires(lint):
 
 
 def test_receiver_aware_merge_is_clean(lint):
-    # LatencyHistogram.merge snapshots *other* under other._lock — the
+    # A method reading *other*'s guarded field under other._lock — the
     # checker must track (receiver, lock) pairs, not just lock names.
     report = lint(
         {

@@ -268,6 +268,38 @@ def test_closed_candidates_are_not_peeled(monkeypatch):
     assert sum(row["status"] == "ok" for row in got) >= 6
 
 
+def test_closed_candidate_skips_the_repeated_global_fallback(monkeypatch):
+    """A closed, unpeeled candidate's search is the global LP-BCC search:
+    when it finds nothing, neither runner reruns it as the fallback."""
+    import repro.core.local_search as local_search
+
+    bundle = load_dataset("dblp", seed=2021, communities=12, community_size=32)
+    pairs = generate_query_pairs(bundle, QuerySpec(count=8), seed=11)
+    config = SearchConfig(b=10_000)
+    engine = BCCEngine(bundle.graph, config).prepare()
+    index = engine.ensure_index()
+    searches, object_searches = [], []
+    lp_search, run_lp = pipeline._lp_search, local_search.run_lp_bcc
+
+    def spy(*args):
+        searches.append(args)
+        return lp_search(*args)
+
+    def object_spy(*args, **kwargs):
+        object_searches.append(args)
+        return run_lp(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_lp_search", spy)
+    monkeypatch.setattr(local_search, "run_lp_bcc", object_spy)
+    for pair in pairs:
+        response = engine.search(Query("l2p-bcc", pair), use_cache=False)
+        assert response.status == STATUS_EMPTY
+        assert "fallback_to_global" not in response.instrumentation.as_dict()
+        with pytest.raises(EmptyCommunityError):
+            run_l2p_bcc(bundle.graph, *pair, b=config.b, index=index)
+    assert len(searches) == len(object_searches) == len(pairs)
+
+
 @pytest.mark.parametrize("case", ["random", "baseline"])
 def test_closed_candidate_coreness_is_the_group_coreness(monkeypatch, case):
     """Inside a closed candidate, each query's component of its label group

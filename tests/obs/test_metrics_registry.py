@@ -181,7 +181,7 @@ class TestPrometheusRendering:
         assert 'bcc_test_depth{graph="pa\\"per\\\\x"} 1' in text
 
     def test_histogram_buckets_are_cumulated_with_inf(self):
-        histogram = LatencyHistogram((0.1, 1.0))
+        histogram = LatencyHistogram()
         for seconds in (0.05, 0.5, 5.0):
             histogram.observe(seconds)
         text = render(

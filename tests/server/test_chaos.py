@@ -414,6 +414,21 @@ class TestDegradedGateway:
             assert failure.value.retry_after_seconds == 9.0
             assert gateway.counters_snapshot()["unavailable"] == 1
 
+    def test_other_graphs_do_not_evict_degraded_answers(self):
+        # Only a replica set can be down, so a monolithic graph's answers
+        # never take a slot of the (here one-entry) last-good cache.
+        directory = self._down_directory()
+        directory.add("mono", paper_example_graph(), config=CONFIG)
+        with Gateway(directory, port=0, degraded_cache_size=1) as gateway:
+            client = GatewayClient(gateway.url, timeout_seconds=10.0)
+            live = client.search("paper", TRACE[0])  # warm
+            assert client.search("mono", TRACE[0]).status == "ok"
+            with pytest.raises(GatewayError):
+                client.search("paper", TRACE[1])  # ejects both replicas
+            stale = client.search("paper", TRACE[0])
+            assert stale.degraded
+            assert stale.vertices == live.vertices
+
     def test_healthz_reports_down_with_503(self):
         directory = self._down_directory()
         with Gateway(directory, port=0) as gateway:

@@ -9,6 +9,8 @@ import pytest
 from repro.api import BCCEngine, Query, SearchConfig, STATUS_OK
 from repro.datasets import load_dataset
 from repro.exceptions import DatasetError, GraphNotFoundError
+from repro.server.faults import FaultPlan
+from repro.server.resilience import HealthPolicy
 from repro.serving import GraphDirectory, ServingStats, ShardedBCCEngine
 
 
@@ -46,6 +48,45 @@ class TestHosting:
             directory.add("", paper_graph)
         with pytest.raises(ValueError):
             directory.add(None, paper_graph)
+
+    @pytest.mark.parametrize(
+        "hosting, option, host",
+        [
+            ({"fault_plan": FaultPlan([])}, "fault_plan", "sharded engine"),
+            ({"health_policy": HealthPolicy()}, "health_policy", "sharded engine"),
+            (
+                {"sharded": False, "health_policy": HealthPolicy()},
+                "health_policy",
+                "monolithic engine",
+            ),
+            ({"member_backend": "process"}, "member_backend", "sharded engine"),
+            (
+                {"sharded": False, "max_resident_shards": 2},
+                "max_resident_shards",
+                "monolithic engine",
+            ),
+            (
+                {"replicas": 2, "max_resident_shards": 2},
+                "max_resident_shards",
+                "replica set",
+            ),
+        ],
+        ids=[
+            "sharded-fault_plan",
+            "sharded-health_policy",
+            "monolithic-health_policy",
+            "sharded-member_backend",
+            "monolithic-max_resident_shards",
+            "replicated-max_resident_shards",
+        ],
+    )
+    def test_add_rejects_options_the_host_would_drop(
+        self, paper_graph, hosting, option, host
+    ):
+        directory = GraphDirectory()
+        with pytest.raises(ValueError, match=f"{option} does not apply to a {host}"):
+            directory.add("g", paper_graph, **hosting)
+        assert "g" not in directory
 
     def test_get_and_remove_unknown_raise(self):
         directory = GraphDirectory()
@@ -127,6 +168,24 @@ class TestStats:
         assert document["served_graphs"] == 2
         assert set(document["graphs"]) == {"sharded-graph", "mono-graph"}
         assert document["graphs"]["sharded-graph"]["counters"]["searches"] == 1
+
+    @pytest.mark.parametrize(
+        "hosting",
+        [{"sharded": False}, {"sharded": True}, {"sharded": False, "replicas": 2}],
+        ids=["monolithic", "sharded", "replicated"],
+    )
+    def test_latency_is_one_observation_per_serve_call(self, paper_graph, hosting):
+        """Every kind of host reports the directory-edge histogram: a
+        ``serve_many`` batch is one observation, not one per row."""
+        directory = GraphDirectory(config=SearchConfig(k1=4, k2=3))
+        directory.add("g", paper_graph, **hosting)
+        query = Query("online-bcc", ("ql", "qr"))
+        for _ in range(3):
+            directory.serve("g", query)
+        directory.serve_many("g", [query] * 4)
+        assert directory.stats()["g"].latency["count"] == 4
+        text = directory.observability.registry.render_prometheus()
+        assert 'bcc_graph_latency_seconds_count{graph="g"} 4' in text.splitlines()
 
     def test_stats_payload_is_self_describing(self, paper_graph):
         import time

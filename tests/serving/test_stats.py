@@ -73,54 +73,6 @@ class TestLatencyHistogram:
             thread.join()
         assert histogram.snapshot()["count"] == 8000
 
-    def test_rejects_empty_bounds(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(bounds=())
-
-
-class TestLatencyHistogramMerge:
-    def test_merge_sums_counts_sums_and_maxes(self):
-        left = LatencyHistogram()
-        right = LatencyHistogram()
-        for value in (0.00005, 0.002):
-            left.observe(value)
-        for value in (0.002, 0.2, 100.0):
-            right.observe(value)
-        merged = LatencyHistogram().merge(left).merge(right)
-        snapshot = merged.snapshot()
-        assert snapshot["count"] == 5
-        assert snapshot["sum_seconds"] == pytest.approx(100.20405)
-        assert snapshot["max_seconds"] == 100.0
-        by_bound = {b["le"]: b["count"] for b in snapshot["buckets"]}
-        assert by_bound[0.0001] == 1
-        assert by_bound[0.00316] == 2  # one from each side, same bucket
-        assert by_bound[0.316] == 1
-        assert by_bound["inf"] == 1
-
-    def test_merge_is_chainable_and_leaves_sources_intact(self):
-        source = LatencyHistogram()
-        source.observe(0.01)
-        merged = LatencyHistogram().merge(source).merge(source)
-        assert merged.snapshot()["count"] == 2
-        assert source.snapshot()["count"] == 1
-
-    def test_merge_refuses_mismatched_bounds(self):
-        coarse = LatencyHistogram(bounds=(0.001, 1.0))
-        with pytest.raises(ValueError):
-            LatencyHistogram().merge(coarse)
-        with pytest.raises(TypeError):
-            LatencyHistogram().merge({"count": 3})
-
-    def test_merge_of_empty_histograms_is_empty(self):
-        merged = LatencyHistogram().merge(LatencyHistogram())
-        snapshot = merged.snapshot()
-        assert snapshot["count"] == 0
-        assert snapshot["mean_seconds"] is None
-
-    def test_bounds_property_is_sorted_tuple(self):
-        histogram = LatencyHistogram(bounds=(1.0, 0.001))
-        assert histogram.bounds == (0.001, 1.0)
-
 
 class TestHelpers:
     def test_zero_engine_counters_mirror_the_engine(self, paper_graph):
@@ -179,9 +131,6 @@ class TestServingStats:
         assert document["cache"]["hits"] == 1
         assert document["cache"]["misses"] == 1
         assert document["cache"]["hit_rate"] == 0.5
-        # Latency histogram saw every served query, including the
-        # cross-shard short-circuit.
-        assert document["latency"]["count"] == 3
 
     def test_shard_accessor_raises_for_unknown_shard(self, paper_graph):
         engine = ShardedBCCEngine(paper_graph)
