@@ -61,6 +61,11 @@ def expand_candidate_graph(
     stops when the candidate exceeds ``eta`` vertices (the current BFS layer
     is completed so the cut is deterministic).  Finally all edges of ``graph``
     between admitted vertices are added.
+
+    The candidate is *closed* (the queue drained, so it holds every
+    qualifying neighbour of each of its vertices) exactly when it has at
+    most ``eta`` vertices: once past ``eta``, the last vertex popped
+    admitted one, which is still queued.
     """
     admitted: Set[Vertex] = set()
     queue = deque()
@@ -209,10 +214,9 @@ def run_l2p_bcc(
         eta,
     )
     inst.add("candidate_vertices", float(candidate.num_vertices()))
-    # The expansion's queue drained (G_t is closed) exactly when |G_t| <= eta:
-    # once past eta, the last vertex popped admitted one, so it is queued.
-    # A closed G_t holds the global connected cores at any k >= its side's
-    # threshold (k-cores nest), so line 5 then runs the global search.
+    # A closed G_t (|G_t| <= eta) holds the global connected cores at any
+    # k >= its side's threshold (k-cores nest), so line 5 then runs the
+    # global search.
     user_ks = (k1, k2)
     global_search = candidate.num_vertices() <= eta and all(
         k is None or k >= t

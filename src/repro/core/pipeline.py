@@ -36,10 +36,10 @@ deletions, leader pair and Table-4 counts — because the algorithms only
 ever delete vertices, so every intermediate community is an induced
 subgraph of ``G0`` and is fully described by its alive ids.  L2P-BCC passes
 its Algorithm 8 candidate as an id set; inside it the cores are taken over
-the candidate's own label groups.  When the expansion drained its queue
-(the candidate is closed), that coreness is the snapshot's group coreness
-and nothing is peeled; a candidate cut short by η, or read at a user-set k
-below its path threshold, is peeled per query.
+the candidate's own label groups.  When the candidate is closed (at most η
+ids, so its expansion drained the queue), that coreness is the snapshot's
+group coreness and nothing is peeled; a candidate cut short by η, or read
+at a user-set k below its path threshold, is peeled per query.
 """
 
 from __future__ import annotations
@@ -643,12 +643,8 @@ def _expand_candidate(
     labels: Tuple[int, int],
     thresholds: Tuple[int, int],
     eta: int,
-) -> Tuple[Set[int], bool]:
-    """Algorithm 8, line 3, over ids (see ``expand_candidate_graph``).
-
-    Also returns whether the queue drained, i.e. the candidate is closed:
-    it holds every qualifying neighbour of each of its ids.
-    """
+) -> Set[int]:
+    """Algorithm 8, line 3, over ids (see ``expand_candidate_graph``)."""
     slices, label_of = csr.adjacency_slices(), csr.labels
     coreness = csr.group_coreness()
     left_label, right_label = labels
@@ -674,7 +670,7 @@ def _expand_candidate(
                 continue
             admitted.add(w)
             queue.append(w)
-    return admitted, not queue
+    return admitted
 
 
 def l2p_bcc(
@@ -703,13 +699,14 @@ def l2p_bcc(
     ``count`` (the serving engine's counter hook) records each lookup.
 
     Line 4 and the candidate's Algorithm 2 read the coreness inside
-    ``G_t``'s label groups.  When the expansion drained its queue, each
-    side of ``G_t`` is a union of whole components of its threshold core
-    ``{v : δ(v) >= threshold}``; k-cores nest, so that coreness is the
-    snapshot's group coreness, and a core BFS at k >= threshold stays in
-    ``G_t``.  Only a candidate cut short by η, or a user-set k below its
-    threshold, is peeled.  An unpeeled candidate's search is the global
-    LP-BCC search, so its empty answer skips the global fallback.
+    ``G_t``'s label groups.  When ``G_t`` is closed (``|G_t| <= η``, see
+    ``expand_candidate_graph``), each side of ``G_t`` is a union of whole
+    components of its threshold core ``{v : δ(v) >= threshold}``; k-cores
+    nest, so that coreness is the snapshot's group coreness, and a core BFS
+    at k >= threshold stays in ``G_t``.  Only a candidate cut short by η,
+    or a user-set k below its threshold, is peeled.  An unpeeled
+    candidate's search is the global LP-BCC search, so its empty answer
+    skips the global fallback.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     query_labels = resolve_query_labels(graph, q_left, q_right)
@@ -730,14 +727,14 @@ def l2p_bcc(
         min((coreness[v] for v in path if label_of[v] == label), default=0)
         for label in labels
     )
-    candidate, closed = _expand_candidate(csr, path, labels, thresholds, eta)
+    candidate = _expand_candidate(csr, path, labels, thresholds, eta)
     inst.add("candidate_vertices", float(len(candidate)))
 
     user_ks = (k1, k2)
-    peeled = not closed or any(
-        k is not None and k < t for k, t in zip(user_ks, thresholds)
+    global_search = len(candidate) <= eta and all(
+        k is None or k >= t for k, t in zip(user_ks, thresholds)
     )
-    if peeled:
+    if not global_search:
         coreness = _candidate_coreness(
             (ql, qr), csr.label_split()[0], candidate, len(label_of)
         )
@@ -752,10 +749,12 @@ def l2p_bcc(
             True, rho, max_iterations, inst, count,
         )
     except EmptyCommunityError:
-        # Unpeeled, the search just run was the global one (group coreness,
-        # same (k1, k2, b)), so the fallback could only fail again — unless
-        # it re-resolves a user-set k of 0.
-        if len(candidate) >= graph.num_vertices() or (not peeled and 0 not in user_ks):
+        # After a global search (group coreness, same (k1, k2, b)) the
+        # fallback could only fail again — unless it re-resolves a user-set
+        # k of 0.
+        if len(candidate) >= graph.num_vertices() or (
+            global_search and 0 not in user_ks
+        ):
             raise
         # The local candidate missed the community; degrade to the global
         # LP-BCC search, exactly as the object runner does.

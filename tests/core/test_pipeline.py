@@ -300,6 +300,38 @@ def test_closed_candidate_skips_the_repeated_global_fallback(monkeypatch):
     assert len(searches) == len(object_searches) == len(pairs)
 
 
+@pytest.mark.parametrize("eta", [12, 400])
+def test_candidate_within_eta_holds_every_qualifying_neighbour(monkeypatch, eta):
+    """Both runners call ``G_t`` closed when ``|G_t| <= η``: it then holds
+    every neighbour of its ids that carries a query label at or above that
+    side's threshold coreness."""
+    expand = pipeline._expand_candidate
+    closed = []
+
+    def spy(csr, path, labels, thresholds, eta):
+        candidate = expand(csr, path, labels, thresholds, eta)
+        if len(candidate) <= eta:
+            threshold = dict(zip(labels, thresholds))
+            coreness, slices = csr.group_coreness(), csr.adjacency_slices()
+            assert not [
+                w
+                for v in candidate
+                for w in slices[v]
+                if w not in candidate
+                and coreness[w] >= threshold.get(csr.labels[w], math.inf)
+            ]
+            closed.append(len(candidate))
+        return candidate
+
+    monkeypatch.setattr(pipeline, "_expand_candidate", spy)
+    for seed in range(16):
+        graph, pairs = _random_case(seed, ("A", "B", "C"))
+        engine = BCCEngine(graph, SearchConfig(eta=eta)).prepare()
+        for pair in pairs:
+            engine.search(Query("l2p-bcc", pair), use_cache=False)
+    assert len(closed) >= 16
+
+
 @pytest.mark.parametrize("case", ["random", "baseline"])
 def test_closed_candidate_coreness_is_the_group_coreness(monkeypatch, case):
     """Inside a closed candidate, each query's component of its label group
@@ -313,8 +345,9 @@ def test_closed_candidate_coreness_is_the_group_coreness(monkeypatch, case):
     expand = pipeline._expand_candidate
 
     def spy(*args):
-        cut.append(expand(*args))
-        return cut[-1]
+        candidate = expand(*args)
+        cut.append((candidate, len(candidate) <= args[-1]))  # closed: |G_t| <= η
+        return candidate
 
     monkeypatch.setattr(pipeline, "_expand_candidate", spy)
     checked = 0

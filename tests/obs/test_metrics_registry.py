@@ -182,7 +182,8 @@ class TestPrometheusRendering:
 
     def test_histogram_buckets_are_cumulated_with_inf(self):
         histogram = LatencyHistogram()
-        for seconds in (0.05, 0.5, 5.0):
+        # 50 s is past the top bound (10 s), so it lands in the overflow bucket
+        for seconds in (0.05, 0.5, 50.0):
             histogram.observe(seconds)
         text = render(
             Sample(
@@ -194,8 +195,9 @@ class TestPrometheusRendering:
         # per-bucket counts 1/1/1 cumulate to 1/2/3
         assert 'bcc_test_latency_seconds_bucket{le="0.1"} 1' in text
         assert 'bcc_test_latency_seconds_bucket{le="1"} 2' in text
+        assert 'bcc_test_latency_seconds_bucket{le="10"} 2' in text
         assert 'bcc_test_latency_seconds_bucket{le="+Inf"} 3' in text
-        assert "bcc_test_latency_seconds_sum 5.55" in text
+        assert "bcc_test_latency_seconds_sum 50.55" in text
         assert "bcc_test_latency_seconds_count 3" in text
         assert_valid_exposition(text)
 
