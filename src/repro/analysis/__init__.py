@@ -1,8 +1,9 @@
 """AST-based invariant linter for this repository's hard-won guarantees.
 
-Five rules, each grounded in an invariant an earlier PR paid for at
-runtime (locks, fake clocks, exact wire round-trips, snapshot schema)
-and enforced here statically, at the commit that would break it:
+Seven rules, each grounded in an invariant an earlier PR paid for at
+runtime (locks, fake clocks, exact wire round-trips, snapshot schema,
+exported counters, cooperative deadlines) and enforced here statically,
+at the commit that would break it:
 
 ======  ======================  ==============================================
 Rule    Name                    Invariant
@@ -12,6 +13,8 @@ BCC002  clock-hygiene           wall clocks only through injectable seams
 BCC003  wire-drift              codec covers every wire dataclass field
 BCC004  reason-exhaustiveness   reasons map to HTTP; methods are parity-tested
 BCC005  snapshot-schema         snapshot writer/reader segment names agree
+BCC006  metrics-coverage        every counter bump names an exported counter
+BCC007  kernel-threads          no bare threads in the engine or the kernels
 ======  ======================  ==============================================
 
 Run it with ``python -m repro.analysis [paths...]`` (see

@@ -6,6 +6,7 @@ Add a checker by creating a module here and importing it below — the
 
 from repro.analysis.checkers import (  # noqa: F401  (registration imports)
     clock_hygiene,
+    kernel_threads,
     lock_discipline,
     metrics_coverage,
     reason_exhaustiveness,
@@ -15,6 +16,7 @@ from repro.analysis.checkers import (  # noqa: F401  (registration imports)
 
 __all__ = [
     "clock_hygiene",
+    "kernel_threads",
     "lock_discipline",
     "metrics_coverage",
     "reason_exhaustiveness",

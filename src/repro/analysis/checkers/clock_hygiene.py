@@ -50,15 +50,6 @@ _CLOCKED_PACKAGES = (
 )
 
 
-def _in_clocked_package(source: SourceFile) -> bool:
-    parts = source.path.resolve().parts
-    return any(
-        parts[i : i + 2] == package
-        for package in _CLOCKED_PACKAGES
-        for i in range(len(parts) - 1)
-    )
-
-
 def _default_nodes(tree: ast.AST) -> Set[int]:
     """ids of expression nodes appearing as function-parameter defaults."""
     allowed: Set[int] = set()
@@ -86,7 +77,7 @@ class ClockHygieneChecker(Checker):
     def check(self, project: Project) -> Iterator[Finding]:
         for source in project.parsed():
             is_chaos = source.basename == _CHAOS_BASENAME
-            if not is_chaos and not _in_clocked_package(source):
+            if not is_chaos and not source.in_package(*_CLOCKED_PACKAGES):
                 continue
             seam_ok = not is_chaos
             allowed = _default_nodes(source.tree) if seam_ok else set()

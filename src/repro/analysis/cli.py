@@ -141,7 +141,7 @@ def run_analysis(
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="AST-based invariant linter (BCC001..BCC006).",
+        description="AST-based invariant linter (BCC001..BCC007).",
     )
     parser.add_argument(
         "paths",

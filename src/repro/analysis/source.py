@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.findings import Finding
 
@@ -94,6 +94,15 @@ class SourceFile:
                 rule=RULE_PARSE,
                 message=f"file does not parse: {exc.msg}",
             )
+
+    def in_package(self, *packages: Tuple[str, str]) -> bool:
+        """Whether the file sits under one of ``packages`` (path-part pairs)."""
+        parts = self.path.resolve().parts
+        return any(
+            parts[i : i + 2] == package
+            for package in packages
+            for i in range(len(parts) - 1)
+        )
 
     def is_suppressed(self, line: int, rule: str) -> bool:
         """True when ``line`` carries a noqa comment covering ``rule``."""

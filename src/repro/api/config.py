@@ -60,14 +60,15 @@ class SearchConfig:
     size_budget, shrink_rounds:
         Expansion / shrinking budgets of the PSA baseline.
     deadline_ms:
-        Optional serving deadline (wall-clock milliseconds).  Enforced at
-        the serving seams that can abandon a stalled call — each
-        ``search_many`` row and each HTTP gateway request — not inside the
-        kernels themselves; an expired deadline becomes a position-aligned
-        ``status="error"`` row with reason ``deadline-exceeded`` (HTTP 504
-        through the gateway).  It never changes *what* a query answers,
-        only how long a caller will wait, so it is excluded from result
-        cache keys.
+        Optional serving deadline (wall-clock milliseconds).  Set at each
+        ``search_many`` row, each HTTP gateway request and each worker
+        task (not on a bare ``BCCEngine.search``), it bounds the search
+        cooperatively: the kernels' checkpoints stop the work once the
+        budget is spent (:mod:`repro.deadline`).  An expired deadline
+        becomes a position-aligned ``status="error"`` row with reason
+        ``deadline-exceeded`` (HTTP 504 through the gateway).  It never
+        changes *what* a query answers, only how long a caller will wait,
+        so it is excluded from result cache keys.
     """
 
     k1: Optional[int] = None

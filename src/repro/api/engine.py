@@ -71,6 +71,7 @@ from repro.core.bc_index import BCIndex
 from repro.core.bcc_model import resolve_query_labels
 from repro.core.multilabel import resolve_mbcc_parameters, validate_mbcc_query
 from repro.core.pipeline import resolve_parameters
+from repro.deadline import reset_deadline, set_deadline
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
     REASON_DEADLINE_EXCEEDED,
@@ -292,53 +293,35 @@ def run_with_deadline(
     what: str = "call",
     clock: Callable[[], float] = time.monotonic,
 ):
-    """Run ``fn`` but give up after ``seconds`` of wall clock.
+    """Run ``fn`` inline under a budget of ``seconds`` on ``clock``.
 
-    ``None`` runs inline with zero overhead — the no-deadline path is
-    unchanged.  Otherwise ``fn`` runs on a fresh *daemon* thread and the
-    caller waits at most ``seconds``: on timeout,
-    :class:`~repro.exceptions.DeadlineExceededError` is raised and the
-    worker is abandoned (a pure-Python kernel cannot be preempted
-    mid-peel; the daemon flag keeps an eternally stalled worker from
-    blocking process exit).  A worker that finished but, by ``clock``,
-    took longer than ``seconds`` raises the same error: it can finish
-    inside ``Thread.start()``'s hand-off, before the wait even begins.
-    Exceptions from ``fn`` re-raise in the caller unchanged.  This is the
-    one enforcement primitive behind ``search_many``'s per-row deadlines
-    and the HTTP gateway's per-request deadline.
+    ``None`` runs ``fn`` with no deadline.  Otherwise ``fn`` runs on the
+    caller's thread under a :mod:`repro.deadline` token (the earlier of
+    ``clock() + seconds`` and any deadline already in force): the kernels'
+    checkpoints raise :class:`~repro.exceptions.DeadlineExceededError`
+    once it passes, so an expired call stops working instead of running
+    on.  An answer that arrives, by ``clock``, after ``seconds`` raises
+    the same error.  Other exceptions from ``fn`` propagate unchanged.
+    This is the one enforcement primitive behind ``search_many``'s
+    per-row deadlines, the HTTP gateway's per-request deadline and the
+    worker processes' tasks.
     """
     if seconds is None:
         return fn()
-    box: Dict[str, object] = {}
-    done = threading.Event()
-
-    def work() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # re-raised in the caller below
-            box["error"] = exc
-        finally:
-            done.set()
-
-    # A fresh thread does not inherit contextvars, so the caller's trace
-    # context is carried across explicitly: spans opened inside ``fn``
-    # land under the caller's active span.  On timeout the worker keeps
-    # running and its deepest span never finishes — the retained trace
-    # shows exactly which span consumed the budget, marked "unfinished".
     with obs_span("deadline", what=what, budget_ms=seconds * 1000.0) as timed:
-        context = contextvars.copy_context()
-        worker = threading.Thread(
-            target=context.run, args=(work,), name=f"deadline:{what}", daemon=True
-        )
         start = clock()
-        worker.start()
-        if not done.wait(timeout=max(0.0, seconds)) or clock() - start > seconds:
+        token = set_deadline(seconds, start, clock)
+        try:
+            value = fn()
+            if clock() - start > seconds:
+                raise DeadlineExceededError(deadline_ms=seconds * 1000.0)
+        except DeadlineExceededError:
             if timed is not None:
                 timed.annotate(exceeded=True)
-            raise DeadlineExceededError(deadline_ms=seconds * 1000.0)
-    if "error" in box:
-        raise box["error"]  # type: ignore[misc]
-    return box["value"]
+            raise
+        finally:
+            reset_deadline(token)
+    return value
 
 
 def resolve_config(*tiers: Optional[SearchConfig]) -> Optional[SearchConfig]:
@@ -398,12 +381,14 @@ def serve_batch(
     **Deadlines.**  When a row's effective config carries ``deadline_ms``,
     that row is served through :func:`run_with_deadline`: its budget runs
     from the moment the row is dispatched, and a row that exhausts it
-    becomes a position-aligned ``status="error"`` /
-    ``reason="deadline-exceeded"`` row under ``on_error="return"`` (or
-    raises :class:`~repro.exceptions.DeadlineExceededError` under
-    ``"raise"``).  One stalled query therefore costs the batch at most its
-    own budget instead of wedging every row behind it; rows without a
-    deadline are served inline, unchanged.
+    stops at its kernel's next checkpoint and becomes a position-aligned
+    ``status="error"`` / ``reason="deadline-exceeded"`` row under
+    ``on_error="return"`` (or raises
+    :class:`~repro.exceptions.DeadlineExceededError` under ``"raise"``).
+    One slow query therefore costs the batch about its own budget instead
+    of wedging every row behind it.  Each row runs in a copy of the
+    caller's context, so a deadline set around the whole batch bounds
+    rows that carry none of their own.
     """
     check_batch_args(on_error, max_workers)
     batch = BatchQuery.of(queries)

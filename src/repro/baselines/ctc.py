@@ -25,6 +25,7 @@ from repro.core.ktruss import (
     maintain_k_truss,
     max_truss_value_containing,
 )
+from repro.deadline import checkpoint
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
     REASON_NO_COMMUNITY,
@@ -136,6 +137,7 @@ def run_ctc(
     iterations = 0
 
     while True:
+        checkpoint()
         with inst.time_query_distance():
             distance_maps = query_distances(community, query)
             current_distance = graph_query_distance(community, query, distance_maps)

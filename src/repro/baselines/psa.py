@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.kcore import core_decomposition, k_core_vertices, max_core_value_containing
+from repro.deadline import checkpoint
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
     REASON_NO_CORE,
@@ -173,6 +174,7 @@ def run_psa(
     check_interval = max(4, 2 * k)
     since_last_check = 0
     while heap and len(candidate) < size_budget:
+        checkpoint()
         (_, vertex) = heapq.heappop(heap)
         candidate.add(vertex)
         push_neighbors(vertex)
@@ -198,6 +200,7 @@ def run_psa(
     # Shrinking: repeatedly try to drop the farthest vertex.
     community = best_core
     for _ in range(shrink_rounds):
+        checkpoint()
         if community.num_vertices() <= len(query):
             break
         dmaps = [bfs_distances(community, q) for q in query]

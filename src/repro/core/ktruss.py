@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
+from repro.deadline import checkpoint
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import connected_component
 
@@ -35,6 +36,7 @@ def edge_support(graph: LabeledGraph) -> Dict[EdgeKey, int]:
     """Return the number of triangles containing each edge of ``graph``."""
     support: Dict[EdgeKey, int] = {}
     for u, v in graph.edges():
+        checkpoint()
         nu = graph.neighbors(u)
         nv = graph.neighbors(v)
         smaller, larger = (nu, nv) if len(nu) <= len(nv) else (nv, nu)
@@ -108,6 +110,7 @@ def k_truss_edges(graph: LabeledGraph, k: int) -> Set[EdgeKey]:
     queue = deque(edge for edge, s in support.items() if s < threshold)
     removed: Set[EdgeKey] = set()
     while queue:
+        checkpoint()
         edge = queue.popleft()
         if edge in removed or edge not in support:
             continue
@@ -183,6 +186,7 @@ def max_truss_value_containing(
     best = 0
     # The k-truss family is nested in k, so binary search is valid.
     while low <= high:
+        checkpoint()
         mid = (low + high) // 2
         if k_truss_containing(graph, mid, query_vertices) is not None:
             best = mid

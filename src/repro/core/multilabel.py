@@ -28,6 +28,7 @@ from repro.core.butterfly import butterfly_degrees, max_butterfly_degree_per_sid
 from repro.core.kcore import core_decomposition, k_core_containing
 from repro.core.maintenance import maintain_label_core
 from repro.core.query_distance import QueryDistanceTracker
+from repro.deadline import checkpoint
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
     REASON_NO_CANDIDATE,
@@ -292,6 +293,7 @@ def run_mbcc(
     iterations = 0
 
     while True:
+        checkpoint()
         current_distance = tracker.graph_query_distance()
         if current_distance < best_distance:
             best_distance = current_distance

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bc_index import BCIndex
+from repro.deadline import checkpoint
 from repro.graph.csr import UNREACHED, csr_bfs_distances
 from repro.graph.labeled_graph import LabeledGraph, Label, Vertex
 
@@ -129,6 +130,7 @@ def butterfly_core_shortest_path(
     # The least weight of a target state pushed so far.
     best_target = float("inf")
     for _ in range(max_expansions):
+        checkpoint()
         if not heap:
             break
         _, state, u, hops, min_core, min_chi = heapq.heappop(heap)

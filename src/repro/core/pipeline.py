@@ -29,7 +29,10 @@ engine's frozen :class:`~repro.graph.csr.CSRGraph`:
   on the alive sides after each deletion batch;
 * Algorithm 3 runs :func:`~repro.graph.csr.csr_butterfly_degrees` on a
   bipartite view cut straight from the alive ids;
-* only the returned community becomes a :class:`LabeledGraph`.
+* only the returned community becomes a :class:`LabeledGraph`;
+* each per-query loop calls :func:`repro.deadline.checkpoint`, and so does
+  each per-query recount and candidate peel, so a search past its
+  deadline stops at the next one; the memo's fill never checks.
 
 Every decision matches the object runners — the same ``G0``, the same
 deletions, leader pair and Table-4 counts — because the algorithms only
@@ -60,6 +63,7 @@ from repro.core.lp_bcc import DEFAULT_RHO
 from repro.core.online_bcc import distance_sweep
 from repro.core.path_weight import PathWeightConfig, butterfly_core_shortest_path
 from repro.core.query_distance import farthest_ids, update_distances
+from repro.deadline import checkpoint
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
     REASON_NO_CANDIDATE,
@@ -125,6 +129,7 @@ def _core_component(
     component = {query}
     frontier = [query]
     while frontier:
+        checkpoint()
         reached = []
         for u in frontier:
             for w in same[u]:
@@ -155,6 +160,7 @@ def _candidate_coreness(
                 component.append(w)
     position = dict(zip(component, range(len(component))))
     local = [[position[w] for w in same[v] if w in position] for v in component]
+    checkpoint()
     coreness = [-1] * n
     for v, c in zip(component, core_numbers(local)):
         coreness[v] = c
@@ -235,6 +241,9 @@ class _Community:
         self.parameters = parameters
 
     def butterfly_degrees(self) -> Dict[int, int]:
+        # A per-query recount (Algorithms 4 and 7) checks the deadline; the
+        # G0 memo's fill counts through ``_butterfly_degrees`` and never does.
+        checkpoint()
         return _butterfly_degrees(self.left, self.right, self.cross)
 
     def butterfly_degree_of(self, v: int) -> int:
@@ -429,6 +438,7 @@ def online_bcc(
     best_distance = math.inf
     iterations = 0
     while True:
+        checkpoint()
         with inst.time_query_distance():
             current, candidates, max_distance = distance_sweep(
                 csr, ql, qr, alive, alive=alive
@@ -571,6 +581,7 @@ def _lp_search(
     best_pair = leaders.leader_pair()
     iterations = 0
     while True:
+        checkpoint()
         with inst.time_query_distance():
             current, candidates, max_distance = distances.sweep()
         if current < best_distance:
@@ -656,6 +667,7 @@ def _expand_candidate(
             admitted.add(v)
             queue.append(v)
     while queue and len(admitted) <= eta:
+        checkpoint()
         for w in slices[queue.popleft()]:
             if w in admitted:
                 continue

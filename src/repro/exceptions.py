@@ -172,11 +172,12 @@ class DatasetError(ReproError):
 class DeadlineExceededError(ReproError):
     """A serving deadline (``SearchConfig.deadline_ms``) expired.
 
-    Raised at the serving seams that can actually enforce a wall-clock
-    bound — ``search_many``'s per-row dispatch and the HTTP gateway's
-    request handler — never from inside a kernel (a pure-Python peeling
-    loop cannot be preempted).  Carries the expired budget so error rows
-    and 504 payloads can report it.
+    Raised from inside a kernel, by the first :func:`repro.deadline.checkpoint`
+    after the budget ran out, or by ``run_with_deadline`` for an answer
+    that arrived late; the serving seams that set the budget
+    (``search_many``'s rows, the HTTP gateway's requests, worker tasks)
+    turn it into a ``deadline-exceeded`` row or a 504.  Carries the expired
+    budget so error rows and 504 payloads can report it.
     """
 
     def __init__(self, message: str = "", deadline_ms=None) -> None:

@@ -11,8 +11,9 @@ single trace, a list of traces, or a ``{"traces": [...]}`` wrapper)::
     python -m repro.obs --url http://127.0.0.1:8080/debug/slow
 
 Each trace renders as an indented tree: one line per span with its
-duration, ``(unfinished)`` markers for spans still running when the trace
-ended (the span that consumed a deadline budget), and span metadata.
+duration, ``(unfinished)`` markers for spans still open when the trace
+ended, and span metadata (a span an exception unwound carries ``error``:
+a deadline-exceeded trace names the span whose checkpoint expired).
 """
 
 from __future__ import annotations

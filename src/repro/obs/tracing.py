@@ -15,14 +15,17 @@ a shared no-op context manager after a single ``ContextVar.get`` — that is
 the entire disabled-path cost, which ``benchmarks/bench_obs_overhead.py``
 measures (floor: <= 3% overhead on a batch trace).
 
-Thread hops do not propagate contextvars by themselves.  The two places
-the serving stack hops threads — ``run_with_deadline``'s watchdog thread
-and ``serve_batch``'s executor — explicitly carry the caller's context
-across with ``contextvars.copy_context()``, so a deadline-exceeded query's
-trace retains the still-running kernel span (marked ``unfinished``) that
-consumed the budget.  Process hops carry a trace-context field in the wire
-codec instead; the worker builds a local :class:`Trace` and ships its span
-tree back to be grafted via :meth:`Span.attach_remote`.
+Thread hops do not propagate contextvars by themselves.  The one place
+the serving stack hops threads — ``serve_batch``'s executor — carries the
+caller's context across with ``contextvars.copy_context()`` per row, so
+rows join the batch's trace (and run under its deadline token).  A span
+that an exception unwinds records ``error=<exception type>`` in its
+meta: a deadline-exceeded query's trace names every span the
+:class:`~repro.exceptions.DeadlineExceededError` unwound, down to the
+kernel span that was running when the budget ran out.  Process hops carry
+a trace-context field in the wire codec instead; the worker builds a
+local :class:`Trace` and ships its span tree back to be grafted via
+:meth:`Span.attach_remote`.
 
 Clock hygiene (BCC002 covers this package): span timing uses
 ``time.perf_counter`` through an injectable ``clock=`` parameter default —
@@ -203,7 +206,11 @@ class Span:
         self._token = _ACTIVE_SPAN.set(self)
         return self
 
-    def __exit__(self, *exc_info) -> bool:
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None:
+            # The span an exception unwound names it: a deadline-exceeded
+            # trace shows which span was running when the budget ran out.
+            self.annotate(error=exc_type.__name__)
         self.finish()
         if self._token is not None:
             _ACTIVE_SPAN.reset(self._token)

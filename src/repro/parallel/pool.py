@@ -71,9 +71,10 @@ DEFAULT_PROCESS_WORKERS = 4
 
 #: Extra wall-clock (seconds) the pool-side watchdog grants a task beyond
 #: its ``deadline_ms`` before declaring the worker wedged.  The *accurate*
-#: deadline is enforced worker-side by ``run_with_deadline``; the watchdog
-#: only fires when the worker cannot even report the expiry (killed,
-#: stopped, or stuck in a kernel), so a little slack avoids double kills.
+#: deadline is enforced worker-side by ``run_with_deadline``, whose token
+#: the worker's kernels check; the watchdog only fires when the worker
+#: cannot even report the expiry (killed, stopped, or stuck between
+#: checkpoints), so a little slack avoids double kills.
 DEFAULT_DEADLINE_GRACE_SECONDS = 0.5
 
 #: Seconds a closing pool waits for a worker to exit before killing it.

@@ -12,6 +12,11 @@ is a seeded list of :class:`FaultRule` s, each naming an injection **site**
 * ``"stall"``  — alias of ``"delay"``, for rules whose intent is a hang a
   deadline must cut short rather than mere slowness.
 
+Under a deadline (:mod:`repro.deadline`) a delay longer than the budget
+left sleeps out only that budget and then raises
+:class:`~repro.exceptions.DeadlineExceededError`, as a kernel's checkpoint
+would; with no deadline it sleeps in full.
+
 The serving layers expose one hook each and call
 :meth:`FaultPlan.on` with their site name and matchable attributes:
 
@@ -39,7 +44,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.exceptions import ReproError
+from repro.deadline import current_deadline
+from repro.exceptions import DeadlineExceededError, ReproError
 
 __all__ = [
     "FAULT_KINDS",
@@ -88,7 +94,8 @@ class FaultRule:
         every one, forever).
     delay_seconds:
         Sleep applied by ``delay``/``stall`` rules — and by ``error`` rules
-        before raising, to model a slow failure.
+        before raising, to model a slow failure.  Under a deadline, at
+        most the budget left is slept (see the module docs).
     probability:
         Chance of injecting once the window is active, drawn from the
         plan's seeded RNG (1.0 = deterministic).
@@ -195,6 +202,13 @@ class FaultPlan:
             return
         _, rule = fire
         if rule.delay_seconds > 0.0:
+            deadline = current_deadline()
+            left = None if deadline is None else deadline.remaining()
+            if left is not None and left < rule.delay_seconds:
+                # The stall outlasts the caller's budget: sleep out only the
+                # budget, then expire the way a kernel's checkpoint would.
+                self._sleep(max(0.0, left))
+                raise DeadlineExceededError(deadline_ms=deadline.budget_ms)
             self._sleep(rule.delay_seconds)
         if rule.kind == "error":
             raise InjectedFault(

@@ -28,11 +28,11 @@ graph behind one ``ServingEngine``-shaped front (``search`` /
   ``HealthPolicy.failure_threshold`` consecutive failures it is ejected
   from routing; after ``ejection_seconds`` the breaker admits one probe
   query whose outcome re-admits or re-ejects it.  Caller errors
-  (:class:`~repro.exceptions.QueryError`, a missing query vertex) raise
-  through unchanged and never penalize a replica — a bad query is not a
-  sick server.  When *every* replica is ejected,
-  :class:`~repro.exceptions.AllReplicasEjectedError` is raised instead of
-  hanging.
+  (:class:`~repro.exceptions.QueryError`, a missing query vertex) and an
+  expired deadline raise through unchanged and never penalize a replica —
+  a bad query or a spent budget is not a sick server.  When *every*
+  replica is ejected, :class:`~repro.exceptions.AllReplicasEjectedError`
+  is raised instead of hanging.
 
 ``GraphDirectory.add(name, graph, replicas=N)`` registers a replica set
 exactly like any other engine, so a hot graph scales horizontally without
@@ -53,7 +53,7 @@ from repro.api.engine import (
     serve_batch,
 )
 from repro.api.query import BatchQuery, Query, SearchResponse
-from repro.exceptions import AllReplicasEjectedError
+from repro.exceptions import AllReplicasEjectedError, DeadlineExceededError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.tracing import span as obs_span
 from repro.server.resilience import HealthPolicy, ReplicaHealth
@@ -332,8 +332,10 @@ class ReplicaSet:
 
         A replica that fails with a non-caller error is charged a health
         failure and the query **fails over** to another healthy replica
-        (each replica is tried at most once per query).  Caller errors
-        re-raise immediately without a health verdict.  Once every replica
+        (each replica is tried at most once per query).  Caller errors and
+        :class:`~repro.exceptions.DeadlineExceededError` re-raise
+        immediately without a health verdict: a cancelled attempt neither
+        counts as a failure nor feeds the latency EWMA.  Once every replica
         has either failed this query or refused admission, the last
         replica's error propagates — or :class:`AllReplicasEjectedError`
         when nothing would even admit the query.
@@ -365,15 +367,19 @@ class ReplicaSet:
                         query, config=config, use_cache=use_cache
                     )
             except BaseException as exc:
-                if is_caller_error(query, exc):
-                    # Bad query, fine replica: no health verdict (beyond
-                    # releasing a claimed probe slot), no failover — the
-                    # same query would fail identically everywhere.
+                if is_caller_error(query, exc) or isinstance(
+                    exc, DeadlineExceededError
+                ):
+                    # Bad query or spent budget, fine replica: no health
+                    # verdict (beyond releasing a claimed probe slot), no
+                    # failover — the same query would fail identically
+                    # everywhere, and another replica gets no more time.
                     health.record_neutral()
                     raise
-                # The finished attempt span records which replica failed
-                # (the failover retry opens its own span next iteration).
-                attempt.annotate(failed=True, error=type(exc).__name__)
+                # The finished attempt span (which names the error) records
+                # which replica failed; the failover retry opens its own
+                # span next iteration.
+                attempt.annotate(failed=True)
                 health.record_failure()
                 with self._route_lock:
                     self._replica_failures += 1

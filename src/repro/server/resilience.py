@@ -15,12 +15,11 @@ assembled from:
   jitter* (delay drawn uniformly from ``[0, min(cap, base·mult^attempt)]``),
   the schedule deterministic for a seeded RNG.  Used by
   :class:`repro.server.GatewayClient`.
-* :func:`run_with_deadline` — run a callable on a daemon worker and give up
-  after a wall-clock budget, raising
-  :class:`~repro.exceptions.DeadlineExceededError`.  This is how a serving
-  seam bounds a pure-Python kernel it cannot preempt: the caller gets its
-  answer (an error row / 504) on time, and the abandoned worker finishes
-  into the void.
+* :func:`run_with_deadline` — run a callable under a wall-clock budget,
+  raising :class:`~repro.exceptions.DeadlineExceededError` once it is
+  spent.  The call runs inline under a :mod:`repro.deadline` token whose
+  checkpoints stop the kernel, so the caller gets its answer (an error row
+  / 504) on time and no work outlives it.
 """
 
 from __future__ import annotations

@@ -22,9 +22,11 @@ def _findings_over(*trees: str):
     return report.findings
 
 
-def test_all_six_rules_are_registered():
+def test_all_seven_rules_are_registered():
     rules = [checker.rule for checker in all_checkers()]
-    assert rules == ["BCC001", "BCC002", "BCC003", "BCC004", "BCC005", "BCC006"]
+    assert rules == [
+        "BCC001", "BCC002", "BCC003", "BCC004", "BCC005", "BCC006", "BCC007"
+    ]
 
 
 def test_src_has_zero_findings():

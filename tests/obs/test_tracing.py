@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import contextvars
-import threading
 
 import pytest
 
 from repro.api.engine import run_with_deadline
+from repro.deadline import checkpoint
 from repro.exceptions import DeadlineExceededError
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import (
@@ -167,29 +167,25 @@ class TestTracer:
 # ----------------------------------------------------------------------
 class TestDeadlineTrace:
     def test_deadline_exceeded_trace_shows_budget_consuming_span(self):
-        release = threading.Event()
-
         def stuck_kernel():
             with span("engine.kernel", method="online-bcc"):
-                release.wait(10.0)
+                while True:
+                    checkpoint()
 
         trace = Trace("req-dl")
         with trace:
             with pytest.raises(DeadlineExceededError):
                 run_with_deadline(stuck_kernel, 0.05, what="row:online-bcc")
 
-        # Snapshot before releasing the abandoned worker: the kernel span
-        # is deterministically still open here.
         doc = trace.to_dict()
-        release.set()
-
         (deadline_doc,) = doc["spans"]["children"]
         assert deadline_doc["name"] == "deadline"
         assert deadline_doc["meta"]["exceeded"] is True
         assert deadline_doc["meta"]["budget_ms"] == pytest.approx(50.0)
         (kernel_doc,) = deadline_doc["children"]
         assert kernel_doc["name"] == "engine.kernel"
-        assert kernel_doc["unfinished"] is True
+        # The kernel's checkpoint raised: its span names the error.
+        assert kernel_doc["meta"]["error"] == "DeadlineExceededError"
 
     def test_deadline_without_budget_runs_inline_and_unspanned(self, clock):
         trace = Trace("req-inline", clock=clock)

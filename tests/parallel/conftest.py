@@ -28,10 +28,10 @@ def pair_graph():
 def slow_graph():
     """A graph whose searches cost real wall clock (tens of ms).
 
-    Deadline tests need the kernel to *outlast* the deadline by more
-    than a GIL switch interval — on a tiny graph the search thread can
-    finish inside ``Thread.start()``'s startup slice and the deadline
-    never fires, regardless of how small ``deadline_ms`` is.
+    Deadline tests need the kernel to *outlast* the deadline: on a tiny
+    graph a search can finish before any of its checkpoints sees the
+    budget spent, so the deadline never fires, however small
+    ``deadline_ms`` is.
     """
     graph = random_labeled_graph(400, 0.04, ["A", "B"], seed=7)
     assert any(True for _ in graph.cross_edges()), "needs a cross edge"

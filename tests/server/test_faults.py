@@ -7,7 +7,8 @@ import threading
 import pytest
 
 from repro.api import BCCEngine, Query, SearchConfig
-from repro.exceptions import QueryError
+from repro.api.engine import run_with_deadline
+from repro.exceptions import DeadlineExceededError, QueryError
 from repro.graph.generators import paper_example_graph
 from repro.server.faults import FAULT_KINDS, FaultPlan, FaultRule, InjectedFault
 
@@ -95,6 +96,33 @@ def test_error_rule_can_model_a_slow_failure():
     with pytest.raises(InjectedFault, match="boom"):
         plan.on("s")
     assert slept == [0.1]
+
+
+@pytest.mark.parametrize("kind", ["delay", "stall"])
+def test_stall_under_a_deadline_sleeps_only_the_budget_left(kind):
+    now = [0.0]
+    slept = []
+    plan = FaultPlan(
+        [FaultRule("s", kind=kind, delay_seconds=20.0)], sleep=slept.append
+    )
+
+    def stalled_call():
+        now[0] = 0.1  # 100 ms of the 300 ms budget spent before the hook
+        plan.on("s")
+
+    with pytest.raises(DeadlineExceededError) as excinfo:
+        run_with_deadline(stalled_call, 0.3, clock=lambda: now[0])
+    assert slept == [pytest.approx(0.2)]
+    assert excinfo.value.deadline_ms == pytest.approx(300.0)
+
+
+def test_delay_within_the_budget_left_sleeps_in_full():
+    slept = []
+    plan = FaultPlan(
+        [FaultRule("s", kind="delay", delay_seconds=0.25)], sleep=slept.append
+    )
+    assert run_with_deadline(lambda: plan.on("s"), 1.0, clock=lambda: 0.0) is None
+    assert slept == [0.25]
 
 
 def test_seeded_probability_schedule_is_reproducible():

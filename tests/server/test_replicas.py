@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import pytest
 
 from repro.api import BCCEngine, Query, SearchConfig
+from repro.api.engine import run_with_deadline
 from repro.api.query import STATUS_ERROR, STATUS_OK
-from repro.graph.generators import paper_example_graph
+from repro.exceptions import DeadlineExceededError
+from repro.graph.generators import paper_example_graph, random_labeled_graph
 from repro.server import ReplicaSet
 from repro.serving import GraphDirectory
 
 CONFIG = SearchConfig(k1=4, k2=3)
 OK_QUERY = Query("online-bcc", ("ql", "qr"))
+
+
+def _spent_clock():
+    """A clock that reads 0.0 once, then past any budget: a spent request."""
+    readings = iter([0.0])
+    return lambda: next(readings, 1e9)
 
 
 @pytest.fixture
@@ -96,6 +105,42 @@ class TestRouting:
         assert stats.counters["searches"] == engine_total
         # Routing balance still accounts for every attempt.
         assert sum(block["routed"] for block in stats.replicas) == 3
+
+
+class TestDeadlines:
+    @pytest.mark.parametrize(
+        "member_backend",
+        ["thread", pytest.param("process", marks=pytest.mark.parallel)],
+    )
+    def test_spent_budget_is_not_a_replica_failure(self, member_backend):
+        graph = random_labeled_graph(800, 0.04, ["A", "B"], seed=7)
+        pairs = list(itertools.islice(graph.cross_edges(), 3))
+        config = SearchConfig(deadline_ms=1.0)
+        with ReplicaSet(
+            graph, replicas=2, member_backend=member_backend
+        ) as replica_set:
+            for pair in pairs:
+                query = Query("online-bcc", pair)
+                with pytest.raises(DeadlineExceededError):
+                    # The request's budget is spent, as a gateway request's
+                    # can be; a process member's worker also enforces the
+                    # config's 1 ms on its own.
+                    run_with_deadline(
+                        lambda: replica_set.search(
+                            query, config=config, use_cache=False
+                        ),
+                        1.0,
+                        clock=_spent_clock(),
+                    )
+            counters = replica_set.counters_snapshot()
+            health = replica_set.health_summary()
+            blocks = replica_set.stats().replicas
+        assert counters["failovers"] == 0
+        assert counters["replica_failures"] == 0
+        assert counters["ejections"] == 0
+        assert health["state"] == "ok"
+        # A cancelled attempt is no latency sample either.
+        assert [b["health"]["latency_ewma_seconds"] for b in blocks] == [None, None]
 
 
 class TestExplain:

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.deadline import checkpoint
 from repro.exceptions import DeadlineExceededError
 from repro.server.resilience import (
     HEALTH_DOWN,
@@ -213,16 +214,22 @@ class TestRunWithDeadline:
         assert run_with_deadline(lambda: "ok", 5.0) == "ok"
 
     def test_stalled_call_raises_within_budget(self):
+        def stall():
+            # A kernel that never finishes on its own: only its checkpoints
+            # can stop it.
+            while True:
+                checkpoint()
+
         started = time.perf_counter()
         with pytest.raises(DeadlineExceededError) as excinfo:
-            run_with_deadline(lambda: time.sleep(30.0), 0.05, what="stall")
+            run_with_deadline(stall, 0.05, what="stall")
         elapsed = time.perf_counter() - started
-        assert elapsed < 5.0  # gave up, did not sit out the 30s
+        assert elapsed < 5.0  # stopped at a checkpoint, did not spin on
         assert excinfo.value.deadline_ms == pytest.approx(50.0)
 
     def test_late_answer_is_a_deadline_error(self):
-        # The worker can finish inside Thread.start()'s hand-off, before
-        # the caller even waits: the clock, not the wait, decides.
+        # A call that ran past its budget without reaching a checkpoint
+        # still answers late: the clock decides.
         readings = iter([0.0, 2.0])
         with pytest.raises(DeadlineExceededError):
             run_with_deadline(lambda: "late", 1.0, clock=lambda: next(readings))
