@@ -907,7 +907,9 @@ class BCCEngine:
         # queries raise above and are not "served" searches.
         self._count("searches")
         index_seconds = self._tls.index_seconds
-        vertices = set(result.vertices) if result is not None else set()
+        # Every result class's ``vertices`` is a new set, which the response
+        # then owns; a BCC answer's is read off its ids on the snapshot.
+        vertices = result.vertices if result is not None else set()
         response = SearchResponse(
             method=spec.name,
             query=query.vertices,

@@ -200,7 +200,12 @@ class SearchResponse:
 
     @property
     def community(self) -> Optional[LabeledGraph]:
-        """The community subgraph, when the method produced one."""
+        """The community subgraph, when the method produced one.
+
+        A BCC answer (:class:`~repro.core.bcc_model.BCCResult`) builds it
+        from its snapshot on first read.  A held answer keeps that snapshot
+        alive and stays valid on the graph version it came from.
+        """
         return getattr(self.result, "community", None)
 
     @property

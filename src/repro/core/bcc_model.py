@@ -4,9 +4,9 @@ This module defines:
 
 * :class:`BCCParameters` — the query parameters (k1, k2, b), with the
   automatic "coreness of the query vertices" default of Section 3.5;
-* :class:`BCCResult` — the community returned by a search, together with the
-  decomposition into left core ``L``, right core ``R`` and cross bipartite
-  graph ``B``, the leader pair and bookkeeping statistics;
+* :class:`BCCResult` — the community returned by a search, as member ids on
+  the snapshot it came from, with its two label groups, the leader pair and
+  bookkeeping statistics;
 * :func:`is_bcc` / :func:`validate_bcc` — checking whether a subgraph
   satisfies Def. 4 (two labels, left k1-core, right k2-core, a leader pair
   with butterfly degree at least ``b``);
@@ -16,10 +16,11 @@ This module defines:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import QueryError
 from repro.graph.bipartite import BipartiteView, extract_bipartite
+from repro.graph.csr import CSRGraph
 from repro.graph.labeled_graph import LabeledGraph, Label, Vertex
 from repro.graph.traversal import are_connected, diameter
 
@@ -69,18 +70,25 @@ class BCCParameters:
 class BCCResult:
     """A butterfly-core community returned by a search algorithm.
 
+    An answer is its member ids on the frozen snapshot it came from.  The
+    member set, the two label sides, their sizes and the edge count are read
+    off those ids and the snapshot; :attr:`community`, the answer as a
+    :class:`LabeledGraph`, is cut out of the snapshot on first read and
+    kept.  A snapshot never changes, so a held answer keeps its snapshot
+    alive and stays valid on the graph version it came from, whatever
+    mutates the served graph later.  The object runners hand over a graph
+    they already built (:meth:`from_community`).
+
     Attributes
     ----------
-    community:
-        The community subgraph (left core ∪ cross edges ∪ right core).
-    left_vertices, right_vertices:
-        The two label groups of the community.
+    csr, ids:
+        The snapshot and the community's ids on it.
     left_label, right_label:
-        Their labels.
-    leader_pair:
-        ``(v_l, v_r)`` with butterfly degree >= b on each side, when known.
+        The labels of the two groups.
     parameters:
         The (k1, k2, b) parameters the community satisfies.
+    leader_pair:
+        ``(v_l, v_r)`` with butterfly degree >= b on each side, when known.
     query_distance:
         ``dist(H, Q)`` of the returned community (Def. 5), if computed.
     iterations:
@@ -89,9 +97,8 @@ class BCCResult:
         Free-form per-run counters (timings, butterfly-counting calls, ...).
     """
 
-    community: LabeledGraph
-    left_vertices: Set[Vertex]
-    right_vertices: Set[Vertex]
+    csr: CSRGraph
+    ids: FrozenSet[int]
     left_label: Label
     right_label: Label
     parameters: BCCParameters
@@ -99,19 +106,65 @@ class BCCResult:
     query_distance: float = 0.0
     iterations: int = 0
     statistics: Dict[str, float] = field(default_factory=dict)
+    _community: Optional[LabeledGraph] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_community(
+        cls,
+        community: LabeledGraph,
+        left_label: Label,
+        right_label: Label,
+        parameters: BCCParameters,
+        **fields,
+    ) -> "BCCResult":
+        """An answer whose graph is already built: a snapshot of its own."""
+        csr = CSRGraph.freeze(community)
+        ids = frozenset(range(csr.num_vertices()))
+        return cls(
+            csr, ids, left_label, right_label, parameters, _community=community, **fields
+        )
+
+    @property
+    def community(self) -> LabeledGraph:
+        """The community subgraph (left core ∪ cross edges ∪ right core).
+
+        Built from the snapshot (``csr.induced(ids)``) on first read and kept.
+        Two threads reading it first may each build it; the builds are equal.
+        """
+        community = self._community
+        if community is None:
+            community = self._community = self.csr.induced(self.ids)
+        return community
 
     @property
     def vertices(self) -> Set[Vertex]:
-        """All vertices of the community."""
-        return set(self.community.vertices())
+        """All vertices of the community, as a new set."""
+        return set(map(self.csr.interner.vertices().__getitem__, self.ids))
+
+    @property
+    def left_vertices(self) -> Set[Vertex]:
+        """The community's vertices carrying ``left_label``."""
+        return self._side(self.left_label)
+
+    @property
+    def right_vertices(self) -> Set[Vertex]:
+        """The community's vertices carrying ``right_label``."""
+        return self._side(self.right_label)
+
+    def _side(self, label: Label) -> Set[Vertex]:
+        interner = self.csr.interner
+        lid = interner.try_label_id(label)
+        labels, vertex_of = self.csr.labels, interner.vertices()
+        return {vertex_of[v] for v in self.ids if labels[v] == lid}
 
     def num_vertices(self) -> int:
         """Number of vertices in the community."""
-        return self.community.num_vertices()
+        return len(self.ids)
 
     def num_edges(self) -> int:
-        """Number of edges in the community."""
-        return self.community.num_edges()
+        """Number of edges in the community: Σ |N(v) ∩ ids| / 2 over its ids."""
+        ids, slices = self.ids, self.csr.adjacency_slices()
+        return sum(len(ids.intersection(slices[v])) for v in ids) // 2
 
     def diameter(self) -> float:
         """Exact diameter of the community (may be expensive on large results)."""
@@ -248,11 +301,13 @@ def is_bcc(
 
 
 def swap_left_right(result: BCCResult) -> BCCResult:
-    """Return a copy of ``result`` with the left and right groups exchanged."""
+    """Return a copy of ``result`` with the left and right groups exchanged.
+
+    The copy shares the snapshot, the ids and the graph, if already built.
+    """
     return BCCResult(
-        community=result.community,
-        left_vertices=set(result.right_vertices),
-        right_vertices=set(result.left_vertices),
+        result.csr,
+        result.ids,
         left_label=result.right_label,
         right_label=result.left_label,
         parameters=BCCParameters(
@@ -266,4 +321,5 @@ def swap_left_right(result: BCCResult) -> BCCResult:
         query_distance=result.query_distance,
         iterations=result.iterations,
         statistics=dict(result.statistics),
+        _community=result._community,
     )

@@ -194,13 +194,11 @@ def run_lp_bcc(
     inst.add("leader_full_recounts", float(leader_tracker.full_recounts))
     inst.add("distance_partial_updates", float(distance_tracker.partial_updates))
     inst.add("distance_full_recomputations", float(distance_tracker.full_recomputations))
-    return BCCResult(
-        community=final_community,
-        left_vertices=final_community.vertices_with_label(left_label),
-        right_vertices=final_community.vertices_with_label(right_label),
-        left_label=left_label,
-        right_label=right_label,
-        parameters=parameters,
+    return BCCResult.from_community(
+        final_community,
+        left_label,
+        right_label,
+        parameters,
         leader_pair=best_leader_pair,
         query_distance=best_distance,
         iterations=iterations,

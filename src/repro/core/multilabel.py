@@ -89,6 +89,7 @@ def _interaction_graph_edges(
     edges: List[Tuple[Label, Label]] = []
     group_vertices = {lab: community.vertices_with_label(lab) for lab in labels}
     for left_label, right_label in itertools.combinations(labels, 2):
+        checkpoint()
         left = group_vertices[left_label]
         right = group_vertices[right_label]
         if not left or not right:
@@ -181,12 +182,15 @@ def find_mbcc_candidate(
     Builds, per query label, the connected k_i-core around the query vertex;
     unions them together with all cross edges between admitted groups; and
     checks cross-group connectivity and query connectivity.  ``groups``
-    optionally supplies cached label-induced subgraphs.
+    optionally supplies cached label-induced subgraphs.  Each step is
+    per-query work, so each checks the deadline; the cached groups' fills
+    never do.
     """
     group_of = resolve_group_provider(graph, groups)
     cores: List[LabeledGraph] = []
     labels: List[Label] = []
     for q in query_vertices:
+        checkpoint()
         label = graph.label(q)
         labels.append(label)
         group = group_of(label)
@@ -194,11 +198,13 @@ def find_mbcc_candidate(
         if core is None:
             return None
         cores.append(core)
+    checkpoint()
     community = union_graphs(*cores)
     admitted = set(community.vertices())
     # Add every cross edge of the input graph between admitted vertices of
     # different (query) labels.
     for u in admitted:
+        checkpoint()
         for w in graph.neighbors(u):
             if w in admitted and graph.label(u) != graph.label(w):
                 community.add_edge(u, w)
@@ -286,6 +292,7 @@ def run_mbcc(
 
     community = candidate.copy()
     original = candidate
+    checkpoint()
     tracker = QueryDistanceTracker(community, query)
 
     best_vertices: Optional[Set[Vertex]] = None

@@ -198,13 +198,11 @@ def run_online_bcc(
         raise EmptyCommunityError(reason=REASON_NO_COMMUNITY)
 
     final_community = original.induced_subgraph(best_vertices)
-    result = BCCResult(
-        community=final_community,
-        left_vertices=final_community.vertices_with_label(left_label),
-        right_vertices=final_community.vertices_with_label(right_label),
-        left_label=left_label,
-        right_label=right_label,
-        parameters=parameters,
+    result = BCCResult.from_community(
+        final_community,
+        left_label,
+        right_label,
+        parameters,
         query_distance=best_distance,
         iterations=iterations,
         statistics=inst.as_dict(),

@@ -29,7 +29,9 @@ engine's frozen :class:`~repro.graph.csr.CSRGraph`:
   on the alive sides after each deletion batch;
 * Algorithm 3 runs :func:`~repro.graph.csr.csr_butterfly_degrees` on a
   bipartite view cut straight from the alive ids;
-* only the returned community becomes a :class:`LabeledGraph`;
+* the answer is its member ids on this snapshot, so no search builds a
+  :class:`LabeledGraph`: the community's graph is cut out of the snapshot
+  only when a caller first reads ``BCCResult.community``;
 * each per-query loop calls :func:`repro.deadline.checkpoint`, and so does
   each per-query recount and candidate peel, so a search past its
   deadline stops at the next one; the memo's fill never checks.
@@ -378,7 +380,7 @@ def _no_candidate(parameters: BCCParameters) -> EmptyCommunityError:
 
 def _result(
     csr: CSRGraph,
-    best: Set[int],
+    best: FrozenSet[int],
     labels: Tuple[object, object],
     parameters: BCCParameters,
     distance: float,
@@ -386,16 +388,18 @@ def _result(
     inst: SearchInstrumentation,
     leader_pair: Optional[Tuple[Vertex, Vertex]] = None,
 ) -> BCCResult:
-    """Materialize the answer: the only :class:`LabeledGraph` a search builds."""
-    community = csr.induced(best)
+    """The answer: the ids ``best`` on ``csr``.
+
+    No :class:`LabeledGraph` is built here: :attr:`BCCResult.community` cuts
+    one out of ``csr`` when a caller first reads it.
+    """
     left_label, right_label = labels
     return BCCResult(
-        community=community,
-        left_vertices=community.vertices_with_label(left_label),
-        right_vertices=community.vertices_with_label(right_label),
-        left_label=left_label,
-        right_label=right_label,
-        parameters=parameters,
+        csr,
+        best,
+        left_label,
+        right_label,
+        parameters,
         leader_pair=leader_pair,
         query_distance=distance,
         iterations=iterations,
@@ -434,7 +438,7 @@ def online_bcc(
     community = found[0]
     alive = community.alive
 
-    best: Optional[Set[int]] = None
+    best: Optional[FrozenSet[int]] = None
     best_distance = math.inf
     iterations = 0
     while True:
@@ -445,7 +449,7 @@ def online_bcc(
             )
         if current < best_distance:
             best_distance = current
-            best = set(alive)
+            best = frozenset(alive)
         if not candidates or max_distance <= 0:
             break
         if max_iterations is not None and iterations >= max_iterations:
@@ -576,7 +580,7 @@ def _lp_search(
     with inst.time_query_distance():
         distances = _Distances(csr, alive, ql, qr)
 
-    best: Optional[Set[int]] = None
+    best: Optional[FrozenSet[int]] = None
     best_distance = math.inf
     best_pair = leaders.leader_pair()
     iterations = 0
@@ -586,7 +590,7 @@ def _lp_search(
             current, candidates, max_distance = distances.sweep()
         if current < best_distance:
             best_distance = current
-            best = set(alive)
+            best = frozenset(alive)
             best_pair = leaders.leader_pair()
         if not candidates or max_distance <= 0:
             break

@@ -217,6 +217,10 @@ class VertexInterner:
         """Return the label object behind ``lid``."""
         return self._label_of[lid]
 
+    def try_label_id(self, label: Label) -> Optional[int]:
+        """Return the id of ``label`` or ``None`` when it was never interned."""
+        return self._label_id_of.get(label)
+
     def num_labels(self) -> int:
         """Return how many distinct labels have been interned."""
         return len(self._label_of)
@@ -367,7 +371,7 @@ class CSRGraph(_FlatAdjacency):
 
     __slots__ = (
         "labels", "_coreness", "_label_split", "_group_coreness",
-        "_g0_memo", "_g0_ids", "_g0_lock", "_g0_fill_lock",
+        "_g0_memo", "_g0_ids", "_g0_lock", "_g0_fill_lock", "__weakref__",
     )
 
     def __init__(
@@ -493,9 +497,10 @@ class CSRGraph(_FlatAdjacency):
     def induced(self, ids: Iterable[int]) -> LabeledGraph:
         """Build the :class:`LabeledGraph` induced by the ids in ``ids``.
 
-        The answer-materialization path of :mod:`repro.core.pipeline`: the
-        adjacency sets are cut straight out of the frozen slices (C-speed
-        set intersections) and adopted by the graph, with no per-edge
+        How a pipeline answer builds its graph when first read
+        (:attr:`repro.core.bcc_model.BCCResult.community`): the adjacency
+        sets are cut straight out of the frozen slices (C-speed set
+        intersections) and adopted by the graph, with no per-edge
         ``add_edge`` calls.
         """
         keep = set(ids)

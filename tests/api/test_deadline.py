@@ -16,7 +16,7 @@ import pytest
 from repro.api import BCCEngine, Query, SearchConfig
 from repro.api.engine import run_with_deadline
 from repro.api.registry import registered_methods
-from repro.core import pipeline
+from repro.core import multilabel, pipeline
 from repro.core.bc_index import BCIndex
 from repro.datasets import load_dataset
 from repro.deadline import checkpoint, current_deadline
@@ -74,6 +74,25 @@ class TestCancellationInsideTheKernel:
         # engine's count nor the late-answer post-check saw it.
         assert engine.counters_snapshot()["searches"] == searches
         assert threading.active_count() == threads
+
+    def test_mbcc_stops_before_its_interaction_graph(self, engine, monkeypatch):
+        # The candidate's per-label cores check the deadline, so an expired
+        # mBCC search stops before it counts any label pair's butterflies.
+        calls = []
+        interaction_graph_edges = multilabel._interaction_graph_edges
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return interaction_graph_edges(*args, **kwargs)
+
+        monkeypatch.setattr(multilabel, "_interaction_graph_edges", spy)
+        with pytest.raises(DeadlineExceededError):
+            run_with_deadline(
+                lambda: engine.search(Query("mbcc", QUERY), use_cache=False),
+                1.0,
+                clock=jumping_clock(1.0),
+            )
+        assert calls == []
 
     def test_ctc_batch_under_2ms_budgets_stops_every_row(self):
         # ROADMAP item 2's repro: CTC is the slowest served method (a few

@@ -210,6 +210,22 @@ class TestVersionInvalidation:
         # The pipeline state was rebuilt on the new version's snapshot.
         assert engine.counters_snapshot()["csr_freezes"] == 2
 
+    def test_held_answer_stays_valid_on_its_version(self, paper_graph):
+        engine = BCCEngine(paper_graph).prepare()
+        query = Query("lp-bcc", ("ql", "qr"))
+        response = engine.search(query)
+        before = paper_graph.induced_subgraph(response.vertices)
+        paper_graph.remove_edge(*min(before.edges(), key=repr))
+        # The answer is built from the snapshot it came from.
+        assert response.community == before
+        snapshot = weakref.ref(response.result.csr)
+        engine.search(query)
+        del response
+        gc.collect()
+        # The next search dropped the old version's cached answers, so only
+        # the caller's answer kept that snapshot alive.
+        assert snapshot() is None
+
 
 class TestExplain:
     def test_explain_bcc_resolves_coreness_defaults(self, paper_graph):

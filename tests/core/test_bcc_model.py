@@ -115,34 +115,31 @@ class TestDecompositionAndResult:
 
     def test_result_accessors(self):
         community = figure2_community()
-        result = BCCResult(
-            community=community,
-            left_vertices=community.vertices_with_label("SE"),
-            right_vertices=community.vertices_with_label("UI"),
-            left_label="SE",
-            right_label="UI",
-            parameters=BCCParameters(4, 3, 1),
+        result = BCCResult.from_community(
+            community,
+            "SE",
+            "UI",
+            BCCParameters(4, 3, 1),
             leader_pair=("ql", "qr"),
             query_distance=2.0,
         )
+        assert result.community is community
         assert result.num_vertices() == 10
         assert result.num_edges() == community.num_edges()
+        assert result.left_vertices == community.vertices_with_label("SE")
+        assert result.right_vertices == community.vertices_with_label("UI")
         assert result.diameter() <= 4
         assert result.bipartite().num_edges() == 4
         assert "ql" in result.vertices
 
     def test_swap_left_right(self):
         community = figure2_community()
-        result = BCCResult(
-            community=community,
-            left_vertices=community.vertices_with_label("SE"),
-            right_vertices=community.vertices_with_label("UI"),
-            left_label="SE",
-            right_label="UI",
-            parameters=BCCParameters(4, 3, 2),
-            leader_pair=("ql", "qr"),
+        result = BCCResult.from_community(
+            community, "SE", "UI", BCCParameters(4, 3, 2), leader_pair=("ql", "qr")
         )
         swapped = swap_left_right(result)
+        assert swapped.community is community
+        assert swapped.left_vertices == result.right_vertices
         assert swapped.left_label == "UI"
         assert swapped.parameters.k1 == 3
         assert swapped.parameters.k2 == 4

@@ -7,21 +7,27 @@ object graphs.  Every response field must agree — status, reason, vertex
 set, community graph, query distance, iterations, leader pair and the
 Table-4 counts — and every ``ok`` answer must also be a valid BCC by Def. 4
 with the query distance of Def. 5, recomputed here independently.
+
+The engine serves each query with graph building patched to raise: an
+answer is its member ids on the snapshot, and its community graph is cut
+out of the snapshot only when the parity check reads it afterwards.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from collections import deque
 from functools import partial
+from unittest import mock
 
 import pytest
 
 import repro.core.pipeline as pipeline
 from repro.api import BCCEngine, Query, SearchConfig
 from repro.api.query import STATUS_EMPTY, STATUS_OK, SearchResponse
-from repro.core.bcc_model import validate_bcc
+from repro.core.bcc_model import swap_left_right, validate_bcc
 from repro.core.local_search import run_l2p_bcc
 from repro.core.lp_bcc import run_lp_bcc
 from repro.core.online_bcc import run_online_bcc
@@ -29,8 +35,10 @@ from repro.datasets import load_dataset
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import EmptyCommunityError
 from repro.eval.queries import QuerySpec, generate_query_pairs
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import random_labeled_graph
 from repro.graph.labeled_graph import LabeledGraph
+from repro.server.protocol import encode_response
 
 METHODS = ("online-bcc", "lp-bcc", "l2p-bcc")
 
@@ -93,12 +101,43 @@ def _def5_distance(community: LabeledGraph, query) -> float:
     return float(worst)
 
 
+@contextlib.contextmanager
+def _no_graph_builds():
+    """Building a graph out of a snapshot raises inside this block."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the served path built a LabeledGraph")
+
+    with mock.patch.object(LabeledGraph, "adopt", refuse), mock.patch.object(
+        CSRGraph, "induced", refuse
+    ):
+        yield
+
+
+def _serve(engine, query, config):
+    """An uncached search, and every served read of its answer, building no graph."""
+    with _no_graph_builds():
+        response = engine.search(query, config=config, use_cache=False)
+        encode_response(response)
+        if response.result is not None:
+            swapped = swap_left_right(response.result)
+            for result in (response.result, swapped):
+                result.num_edges()
+                repr(result)
+                result.left_vertices, result.right_vertices
+    return response
+
+
 def _assert_valid(graph, response):
     if response.status != "ok":
         return
     q_left, q_right = response.query
     community = graph.induced_subgraph(response.vertices)
     assert response.result.community == community
+    assert response.result.num_edges() == community.num_edges()
+    swapped = swap_left_right(response.result)
+    assert swapped.community == community
+    assert swapped.left_vertices == response.result.right_vertices
     assert validate_bcc(
         community,
         response.result.parameters,
@@ -148,14 +187,18 @@ def _reference(engine, method, pair, config):
 
 
 def _assert_parity(graph, pairs, configs=CONFIGS, methods=METHODS):
+    """Check every served answer against the reference; return the answers."""
     engine = BCCEngine(graph).prepare()
+    served = []
     for pair in pairs:
         for method in methods:
             for config in configs:
-                got = engine.search(Query(method, pair), config=config, use_cache=False)
+                got = _serve(engine, Query(method, pair), config)
                 want = _reference(engine, method, pair, config)
                 assert _fields(got) == _fields(want), (method, pair, config)
                 _assert_valid(graph, got)
+                served.append(got)
+    return served
 
 
 def _relabel(graph: LabeledGraph, name) -> LabeledGraph:
@@ -191,6 +234,18 @@ def _random_case(seed: int, labels):
 def test_random_graphs_match_the_object_reference(seed, labels):
     graph, pairs = _random_case(seed, labels)
     _assert_parity(graph, pairs)
+
+
+@pytest.mark.parametrize("seed, pair", [(6, (3, 13)), (5, ("v9", "v14"))])
+def test_global_fallback_answer_matches_the_object_reference(seed, pair):
+    """η = 8 cuts this L2P candidate short, its search finds nothing, and
+    the global fallback's answer is served without building a graph."""
+    graph, _ = _random_case(seed, ("A", "B"))
+    (response,) = _assert_parity(
+        graph, [pair], configs=(SearchConfig(b=1, eta=8),), methods=("l2p-bcc",)
+    )
+    assert response.status == STATUS_OK
+    assert response.instrumentation.as_dict()["fallback_to_global"] == 1
 
 
 def test_disconnected_query_matches_the_object_reference():
