@@ -186,6 +186,19 @@ def find_mbcc_candidate(
     per-query work, so each checks the deadline; the cached groups' fills
     never do.
     """
+    found = _mbcc_candidate(graph, query_vertices, core_parameters, b, instrumentation, groups)
+    return None if found is None else found[0]
+
+
+def _mbcc_candidate(
+    graph: LabeledGraph,
+    query_vertices: Sequence[Vertex],
+    core_parameters: Dict[Label, int],
+    b: int,
+    instrumentation: Optional[SearchInstrumentation],
+    groups,
+) -> Optional[Tuple[LabeledGraph, List[Tuple[Label, Label]]]]:
+    """:func:`find_mbcc_candidate` with the candidate's interaction edges."""
     group_of = resolve_group_provider(graph, groups)
     cores: List[LabeledGraph] = []
     labels: List[Label] = []
@@ -213,7 +226,7 @@ def find_mbcc_candidate(
         return None
     if not are_connected(community, query_vertices):
         return None
-    return community
+    return community, interaction
 
 
 def mbcc_search(
@@ -283,19 +296,21 @@ def run_mbcc(
     labels = validate_mbcc_query(graph, query)
 
     resolved = resolve_mbcc_parameters(graph, query, core_parameters, groups=groups)
-    candidate = find_mbcc_candidate(graph, query, resolved, b, inst, groups=groups)
-    if candidate is None:
+    found = _mbcc_candidate(graph, query, resolved, b, inst, groups)
+    if found is None:
         raise EmptyCommunityError(
             f"no maximal m-labeled candidate with b={b} contains the query",
             reason=REASON_NO_CANDIDATE,
         )
 
+    candidate, interaction = found
     community = candidate.copy()
     original = candidate
     checkpoint()
     tracker = QueryDistanceTracker(community, query)
 
     best_vertices: Optional[Set[Vertex]] = None
+    best_interaction = interaction
     best_distance = math.inf
     iterations = 0
 
@@ -305,6 +320,9 @@ def run_mbcc(
         if current_distance < best_distance:
             best_distance = current_distance
             best_vertices = set(community.vertices())
+            # This community's interaction edges: the candidate's, or those
+            # the previous iteration checked before it went on.
+            best_interaction = interaction
         candidates, max_distance = tracker.farthest_vertices()
         if not candidates or max_distance <= 0:
             break
@@ -336,7 +354,6 @@ def run_mbcc(
     if best_vertices is None:
         raise EmptyCommunityError(reason=REASON_NO_COMMUNITY)
     final_community = original.induced_subgraph(best_vertices)
-    interaction = _interaction_graph_edges(final_community, labels, b)
     return MBCCResult(
         community=final_community,
         groups={lab: final_community.vertices_with_label(lab) for lab in labels},
@@ -344,6 +361,6 @@ def run_mbcc(
         b=b,
         query_distance=best_distance,
         iterations=iterations,
-        interaction_edges=interaction,
+        interaction_edges=best_interaction,
         statistics=inst.as_dict(),
     )

@@ -20,22 +20,33 @@ minimum over the whole path), so Dijkstra on edges does not apply directly.
 :func:`butterfly_core_shortest_path` runs an exact label-setting search over
 ``(vertex, hops, min δ, min χ)`` states with dominance pruning, on the ids of
 the graph's frozen snapshot.  A* pruning (Hart, Nilsson & Raphael, 1968) skips
-a state whose best completion — BFS hops to the target, minima capped by the
-target's δ and χ, scored by the search's own ``weight()`` so no tie is pruned —
-outweighs a target state already pushed.  A cap on states per vertex and on
-heap pops bounds the worst case (a tripped cap yields a hop-shortest path).
+a state whose best completion — a lower bound h on its hops to the target,
+minima capped by the target's δ and χ, scored by the search's own ``weight()``
+so no tie is pruned — outweighs a target state already pushed.
+
+The search stays local.  h comes from a BFS of the target grown one level at
+a time, only until it holds the source: inside that ball h is the exact
+distance, and an id it has not reached lies more than ``depth`` hops away, so
+h is ``depth + 1``.  Where that bound cannot prune a state but the exact
+distance might, the ball grows further, so the search pushes exactly the
+states whole-graph distances would.  Each heap entry keeps its bound, and a
+popped state beaten by a target state pushed since is not expanded: h is
+consistent and minima only fall, so it could push nothing.  A cap on states
+per vertex and on heap pops bounds the worst case (a tripped cap yields a
+hop-shortest path, walked down inside the ball).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bc_index import BCIndex
 from repro.deadline import checkpoint
-from repro.graph.csr import UNREACHED, csr_bfs_distances
 from repro.graph.labeled_graph import LabeledGraph, Label, Vertex
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -106,34 +117,43 @@ def butterfly_core_shortest_path(
         Hard cap on the number of heap pops; when reached the search falls
         back to a hop-shortest path so that the caller always gets *some*
         connecting path when one exists.
+
+    The deadline in force is checked once per level of the target's BFS and
+    once per heap pop.  The search keeps no table of its own sized to the
+    whole graph: its BFS reads the neighbour lists of the ids closer to the
+    target than the source (and of further ones only when a bound needs
+    them), and the label search those of the states it expands.
     """
     if source not in graph or target not in graph:
         return None
     csr = graph.freeze()
     delta, delta_max, chi, chi_max = index.id_tables(csr, left_label, right_label)
     s, t = csr.id_of(source), csr.id_of(target)
-    to_target = csr_bfs_distances(csr, t)
-    if to_target[s] == UNREACHED:
-        return None
     slices = csr.adjacency_slices()
+    ball = _TargetBall(slices, t)
+    while s not in ball.hops:
+        if not ball.grow():  # the target's component ran out first
+            return None
+    to_target = ball.hops
     delta_t, chi_t = delta[t], chi[t]
 
     def weight(hops: int, min_core: int, min_chi: int) -> float:
         return hops + config.gamma1 * (delta_max - min_core) + config.gamma2 * (chi_max - min_chi)
 
-    # Heap entries are (weight, state, vertex, hops, min δ, min χ); a state is
-    # its push order (the tie-break) and indexes its (vertex, parent) trail.
-    heap = [(weight(0, delta[s], chi[s]), 0, s, 0, delta[s], chi[s])]
+    # Heap entries are (weight, state, bound, vertex, hops, min δ, min χ); a
+    # state is its push order (the tie-break) and indexes its (vertex, parent)
+    # trail, and its bound is the least weight of a completion through it.
+    heap = [(weight(0, delta[s], chi[s]), 0, 0.0, s, 0, delta[s], chi[s])]
     trail: List[Tuple[int, int]] = [(s, -1)]
     # Non-dominated (hops, min δ, min χ) labels per expanded vertex.
     labels: Dict[int, List[Tuple[int, int, int]]] = {}
     # The least weight of a target state pushed so far.
-    best_target = float("inf")
+    best_target = _INF
     for _ in range(max_expansions):
         checkpoint()
         if not heap:
             break
-        _, state, u, hops, min_core, min_chi = heapq.heappop(heap)
+        _, state, bound, u, hops, min_core, min_chi = heapq.heappop(heap)
         if u == t:
             path = []
             while state >= 0:
@@ -147,6 +167,11 @@ def butterfly_core_shortest_path(
         if len(entry) >= max_labels_per_vertex:
             continue
         entry.append((hops, min_core, min_chi))
+        if bound > best_target:
+            # Beaten since it was pushed.  The hop bound is consistent and
+            # minima only fall, so no successor's bound could beat the target
+            # either; its label stays, so dominance and the cap see it.
+            continue
         hops += 1
         for w in slices[u]:
             # A vertex already on this state's path is dominated by its own
@@ -155,21 +180,55 @@ def butterfly_core_shortest_path(
             new_chi = min(min_chi, chi[w])
             if _dominated(labels.get(w), hops, new_core, new_chi):
                 continue
-            bound = weight(hops + to_target[w], min(new_core, delta_t), min(new_chi, chi_t))
+            capped_core, capped_chi = min(new_core, delta_t), min(new_chi, chi_t)
+            bound = weight(hops + to_target.get(w, ball.depth + 1), capped_core, capped_chi)
+            # Past the ball, w's hops are only bounded below: grow it until
+            # they are exact or the bound already loses.
+            while bound <= best_target < _INF and w not in to_target and ball.grow():
+                bound = weight(hops + to_target.get(w, ball.depth + 1), capped_core, capped_chi)
             if bound > best_target:  # no completion through w can win
                 continue
             new_weight = weight(hops, new_core, new_chi)
             if w == t:
                 best_target = new_weight
-            heapq.heappush(heap, (new_weight, len(trail), w, hops, new_core, new_chi))
+            heapq.heappush(heap, (new_weight, len(trail), bound, w, hops, new_core, new_chi))
             trail.append((w, state))
     # A cap tripped (or every state was capped away): fall back to a
-    # hop-shortest path, descending the BFS distances to the target.
+    # hop-shortest path, walking down the ball's distances to the target.
     u, path = s, [source]
     while u != t:
-        u = next(w for w in slices[u] if to_target[w] == to_target[u] - 1)
+        u = next(w for w in slices[u] if to_target.get(w) == to_target[u] - 1)
         path.append(csr.vertex_of(u))
     return path
+
+
+class _TargetBall:
+    """A BFS from the target, grown one level at a time only as far as asked.
+
+    ``hops`` holds the exact distance to the target of every id within
+    ``depth`` hops of it; any other id lies at least ``depth + 1`` away.
+    """
+
+    __slots__ = ("hops", "depth", "_frontier", "_slices")
+
+    def __init__(self, slices: Sequence[Sequence[int]], target: int) -> None:
+        self.hops: Dict[int, int] = {target: 0}
+        self.depth = 0
+        self._frontier: Set[int] = {target}
+        self._slices = slices
+
+    def grow(self) -> bool:
+        """Add the next level; ``False`` once the target's component ran out."""
+        checkpoint()
+        reached: Set[int] = set()
+        for u in self._frontier:
+            reached.update(self._slices[u])
+        self._frontier = reached.difference(self.hops)
+        if not self._frontier:
+            return False
+        self.depth += 1
+        self.hops.update(dict.fromkeys(self._frontier, self.depth))
+        return True
 
 
 def _dominated(

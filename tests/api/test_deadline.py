@@ -18,11 +18,14 @@ from repro.api.engine import run_with_deadline
 from repro.api.registry import registered_methods
 from repro.core import multilabel, pipeline
 from repro.core.bc_index import BCIndex
+from repro.core.path_weight import butterfly_core_shortest_path
 from repro.datasets import load_dataset
 from repro.deadline import checkpoint, current_deadline
 from repro.eval.queries import QuerySpec, generate_query_pairs
 from repro.exceptions import REASON_DEADLINE_EXCEEDED, DeadlineExceededError
 from repro.graph.generators import paper_example_graph
+from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.traversal import bfs_distances
 
 SERVED_METHODS = ("online-bcc", "lp-bcc", "l2p-bcc", "mbcc", "ctc", "psa")
 QUERY = ("ql", "qr")
@@ -38,10 +41,10 @@ class FakeClock:
         return self.now
 
 
-def jumping_clock(budget_seconds: float):
-    """A clock that reads 0.0 once, then past ``budget_seconds`` for good."""
-    readings = iter([0.0])
-    return lambda: next(readings, budget_seconds + 1.0)
+def jumping_clock(budget_seconds: float, readings: int = 1):
+    """A clock that reads 0.0 ``readings`` times, then past ``budget_seconds`` for good."""
+    early = iter([0.0] * readings)
+    return lambda: next(early, budget_seconds + 1.0)
 
 
 @pytest.fixture
@@ -93,6 +96,36 @@ class TestCancellationInsideTheKernel:
                 clock=jumping_clock(1.0),
             )
         assert calls == []
+
+    def test_def6_target_bfs_stops_at_a_level_boundary(self, adjacency_reads):
+        # A ladder 0..5 with the target at one end and the source at the
+        # other: the target's BFS checks the deadline once per level, so a
+        # budget that lets two checkpoints pass stops it with exactly the
+        # lists of the ids within one hop of the target read.
+        graph = LabeledGraph()
+        for rung in range(6):
+            graph.add_vertex((rung, 0), label="A")
+            graph.add_vertex((rung, 1), label="B")
+            graph.add_edge((rung, 0), (rung, 1))
+            if rung:
+                graph.add_edge((rung - 1, 0), (rung, 0))
+                graph.add_edge((rung - 1, 1), (rung, 1))
+        index = BCIndex(graph)
+        csr = graph.freeze()
+        index.id_tables(csr, "A", "B")  # fill χ before recording
+        adjacency_reads.clear()
+
+        with pytest.raises(DeadlineExceededError):
+            run_with_deadline(
+                lambda: butterfly_core_shortest_path(
+                    graph, (5, 1), (0, 0), index, "A", "B"
+                ),
+                1.0,
+                clock=jumping_clock(1.0, readings=3),
+            )
+
+        near = [v for v, hops in bfs_distances(graph, (0, 0)).items() if hops <= 1]
+        assert adjacency_reads == {csr.id_of(v) for v in near}
 
     def test_ctc_batch_under_2ms_budgets_stops_every_row(self):
         # ROADMAP item 2's repro: CTC is the slowest served method (a few

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Set
 
 import pytest
 
@@ -17,10 +18,23 @@ from repro.datasets import (
     generate_snap_like,
     generate_trade_network,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import paper_example_graph, paper_small_example_graph
 from repro.graph.labeled_graph import LabeledGraph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+try:
+    from hypothesis import settings
+except ImportError:  # the gateway, store and observability jobs install pytest only
+    pass
+else:
+    # CI selects this with ``--hypothesis-profile=ci``: a fixed seed per test
+    # and a bounded budget, so a run is repeatable and its cost known.  A
+    # test's own ``@settings`` still set its budget.
+    settings.register_profile(
+        "ci", derandomize=True, max_examples=100, deadline=None, database=None
+    )
 
 
 def run_under_hash_seed(script: str, hash_seed: int, *args: str) -> str:
@@ -111,3 +125,25 @@ def fiction_bundle():
 def academic_bundle():
     """The academic collaboration case-study dataset."""
     return generate_academic_network(seed=3)
+
+
+@pytest.fixture
+def adjacency_reads(monkeypatch) -> Set[int]:
+    """The ids whose neighbour lists are read, by id, from any snapshot's
+    :meth:`CSRGraph.adjacency_slices` while the test runs.
+
+    Fill the caches the code under test reads first, then ``clear()`` the
+    set, so that only the call under test is recorded.
+    """
+    reads: Set[int] = set()
+    slices_of = CSRGraph.adjacency_slices
+
+    class RecordedSlices(list):
+        def __getitem__(self, position):
+            reads.add(position)
+            return list.__getitem__(self, position)
+
+    monkeypatch.setattr(
+        CSRGraph, "adjacency_slices", lambda self: RecordedSlices(slices_of(self))
+    )
+    return reads

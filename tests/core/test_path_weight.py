@@ -13,6 +13,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bc_index import BCIndex
 from repro.core.path_weight import (
@@ -24,7 +25,7 @@ from repro.datasets import load_dataset
 from repro.eval.queries import QuerySpec, generate_query_pairs
 from repro.graph.generators import paper_example_graph, random_labeled_graph
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
-from repro.graph.traversal import shortest_path
+from repro.graph.traversal import bfs_distances, shortest_path
 
 GAMMAS = ((0.5, 0.5), (0.3, 0.7), (0.0, 0.0), (2.0, 0.01))
 
@@ -333,3 +334,134 @@ class TestReferenceParity:
                 assert butterfly_core_shortest_path(
                     g, source, target, index, left, right, config
                 ) == reference_shortest_path(g, source, target, index, left, right, config)
+
+
+def _simple_paths(graph: LabeledGraph, source: Vertex, target: Vertex):
+    """Every simple path from ``source`` to ``target``, by depth-first enumeration."""
+    stack = [[source]]
+    while stack:
+        path = stack.pop()
+        if path[-1] == target:
+            yield path
+            continue
+        for neighbor in graph.neighbors(path[-1]):
+            if neighbor not in path:
+                stack.append(path + [neighbor])
+
+
+@st.composite
+def small_def6_queries(draw):
+    """A labeled graph of at most 9 vertices, two of its vertices and a γ pair."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    graph = LabeledGraph()
+    for vertex in range(n):
+        graph.add_vertex(vertex, label=draw(st.sampled_from(("A", "B", "C"))))
+    for u, v in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            graph.add_edge(u, v)
+    source = draw(st.integers(min_value=0, max_value=n - 1))
+    target = draw(st.integers(min_value=0, max_value=n - 1))
+    return graph, source, target, draw(st.sampled_from(GAMMAS + ((1.0, 3.0),)))
+
+
+class TestExactnessOracle:
+    """The search against Def. 6 itself, not against another implementation."""
+
+    @given(small_def6_queries())
+    @settings(deadline=None)
+    def test_weight_is_the_minimum_over_all_simple_paths(self, query):
+        graph, source, target, gamma = query
+        left = graph.label(source)
+        right = next(
+            label for label in (graph.label(target), "A", "B") if label != left
+        )
+        index = BCIndex(graph)
+        config = PathWeightConfig(*gamma)
+        weights = [
+            path_weight(path, index, left, right, config)
+            for path in _simple_paths(graph, source, target)
+        ]
+        path = butterfly_core_shortest_path(
+            graph, source, target, index, left, right, config
+        )
+        if not weights:  # disconnected, and only then
+            assert path is None
+            return
+        assert path is not None
+        assert path[0] == source and path[-1] == target
+        assert len(set(path)) == len(path)
+        assert all(graph.has_edge(u, v) for u, v in zip(path, path[1:]))
+        assert path_weight(path, index, left, right, config) == pytest.approx(
+            min(weights)
+        )
+
+
+class _FixedTables:
+    """An index stand-in that serves given δ values, with every χ zero."""
+
+    def __init__(self, delta: Dict[Vertex, int]) -> None:
+        self.delta = delta
+
+    def id_tables(self, csr, left_label, right_label):
+        values = [self.delta[v] for v in csr.interner.vertices()]
+        return values, max(values), [0] * len(values), 0
+
+
+class TestLocality:
+    """The target's BFS grows only as far as the search needs."""
+
+    def test_grows_past_the_source_when_only_exact_hops_prune(self):
+        # γ = (1, 0) scores δ alone, and each vertex keeps one label.  The y
+        # route reaches t first, at weight 22; the best path, through a and
+        # w, weighs 21.  Once y's target state is in, x3 (5 hops from t, past
+        # the ball of depth 2) can be priced out only by its exact distance.
+        # On the depth + 1 bound it would be pushed, reach w at 4 hops and
+        # take w's one slot ahead of the best path's state, and the y route
+        # would be returned.
+        delta = {"s": 20, "t": 5, "b": 0, "a": 5, "w": 10}
+        delta.update({f"c{i}": 5 for i in range(1, 4)})
+        delta.update({f"x{i}": 10 for i in range(1, 4)})
+        delta.update({f"y{i}": 20 for i in range(1, 7)})
+        g = LabeledGraph()
+        for vertex in delta:
+            g.add_vertex(vertex, label="A")
+        for route in (
+            ["s", "b", "t"],
+            ["s", "y1", "y2", "y3", "y4", "y5", "y6", "t"],
+            ["s", "a", "w", "c1", "c2", "c3", "t"],
+            ["s", "x1", "x2", "x3", "w"],
+        ):
+            for u, v in zip(route, route[1:]):
+                g.add_edge(u, v)
+
+        path = butterfly_core_shortest_path(
+            g, "s", "t", _FixedTables(delta), "A", "B", PathWeightConfig(1.0, 0.0),
+            max_labels_per_vertex=1,
+        )
+
+        assert path == ["s", "a", "w", "c1", "c2", "c3", "t"]
+
+    @pytest.mark.parametrize("source", ["hub", "s"])
+    def test_reads_nothing_past_one_hop_beyond_the_source(
+        self, source, adjacency_reads
+    ):
+        # The diamond's component gets a 1,000-vertex tail off t3, one hop
+        # from the target: a BFS of the whole component reads every list.
+        g = diamond_graph()
+        previous = "t3"
+        for position in range(1000):
+            g.add_vertex(f"tail{position}", label="R")
+            g.add_edge(previous, f"tail{position}")
+            previous = f"tail{position}"
+        index = BCIndex(g)
+        csr = g.freeze()
+        index.id_tables(csr, "L", "R")  # fill χ before recording
+        adjacency_reads.clear()
+
+        path = butterfly_core_shortest_path(g, source, "t", index, "L", "R")
+        read = set(adjacency_reads)
+
+        assert path == reference_shortest_path(g, source, "t", index, "L", "R")
+        hops = bfs_distances(g, "t")
+        assert read
+        assert max(hops[csr.vertex_of(i)] for i in read) <= hops[source] + 1
