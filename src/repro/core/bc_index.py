@@ -20,12 +20,11 @@ serves them as per-id lists over a frozen snapshot's ids.
 from __future__ import annotations
 
 import threading
+from itertools import compress
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.butterfly import butterfly_degrees
 from repro.exceptions import IndexNotBuiltError
-from repro.graph.bipartite import extract_label_bipartite
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, butterfly_degrees_between
 from repro.graph.labeled_graph import LabeledGraph, Label, Vertex
 
 
@@ -131,10 +130,26 @@ class BCIndex:
         return entry
 
     def _count_pair(self, left_label: Label, right_label: Label) -> PairChi:
-        """Algorithm 3 over the pair's bipartite graph (the fill of :meth:`_pair`)."""
-        bipartite = extract_label_bipartite(self._graph, left_label, right_label)
-        degrees = butterfly_degrees(bipartite)
-        return PairChi.laid_out(degrees, max(degrees.values(), default=0), self._graph.freeze())
+        """Algorithm 3 between two label groups (the fill of :meth:`_pair`).
+
+        Counts on the graph's snapshot: each group is the ids of its label,
+        and the cross edges are :meth:`CSRGraph.label_split`'s cross lists.
+        Every id of either group gets an entry, an isolated one 0.
+        """
+        csr = self._graph.freeze()
+        labels = csr.labels
+        ids = range(len(labels))
+        sides = []
+        for label in (left_label, right_label):
+            lid = csr.interner.try_label_id(label)
+            sides.append([] if lid is None else list(compress(ids, map(lid.__eq__, labels))))
+        chi = butterfly_degrees_between(*sides, csr.label_split()[1])
+        by_id = [0] * len(labels)
+        for vid, value in chi.items():
+            by_id[vid] = value
+        vertex_of = csr.interner.vertices().__getitem__
+        by_vertex = dict(zip(map(vertex_of, chi), chi.values()))
+        return PairChi(by_vertex, max(chi.values(), default=0), csr, by_id)
 
     def butterfly_degrees_for(
         self, left_label: Label, right_label: Label

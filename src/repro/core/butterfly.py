@@ -7,8 +7,10 @@ butterfly degrees to certify cross-group interaction (Def. 4, condition 4).
 This module implements:
 
 * :func:`butterfly_degrees` — Algorithm 3: per-vertex butterfly degrees,
-  counted with the vertex-priority strategy of Wang et al. [41] over the
-  view's flat-array snapshot (:func:`repro.graph.csr.csr_butterfly_degrees`);
+  counted by the one kernel entry point
+  :func:`repro.graph.csr.butterfly_degrees_between` on the view's vertices
+  (packed wedge rows on dense views, the vertex-priority strategy of Wang
+  et al. [41] on sparse ones);
 * :func:`butterfly_degree_of` — the per-vertex wedge count of Algorithm 3
   (``χ(v) = Σ_w C(|N(v) ∩ N(w)|, 2)`` over 2-hop neighbours ``w``) for one
   vertex;
@@ -27,7 +29,7 @@ import itertools
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.graph.bipartite import BipartiteView
-from repro.graph.csr import CSRBipartiteView, csr_butterfly_degrees
+from repro.graph.csr import butterfly_degrees_between
 from repro.graph.labeled_graph import Vertex
 
 
@@ -57,13 +59,15 @@ def butterfly_degree_of(bipartite: BipartiteView, vertex: Vertex) -> int:
 def butterfly_degrees(bipartite: BipartiteView) -> Dict[Vertex, int]:
     """Return χ(v) for every vertex of the bipartite graph (Algorithm 3).
 
-    Freezes the view and counts over flat integer arrays with
-    :func:`repro.graph.csr.csr_butterfly_degrees`; the counts equal
-    :func:`butterfly_degree_of` per vertex.
+    Counts on the view's own vertices with
+    :func:`repro.graph.csr.butterfly_degrees_between` (no freeze); the
+    counts equal :func:`butterfly_degree_of` per vertex.
     """
-    frozen = CSRBipartiteView.freeze(bipartite)
-    vertex_of = frozen.vertex_of
-    return {vertex_of(i): c for i, c in enumerate(csr_butterfly_degrees(frozen))}
+    left_set = bipartite.left()
+    order = list(bipartite.vertices())
+    left = [v for v in order if v in left_set]
+    right = [v for v in order if v not in left_set]
+    return butterfly_degrees_between(left, right, dict(zip(left, map(bipartite.neighbors, left))))
 
 
 def total_butterflies(bipartite: BipartiteView) -> int:

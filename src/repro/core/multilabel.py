@@ -12,9 +12,11 @@ The mBCC model (Def. 8) generalises the BCC to ``m >= 2`` labels:
 :func:`mbcc_search` implements Algorithm 9: find the maximal candidate
 (Algorithm 2 generalised to m groups), then iteratively delete the farthest
 vertices (fast query distances, Algorithm 5), maintain every group as a
-``k_i``-core, and keep checking cross-group connectivity through per-pair
-leader pairs (Algorithms 3/4 optimised by 6/7).  The intermediate graph with
-the smallest query distance is returned.
+``k_i``-core, and re-check cross-group connectivity after every deletion
+batch by recounting every label pair's butterfly degrees (Algorithm 3) to
+rebuild the label interaction graph.  No leader pairs are kept: Algorithms
+6/7 are not applied here.  The intermediate graph with the smallest query
+distance is returned.
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ engine's frozen :class:`~repro.graph.csr.CSRGraph`:
   intra-label degree counters for the Algorithm 4 cascade, and (LP-BCC)
   per-id distance lists for Algorithm 5.  Algorithm 7 counts a leader's χ
   on the alive sides after each deletion batch;
-* Algorithm 3 runs :func:`~repro.graph.csr.csr_butterfly_degrees` on a
-  bipartite view cut straight from the alive ids;
+* Algorithm 3 (each per-query recount and the ``G0`` fill) runs
+  :func:`~repro.graph.csr.butterfly_degrees_between` on the two alive
+  label sides over the snapshot's cross-label lists;
 * the answer is its member ids on this snapshot, so no search builds a
   :class:`LabeledGraph`: the community's graph is cut out of the snapshot
   only when a caller first reads ``BCCResult.community``;
@@ -76,11 +77,10 @@ from repro.exceptions import (
 )
 from repro.graph.csr import (
     G0,
-    CSRBipartiteView,
     CSRGraph,
+    butterfly_degrees_between,
     core_numbers,
     csr_bfs_distances,
-    csr_butterfly_degrees,
 )
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 
@@ -169,19 +169,6 @@ def _candidate_coreness(
     return coreness
 
 
-def _butterfly_degrees(
-    left: Iterable[int], right: Iterable[int], cross: List[List[int]]
-) -> Dict[int, int]:
-    """Algorithm 3 over the bipartite graph between two alive id sets."""
-    order = list(left)
-    n_left = len(order)
-    order.extend(right)
-    position = dict(zip(order, range(len(order)))).get
-    slices = [[i for i in map(position, cross[v]) if i is not None] for v in order]
-    chi = csr_butterfly_degrees(CSRBipartiteView.from_slices(slices, n_left))
-    return dict(zip(order, chi))
-
-
 def _has_leader_pair(
     chi: Mapping[int, int], left: Iterable[int], right: Iterable[int], b: int
 ) -> bool:
@@ -244,9 +231,9 @@ class _Community:
 
     def butterfly_degrees(self) -> Dict[int, int]:
         # A per-query recount (Algorithms 4 and 7) checks the deadline; the
-        # G0 memo's fill counts through ``_butterfly_degrees`` and never does.
+        # G0 memo's fill runs the same kernel and never does.
         checkpoint()
-        return _butterfly_degrees(self.left, self.right, self.cross)
+        return butterfly_degrees_between(self.left, self.right, self.cross)
 
     def butterfly_degree_of(self, v: int) -> int:
         """χ(v) in the alive community: Σ C(P[w], 2) over its 2-hop ids ``w``.
@@ -319,7 +306,7 @@ def _build_g0(csr: CSRGraph, left: FrozenSet[int], right: FrozenSet[int], b: int
     is a function of ``(L, R)``, like everything else here.
     """
     same, cross = csr.label_split()
-    chi = _butterfly_degrees(left, right, cross)
+    chi = butterfly_degrees_between(left, right, cross)
     deg = {v: len(side.intersection(same[v])) for side in (left, right) for v in side}
     valid = _has_leader_pair(chi, left, right, b) and _connected(
         csr.adjacency_slices(), min(left), min(right), left | right

@@ -17,8 +17,8 @@ scopes: N. J. Smith, "Timeouts and cancellation for humans", 2018).
   the label split, the group coreness and ``prepare``.  A cancelled
   request therefore completes the shared work later requests read, which
   is why the checks sit at the per-query call sites of
-  ``csr_butterfly_degrees`` and ``core_numbers`` rather than inside those
-  kernels, which the fills run too.
+  ``butterfly_degrees_between`` and ``core_numbers`` rather than inside
+  those kernels, which the fills run too.
 * A thread does not inherit contextvars: ``serve_batch`` runs each row in
   a copy of the caller's context, so batch rows see the request's token.
 

@@ -5,6 +5,7 @@ from repro.graph.csr import (
     CSRBipartiteView,
     CSRGraph,
     VertexInterner,
+    butterfly_degrees_between,
     csr_bfs_distances,
     csr_butterfly_degrees,
     csr_k_core_alive,
@@ -37,6 +38,7 @@ __all__ = [
     "VertexInterner",
     "are_connected",
     "bfs_distances",
+    "butterfly_degrees_between",
     "compute_statistics",
     "csr_bfs_distances",
     "csr_butterfly_degrees",

@@ -10,8 +10,9 @@ pipeline — butterfly-degree counting (Algorithm 3), k-core peeling
 so this module provides a compact CSR (compressed sparse row) mirror of both
 graph classes and runs the three kernels natively on integer ids over flat
 arrays.  This is the same layout that makes the Batagelj–Zaversnik peeling
-[3] and the vertex-priority butterfly counting of Wang et al. [41] fast in
-practice.
+[3] fast in practice.  Butterfly counting sums packed wedge rows on dense
+inputs (Gustavson's dense-accumulator row product, ACM TOMS 1978) and runs
+the vertex-priority counting of Wang et al. [41] on sparse ones.
 
 The interning / freeze–thaw contract
 ------------------------------------
@@ -36,9 +37,12 @@ The interning / freeze–thaw contract
 One kernel per algorithm
 ------------------------
 
-Each kernel has one implementation, here.  The object-facing entry points
-are thin: :func:`repro.core.butterfly.butterfly_degrees` freezes the view
-and runs :func:`csr_butterfly_degrees`;
+Each kernel has one implementation, here.  Algorithm 3 has one entry point,
+:func:`butterfly_degrees_between`: the pipeline's per-query recount and
+``G0`` fill, the BCindex χ fill and the object-facing
+:func:`repro.core.butterfly.butterfly_degrees` all hand it two sides and an
+adjacency, and it picks the packed or the vertex-priority kernel by
+density.  The other object-facing entry points are thin too:
 :func:`repro.core.kcore.core_decomposition` and
 :func:`repro.core.kcore.k_core_vertices` read the graph snapshot's
 :meth:`CSRGraph.coreness` and :func:`csr_k_core_alive`.  Breadth-first
@@ -58,10 +62,12 @@ no third-party dependencies anywhere.
 
 from __future__ import annotations
 
+import sys
 import threading
 from array import array
 from collections import Counter, OrderedDict, deque
 from itertools import accumulate, chain
+from operator import mul
 from typing import (
     Callable,
     Dict,
@@ -701,12 +707,134 @@ class CSRBipartiteView(_FlatAdjacency):
 
 
 # ----------------------------------------------------------------------
-# Butterfly counting kernels (Algorithm 3 / Wang et al. [41])
+# Butterfly counting kernels (Algorithm 3)
 # ----------------------------------------------------------------------
+#: The packed kernel runs when the cross edges reach ``|L| · |R|`` over
+#: PACKED_DENSITY, the density where it overtakes the wedge kernel (its
+#: tables then hold at most 40 bytes per edge with byte fields), and reach
+#: ``max(|L|, |R|)²`` over PACKED_ROW_BYTES: the larger side's rows alone
+#: hold that many bytes, which a lopsided pair (20 × 2,000 ids at 20%
+#: density: 3.5x slower packed) cannot repay.
+PACKED_DENSITY = 40
+PACKED_ROW_BYTES = 200
+
+#: Per byte value ``c``, the low and high byte of ``C(c, 2)``; translating a
+#: row's bytes through them and summing gives ``Σ C(c, 2)`` at C speed.
+_CHOOSE2_LOW = bytes(c * (c - 1) // 2 & 0xFF for c in range(256))
+_CHOOSE2_HIGH = bytes(c * (c - 1) // 2 >> 8 for c in range(256))
+#: Byte values whose low / high byte is 0, deleted before the sum.
+_NO_LOW = bytes(range(2))
+_NO_HIGH = bytes(range(23))
+
+
+def butterfly_degrees_between(
+    left: Iterable[Vertex], right: Iterable[Vertex], adjacency
+) -> Dict[Vertex, int]:
+    """Return χ(v) for every id of two disjoint sides (Algorithm 3, Def. 3).
+
+    ``adjacency[v]`` lists ``v``'s neighbours: only the left ids' lists are
+    read, and in them only the right ids count, so the lists may hold
+    anything else (dead ids, a third label).  The ids are whatever the
+    caller keys ``adjacency`` by — a snapshot's ids, or the vertices of a
+    :class:`BipartiteView` — and every table here is a dict or list over the
+    two sides, so nothing grows with the graph.
+
+    The sides become local ids (left ``0 .. |L| - 1``, right after) and the
+    kernel is chosen from the side sizes and the cross-edge count: dense
+    inputs go to the packed wedge rows of :func:`_packed_butterfly_degrees`
+    (Gustavson's dense-accumulator row product), sparse ones to the
+    vertex-priority :func:`csr_butterfly_degrees`.  Both are exact.
+    """
+    order = list(left)
+    n_left = len(order)
+    order.extend(right)
+    n_right = len(order) - n_left
+    position = dict(zip(order[n_left:], range(n_left, len(order)))).get
+    slices = [
+        [p for p in map(position, adjacency[v]) if p is not None]
+        for v in order[:n_left]
+    ]
+    edges = sum(map(len, slices))
+    slices.extend([] for _ in range(n_right))
+    for v in range(n_left):
+        for p in slices[v]:
+            slices[p].append(v)
+    if (
+        PACKED_DENSITY * edges >= n_left * n_right
+        and PACKED_ROW_BYTES * edges >= max(n_left, n_right) ** 2
+    ):
+        chi = _packed_butterfly_degrees(slices, n_left)
+    else:
+        chi = csr_butterfly_degrees(CSRBipartiteView.from_slices(slices, n_left))
+    return dict(zip(order, chi))
+
+
+def _packed_butterfly_degrees(slices: List[List[int]], n_left: int) -> List[int]:
+    """Return χ per local id from packed wedge rows.
+
+    ``slices`` is as :meth:`CSRBipartiteView.from_slices` takes it: ids
+    ``0 .. n_left - 1`` are the left side, and the lists are symmetric.  A
+    vertex's wedge row ``W[v, w]`` (its paths of length 2 to each same-side
+    ``w``) is the sum of its middles' packed neighbour sets, and
+    ``χ(v) = Σ_w C(W[v, w], 2) - C(deg v, 2)``, since ``W[v, v] = deg v``.
+    """
+    n = len(slices)
+    chi = [0] * n
+    _packed_side(slices, range(n_left), range(n_left, n), chi)
+    _packed_side(slices, range(n_left, n), range(n_left), chi)
+    return chi
+
+
+def _packed_side(slices: List[List[int]], side: range, middles: range, chi: List[int]) -> None:
+    """Fill ``chi`` for the ids of ``side``, whose neighbours are ``middles``.
+
+    Each middle's neighbours on ``side`` become one Python int with a field
+    per side id, so a row is the C-level ``sum`` of its middles' ints.  A
+    field never exceeds its row's degree: it is one byte while every degree
+    on the side is below 256, and 16 or 32 bits beyond.
+    """
+    base = side.start
+    fields = len(side)
+    top = max(map(len, map(slices.__getitem__, side)), default=0)
+    width = 1 if top < 256 else 2 if top < 65536 else 4
+    packed = [0] * len(slices)
+    for u in middles:
+        row = bytearray(fields * width)
+        for p in slices[u]:
+            row[(p - base) * width] = 1
+        packed[u] = int.from_bytes(row, "little")
+    getitem = packed.__getitem__
+    for v in side:
+        nbrs = slices[v]
+        d = len(nbrs)
+        if d > 1:
+            chi[v] = _sum_choose2(sum(map(getitem, nbrs)), fields, width, d) - d * (d - 1) // 2
+
+
+def _sum_choose2(row: int, fields: int, width: int, top: int) -> int:
+    """``Σ C(c, 2)`` over the ``width``-byte fields ``c <= top`` of ``row``.
+
+    Byte fields go through the two ``C(c, 2)`` byte tables (the high one
+    only once a field can reach 23); wider fields are read in place with
+    ``memoryview.cast`` in the host byte order, which ``to_bytes`` matches.
+    """
+    if width == 1:
+        data = row.to_bytes(fields, "little")
+        total = sum(data.translate(_CHOOSE2_LOW, _NO_LOW))
+        if top >= len(_NO_HIGH):
+            total += sum(data.translate(_CHOOSE2_HIGH, _NO_HIGH)) << 8
+        return total
+    counts = memoryview(row.to_bytes(fields * width, sys.byteorder)).cast(
+        "H" if width == 2 else "I"
+    )
+    return (sum(map(mul, counts, counts)) - sum(counts)) // 2
+
+
 def csr_butterfly_degrees(bip: CSRBipartiteView) -> List[int]:
     """Return χ(v) per id via single-enumeration wedge counting.
 
-    The vertex-priority strategy of Wang et al. [41]: every butterfly is
+    The sparse kernel of :func:`butterfly_degrees_between`, and the
+    vertex-priority strategy of Wang et al. [41]: every butterfly is
     enumerated exactly once — from the lower-priority endpoint of its
     same-side pair on the enumeration side — and credited to all four
     members.  Because adjacency is rank-sorted (see

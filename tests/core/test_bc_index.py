@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 from collections import Counter
@@ -13,8 +14,10 @@ from repro.core.bc_index import BCIndex, build_bc_index
 from repro.core.butterfly import butterfly_degrees
 from repro.core.kcore import core_decomposition
 from repro.core.path_weight import butterfly_core_shortest_path
+from repro.datasets import load_dataset
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.bipartite import extract_label_bipartite
+from repro.graph.csr import CSRBipartiteView, csr_butterfly_degrees
 from repro.graph.generators import paper_example_graph, random_labeled_graph
 
 
@@ -126,6 +129,26 @@ class TestIdTables:
         with pytest.raises(IndexNotBuiltError):
             BCIndex(g, build=False).id_tables(g.freeze(), "SE", "UI")
 
+    def test_every_multilabel_pair_matches_the_object_path(self):
+        """dblp-m's 15 label pairs: the fill counts over cross lists that mix
+        six labels, and each entry equals the object path's count and the
+        wedge kernel on a frozen view."""
+        g = load_dataset("dblp-m", seed=7).graph
+        index = BCIndex(g)
+        csr = g.freeze()
+        labels = sorted(g.labels())
+        assert len(labels) == 6
+        for left, right in itertools.combinations(labels, 2):
+            view = extract_label_bipartite(g, left, right)
+            expected = butterfly_degrees(view)
+            frozen = CSRBipartiteView.freeze(view)
+            wedge = csr_butterfly_degrees(frozen)
+            assert expected == {frozen.vertex_of(i): c for i, c in enumerate(wedge)}
+            assert index.butterfly_degrees_for(left, right) == expected
+            _, _, by_id, chi_max = index.id_tables(csr, left, right)
+            assert by_id == [expected.get(v, 0) for v in csr.interner.vertices()]
+            assert chi_max == max(expected.values())
+
 
 @pytest.mark.concurrency
 def test_concurrent_first_queries_count_each_pair_once(monkeypatch):
@@ -135,13 +158,14 @@ def test_concurrent_first_queries_count_each_pair_once(monkeypatch):
     first = {label: min(g.vertices_with_label(label)) for label in "ABC"}
     queries = [(first["A"], first["B"]), (first["C"], first["A"])]
     counted = []
-    real_extract = bc_index_module.extract_label_bipartite
+    real_kernel = bc_index_module.butterfly_degrees_between
+    label_of_id = g.freeze().label_of_id
 
-    def counting_extract(graph, left_label, right_label):
-        counted.append(frozenset((left_label, right_label)))
-        return real_extract(graph, left_label, right_label)
+    def counting_kernel(left, right, adjacency):
+        counted.append(frozenset((label_of_id(left[0]), label_of_id(right[0]))))
+        return real_kernel(left, right, adjacency)
 
-    monkeypatch.setattr(bc_index_module, "extract_label_bipartite", counting_extract)
+    monkeypatch.setattr(bc_index_module, "butterfly_degrees_between", counting_kernel)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -276,12 +276,28 @@ class TestWeightedShortestPath:
         assert len(path) == 2
 
 
+def _assert_simple_path_or_disconnected(graph, source, target, path):
+    """What any cap guarantees: a simple source-target path of ``graph``, or
+    ``None`` exactly when the two are disconnected."""
+    if path is None:
+        assert shortest_path(graph, source, target) is None, (source, target)
+        return
+    assert path[0] == source and path[-1] == target
+    assert len(set(path)) == len(path), path
+    assert all(graph.has_edge(u, v) for u, v in zip(path, path[1:])), path
+
+
 class TestReferenceParity:
     """The id search returns the object reference's path, tie for tie."""
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("max_labels", [1, 2, 16])
     def test_random_graphs(self, gamma, max_labels):
+        """Parity at 16 labels per vertex.  Under a cap of 1 or 2 the states
+        a vertex keeps depend on the order they arrive in, and the reference
+        (no completion bound) admits states the search prices out, so its
+        capped path is no oracle (``test_a_cap_can_keep_a_worse_path``):
+        there the search must return what a cap guarantees."""
         config = PathWeightConfig(*gamma)
         rng = random.Random(17)
         for seed in range(10):
@@ -293,12 +309,33 @@ class TestReferenceParity:
                 g = _relabel(g)
             index = BCIndex(g)
             for source, target, left, right in _queries(g, rng, 8):
-                expected = reference_shortest_path(
+                path = butterfly_core_shortest_path(
                     g, source, target, index, left, right, config, max_labels
                 )
-                assert butterfly_core_shortest_path(
+                if max_labels < 16:
+                    _assert_simple_path_or_disconnected(g, source, target, path)
+                    continue
+                assert path == reference_shortest_path(
                     g, source, target, index, left, right, config, max_labels
-                ) == expected, (seed, source, target)
+                ), (seed, source, target)
+
+    def test_a_cap_can_keep_a_worse_path(self):
+        """With one label per vertex the reference's first state at ``w``
+        takes its slot and blocks the best path, so it returns a weight-22
+        path; the search prices that state out and returns the weight-21
+        optimum, which the uncapped reference finds too."""
+        g, tables = _best_path_trap()
+        config = PathWeightConfig(1.0, 0.0)
+        search = butterfly_core_shortest_path(
+            g, "s", "t", tables, "A", "B", config, max_labels_per_vertex=1
+        )
+        capped = reference_shortest_path(
+            g, "s", "t", tables, "A", "B", config, max_labels_per_vertex=1
+        )
+        uncapped = reference_shortest_path(g, "s", "t", tables, "A", "B", config)
+        assert path_weight(search, tables, "A", "B", config) == 21
+        assert path_weight(capped, tables, "A", "B", config) == 22
+        assert path_weight(uncapped, tables, "A", "B", config) == 21
 
     def test_baseline_graph_pairs(self):
         bundle = load_dataset("dblp", seed=2021, communities=12, community_size=32)
@@ -406,36 +443,58 @@ class _FixedTables:
         values = [self.delta[v] for v in csr.interner.vertices()]
         return values, max(values), [0] * len(values), 0
 
+    def coreness(self, vertex: Vertex) -> int:
+        return self.delta[vertex]
+
+    def max_coreness(self) -> int:
+        return max(self.delta.values())
+
+    def butterfly_degree(self, vertex: Vertex, left_label: Label, right_label: Label) -> int:
+        return 0
+
+    def max_butterfly_degree(self, left_label: Label, right_label: Label) -> int:
+        return 0
+
+
+def _best_path_trap() -> Tuple[LabeledGraph, _FixedTables]:
+    """A 17-vertex graph whose best path a one-label cap can lose.
+
+    Under γ = (1, 0) a path weighs its hops plus 20 - its lowest δ.  The y
+    route reaches t first, at weight 22 (so does s-b-t); the best path,
+    through a and w, weighs 21.  The x route reaches w at 4 hops, as a
+    state that cannot beat 22 and whose exact distance prices it out.
+    """
+    delta = {"s": 20, "t": 5, "b": 0, "a": 5, "w": 10}
+    delta.update({f"c{i}": 5 for i in range(1, 4)})
+    delta.update({f"x{i}": 10 for i in range(1, 4)})
+    delta.update({f"y{i}": 20 for i in range(1, 7)})
+    g = LabeledGraph()
+    for vertex in delta:
+        g.add_vertex(vertex, label="A")
+    for route in (
+        ["s", "b", "t"],
+        ["s", "y1", "y2", "y3", "y4", "y5", "y6", "t"],
+        ["s", "a", "w", "c1", "c2", "c3", "t"],
+        ["s", "x1", "x2", "x3", "w"],
+    ):
+        for u, v in zip(route, route[1:]):
+            g.add_edge(u, v)
+    return g, _FixedTables(delta)
+
 
 class TestLocality:
     """The target's BFS grows only as far as the search needs."""
 
     def test_grows_past_the_source_when_only_exact_hops_prune(self):
-        # γ = (1, 0) scores δ alone, and each vertex keeps one label.  The y
-        # route reaches t first, at weight 22; the best path, through a and
-        # w, weighs 21.  Once y's target state is in, x3 (5 hops from t, past
-        # the ball of depth 2) can be priced out only by its exact distance.
-        # On the depth + 1 bound it would be pushed, reach w at 4 hops and
-        # take w's one slot ahead of the best path's state, and the y route
-        # would be returned.
-        delta = {"s": 20, "t": 5, "b": 0, "a": 5, "w": 10}
-        delta.update({f"c{i}": 5 for i in range(1, 4)})
-        delta.update({f"x{i}": 10 for i in range(1, 4)})
-        delta.update({f"y{i}": 20 for i in range(1, 7)})
-        g = LabeledGraph()
-        for vertex in delta:
-            g.add_vertex(vertex, label="A")
-        for route in (
-            ["s", "b", "t"],
-            ["s", "y1", "y2", "y3", "y4", "y5", "y6", "t"],
-            ["s", "a", "w", "c1", "c2", "c3", "t"],
-            ["s", "x1", "x2", "x3", "w"],
-        ):
-            for u, v in zip(route, route[1:]):
-                g.add_edge(u, v)
+        # Each vertex keeps one label.  Once y's target state is in, x3 (5
+        # hops from t, past the ball of depth 2) can be priced out only by
+        # its exact distance.  On the depth + 1 bound it would be pushed,
+        # reach w at 4 hops and take w's one slot ahead of the best path's
+        # state, and a weight-22 route would be returned.
+        g, tables = _best_path_trap()
 
         path = butterfly_core_shortest_path(
-            g, "s", "t", _FixedTables(delta), "A", "B", PathWeightConfig(1.0, 0.0),
+            g, "s", "t", tables, "A", "B", PathWeightConfig(1.0, 0.0),
             max_labels_per_vertex=1,
         )
 
