@@ -7,8 +7,8 @@ set/dict machinery on every neighbour visit.  The hot kernels of the BCC
 pipeline — butterfly-degree counting (Algorithm 3), k-core peeling
 (Algorithms 2/4) and the per-iteration BFS query-distance sweep
 (Algorithms 1/5) — spend almost all of their time in exactly those visits,
-so this module provides a compact CSR (compressed sparse row) mirror of both
-graph classes and runs the three kernels natively on integer ids over flat
+so this module provides a compact CSR (compressed sparse row) mirror of the
+labeled graph and runs the three kernels natively on integer ids over flat
 arrays.  This is the same layout that makes the Batagelj–Zaversnik peeling
 [3] fast in practice.  Butterfly counting sums packed wedge rows on dense
 inputs (Gustavson's dense-accumulator row product, ACM TOMS 1978) and runs
@@ -84,7 +84,6 @@ from typing import (
 )
 
 from repro.exceptions import VertexNotFoundError
-from repro.graph.bipartite import BipartiteView
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
 
 #: Unreached/unknown distance sentinel used by the BFS kernels.
@@ -622,52 +621,30 @@ class CSRGraph(_FlatAdjacency):
 
 
 class CSRBipartiteView(_FlatAdjacency):
-    """An immutable CSR snapshot of a :class:`BipartiteView`.
+    """Flat adjacency of a two-sided graph over caller-local ids.
 
-    Left vertices receive ids ``0 .. n_left - 1`` (in the view's left-set
-    iteration order), right vertices the remaining ids, so ``vid < n_left``
-    tests the side in O(1).
+    Ids ``0 .. n_left - 1`` are the left side and the remaining ids the
+    right side, so ``vid < n_left`` tests the side in O(1).  There is no
+    interner: the ids are the caller's own (e.g. positions in a list of
+    global ids), and the counting kernels never translate them.
     """
 
     __slots__ = ("n_left", "_rank_sorted")
 
-    def __init__(
-        self, interner: VertexInterner, offsets: List[int], neighbors: List[int], n_left: int
-    ) -> None:
-        super().__init__(interner, offsets, neighbors)
+    def __init__(self, offsets: List[int], neighbors: List[int], n_left: int) -> None:
+        super().__init__(None, offsets, neighbors)
         self.n_left = n_left
         self._rank_sorted: Optional[Tuple[List[int], List[List[int]]]] = None
 
     @classmethod
-    def freeze(cls, view: BipartiteView) -> "CSRBipartiteView":
-        """Snapshot a :class:`BipartiteView` into flat arrays."""
-        adj = view._adj  # friend access, as in CSRGraph.freeze
-        left = [v for v in adj if v in view._left]
-        right = [v for v in adj if v not in view._left]
-        order = left + right
-        interner = VertexInterner(order)
-        id_map = None if interner._identity else interner._id_of
-        offsets = [0]
-        offsets.extend(accumulate(len(adj[v]) for v in order))
-        flat = chain.from_iterable(adj[v] for v in order)
-        if id_map is None:
-            neighbors = list(flat)
-        else:
-            neighbors = list(map(id_map.__getitem__, flat))
-        return cls(interner, offsets, neighbors, len(left))
-
-    @classmethod
     def from_slices(cls, slices: List[List[int]], n_left: int) -> "CSRBipartiteView":
-        """Adopt per-id neighbour lists over caller-local ids.
+        """Adopt symmetric per-id neighbour lists (left ids first).
 
-        Ids ``0 .. n_left - 1`` are the left side.  No interner is built:
-        the ids are the caller's own (e.g. positions in a list of global
-        ids), and the counting kernels never translate them.  The slices
-        are adopted, and :meth:`rank_sorted` sorts them in place.
+        The slices are adopted, and :meth:`rank_sorted` sorts them in place.
         """
         offsets = [0]
         offsets.extend(accumulate(map(len, slices)))
-        view = cls(None, offsets, list(chain.from_iterable(slices)), n_left)
+        view = cls(offsets, list(chain.from_iterable(slices)), n_left)
         view._slices = slices
         return view
 
@@ -711,12 +688,8 @@ class CSRBipartiteView(_FlatAdjacency):
 # ----------------------------------------------------------------------
 #: The packed kernel runs when the cross edges reach ``|L| · |R|`` over
 #: PACKED_DENSITY, the density where it overtakes the wedge kernel (its
-#: tables then hold at most 40 bytes per edge with byte fields), and reach
-#: ``max(|L|, |R|)²`` over PACKED_ROW_BYTES: the larger side's rows alone
-#: hold that many bytes, which a lopsided pair (20 × 2,000 ids at 20%
-#: density: 3.5x slower packed) cannot repay.
+#: tables then hold at most 40 bytes per edge with byte fields).
 PACKED_DENSITY = 40
-PACKED_ROW_BYTES = 200
 
 #: Per byte value ``c``, the low and high byte of ``C(c, 2)``; translating a
 #: row's bytes through them and summing gives ``Σ C(c, 2)`` at C speed.
@@ -736,8 +709,8 @@ def butterfly_degrees_between(
     read, and in them only the right ids count, so the lists may hold
     anything else (dead ids, a third label).  The ids are whatever the
     caller keys ``adjacency`` by — a snapshot's ids, or the vertices of a
-    :class:`BipartiteView` — and every table here is a dict or list over the
-    two sides, so nothing grows with the graph.
+    :class:`~repro.graph.bipartite.BipartiteView` — and every table here is
+    a dict or list over the two sides, so nothing grows with the graph.
 
     The sides become local ids (left ``0 .. |L| - 1``, right after) and the
     kernel is chosen from the side sizes and the cross-edge count: dense
@@ -759,10 +732,7 @@ def butterfly_degrees_between(
     for v in range(n_left):
         for p in slices[v]:
             slices[p].append(v)
-    if (
-        PACKED_DENSITY * edges >= n_left * n_right
-        and PACKED_ROW_BYTES * edges >= max(n_left, n_right) ** 2
-    ):
+    if PACKED_DENSITY * edges >= n_left * n_right:
         chi = _packed_butterfly_degrees(slices, n_left)
     else:
         chi = csr_butterfly_degrees(CSRBipartiteView.from_slices(slices, n_left))

@@ -18,7 +18,7 @@ from repro.datasets import (
     generate_snap_like,
     generate_trade_network,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRBipartiteView, CSRGraph, csr_butterfly_degrees
 from repro.graph.generators import paper_example_graph, paper_small_example_graph
 from repro.graph.labeled_graph import LabeledGraph
 
@@ -147,3 +147,18 @@ def adjacency_reads(monkeypatch) -> Set[int]:
         CSRGraph, "adjacency_slices", lambda self: RecordedSlices(slices_of(self))
     )
     return reads
+
+
+@pytest.fixture
+def wedge_chi():
+    """χ per vertex of a :class:`BipartiteView` from the vertex-priority
+    kernel alone, which the entry point only runs on sparse inputs."""
+
+    def chi_of(view):
+        order = [*view.left(), *view.right()]
+        position = dict(zip(order, range(len(order))))
+        slices = [[position[w] for w in view.neighbors(v)] for v in order]
+        frozen = CSRBipartiteView.from_slices(slices, len(view.left()))
+        return dict(zip(order, csr_butterfly_degrees(frozen)))
+
+    return chi_of

@@ -17,7 +17,6 @@ from repro.core.path_weight import butterfly_core_shortest_path
 from repro.datasets import load_dataset
 from repro.exceptions import IndexNotBuiltError
 from repro.graph.bipartite import extract_label_bipartite
-from repro.graph.csr import CSRBipartiteView, csr_butterfly_degrees
 from repro.graph.generators import paper_example_graph, random_labeled_graph
 
 
@@ -129,10 +128,10 @@ class TestIdTables:
         with pytest.raises(IndexNotBuiltError):
             BCIndex(g, build=False).id_tables(g.freeze(), "SE", "UI")
 
-    def test_every_multilabel_pair_matches_the_object_path(self):
+    def test_every_multilabel_pair_matches_the_object_path(self, wedge_chi):
         """dblp-m's 15 label pairs: the fill counts over cross lists that mix
         six labels, and each entry equals the object path's count and the
-        wedge kernel on a frozen view."""
+        vertex-priority kernel's."""
         g = load_dataset("dblp-m", seed=7).graph
         index = BCIndex(g)
         csr = g.freeze()
@@ -141,9 +140,7 @@ class TestIdTables:
         for left, right in itertools.combinations(labels, 2):
             view = extract_label_bipartite(g, left, right)
             expected = butterfly_degrees(view)
-            frozen = CSRBipartiteView.freeze(view)
-            wedge = csr_butterfly_degrees(frozen)
-            assert expected == {frozen.vertex_of(i): c for i, c in enumerate(wedge)}
+            assert expected == wedge_chi(view)
             assert index.butterfly_degrees_for(left, right) == expected
             _, _, by_id, chi_max = index.id_tables(csr, left, right)
             assert by_id == [expected.get(v, 0) for v in csr.interner.vertices()]

@@ -143,21 +143,6 @@ def test_sparse_input_takes_the_wedge_kernel(wedge_calls):
     assert list(chi.values()) == _packed_butterfly_degrees(slices, 600)
 
 
-def test_lopsided_dense_input_takes_the_wedge_kernel(wedge_calls):
-    """20 × 2,000 ids at 20% density pass the density crossover, but the
-    larger side's 2,000-byte rows would cost more than the wedges."""
-    rng = random.Random(7)
-    left, right = list(range(20)), list(range(20, 2020))
-    adjacency = {v: [] for v in left + right}
-    for u in left:
-        for w in right:
-            if rng.random() < 0.2:
-                adjacency[u].append(w)
-                adjacency[w].append(u)
-    butterfly_degrees_between(left, right, adjacency)
-    assert wedge_calls == [2020]
-
-
 def test_dense_input_takes_the_packed_kernel(wedge_calls):
     rng = random.Random(6)
     left, right = list(range(40)), list(range(40, 90))

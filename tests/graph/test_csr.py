@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import VertexNotFoundError
-from repro.graph.bipartite import extract_label_bipartite
 from repro.graph.csr import (
     CSRBipartiteView,
     CSRGraph,
@@ -13,7 +12,7 @@ from repro.graph.csr import (
     csr_bfs_distances,
     csr_k_core_alive,
 )
-from repro.graph.generators import paper_example_graph, random_bipartite_graph
+from repro.graph.generators import paper_example_graph
 from repro.graph.labeled_graph import LabeledGraph
 
 
@@ -134,25 +133,22 @@ class TestLabeledGraphFreezeCache:
 
 
 class TestCSRBipartiteView:
+    # Left ids 0-2 (2 is isolated), right ids 3-6.
+    SLICES = [[3, 4, 5], [4, 6], [], [0], [0, 1], [0], [1]]
+
+    def _adopt(self):
+        return CSRBipartiteView.from_slices([list(s) for s in self.SLICES], 3)
+
     def test_sides_and_edges(self):
-        g = random_bipartite_graph(
-            [f"l{i}" for i in range(5)], [f"r{i}" for i in range(7)], 0.5, seed=1
-        )
-        view = extract_label_bipartite(g, "L", "R")
-        frozen = CSRBipartiteView.freeze(view)
-        assert frozen.num_vertices() == view.num_vertices()
-        assert frozen.num_edges() == view.num_edges()
-        left = {frozen.vertex_of(i) for i in range(frozen.n_left)}
-        assert left == view.left()
-        for vid in range(frozen.num_vertices()):
-            assert frozen.is_left(vid) == (vid < frozen.n_left)
-            vertex = frozen.vertex_of(vid)
-            assert frozen.degree(vid) == view.degree(vertex)
+        frozen = self._adopt()
+        assert frozen.num_vertices() == 7
+        assert frozen.num_edges() == 5
+        assert [frozen.is_left(v) for v in range(7)] == [True] * 3 + [False] * 4
+        assert frozen.degree_list() == [3, 2, 0, 1, 2, 1, 1]
+        assert frozen.adjacency_slices() == self.SLICES
 
     def test_rank_sorted_is_idempotent(self):
-        g = random_bipartite_graph(["a", "b"], ["x", "y", "z"], 0.9, seed=2)
-        view = extract_label_bipartite(g, "L", "R")
-        frozen = CSRBipartiteView.freeze(view)
+        frozen = self._adopt()
         rank, rank_slices = frozen.rank_sorted()
         assert frozen.rank_sorted() == (rank, rank_slices)
         assert sorted(rank) == list(range(frozen.num_vertices()))
