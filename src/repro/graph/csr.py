@@ -49,7 +49,16 @@ density.  The other object-facing entry points are thin too:
 search is the exception in the other direction:
 :func:`repro.graph.traversal.bfs_distances` walks the adjacency sets, so a
 depth-limited search never pays a whole-graph freeze, while callers that
-already hold ids run :func:`csr_bfs_distances`.
+already hold ids run :func:`csr_bfs_distances`.  Breadth-first search
+also has a bit-table kernel, :func:`bit_bfs_levels`: on a snapshot's
+fill-once adjacency bit table (:meth:`CSRGraph.adjacency_bits`, one int
+per id) a level is one C-level OR over its frontier's rows, the bitmap
+frontier of Beamer, Asanović & Patterson ("Direction-Optimizing
+Breadth-First Search", SC 2012).  LP- and L2P-BCC keep their query
+distances as those levels (Algorithm 5); Online-BCC's per-iteration
+sweep, Algorithm 1's full recomputation, stays on
+:func:`csr_bfs_distances`, and so does every snapshot whose table would
+exceed :data:`BIT_TABLE_BYTES_PER_EDGE`.
 
 The adjacency is built and iterated as flat plain lists — CPython re-boxes
 every ``array`` element on access while list elements are shared references,
@@ -66,8 +75,9 @@ import sys
 import threading
 from array import array
 from collections import Counter, OrderedDict, deque
-from itertools import accumulate, chain
-from operator import mul
+from functools import reduce
+from itertools import accumulate, chain, compress, repeat
+from operator import lshift, mul, or_
 from typing import (
     Callable,
     Dict,
@@ -97,6 +107,17 @@ G0_MEMO_ID_FACTOR = 32
 
 #: A G0 memo key: ``(L, R, b)``, the cores as the entry's own frozensets.
 G0Key = Tuple[FrozenSet[int], FrozenSet[int], int]
+
+#: A snapshot builds its adjacency bit table (:meth:`CSRGraph.adjacency_bits`)
+#: only while the table's n²/8 bytes stay within this many bytes per edge:
+#: its neighbour lists already hold ~48 (three pointer lists, two 8-byte
+#: entries per edge each), so the table at most about doubles them.
+BIT_TABLE_BYTES_PER_EDGE = 40
+
+#: :func:`bit_ids` pops bits one by one while they fill under 1/12 of the
+#: span, and beyond that reads ``bin()``'s digits, mapped to bytes 0 / 1.
+_DENSE_DECODE = 12
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class G0(NamedTuple):
@@ -365,17 +386,17 @@ class CSRGraph(_FlatAdjacency):
     Construction is via :meth:`freeze`; the inverse bridge is :meth:`thaw`.
     ``labels`` holds one label id per vertex id.  The snapshot lazily caches
     derived read-only structures (degree list, adjacency slices, coreness,
-    the same-label / cross-label split, the label-group coreness and a
-    bounded memo of Algorithm 2's ``G0``) so repeated kernel calls amortize
-    their construction.
+    the same-label / cross-label split, the label-group coreness, the
+    adjacency bit table and a bounded memo of Algorithm 2's ``G0``) so
+    repeated kernel calls amortize their construction.
 
     Locking: ``_g0_lock`` is a leaf guarding ``_g0_memo`` and ``_g0_ids``;
     ``_g0_fill_lock`` serializes ``G0`` builds, so a lookup never waits
-    behind a fill.
+    behind a fill.  ``_bits_lock`` is a leaf guarding ``_bits``.
     """
 
     __slots__ = (
-        "labels", "_coreness", "_label_split", "_group_coreness",
+        "labels", "_coreness", "_label_split", "_group_coreness", "_bits", "_bits_lock",
         "_g0_memo", "_g0_ids", "_g0_lock", "_g0_fill_lock", "__weakref__",
     )
 
@@ -391,6 +412,8 @@ class CSRGraph(_FlatAdjacency):
         self._coreness: Optional[List[int]] = None
         self._label_split: Optional[Tuple[List[List[int]], List[List[int]]]] = None
         self._group_coreness: Optional[List[int]] = None
+        self._bits: Optional[List[int]] = None
+        self._bits_lock = threading.Lock()
         self._g0_memo: "OrderedDict[G0Key, G0]" = OrderedDict()
         self._g0_ids = 0
         self._g0_lock = threading.Lock()
@@ -571,6 +594,30 @@ class CSRGraph(_FlatAdjacency):
     def has_group_coreness(self) -> bool:
         """Whether :meth:`group_coreness` is already cached (or was attached)."""
         return self._group_coreness is not None
+
+    def adjacency_bits(self) -> Optional[List[int]]:
+        """Return (and cache) the adjacency bit table, or ``None`` over budget.
+
+        Row ``v`` is one int with bit ``w`` set for each neighbour ``w``
+        (:func:`adjacency_bit_rows`), so a BFS level is one C-level OR over
+        its frontier's rows (:func:`bit_bfs_levels`).  The table takes n²/8
+        bytes, and a snapshot over :data:`BIT_TABLE_BYTES_PER_EDGE` bytes per
+        edge never builds it.  It is filled once, on the first LP- or
+        L2P-BCC search, under ``_bits_lock``, and it lives and dies with
+        this snapshot.
+        """
+        n = self.num_vertices()
+        if n * n > 8 * BIT_TABLE_BYTES_PER_EDGE * self.num_edges():
+            return None
+        with self._bits_lock:
+            if self._bits is None:
+                self._bits = adjacency_bit_rows(self.adjacency_slices())
+            return self._bits
+
+    def has_adjacency_bits(self) -> bool:
+        """Whether :meth:`adjacency_bits` is already filled."""
+        with self._bits_lock:
+            return self._bits is not None
 
     def g0(self, key: G0Key, build: Callable[[], G0]) -> Tuple[G0, bool]:
         """Return the memoized ``G0`` under ``key``, and whether it was a hit.
@@ -1021,3 +1068,57 @@ def csr_bfs_distances(
             dist[w] = depth
         frontier = list(reached)
     return dist
+
+
+def adjacency_bit_rows(slices: Sequence[Sequence[int]]) -> List[int]:
+    """Return one int per id with bit ``w`` set for each neighbour ``w``.
+
+    The fill of :meth:`CSRGraph.adjacency_bits`: each row is the C-level OR
+    of its neighbours' bits.
+    """
+    return [ids_bits(nbrs) for nbrs in slices]
+
+
+def ids_bits(ids: Iterable[int]) -> int:
+    """Return the int with bit ``v`` set for each id ``v`` of ``ids``."""
+    return reduce(or_, map(lshift, repeat(1), ids), 0)
+
+
+def bit_ids(bits: int) -> List[int]:
+    """Return the ids whose bits are set in ``bits``, ascending.
+
+    A sparse set pops its lowest bit per id; a dense one is read off its
+    binary digits in one C-level pass.
+    """
+    if bits.bit_count() * _DENSE_DECODE < bits.bit_length():
+        ids = []
+        append = ids.append
+        while bits:
+            low = bits & -bits
+            append(low.bit_length() - 1)
+            bits ^= low
+        return ids
+    digits = bin(bits)[:1:-1].encode().translate(_BINARY_DIGITS)
+    return list(compress(range(len(digits)), digits))
+
+
+def bit_bfs_levels(rows: List[int], levels: List[int], unseen: int) -> int:
+    """Grow BFS ``levels`` (one bitset per hop) over ``unseen``; return what stays unseen.
+
+    ``rows`` is an adjacency bit table (:func:`adjacency_bit_rows`),
+    ``levels`` the non-empty levels reached so far and ``unseen`` the ids
+    the search may still reach, none of them in ``levels``.  A level is the
+    OR of the previous level's rows, masked by ``unseen``: a frontier's
+    edges are OR-ed at C level, and only the frontier's set bits are
+    decoded.  The ids left in the returned mask are unreachable.
+    """
+    frontier = levels[-1]
+    getrow = rows.__getitem__
+    while unseen:
+        reached = reduce(or_, map(getrow, bit_ids(frontier))) & unseen
+        if not reached:
+            break
+        unseen ^= reached
+        levels.append(reached)
+        frontier = reached
+    return unseen

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+import repro.graph.csr as csr_module
 from repro.api import BCCEngine, Query, SearchConfig
 from repro.api.engine import run_with_deadline
 from repro.api.registry import registered_methods
@@ -170,6 +171,23 @@ class TestFillsComplete:
         counters = engine.counters_snapshot()
         assert counters["g0_memo_hits"] == 1
         assert counters["g0_memo_misses"] == 1
+
+    def test_bit_table_filled_past_the_budget_is_kept(self, engine, monkeypatch):
+        clock = FakeClock()
+        fill = csr_module.adjacency_bit_rows
+
+        def fill_past_the_budget(slices):
+            clock.now = 10.0
+            return fill(slices)
+
+        monkeypatch.setattr(csr_module, "adjacency_bit_rows", fill_past_the_budget)
+        query = Query("lp-bcc", QUERY)
+        with pytest.raises(DeadlineExceededError):
+            run_with_deadline(
+                lambda: engine.search(query, use_cache=False), 1.0, clock=clock
+            )
+        # The fill ran to the end; the search stopped at its next checkpoint.
+        assert engine.frozen_graph().has_adjacency_bits()
 
     def test_first_l2p_query_past_the_budget_keeps_its_pair_chi(
         self, engine, monkeypatch

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Set
 
@@ -35,6 +37,25 @@ else:
     settings.register_profile(
         "ci", derandomize=True, max_examples=100, deadline=None, database=None
     )
+
+
+def race(task, threads: int = 8):
+    """Run ``task`` on ``threads`` threads released at once, switching often,
+    and return their results."""
+    start = threading.Barrier(threads, timeout=30)
+
+    def run():
+        start.wait()
+        return task()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(run) for _ in range(threads)]
+            return [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def run_under_hash_seed(script: str, hash_seed: int, *args: str) -> str:

@@ -11,10 +11,7 @@ search's statistics.
 
 from __future__ import annotations
 
-import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -25,6 +22,7 @@ from repro.eval.queries import QuerySpec, generate_query_pairs
 from repro.graph.csr import G0
 from repro.serving import ShardedBCCEngine
 from repro.store.snapshot import Snapshot, attach_engine, persist_engine
+from tests.conftest import race
 
 CONFIG = SearchConfig(b=1, max_iterations=60)
 
@@ -209,29 +207,11 @@ def test_a_mutation_drops_the_memo(bundle, pairs):
     assert engine.counters_snapshot()["g0_memo_misses"] == built + len(fresh.g0_entries())
 
 
-def _race(task, threads=8):
-    """Run ``task`` on ``threads`` threads released at once, switching often."""
-    start = threading.Barrier(threads, timeout=30)
-
-    def run():
-        start.wait()
-        return task()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run) for _ in range(threads)]
-            return [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-
-
 @pytest.mark.concurrency
 def test_eight_threads_on_one_cold_key_miss_once(bundle, pairs):
     engine = BCCEngine(bundle.graph.copy(), CONFIG).prepare()
     query = Query("online-bcc", pairs[0])
-    responses = _race(lambda: engine.search(query, use_cache=False))
+    responses = race(lambda: engine.search(query, use_cache=False))
     counters = engine.counters_snapshot()
     assert counters["g0_memo_misses"] == 1
     assert counters["g0_memo_hits"] == 7
@@ -248,7 +228,7 @@ def test_eight_threads_on_one_cold_l2p_query_miss_once(bundle, pairs):
     )
     engine = BCCEngine(bundle.graph.copy(), CONFIG).prepare()
     query = Query("l2p-bcc", pair)
-    responses = _race(lambda: engine.search(query, use_cache=False))
+    responses = race(lambda: engine.search(query, use_cache=False))
     assert _lookups(engine) == (7, 1)
     assert len({frozenset(r.vertices) for r in responses}) == 1
 
@@ -264,7 +244,7 @@ def test_concurrent_misses_build_once(bundle):
         time.sleep(0.05)  # hold the fill while the other threads miss
         return entry
 
-    results = _race(lambda: csr.g0((entry.left, entry.right, 1), build))
+    results = race(lambda: csr.g0((entry.left, entry.right, 1), build))
     assert len(builds) == 1
     assert sorted(hit for _, hit in results) == [False] + [True] * 7
     assert all(g0 is entry for g0, _ in results)

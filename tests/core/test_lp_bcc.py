@@ -81,7 +81,11 @@ class TestFastStrategiesAreUsed:
         result = lp_bcc_search(bundle.graph, q_left, q_right, b=1)
         assert result is not None
         assert result.statistics.get("distance_full_recomputations", 0) == 2
-        assert result.statistics.get("distance_partial_updates", 0) >= 0
+        # Two iterations; the first deletion batch survives maintenance and
+        # updates both queries' distances (Algorithm 5), the second ends
+        # the search before any update.
+        assert result.iterations == 2
+        assert result.statistics.get("distance_partial_updates", 0) == 2
 
     def test_leader_recount_statistics_present(self):
         g = paper_example_graph()
