@@ -8,14 +8,14 @@ Every kernel claim is made at two scales (ROADMAP item 8).  The tiers:
 * **91k** — dblp, seed 2021, 16 × 128 (2,088 ids, 91,253 edges);
 * **over-budget** — amazon, seed 1, 400 communities (4,794 ids, 44,193
   edges).  Its adjacency bit table would take 65 bytes per edge, over
-  ``BIT_TABLE_BYTES_PER_EDGE``, so LP- and L2P-BCC keep per-id distance
-  lists there: both sides of the budget have a number.
+  ``BIT_TABLE_BYTES_PER_EDGE``, so the three methods keep set frontiers
+  and per-id distance lists there: both sides of the budget have a number.
 
 Each method gets its own prepared engine per tier (a fresh snapshot, so
 no method reads another's G0 memo entries or bit table) and searches
 ``perfbench.inputs.stratified_pairs`` uncached: first one **cold** pass, in
 which the G0 memo fills as it goes (its very first search also fills the
-snapshot's lazy state: LP's and L2P's bit table, L2P's label-pair χ), then
+snapshot's lazy state: the bit table, and L2P's label-pair χ), then
 **warm** passes that hit the memo.  Reported per tier and method: cold and
 warm p50/p90, the first search on a fresh snapshot (the median over three
 snapshots), G0 builds per 100 pairs (the distinct G0s while
@@ -30,8 +30,8 @@ shared host's speed can drift between tiers (a probe above
 Gate (both modes), before any number is reported: every ``ok`` cold answer
 passes ``perfbench/check.py``'s checks — Def. 4 through ``validate_bcc``,
 and Def. 5 recomputed by a BFS that shares no code with the program — and
-every warm answer equals its cold one; LP and L2P fill the table exactly
-when the tier is within budget, and Online-BCC never does.
+every warm answer equals its cold one; every method fills the table
+exactly when the tier is within budget.
 
 Results land in ``benchmarks/results/BENCH_kernel_scale.json`` (a full run
 also at the repo root).  Usage::
@@ -59,7 +59,7 @@ for path in (REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from reporting import write_results  # noqa: E402
+from reporting import git_sha, write_results  # noqa: E402
 
 from perfbench import inputs  # noqa: E402
 from perfbench.check import Answer, Gate  # noqa: E402
@@ -205,10 +205,10 @@ def run_tier(tier: str, spec, first_searches: int) -> Dict[str, object]:
     table = bit_table(bundle.graph)
     probes_ms = [1000.0 * probe for probe in (probe_before, fastest())]
     for method, row in methods.items():
-        expected = table["within_budget"] and method != "online-bcc"
-        if row["bit_table_filled"] != expected:
+        if row["bit_table_filled"] != table["within_budget"]:
             gate.problems.append(
-                f"{tier} {method}: bit table filled={row['bit_table_filled']}, expected {expected}"
+                f"{tier} {method}: bit table filled={row['bit_table_filled']}, "
+                f"expected {table['within_budget']}"
             )
     return {
         "dataset": dataset,
@@ -276,6 +276,7 @@ def main() -> int:
         {
             "benchmark": "kernel_scale",
             "smoke": args.smoke,
+            "git_sha": git_sha(),
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "bit_table_bytes_per_edge": BIT_TABLE_BYTES_PER_EDGE,

@@ -5,6 +5,12 @@ leader-pair update time, number of butterfly-counting invocations and total
 time — for both methods, and reports the speedup factors.  The shape to
 reproduce: LP-BCC needs far fewer butterfly-counting calls and less
 query-distance time, translating into a clear end-to-end speedup.
+
+Each method runs on its own ``graph.copy()``, whose snapshot is frozen and
+given its query-independent caches (label split, group coreness, adjacency
+bit table) before the timed loop, the same way for both methods, so the
+totals time per-query work.  The ``G0`` memo stays cold: Algorithm 2 is
+per-query work.
 """
 
 from __future__ import annotations
@@ -24,6 +30,16 @@ from repro.eval.reporting import breakdown_table, speedup
 QUERY_COUNT = 4
 
 
+def _filled_copy(graph):
+    """A copy of ``graph`` whose snapshot holds every query-independent cache."""
+    copy = graph.copy()
+    csr = copy.freeze()
+    csr.label_split()
+    csr.group_coreness()
+    csr.adjacency_bits()
+    return copy
+
+
 @pytest.fixture(scope="module")
 def breakdown(dblp_like) -> Dict[str, Dict[str, float]]:
     pairs = generate_query_pairs(dblp_like, QuerySpec(count=QUERY_COUNT), seed=42)
@@ -33,8 +49,8 @@ def breakdown(dblp_like) -> Dict[str, Dict[str, float]]:
     lp_total = 0.0
     # One copy per method: a graph's frozen snapshot carries the G0 memo,
     # so on a shared graph one method would reuse the other's Algorithm 2.
-    online_graph = dblp_like.graph.copy()
-    lp_graph = dblp_like.graph.copy()
+    online_graph = _filled_copy(dblp_like.graph)
+    lp_graph = _filled_copy(dblp_like.graph)
     for q_left, q_right in pairs:
         start = time.perf_counter()
         online_bcc_search(online_graph, q_left, q_right, b=1, instrumentation=online_inst)

@@ -12,10 +12,29 @@ full-mode numbers at the root.  One helper keeps the copies byte-identical.
 from __future__ import annotations
 
 import json
+import subprocess
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def git_sha() -> Optional[str]:
+    """The checkout's commit, ``-dirty`` when tracked files differ from it.
+
+    ``None`` outside a git checkout (an exported tree) or without git.
+    """
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD"], cwd=REPO_ROOT, capture_output=True
+        ).returncode
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return sha + ("-dirty" if dirty else "")
 
 
 def is_smoke(payload: object) -> bool:

@@ -20,7 +20,7 @@ reference that tests compare it against.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.core.bcc_model import BCCParameters, BCCResult, resolve_query_labels
 from repro.core.find_g0 import find_g0
@@ -32,7 +32,7 @@ from repro.exceptions import (
     EmptyCommunityError,
 )
 from repro.core.query_distance import farthest_ids
-from repro.graph.csr import csr_bfs_distances
+from repro.graph.csr import csr_bfs_distances, ids_bits
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import (
     farthest_vertices,
@@ -103,22 +103,23 @@ def distance_sweep(
     graph,
     q_left: int,
     q_right: int,
-    survivors: Iterable[int],
-    dead: Optional[Set[int]] = None,
-    alive: Optional[Set[int]] = None,
+    alive: Set[int],
+    rows: Optional[List[int]] = None,
 ) -> Tuple[float, List[int], float]:
     """One query-distance pass of Algorithm 1 over a frozen graph's ids.
 
-    Runs a BFS from both query ids over ``graph`` — restricted by ``dead``
-    or ``alive`` as in :func:`~repro.graph.csr.csr_bfs_distances` — then
-    :func:`~repro.core.query_distance.farthest_ids` over ``survivors``:
-    returns ``dist(G, Q)``, the farthest non-query ids and their distance.
-    The CSR pipeline's Online-BCC sweep.
+    Runs a BFS from both query ids over the subgraph induced by ``alive``
+    (:func:`~repro.graph.csr.csr_bfs_distances`, on the adjacency bit table
+    ``rows`` when given), then
+    :func:`~repro.core.query_distance.farthest_ids` over ``alive``: returns
+    ``dist(G, Q)``, the farthest non-query ids and their distance.  The CSR
+    pipeline's Online-BCC sweep.
     """
+    within = alive if rows is None else ids_bits(alive)
     return farthest_ids(
-        survivors,
-        csr_bfs_distances(graph, q_left, dead=dead, alive=alive),
-        csr_bfs_distances(graph, q_right, dead=dead, alive=alive),
+        alive,
+        csr_bfs_distances(graph, q_left, alive=within, rows=rows),
+        csr_bfs_distances(graph, q_right, alive=within, rows=rows),
         q_left,
         q_right,
     )

@@ -49,16 +49,17 @@ density.  The other object-facing entry points are thin too:
 search is the exception in the other direction:
 :func:`repro.graph.traversal.bfs_distances` walks the adjacency sets, so a
 depth-limited search never pays a whole-graph freeze, while callers that
-already hold ids run :func:`csr_bfs_distances`.  Breadth-first search
-also has a bit-table kernel, :func:`bit_bfs_levels`: on a snapshot's
+already hold ids run :func:`csr_bfs_distances`.  On a snapshot's
 fill-once adjacency bit table (:meth:`CSRGraph.adjacency_bits`, one int
-per id) a level is one C-level OR over its frontier's rows, the bitmap
-frontier of Beamer, Asanović & Patterson ("Direction-Optimizing
-Breadth-First Search", SC 2012).  LP- and L2P-BCC keep their query
-distances as those levels (Algorithm 5); Online-BCC's per-iteration
-sweep, Algorithm 1's full recomputation, stays on
-:func:`csr_bfs_distances`, and so does every snapshot whose table would
-exceed :data:`BIT_TABLE_BYTES_PER_EDGE`.
+per id) breadth-first search has one kernel, :func:`bit_bfs_levels`: a
+level is one C-level OR over its frontier's rows, the bitmap frontier of
+Beamer, Asanović & Patterson ("Direction-Optimizing Breadth-First
+Search", SC 2012).  LP- and L2P-BCC keep their query distances as those
+levels (Algorithm 5), and :func:`csr_bfs_distances` given the table grows
+them too and turns them into its per-id list, so Online-BCC's
+per-iteration sweep (Algorithm 1's full recomputation) runs the same
+kernel.  Only a snapshot whose table would exceed
+:data:`BIT_TABLE_BYTES_PER_EDGE` keeps set frontiers.
 
 The adjacency is built and iterated as flat plain lists — CPython re-boxes
 every ``array`` element on access while list elements are shared references,
@@ -118,6 +119,13 @@ BIT_TABLE_BYTES_PER_EDGE = 40
 #: span, and beyond that reads ``bin()``'s digits, mapped to bytes 0 / 1.
 _DENSE_DECODE = 12
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+#: :func:`_level_distances` writes the depths below this as one signed byte
+#: per id: per depth d, a level's binary digits become 0 off the level and
+#: ``~d`` on it, and flipping every byte back leaves d, or -1 on no level.
+_BYTE_DEPTHS = 128
+_DEPTH_LANES = [bytes.maketrans(b"01", bytes((0, 0xFF ^ d))) for d in range(_BYTE_DEPTHS)]
+_FLIP_BYTES = bytes(0xFF ^ byte for byte in range(256))
 
 
 class G0(NamedTuple):
@@ -602,9 +610,10 @@ class CSRGraph(_FlatAdjacency):
         (:func:`adjacency_bit_rows`), so a BFS level is one C-level OR over
         its frontier's rows (:func:`bit_bfs_levels`).  The table takes n²/8
         bytes, and a snapshot over :data:`BIT_TABLE_BYTES_PER_EDGE` bytes per
-        edge never builds it.  It is filled once, on the first LP- or
-        L2P-BCC search, under ``_bits_lock``, and it lives and dies with
-        this snapshot.
+        edge never builds it.  It is filled once, by the first Online-, LP-
+        or L2P-BCC search that reaches its query distances (never by a
+        serving engine's ``prepare()``), under ``_bits_lock``, and it lives
+        and dies with this snapshot.
         """
         n = self.num_vertices()
         if n * n > 8 * BIT_TABLE_BYTES_PER_EDGE * self.num_edges():
@@ -1028,21 +1037,35 @@ def csr_bfs_distances(
     source: int,
     dead: Optional[Set[int]] = None,
     max_depth: Optional[int] = None,
-    alive: Optional[Set[int]] = None,
+    alive: Optional[Union[Set[int], int]] = None,
+    rows: Optional[List[int]] = None,
 ) -> List[int]:
     """Return hop distances per id from ``source`` (:data:`UNREACHED` = -1).
 
-    Level-synchronous frontier expansion: each level's candidate set is
-    built with C-speed ``set.update`` / set difference instead of a
-    per-edge Python membership test.  ``dead`` restricts the traversal to
-    the surviving induced subgraph (dead ids keep distance -1), and
-    ``alive`` to the subgraph induced by its ids; the caller must pass a
-    live ``source``.
+    ``dead`` restricts the traversal to the surviving induced subgraph
+    (dead ids keep distance -1), and ``alive`` to the subgraph induced by
+    its ids; the caller must pass a live ``source``.  Given ``rows``, the
+    graph's adjacency bit table (:meth:`CSRGraph.adjacency_bits`), the
+    levels grow by :func:`bit_bfs_levels`, and ``alive`` may be passed as
+    its bitset (:func:`ids_bits`), so searches over one id set convert it
+    once.  Without a table, each level's candidate set is built with
+    C-speed ``set.update`` / set difference instead of a per-edge Python
+    membership test.
     """
     n = graph.num_vertices()
-    dist = [UNREACHED] * n
     if n == 0:
-        return dist
+        return []
+    if rows is not None:
+        if alive is None:
+            unseen = (1 << n) - 1
+        else:
+            unseen = alive if isinstance(alive, int) else ids_bits(alive)
+        if dead:
+            unseen &= ~ids_bits(dead)
+        levels = [1 << source]
+        bit_bfs_levels(rows, levels, unseen & ~levels[0], max_depth)
+        return _level_distances(levels, n)
+    dist = [UNREACHED] * n
     slices = graph.adjacency_slices()
     dist[source] = 0
     visited = {source}
@@ -1102,7 +1125,9 @@ def bit_ids(bits: int) -> List[int]:
     return list(compress(range(len(digits)), digits))
 
 
-def bit_bfs_levels(rows: List[int], levels: List[int], unseen: int) -> int:
+def bit_bfs_levels(
+    rows: List[int], levels: List[int], unseen: int, max_depth: Optional[int] = None
+) -> int:
     """Grow BFS ``levels`` (one bitset per hop) over ``unseen``; return what stays unseen.
 
     ``rows`` is an adjacency bit table (:func:`adjacency_bit_rows`),
@@ -1110,11 +1135,13 @@ def bit_bfs_levels(rows: List[int], levels: List[int], unseen: int) -> int:
     the search may still reach, none of them in ``levels``.  A level is the
     OR of the previous level's rows, masked by ``unseen``: a frontier's
     edges are OR-ed at C level, and only the frontier's set bits are
-    decoded.  The ids left in the returned mask are unreachable.
+    decoded.  No level past ``max_depth`` is grown.  The ids left in the
+    returned mask are unreachable within that depth.
     """
     frontier = levels[-1]
     getrow = rows.__getitem__
-    while unseen:
+    depth_limit = len(rows) if max_depth is None else max_depth
+    while unseen and len(levels) <= depth_limit:
         reached = reduce(or_, map(getrow, bit_ids(frontier))) & unseen
         if not reached:
             break
@@ -1122,3 +1149,22 @@ def bit_bfs_levels(rows: List[int], levels: List[int], unseen: int) -> int:
         levels.append(reached)
         frontier = reached
     return unseen
+
+
+def _level_distances(levels: List[int], n: int) -> List[int]:
+    """The per-id distance list of BFS ``levels`` over ``n`` ids.
+
+    The levels are disjoint, so the first :data:`_BYTE_DEPTHS` of them are
+    OR-ed as one byte lane per id and read back as signed bytes in a few
+    C-level calls; deeper levels are written id by id.
+    """
+    lanes = 0
+    for depth, level in enumerate(levels[:_BYTE_DEPTHS]):
+        digits = bin(level)[:1:-1].encode().translate(_DEPTH_LANES[depth])
+        lanes |= int.from_bytes(digits, "little")
+    depths = lanes.to_bytes(n, "little").translate(_FLIP_BYTES)
+    dist = memoryview(depths).cast("b").tolist()
+    for depth in range(_BYTE_DEPTHS, len(levels)):
+        for v in bit_ids(levels[depth]):
+            dist[v] = depth
+    return dist

@@ -172,7 +172,8 @@ class TestFillsComplete:
         assert counters["g0_memo_hits"] == 1
         assert counters["g0_memo_misses"] == 1
 
-    def test_bit_table_filled_past_the_budget_is_kept(self, engine, monkeypatch):
+    @pytest.mark.parametrize("method", ["online-bcc", "lp-bcc"])
+    def test_bit_table_filled_past_the_budget_is_kept(self, engine, monkeypatch, method):
         clock = FakeClock()
         fill = csr_module.adjacency_bit_rows
 
@@ -181,7 +182,7 @@ class TestFillsComplete:
             return fill(slices)
 
         monkeypatch.setattr(csr_module, "adjacency_bit_rows", fill_past_the_budget)
-        query = Query("lp-bcc", QUERY)
+        query = Query(method, QUERY)
         with pytest.raises(DeadlineExceededError):
             run_with_deadline(
                 lambda: engine.search(query, use_cache=False), 1.0, clock=clock

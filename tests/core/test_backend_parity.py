@@ -5,9 +5,10 @@ checks it against code that shares nothing with it, value for value, over
 220 random graphs (80 bipartite + 70 labeled + 70 traversal instances,
 plus edge cases): butterfly degrees against the brute-force O(n⁴)
 enumeration and the per-vertex wedge count, coreness and k-cores against
-the small object-graph peel below, and the id-level BFS against the
-object-graph BFS.  Disconnected graphs and single-label graphs (one
-bipartite side empty) are included.
+the small object-graph peel below, and the id-level BFS, on set frontiers
+and on the adjacency bit table, against the object-graph BFS.
+Disconnected graphs and single-label graphs (one bipartite side empty)
+are included.
 """
 
 from __future__ import annotations
@@ -30,12 +31,20 @@ from repro.core.kcore import core_decomposition, k_core_vertices
 from repro.core.maintenance import maintain_bcc
 from repro.core.online_bcc import distance_sweep, online_bcc_search, run_online_bcc
 from repro.graph.bipartite import extract_label_bipartite
-from repro.graph.csr import CSRGraph, csr_bfs_distances, csr_k_core_alive
+from repro.graph.csr import (
+    UNREACHED,
+    CSRGraph,
+    adjacency_bit_rows,
+    csr_bfs_distances,
+    csr_k_core_alive,
+    ids_bits,
+)
 from repro.graph.generators import (
     planted_partition_graph,
     random_bipartite_graph,
     random_labeled_graph,
 )
+from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.traversal import (
     bfs_distances,
     farthest_vertices,
@@ -163,40 +172,75 @@ class TestKCoreParity:
 
 
 class TestBFSParity:
+    """The id-level BFS ≡ the object BFS, on set frontiers and on the bit table.
+
+    The table is built with :func:`adjacency_bit_rows` whatever the
+    snapshot's memory budget, so every graph runs both kernels.
+    """
+
+    @staticmethod
+    def _rows(frozen, table):
+        return adjacency_bit_rows(frozen.adjacency_slices()) if table else None
+
+    @pytest.mark.parametrize("table", [False, True], ids=["sets", "bits"])
     @pytest.mark.parametrize("seed", BFS_SEEDS)
-    def test_distances_agree(self, seed):
+    def test_distances_agree(self, seed, table):
         graph = _random_graph(seed, labels=("A", "B"))
         vertices = list(graph.vertices())
         if not vertices:
             return
         rng = random.Random(seed)
         frozen = CSRGraph.freeze(graph)
+        rows = self._rows(frozen, table)
         source = rng.choice(vertices)
         for max_depth in (None, 0, 1, 3):
             reference = bfs_distances(graph, source, max_depth=max_depth)
-            dist = csr_bfs_distances(frozen, frozen.id_of(source), max_depth=max_depth)
+            dist = csr_bfs_distances(
+                frozen, frozen.id_of(source), max_depth=max_depth, rows=rows
+            )
             assert {frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0} == reference
+            assert dist.count(UNREACHED) == len(dist) - len(reference)
 
+    @pytest.mark.parametrize("table", [False, True], ids=["sets", "bits"])
     @pytest.mark.parametrize("seed", range(10))
-    def test_restricted_distances_agree(self, seed):
+    def test_restricted_distances_agree(self, seed, table):
         """``alive=`` and ``dead=`` ≡ an object BFS on the induced subgraph."""
         graph = random_labeled_graph(20, 0.2, ["A", "B"], seed=seed)
         rng = random.Random(seed)
         kept = set(rng.sample(list(graph.vertices()), 12))
         source = min(kept, key=repr)
         frozen = CSRGraph.freeze(graph)
+        rows = self._rows(frozen, table)
         alive = {frozen.id_of(v) for v in kept}
         dead = set(range(frozen.num_vertices())) - alive
+        restrictions = [{"alive": alive}, {"dead": dead}]
+        if table:
+            restrictions.append({"alive": ids_bits(alive)})
         sub = graph.induced_subgraph(kept)
-        for max_depth in (None, 1, 3):
+        for max_depth in (None, 0, 1, 3):
             reference = bfs_distances(sub, source, max_depth=max_depth)
-            for restriction in ({"alive": alive}, {"dead": dead}):
+            for restriction in restrictions:
                 dist = csr_bfs_distances(
-                    frozen, frozen.id_of(source), max_depth=max_depth, **restriction
+                    frozen, frozen.id_of(source), max_depth=max_depth, rows=rows,
+                    **restriction,
                 )
                 assert {
                     frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0
                 } == reference
+                assert dist.count(UNREACHED) == len(dist) - len(reference)
+
+    def test_levels_deeper_than_a_byte(self):
+        """A 300-id path, within the table's budget: depths past 127 read right."""
+        graph = LabeledGraph(edges=[(v, v + 1) for v in range(299)])
+        frozen = CSRGraph.freeze(graph)
+        rows = frozen.adjacency_bits()
+        assert rows is not None
+        for max_depth in (None, 127, 128, 200):
+            reference = bfs_distances(graph, 0, max_depth=max_depth)
+            dist = csr_bfs_distances(frozen, frozen.id_of(0), max_depth=max_depth, rows=rows)
+            assert {frozen.vertex_of(i): d for i, d in enumerate(dist) if d >= 0} == reference
+            assert dist.count(UNREACHED) == len(dist) - len(reference)
+        assert max(dist) == 200
 
 
 class TestOnlineBCCFastPathParity:
@@ -252,6 +296,8 @@ class TestOnlineBCCFastPathParity:
         community = g0.community.copy()
         query = [q_left, q_right]
         frozen = CSRGraph.freeze(graph)
+        table = frozen.adjacency_bits()
+        assert table is not None
         ql, qr = frozen.id_of(q_left), frozen.id_of(q_right)
         iterations = 0
         while True:
@@ -259,10 +305,11 @@ class TestOnlineBCCFastPathParity:
             want = graph_query_distance(community, query, maps)
             candidates, max_distance = farthest_vertices(community, query, maps)
             alive = {frozen.id_of(v) for v in community.vertices()}
-            got, ids, got_max = distance_sweep(frozen, ql, qr, alive, alive=alive)
-            assert got == want
-            assert {frozen.vertex_of(i) for i in ids} == set(candidates)
-            assert got_max == max_distance
+            for rows in (None, table):
+                got, ids, got_max = distance_sweep(frozen, ql, qr, alive, rows)
+                assert got == want
+                assert {frozen.vertex_of(i) for i in ids} == set(candidates)
+                assert got_max == max_distance
             if not candidates or max_distance <= 0:
                 break
             to_delete = candidates if bulk else [min(candidates, key=repr)]

@@ -1,12 +1,14 @@
-"""Algorithm 5 on the snapshot's adjacency bit table.
+"""Algorithms 1 and 5 on the snapshot's adjacency bit table.
 
 LP- and L2P-BCC keep each query's distances as BFS level bitsets
 (:class:`repro.core.query_distance.LevelDistances`) over the snapshot's
 fill-once bit table (:meth:`repro.graph.csr.CSRGraph.adjacency_bits`).  The
 levels must equal a BFS recomputed from scratch after every deletion batch,
 and the sweep must equal :func:`~repro.core.query_distance.farthest_ids`
-over those distances; a snapshot over the table's memory budget keeps the
-per-id distance lists of ``pipeline._Distances``, with the same answers.
+over those distances.  Online-BCC's full recomputation runs the same
+kernel through ``csr_bfs_distances(..., rows=...)``.  A snapshot over the
+table's memory budget keeps the per-id distance lists of
+``pipeline._Distances`` and set frontiers, with the same answers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.graph.csr as csr_module
 from repro.api import BCCEngine, Query, SearchConfig
-from repro.core import pipeline
+from repro.core import online_bcc, pipeline
 from repro.core.query_distance import farthest_ids
 from repro.datasets import load_dataset
 from repro.eval.queries import QuerySpec, generate_query_pairs
@@ -37,6 +39,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from tests.conftest import race
 
 CONFIG = SearchConfig(b=1, max_iterations=60)
+METHODS = ("online-bcc", "lp-bcc", "l2p-bcc")
 
 
 def _graph(n, edges):
@@ -62,7 +65,11 @@ def _level_lists(distances, n):
 
 
 def _check(csr, distances, alive, queries):
-    """Levels against a BFS from scratch, the sweep against ``farthest_ids``."""
+    """Levels against a BFS from scratch, the sweep against ``farthest_ids``.
+
+    The reference BFS runs on set frontiers (no table), so it shares no
+    code with :func:`~repro.graph.csr.bit_bfs_levels`.
+    """
     n = csr.num_vertices()
     expected = [csr_bfs_distances(csr, q, alive=alive) for q in queries]
     assert _level_lists(distances, n) == expected
@@ -183,20 +190,13 @@ def _counting(monkeypatch, name, calls):
 
 
 class TestFill:
-    def test_online_searches_leave_the_table_empty(self, bundle, pairs):
-        engine = BCCEngine(bundle.graph.copy(), CONFIG).prepare()
-        for pair in pairs:
-            engine.search(Query("online-bcc", pair), use_cache=False)
-        assert not engine.frozen_graph().has_adjacency_bits()
-        engine.search(Query("lp-bcc", pairs[0]), use_cache=False)
-        assert engine.frozen_graph().has_adjacency_bits()
-
-    @pytest.mark.parametrize("method", ["lp-bcc", "l2p-bcc"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_the_first_search_fills_it(self, bundle, pairs, method):
         engine = BCCEngine(bundle.graph.copy(), CONFIG).prepare()
         csr = engine.frozen_graph()
         assert not csr.has_adjacency_bits()
         engine.search(Query(method, pairs[0]), use_cache=False)
+        assert csr.has_adjacency_bits()
         assert csr.adjacency_bits() == adjacency_bit_rows(csr.adjacency_slices())
 
     def test_over_budget_snapshots_take_the_list_path(self, bundle, pairs, monkeypatch):
@@ -204,15 +204,26 @@ class TestFill:
         calls = {}
         _counting(monkeypatch, "_Distances", calls)
         _counting(monkeypatch, "_LevelDistances", calls)
-        for method in ("lp-bcc", "l2p-bcc"):
+        # Whether each of Online-BCC's sweep BFS ran on a bit table.
+        on_table = []
+        bfs = online_bcc.csr_bfs_distances
+
+        def sweep_bfs(*args, rows=None, **kwargs):
+            on_table.append(rows is not None)
+            return bfs(*args, rows=rows, **kwargs)
+
+        monkeypatch.setattr(online_bcc, "csr_bfs_distances", sweep_bfs)
+        for method in METHODS:
             engine = BCCEngine(bundle.graph.copy(), CONFIG).prepare()
             for pair in pairs:
                 expected[method, pair] = _answer(engine.search(Query(method, pair), use_cache=False))
         searched = calls.pop("_LevelDistances")
         assert searched >= 2 * len(pairs) and not calls
+        assert len(on_table) >= 2 * len(pairs) and all(on_table)
 
         monkeypatch.setattr(csr_module, "BIT_TABLE_BYTES_PER_EDGE", 0)
-        for method in ("lp-bcc", "l2p-bcc"):
+        on_table.clear()
+        for method in METHODS:
             engine = BCCEngine(bundle.graph.copy(), CONFIG).prepare()
             for pair in pairs:
                 got = _answer(engine.search(Query(method, pair), use_cache=False))
@@ -220,6 +231,7 @@ class TestFill:
             assert engine.frozen_graph().adjacency_bits() is None
             assert not engine.frozen_graph().has_adjacency_bits()
         assert calls == {"_Distances": searched}
+        assert len(on_table) >= 2 * len(pairs) and not any(on_table)
 
     def test_a_sparse_snapshot_is_over_budget(self):
         # A 400-id cycle: 20,000 bytes of table for 400 edges, 50 per edge.
