@@ -1046,8 +1046,8 @@ def csr_bfs_distances(
     (dead ids keep distance -1), and ``alive`` to the subgraph induced by
     its ids; the caller must pass a live ``source``.  Given ``rows``, the
     graph's adjacency bit table (:meth:`CSRGraph.adjacency_bits`), the
-    levels grow by :func:`bit_bfs_levels`, and ``alive`` may be passed as
-    its bitset (:func:`ids_bits`), so searches over one id set convert it
+    levels grow by :func:`bit_bfs_levels`, and ``alive`` may also be an id
+    bitset (:func:`ids_bits`), so searches over one id set convert it
     once.  Without a table, each level's candidate set is built with
     C-speed ``set.update`` / set difference instead of a per-edge Python
     membership test.
