@@ -19,7 +19,9 @@ snapshot's lazy state: the bit table, and L2P's label-pair χ), then
 **warm** passes that hit the memo.  Reported per tier and method: cold and
 warm p50/p90, the first search on a fresh snapshot (the median over three
 snapshots), G0 builds per 100 pairs (the distinct G0s while
-``g0_evictions`` is 0) and the cold pass's memo hit rate, the RSS after
+``g0_evictions`` is 0) and the cold pass's memo hit rate, the snapshot's
+memo of connected cores (``CSRGraph.core_entries()``: its tables, one per
+k, and its component ids per vertex), the RSS after
 the method (each tier runs in its own interpreter), and mean F1 against
 the generator's communities.  Per tier also: the bit table's bytes per
 edge and its fill time on a fresh snapshot, and perfbench's host-speed
@@ -30,8 +32,9 @@ shared host's speed can drift between tiers (a probe above
 Gate (both modes), before any number is reported: every ``ok`` cold answer
 passes ``perfbench/check.py``'s checks — Def. 4 through ``validate_bcc``,
 and Def. 5 recomputed by a BFS that shares no code with the program — and
-every warm answer equals its cold one; every method fills the table
-exactly when the tier is within budget.
+every warm answer equals its cold one, and the warm passes publish no new
+connected core; every method fills the table exactly when the tier is
+within budget.
 
 Results land in ``benchmarks/results/BENCH_kernel_scale.json`` (a full run
 also at the repo root).  Usage::
@@ -51,6 +54,7 @@ import statistics
 import subprocess
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List
 
@@ -166,6 +170,7 @@ def run_method(bundle, pairs, method: str, warm_passes: int, first_searches: int
     hits, misses = counters["g0_memo_hits"], counters["g0_memo_misses"]
     csr = engine.frozen_graph()
     filled = csr.has_adjacency_bits()
+    cores = csr.core_entries()
 
     warm_ms: List[float] = []
     for _ in range(warm_passes):
@@ -174,6 +179,8 @@ def run_method(bundle, pairs, method: str, warm_passes: int, first_searches: int
             response = engine.search(Query(method, pair), use_cache=False)
             warm_ms.append((time.perf_counter() - started) * 1000.0)
             gate.same(Answer.of(response), cold, f"{tier} {method} {pair} warm")
+    if csr.core_entries() != cores:
+        gate.problems.append(f"{tier} {method}: the warm passes published a connected core")
     return {
         "pairs": len(pairs),
         "ok": sum(answer.status == "ok" for answer in answers),
@@ -185,6 +192,9 @@ def run_method(bundle, pairs, method: str, warm_passes: int, first_searches: int
         "g0_builds_per_100_pairs": 100.0 * misses / len(pairs),
         "g0_evictions": misses - len(csr.g0_entries()),
         "cold_memo_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        "core_tables": len(cores),
+        "core_ids_per_vertex": sum(map(len, chain.from_iterable(cores.values())))
+        / csr.num_vertices(),
         "bit_table_filled": filled,
         "rss_mb": rss_mb(),
         "mean_f1": statistics.fmean(f1_scores) if f1_scores else None,
@@ -237,7 +247,9 @@ def print_tier(tier: str, report: Dict[str, object]) -> None:
             f"  {method:<11} {row['pairs']:>3} pairs  first {row['first_search_ms']:8.2f} ms"
             f"  cold p50 {row['cold_p50_ms']:7.2f} p90 {row['cold_p90_ms']:7.2f}"
             f"  warm p50 {row['warm_p50_ms']:7.2f} p90 {row['warm_p90_ms']:7.2f} ms"
-            f"  G0/100 {row['g0_builds_per_100_pairs']:5.1f}  RSS {row['rss_mb']:5.1f} MB"
+            f"  G0/100 {row['g0_builds_per_100_pairs']:5.1f}"
+            f"  cores {row['core_tables']:2d} x |V|, {row['core_ids_per_vertex']:4.1f} ids/|V|"
+            f"  RSS {row['rss_mb']:5.1f} MB"
             f"  F1 {'-' if f1 is None else f'{f1:.3f}'}"
         )
 

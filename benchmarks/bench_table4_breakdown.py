@@ -9,8 +9,8 @@ query-distance time, translating into a clear end-to-end speedup.
 Each method runs on its own ``graph.copy()``, whose snapshot is frozen and
 given its query-independent caches (label split, group coreness, adjacency
 bit table) before the timed loop, the same way for both methods, so the
-totals time per-query work.  The ``G0`` memo stays cold: Algorithm 2 is
-per-query work.
+totals time per-query work.  The snapshot's memos of connected cores and
+of ``G0`` stay cold: Algorithm 2 is per-query work.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ def breakdown(dblp_like) -> Dict[str, Dict[str, float]]:
     lp_inst = SearchInstrumentation()
     online_total = 0.0
     lp_total = 0.0
-    # One copy per method: a graph's frozen snapshot carries the G0 memo,
-    # so on a shared graph one method would reuse the other's Algorithm 2.
+    # One copy per method: a graph's frozen snapshot carries the memos of
+    # connected cores and of G0, so on a shared graph one method would reuse
+    # the other's Algorithm 2.
     online_graph = _filled_copy(dblp_like.graph)
     lp_graph = _filled_copy(dblp_like.graph)
     for q_left, q_right in pairs:

@@ -66,6 +66,7 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
             "_g0_memo": "_g0_lock",
             "_g0_ids": "_g0_lock",
             "_bits": "_bits_lock",
+            "_cores": "_cores_lock",
         },
     },
     "process_engine.py": {

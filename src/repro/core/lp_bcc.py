@@ -175,7 +175,8 @@ def run_lp_bcc(
             instrumentation=inst,
         )
         iterations += 1
-        inst.record_iteration(deleted=len(outcome.removed))
+        # A failed step counts no deletions, as on the pipeline.
+        inst.record_iteration(deleted=len(outcome.removed) if outcome.valid else 0)
         if not outcome.valid:
             break
 

@@ -15,9 +15,12 @@ engine's frozen :class:`~repro.graph.csr.CSRGraph`:
   :meth:`repro.api.BCCEngine.frozen_graph` fills both once, under the
   engine's freeze lock, before a search runs here;
 * the automatic k1/k2 of Section 3.5 are coreness lookups, and ``L`` / ``R``
-  (Algorithm 2, lines 2-3) are BFS components of the query ids over
+  (Algorithm 2, lines 2-3) are the BFS components of the query ids over
   same-label ids whose coreness reaches k1 / k2 — ``G0`` is the subgraph
-  induced by ``L ∪ R``;
+  induced by ``L ∪ R``.  Cut from the group coreness, they depend on the
+  snapshot alone, so the snapshot memoizes them per k
+  (:meth:`~repro.graph.csr.CSRGraph.core_component`) and only the first
+  search to reach a component runs its BFS;
 * everything else Algorithm 2 derives — ``G0``'s χ, its intra-label degree
   counters and Def. 4's leader-pair and connectivity checks — reads only
   ``L``, ``R`` and b, so it is memoized on the snapshot under ``(L, R, b)``
@@ -34,7 +37,9 @@ engine's frozen :class:`~repro.graph.csr.CSRGraph`:
   (Algorithm 1), on the same table and kernel, into per-id lists.  A
   snapshot over the table's memory budget keeps per-id distance lists
   and set frontiers.  Algorithm 7 counts a leader's χ on the alive sides
-  after each deletion batch;
+  after each deletion batch.  An Algorithm 4 step ends at the first query
+  id its cascade peels: Def. 4 needs Q in the community, so the step has
+  failed, and a failed step counts no deletions;
 * Algorithm 3 (each per-query recount and the ``G0`` fill) runs
   :func:`~repro.graph.csr.butterfly_degrees_between` on the two alive
   label sides over the snapshot's cross-label lists;
@@ -42,8 +47,9 @@ engine's frozen :class:`~repro.graph.csr.CSRGraph`:
   :class:`LabeledGraph`: the community's graph is cut out of the snapshot
   only when a caller first reads ``BCCResult.community``;
 * each per-query loop calls :func:`repro.deadline.checkpoint`, and so does
-  each per-query recount and candidate peel, so a search past its
-  deadline stops at the next one; the memo's fill never checks.
+  each per-query recount, candidate peel and core BFS, so a search past
+  its deadline stops at the next one and publishes no partial core; the
+  ``G0`` memo's fill never checks.
 
 Every decision matches the object runners — the same ``G0``, the same
 deletions, leader pair and Table-4 counts — because the algorithms only
@@ -53,7 +59,8 @@ its Algorithm 8 candidate as an id set; inside it the cores are taken over
 the candidate's own label groups.  When the candidate is closed (at most η
 ids, so its expansion drained the queue), that coreness is the snapshot's
 group coreness and nothing is peeled; a candidate cut short by η, or read
-at a user-set k below its path threshold, is peeled per query.
+at a user-set k below its path threshold, is peeled per query, and only
+its cores are found by a BFS of its own.
 """
 
 from __future__ import annotations
@@ -261,11 +268,15 @@ class _Community:
         counts = paths.values()
         return (sum(map(mul, counts, counts)) - sum(counts)) // 2
 
-    def _cascade(self, side: Set[int], k: int, removals: Iterable[int], removed: List[int]) -> None:
+    def _cascade(
+        self, side: Set[int], k: int, query: int, removals: Iterable[int], removed: List[int]
+    ) -> bool:
         """Delete ``removals`` from ``side`` and peel it back to a k-core.
 
         Every member has intra-label degree >= k before the call, so a
         vertex joins the peel exactly when its counter drops to ``k - 1``.
+        Returns ``False`` as soon as it deletes ``query``: Def. 4 needs Q in
+        the community, so the step has failed and the peel stops there.
         """
         same = self.same
         deg = self.deg
@@ -277,12 +288,15 @@ class _Community:
                 continue
             side.discard(v)
             removed.append(v)
+            if v == query:
+                return False
             for w in same[v]:
                 if w in side:
                     d = deg[w] - 1
                     deg[w] = d
                     if d == threshold:
                         stack.append(w)
+        return True
 
     def maintain(
         self, removals: List[int], check_butterfly: bool, inst: SearchInstrumentation
@@ -290,15 +304,16 @@ class _Community:
         """Algorithm 4: delete ``removals``, restore the cores, re-check the BCC.
 
         Returns whether the community is still a BCC containing the query,
-        and every id this call removed.
+        and every id this call removed.  A step whose left cascade deletes
+        ``q_left`` fails there, before the right side is touched.
         """
         removed: List[int] = []
-        self._cascade(self.left, self.parameters.k1, removals, removed)
-        self._cascade(self.right, self.parameters.k2, removals, removed)
+        kept = (
+            self._cascade(self.left, self.parameters.k1, self.q_left, removals, removed)
+            and self._cascade(self.right, self.parameters.k2, self.q_right, removals, removed)
+        )
         self.alive.difference_update(removed)
-        if self.q_left not in self.alive or self.q_right not in self.alive:
-            return False, removed
-        if not self.left or not self.right:
+        if not kept:
             return False, removed
         if check_butterfly:
             chi = self.butterfly_degrees()
@@ -336,22 +351,22 @@ def _find_g0(
 ) -> Optional[Tuple[_Community, Mapping[int, int]]]:
     """Algorithm 2 over ids: ``G0`` as a community, plus its χ, or ``None``.
 
-    ``coreness`` cuts L and R (unset: the engine-wide coreness); each BFS
-    walks only its own label, so one list serves both sides.  The rest of
-    ``G0`` comes from the snapshot's memo under ``(L, R, b)``, and ``count``
-    (the engine's counter hook) records the lookup as ``g0_memo_hits`` or
+    ``coreness`` cuts L and R; unset, the snapshot's group coreness does,
+    and L and R are lookups in its memo of connected cores
+    (:meth:`~repro.graph.csr.CSRGraph.core_component`).  Each BFS walks only
+    its own label, so one list serves both sides.  The rest of ``G0``
+    comes from the snapshot's memo under ``(L, R, b)``, and ``count`` (the
+    engine's counter hook) records the lookup as ``g0_memo_hits`` or
     ``g0_memo_misses``.  The returned χ is shared: read it, never write it.
     """
-    if coreness is None:
-        coreness = csr.group_coreness()
     same = csr.label_split()[0]
-    left = _core_component(q_left, parameters.k1, coreness, same)
+    left = _query_core(csr, q_left, parameters.k1, coreness, same)
     if left is None:
         return None
-    right = _core_component(q_right, parameters.k2, coreness, same)
+    right = _query_core(csr, q_right, parameters.k2, coreness, same)
     if right is None:
         return None
-    key = (frozenset(left), frozenset(right), parameters.b)
+    key = (left, right, parameters.b)
     g0, hit = csr.g0(key, lambda: _build_g0(csr, *key))
     if hit:
         count("g0_memo_hits")
@@ -362,10 +377,30 @@ def _find_g0(
     inst.record_butterfly_counting()
     if not g0.valid:
         return None
-    # ``left`` / ``right`` are this query's own BFS sets, equal to the
-    # entry's; the degree counters are copied.
-    community = _Community(csr, left, right, g0.deg.copy(), q_left, q_right, parameters)
+    # The community shrinks copies of the cores and of the degree counters.
+    community = _Community(
+        csr, set(left), set(right), g0.deg.copy(), q_left, q_right, parameters
+    )
     return community, g0.chi
+
+
+def _query_core(
+    csr: CSRGraph,
+    query: int,
+    k: int,
+    coreness: Optional[Sequence[int]],
+    same: List[List[int]],
+) -> Optional[FrozenSet[int]]:
+    """L or R: the connected k-core holding ``query`` under ``coreness``.
+
+    Under the snapshot's group coreness (``coreness`` unset) it comes from
+    the snapshot's memo, which runs the BFS only on a miss.
+    """
+    if coreness is None:
+        group = csr.group_coreness()
+        return csr.core_component(k, query, lambda: _core_component(query, k, group, same))
+    found = _core_component(query, k, coreness, same)
+    return None if found is None else frozenset(found)
 
 
 def _no_candidate(parameters: BCCParameters) -> EmptyCommunityError:
@@ -456,7 +491,9 @@ def online_bcc(
             candidates = [min(candidates, key=_repr_key(csr))]
         valid, removed = community.maintain(candidates, True, inst)
         iterations += 1
-        inst.record_iteration(deleted=len(removed))
+        # A failed step counts no deletions: its peel stops at the first
+        # query id it deletes, which depends on the peel's order.
+        inst.record_iteration(deleted=len(removed) if valid else 0)
         if not valid:
             break
 
@@ -629,7 +666,7 @@ def _lp_search(
             candidates = [min(candidates, key=_repr_key(csr))]
         valid, removed = community.maintain(candidates, False, inst)
         iterations += 1
-        inst.record_iteration(deleted=len(removed))
+        inst.record_iteration(deleted=len(removed) if valid else 0)
         if not valid:
             break
         leaders.remove_vertices(removed)
@@ -789,9 +826,10 @@ def l2p_bcc(
         k2 = coreness[qr]
     parameters = BCCParameters(k1=k1, k2=k2, b=b)
     try:
+        # A closed candidate's cores are the snapshot's memoized ones.
         result = _lp_search(
-            csr, query_labels, q_left, q_right, parameters, coreness,
-            True, rho, max_iterations, inst, count,
+            csr, query_labels, q_left, q_right, parameters,
+            None if global_search else coreness, True, rho, max_iterations, inst, count,
         )
     except EmptyCommunityError:
         # After a global search (group coreness, same (k1, k2, b)) the

@@ -20,7 +20,14 @@ from typing import Dict, Iterator
 
 @dataclass
 class SearchInstrumentation:
-    """Counters and timers collected during one (or more) community searches."""
+    """Counters and timers collected during one (or more) community searches.
+
+    ``iterations`` counts the greedy deletion steps, and ``vertices_deleted``
+    the ids removed by the steps that kept a valid community.  A step of
+    Online-, LP- or L2P-BCC that fails (its cascade peeled a query vertex,
+    or a check of Def. 4 failed) ends the search and adds no deletions, so
+    the count does not depend on the order a backend peels in.
+    """
 
     butterfly_counting_calls: int = 0
     query_distance_seconds: float = 0.0

@@ -395,17 +395,21 @@ class CSRGraph(_FlatAdjacency):
     ``labels`` holds one label id per vertex id.  The snapshot lazily caches
     derived read-only structures (degree list, adjacency slices, coreness,
     the same-label / cross-label split, the label-group coreness, the
-    adjacency bit table and a bounded memo of Algorithm 2's ``G0``) so
-    repeated kernel calls amortize their construction.
+    adjacency bit table, the connected cores Algorithm 2 cuts from that
+    coreness and a bounded memo of its ``G0``) so repeated kernel calls
+    amortize their construction.
 
     Locking: ``_g0_lock`` is a leaf guarding ``_g0_memo`` and ``_g0_ids``;
     ``_g0_fill_lock`` serializes ``G0`` builds, so a lookup never waits
-    behind a fill.  ``_bits_lock`` is a leaf guarding ``_bits``.
+    behind a fill.  ``_bits_lock`` is a leaf guarding ``_bits``, and
+    ``_cores_lock`` a leaf guarding ``_cores``, never held while a core's
+    BFS runs.
     """
 
     __slots__ = (
         "labels", "_coreness", "_label_split", "_group_coreness", "_bits", "_bits_lock",
-        "_g0_memo", "_g0_ids", "_g0_lock", "_g0_fill_lock", "__weakref__",
+        "_cores", "_cores_lock", "_g0_memo", "_g0_ids", "_g0_lock", "_g0_fill_lock",
+        "__weakref__",
     )
 
     def __init__(
@@ -422,6 +426,8 @@ class CSRGraph(_FlatAdjacency):
         self._group_coreness: Optional[List[int]] = None
         self._bits: Optional[List[int]] = None
         self._bits_lock = threading.Lock()
+        self._cores: Dict[int, List[Optional[FrozenSet[int]]]] = {}
+        self._cores_lock = threading.Lock()
         self._g0_memo: "OrderedDict[G0Key, G0]" = OrderedDict()
         self._g0_ids = 0
         self._g0_lock = threading.Lock()
@@ -627,6 +633,52 @@ class CSRGraph(_FlatAdjacency):
         """Whether :meth:`adjacency_bits` is already filled."""
         with self._bits_lock:
             return self._bits is not None
+
+    def core_component(
+        self, k: int, vid: int, build: Callable[[], Optional[Iterable[int]]]
+    ) -> Optional[FrozenSet[int]]:
+        """Return the connected k-core of :meth:`group_coreness` that holds ``vid``.
+
+        The connected k-cores of a label group nest, so each id lies in at
+        most one per k, and the memo keeps one table per k from id to its
+        component.  On a miss ``build`` finds the component (``None`` when
+        ``vid``'s coreness is below k), outside any lock: it is per-query
+        work and may stop at its deadline, so only a finished component is
+        published, under ``_cores_lock``, for each of its ids.  A caller
+        that built an equal copy meanwhile gets the published one, so every
+        search that cuts a component shares one frozenset.  The memo is
+        bounded by construction, with no eviction: one table of |V| slots
+        per k that some search reached, and k never exceeds the largest
+        group coreness, so at most that coreness + 1 tables.  It lives and
+        dies with this snapshot.
+        """
+        with self._cores_lock:
+            table = self._cores.get(k)
+            component = None if table is None else table[vid]
+        if component is not None:
+            return component
+        found = build()
+        if found is None:
+            return None
+        component = frozenset(found)
+        with self._cores_lock:
+            table = self._cores.get(k)
+            if table is None:
+                table = self._cores[k] = [None] * self.num_vertices()
+            published = table[vid]
+            if published is not None:
+                return published
+            for v in component:
+                table[v] = component
+        return component
+
+    def core_entries(self) -> Dict[int, List[FrozenSet[int]]]:
+        """The published connected cores per k, each once, k ascending."""
+        with self._cores_lock:
+            return {
+                k: list(dict.fromkeys(filter(None, table)))
+                for k, table in sorted(self._cores.items())
+            }
 
     def g0(self, key: G0Key, build: Callable[[], G0]) -> Tuple[G0, bool]:
         """Return the memoized ``G0`` under ``key``, and whether it was a hit.

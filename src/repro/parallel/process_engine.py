@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from repro.api.config import SearchConfig
 from repro.api.engine import check_batch_args, resolve_config
 from repro.api.query import BatchQuery, Query, SearchResponse
+from repro.deadline import checkpoint
 from repro.parallel.pool import (
     DEFAULT_PROCESS_WORKERS,
     POOL_COUNTER_NAMES,
@@ -149,7 +150,13 @@ class ProcessEngine:
         config: Optional[SearchConfig] = None,
         use_cache: bool = True,
     ) -> SearchResponse:
-        """One query through the pool (raises exactly like ``BCCEngine``)."""
+        """One query through the pool (raises exactly like ``BCCEngine``).
+
+        A request whose deadline is already spent raises
+        :class:`~repro.exceptions.DeadlineExceededError` here, before any
+        dispatch, as a thread engine's first kernel checkpoint does.
+        """
+        checkpoint()
         return self.search_many([query], config=config, use_cache=use_cache)[0]
 
     def search_many(

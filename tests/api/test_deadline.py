@@ -172,6 +172,34 @@ class TestFillsComplete:
         assert counters["g0_memo_hits"] == 1
         assert counters["g0_memo_misses"] == 1
 
+    def test_core_search_past_the_budget_publishes_nothing(self, engine, monkeypatch):
+        # A connected core is per-query work: its BFS checks the deadline,
+        # and only a finished component enters the snapshot's memo.
+        clock = FakeClock()
+        searched = []
+        bfs = pipeline._core_component
+
+        def bfs_past_the_budget(*args):
+            searched.append(args[0])
+            clock.now = 10.0
+            return bfs(*args)
+
+        monkeypatch.setattr(pipeline, "_core_component", bfs_past_the_budget)
+        query = Query("lp-bcc", QUERY)
+        with pytest.raises(DeadlineExceededError):
+            run_with_deadline(
+                lambda: engine.search(query, use_cache=False), 1.0, clock=clock
+            )
+        csr = engine.frozen_graph()
+        assert len(searched) == 1
+        assert csr.core_entries() == {}
+        assert csr.g0_entries() == {}
+
+        assert engine.search(query, use_cache=False).status == "ok"
+        assert len(searched) == 3
+        q_left = csr.id_of(QUERY[0])
+        assert any(q_left in c for components in csr.core_entries().values() for c in components)
+
     @pytest.mark.parametrize("method", ["online-bcc", "lp-bcc"])
     def test_bit_table_filled_past_the_budget_is_kept(self, engine, monkeypatch, method):
         clock = FakeClock()
