@@ -72,7 +72,7 @@ from repro.parallel import (
     ProcessWorkerPool,
 )
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "BCCEngine",

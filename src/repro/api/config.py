@@ -60,12 +60,15 @@ class SearchConfig:
     size_budget, shrink_rounds:
         Expansion / shrinking budgets of the PSA baseline.
     deadline_ms:
-        Optional serving deadline (wall-clock milliseconds).  Set at each
-        ``search_many`` row, each HTTP gateway request and each worker
-        task (not on a bare ``BCCEngine.search``), it bounds the search
-        cooperatively: the kernels' checkpoints stop the work once the
-        budget is spent (:mod:`repro.deadline`).  An expired deadline
-        becomes a position-aligned ``status="error"`` row with reason
+        Optional serving deadline (wall-clock milliseconds).  Every
+        ``search`` that resolves this config runs under it — a bare call,
+        a ``search_many`` row, a worker task — and so does each HTTP
+        gateway request.  It bounds the search cooperatively: the
+        kernels' checkpoints stop the work once the budget is spent
+        (:mod:`repro.deadline`), and a host nested in another searches
+        under the outer one's budget.  An expired deadline raises
+        :class:`~repro.exceptions.DeadlineExceededError`, which a batch
+        turns into a position-aligned ``status="error"`` row with reason
         ``deadline-exceeded`` (HTTP 504 through the gateway).  It never
         changes *what* a query answers, only how long a caller will wait,
         so it is excluded from result cache keys.

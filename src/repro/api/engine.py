@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import functools
 import threading
 import time
 import warnings
@@ -71,7 +72,7 @@ from repro.core.bc_index import BCIndex
 from repro.core.bcc_model import resolve_query_labels
 from repro.core.multilabel import resolve_mbcc_parameters, validate_mbcc_query
 from repro.core.pipeline import resolve_parameters
-from repro.deadline import reset_deadline, set_deadline
+from repro.deadline import current_deadline, reset_deadline, set_deadline
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import (
     REASON_DEADLINE_EXCEEDED,
@@ -295,18 +296,21 @@ def run_with_deadline(
 ):
     """Run ``fn`` inline under a budget of ``seconds`` on ``clock``.
 
-    ``None`` runs ``fn`` with no deadline.  Otherwise ``fn`` runs on the
-    caller's thread under a :mod:`repro.deadline` token (the earlier of
-    ``clock() + seconds`` and any deadline already in force): the kernels'
-    checkpoints raise :class:`~repro.exceptions.DeadlineExceededError`
-    once it passes, so an expired call stops working instead of running
-    on.  An answer that arrives, by ``clock``, after ``seconds`` raises
-    the same error.  Other exceptions from ``fn`` propagate unchanged.
-    This is the one enforcement primitive behind ``search_many``'s
-    per-row deadlines, the HTTP gateway's per-request deadline and the
-    worker processes' tasks.
+    ``None`` runs ``fn`` with no deadline, and so does an outer deadline
+    with no more than ``seconds`` left: ``fn`` then runs plainly under it,
+    with no token, no ``deadline`` span and no post-check of its own, so
+    nested calls share one budget and the earlier expiry wins.  Otherwise
+    ``fn`` runs on the caller's thread under a new :mod:`repro.deadline`
+    token: the kernels' checkpoints raise
+    :class:`~repro.exceptions.DeadlineExceededError` once it passes, so an
+    expired call stops working instead of running on, and an answer that
+    arrives, by ``clock``, after ``seconds`` raises the same error.  Other
+    exceptions from ``fn`` propagate unchanged.  Every host's ``search``
+    enforces its config's budget through it (:func:`within_deadline`), and
+    the HTTP gateway bounds each request with it.
     """
-    if seconds is None:
+    outer = current_deadline()
+    if seconds is None or (outer is not None and outer.remaining() <= seconds):
         return fn()
     with obs_span("deadline", what=what, budget_ms=seconds * 1000.0) as timed:
         start = clock()
@@ -322,6 +326,34 @@ def run_with_deadline(
         finally:
             reset_deadline(token)
     return value
+
+
+def within_deadline(search):
+    """Run a host's ``search`` under the deadline of the config it resolves.
+
+    The one deadline seam of :class:`BCCEngine`, the sharded router and
+    the replica set.  The decorated method receives its config resolved
+    (call, then query, then the host's base) and runs under that config's
+    ``deadline_ms`` through :func:`run_with_deadline`, so a bare
+    ``search`` honours the budget exactly as a ``search_many`` row or a
+    gateway request does.  A host nested in another (a shard engine, a
+    replica) finds the outer budget in force and runs plainly under it,
+    so a shard build or a failed replica attempt counts against the one
+    budget of the call.  Without a budget this costs one ``is None`` test.
+    """
+
+    @functools.wraps(search)
+    def bounded(self, query: Query, *, config=None, use_cache: bool = True):
+        config = resolve_config(config, query.config, self.config)
+        if config.deadline_ms is None:
+            return search(self, query, config=config, use_cache=use_cache)
+        return run_with_deadline(
+            lambda: search(self, query, config=config, use_cache=use_cache),
+            config.deadline_ms / 1000.0,
+            f"search:{query.method}",
+        )
+
+    return bounded
 
 
 def resolve_config(*tiers: Optional[SearchConfig]) -> Optional[SearchConfig]:
@@ -378,17 +410,17 @@ def serve_batch(
     position-aligned thread-pool dispatch) can never diverge between them.
     ``prepare`` optionally runs once before a non-empty batch is served.
 
-    **Deadlines.**  When a row's effective config carries ``deadline_ms``,
-    that row is served through :func:`run_with_deadline`: its budget runs
-    from the moment the row is dispatched, and a row that exhausts it
-    stops at its kernel's next checkpoint and becomes a position-aligned
-    ``status="error"`` / ``reason="deadline-exceeded"`` row under
-    ``on_error="return"`` (or raises
-    :class:`~repro.exceptions.DeadlineExceededError` under ``"raise"``).
-    One slow query therefore costs the batch about its own budget instead
-    of wedging every row behind it.  Each row runs in a copy of the
-    caller's context, so a deadline set around the whole batch bounds
-    rows that carry none of their own.
+    **Deadlines.**  A row's effective config travels into
+    ``engine.search``, which enforces its ``deadline_ms``
+    (:func:`within_deadline`): the budget runs from the moment the
+    row is dispatched, and a row that exhausts it stops at its kernel's
+    next checkpoint and becomes a position-aligned ``status="error"`` /
+    ``reason="deadline-exceeded"`` row under ``on_error="return"`` (or
+    raises :class:`~repro.exceptions.DeadlineExceededError` under
+    ``"raise"``).  One slow query therefore costs the batch about its own
+    budget instead of wedging every row behind it.  Each row runs in a
+    copy of the caller's context, so a deadline set around the whole batch
+    bounds rows that carry none of their own.
     """
     check_batch_args(on_error, max_workers)
     batch = BatchQuery.of(queries)
@@ -396,20 +428,11 @@ def serve_batch(
     if items and prepare is not None:
         prepare()
 
-    engine_config = getattr(engine, "config", None)
-
     def serve(query: Query) -> SearchResponse:
         row_config = resolve_config(config, query.config, batch_config)
-        deadline = deadline_seconds_for(row_config, engine_config)
         with obs_span("row", method=query.method):
             try:
-                return run_with_deadline(
-                    lambda: engine.search(
-                        query, config=row_config, use_cache=use_cache
-                    ),
-                    deadline,
-                    what=f"row:{query.method}",
-                )
+                return engine.search(query, config=row_config, use_cache=use_cache)
             except DeadlineExceededError as exc:
                 if on_error == "raise":
                     raise
@@ -829,6 +852,7 @@ class BCCEngine:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
+    @within_deadline
     def search(
         self,
         query: Query,
@@ -848,13 +872,16 @@ class BCCEngine:
         search's own :class:`~repro.eval.instrumentation.SearchInstrumentation`
         (the Table-4 counters); a cache hit carries ``None``.
 
+        The resolved config's ``deadline_ms`` bounds the search
+        (:func:`within_deadline`): past it, the kernel's next
+        checkpoint raises :class:`~repro.exceptions.DeadlineExceededError`
+        and the search is not counted.
+
         With an active trace (see :mod:`repro.obs.tracing`) the phases —
         cache lookup, CSR freeze, index build, kernel — report themselves
         as child spans; with none (the default) the span calls are no-ops.
         """
-        with obs_span(
-            "engine.search", method=getattr(query, "method", None)
-        ) as timed:
+        with obs_span("engine.search", method=query.method) as timed:
             response = self._search_impl(query, config, use_cache)
             if timed is not None:
                 timed.annotate(
@@ -864,11 +891,10 @@ class BCCEngine:
             return response
 
     def _search_impl(
-        self, query: Query, config: Optional[SearchConfig], use_cache: bool
+        self, query: Query, cfg: SearchConfig, use_cache: bool
     ) -> SearchResponse:
         self._check_version()
         spec = get_method(query.method)
-        cfg = resolve_config(config, query.config, self.config)
         if self.fault_plan is not None:
             # The chaos hook: a scheduled fault raises InjectedFault (a
             # replica-level failure, never a caller error) or stalls here.

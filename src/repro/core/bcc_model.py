@@ -299,27 +299,3 @@ def is_bcc(
     """Return ``True`` when the community satisfies Def. 4 (and contains the query)."""
     return not validate_bcc(community, parameters, query_vertices)
 
-
-def swap_left_right(result: BCCResult) -> BCCResult:
-    """Return a copy of ``result`` with the left and right groups exchanged.
-
-    The copy shares the snapshot, the ids and the graph, if already built.
-    """
-    return BCCResult(
-        result.csr,
-        result.ids,
-        left_label=result.right_label,
-        right_label=result.left_label,
-        parameters=BCCParameters(
-            k1=result.parameters.k2, k2=result.parameters.k1, b=result.parameters.b
-        ),
-        leader_pair=(
-            (result.leader_pair[1], result.leader_pair[0])
-            if result.leader_pair
-            else None
-        ),
-        query_distance=result.query_distance,
-        iterations=result.iterations,
-        statistics=dict(result.statistics),
-        _community=result._community,
-    )

@@ -109,25 +109,6 @@ def max_butterfly_degree_per_side(
     return max_left, max_right
 
 
-def vertices_with_butterfly_at_least(
-    bipartite: BipartiteView,
-    threshold: int,
-    degrees: Optional[Dict[Vertex, int]] = None,
-) -> Dict[str, set]:
-    """Return per-side sets of vertices whose butterfly degree is >= threshold.
-
-    As with :func:`max_butterfly_degree_per_side`, a caller-supplied
-    ``degrees`` map (even an empty one) is reused verbatim; counting only
-    runs when ``degrees`` is ``None``.
-    """
-    if degrees is None:
-        degrees = butterfly_degrees(bipartite)
-    return {
-        "left": {v for v in bipartite.left() if degrees.get(v, 0) >= threshold},
-        "right": {v for v in bipartite.right() if degrees.get(v, 0) >= threshold},
-    }
-
-
 def enumerate_butterflies(
     bipartite: BipartiteView,
 ) -> Iterable[Tuple[Vertex, Vertex, Vertex, Vertex]]:

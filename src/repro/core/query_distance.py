@@ -357,15 +357,3 @@ class QueryDistanceTracker:
                 best_ids.append(vid)
         vertex_of = self._frozen.vertex_of
         return [vertex_of(vid) for vid in best_ids], best_distance
-
-    def distance_map(self, query: Vertex) -> Dict[Vertex, float]:
-        """Return a copy of the distance map for one query vertex."""
-        dist_list = self._id_dist.get(query)
-        if dist_list is None:
-            return {}
-        vertex_of = self._frozen.vertex_of
-        return {
-            vertex_of(vid): (float(d) if d >= 0 else INFINITE_DISTANCE)
-            for vid, d in enumerate(dist_list)
-            if vid not in self._dead
-        }

@@ -9,7 +9,6 @@ cross-group project teams).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -77,41 +76,9 @@ class DatasetBundle:
                     return (u, w)
         return None
 
-    def random_cross_query(
-        self, rng: random.Random, community_index: Optional[int] = None
-    ) -> Tuple[Vertex, Vertex]:
-        """Return a random query pair with different labels.
-
-        When ``community_index`` is given, both endpoints are drawn from that
-        ground-truth community (the evaluation protocol queries pairs inside
-        ground-truth cross communities).
-        """
-        if community_index is not None:
-            members = list(self.communities[community_index].members)
-            members = [v for v in members if v in self.graph]
-            rng.shuffle(members)
-            for u in members:
-                for w in members:
-                    if (
-                        w != u
-                        and self.graph.label(u) != self.graph.label(w)
-                    ):
-                        return (u, w)
-        cross = list(self.graph.cross_edges())
-        if not cross:
-            raise DatasetError(f"dataset {self.name!r} has no cross edges")
-        return cross[rng.randrange(len(cross))]
-
     # ------------------------------------------------------------------
     # ground-truth helpers
     # ------------------------------------------------------------------
-    def community_of(self, vertex: Vertex) -> Optional[GroundTruthCommunity]:
-        """Return the first ground-truth community containing ``vertex``."""
-        for community in self.communities:
-            if vertex in community:
-                return community
-        return None
-
     def community_for_query(
         self, q_left: Vertex, q_right: Vertex
     ) -> Optional[GroundTruthCommunity]:

@@ -9,8 +9,10 @@ and the work stops there.  No thread is started, so none is abandoned to
 keep burning CPU after its caller gave up (the style of Trio's cancel
 scopes: N. J. Smith, "Timeouts and cancellation for humans", 2018).
 
-* A deadline set inside another keeps the earlier expiry: a bounded call
-  inside a bounded request runs under whichever budget runs out first.
+* A bounded call inside a bounded request runs under whichever budget
+  runs out first: ``run_with_deadline`` sets no token of its own when the
+  outer one has no more than its budget left, so nested hosts (a shard
+  engine, a replica) share the one budget of the call.
 * The token carries the caller's ``clock`` seam, so tests drive
   checkpoints with fake clocks and nothing here reads wall time.
 * Fill-once builds never check: the G0 memo entry, a BCindex pair's χ,
@@ -69,12 +71,10 @@ def set_deadline(
 ) -> contextvars.Token:
     """Bound this context at ``start + seconds`` on ``clock``.
 
-    An outer deadline with no more than ``seconds`` left stays in force
-    instead.  Returns the token :func:`reset_deadline` takes back.
+    Returns the token :func:`reset_deadline` takes back.  Nesting is
+    :func:`~repro.api.engine.run_with_deadline`'s rule: under an outer
+    deadline with no more than ``seconds`` left it sets no token at all.
     """
-    outer = _current()
-    if outer is not None and outer.remaining() <= seconds:
-        return _DEADLINE.set(outer)
     return _DEADLINE.set(Deadline(start + seconds, seconds * 1000.0, clock))
 
 

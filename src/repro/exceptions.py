@@ -174,10 +174,12 @@ class DeadlineExceededError(ReproError):
 
     Raised from inside a kernel, by the first :func:`repro.deadline.checkpoint`
     after the budget ran out, or by ``run_with_deadline`` for an answer
-    that arrived late; the serving seams that set the budget
-    (``search_many``'s rows, the HTTP gateway's requests, worker tasks)
-    turn it into a ``deadline-exceeded`` row or a 504.  Carries the expired
-    budget so error rows and 504 payloads can report it.
+    that arrived late.  Every host's ``search`` sets its config's budget
+    (``BCCEngine``, the sharded router, the replica set, and so the engine
+    behind each worker task), and the HTTP gateway sets one per request;
+    a bare ``search`` raises it, ``search_many`` turns it into a
+    ``deadline-exceeded`` row and the gateway into a 504.  Carries the
+    expired budget so error rows and 504 payloads can report it.
     """
 
     def __init__(self, message: str = "", deadline_ms=None) -> None:

@@ -181,29 +181,6 @@ class VertexInterner:
         self._label_of: List[Label] = []
 
     # -- vertices -------------------------------------------------------
-    def intern_vertex(self, vertex: Vertex) -> int:
-        """Return the id of ``vertex``, assigning the next dense id if new."""
-        if self._identity:
-            # Materialize the dict lazily the first time interning leaves the
-            # identity regime.
-            if (
-                isinstance(vertex, int)
-                and not isinstance(vertex, bool)
-                and vertex == len(self._vertex_of)
-            ):
-                self._vertex_of.append(vertex)
-                return vertex
-            if isinstance(vertex, int) and 0 <= vertex < len(self._vertex_of):
-                return vertex
-            self._id_of = dict(zip(self._vertex_of, range(len(self._vertex_of))))
-            self._identity = False
-        vid = self._id_of.get(vertex)  # type: ignore[union-attr]
-        if vid is None:
-            vid = len(self._vertex_of)
-            self._id_of[vertex] = vid  # type: ignore[index]
-            self._vertex_of.append(vertex)
-        return vid
-
     def id_of(self, vertex: Vertex) -> int:
         """Return the id of an interned ``vertex`` (raise if unknown)."""
         vid = self.try_id_of(vertex)

@@ -329,36 +329,6 @@ def planted_partition_graph(
     return g, communities
 
 
-def attach_cross_edges(
-    graph: LabeledGraph,
-    left_vertices: Sequence[Vertex],
-    right_vertices: Sequence[Vertex],
-    fraction: float,
-    seed: RandomLike = None,
-) -> int:
-    """Randomly add cross edges between two vertex sets.
-
-    ``fraction`` is interpreted as in the paper's labeling protocol: the
-    number of added edges equals ``fraction`` times the number of possible
-    left/right pairs, capped at the number of missing pairs.  Returns the
-    number of edges actually added.
-    """
-    if fraction < 0:
-        raise DatasetError("fraction must be >= 0")
-    rng = _rng(seed)
-    pairs = [
-        (u, v)
-        for u in left_vertices
-        for v in right_vertices
-        if u != v and not graph.has_edge(u, v)
-    ]
-    target = min(len(pairs), int(round(fraction * len(left_vertices) * len(right_vertices))))
-    rng.shuffle(pairs)
-    for u, v in pairs[:target]:
-        graph.add_edge(u, v)
-    return target
-
-
 def ensure_butterfly(
     graph: LabeledGraph,
     left_pair: Tuple[Vertex, Vertex],

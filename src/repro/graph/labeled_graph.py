@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
-from repro.exceptions import EdgeNotFoundError, LabelError, VertexNotFoundError
+from repro.exceptions import EdgeNotFoundError, VertexNotFoundError
 
 Vertex = Hashable
 Label = Hashable
@@ -264,12 +264,6 @@ class LabeledGraph:
             if self._labels[u] != self._labels[v]:
                 yield (u, v)
 
-    def homogeneous_edges(self) -> Iterator[Edge]:
-        """Iterate over all homogeneous (same-label) edges."""
-        for u, v in self.edges():
-            if self._labels[u] == self._labels[v]:
-                yield (u, v)
-
     def cross_neighbors(self, vertex: Vertex) -> Set[Vertex]:
         """Return neighbours of ``vertex`` that carry a different label."""
         lab = self.label(vertex)
@@ -398,12 +392,6 @@ class LabeledGraph:
         for v in vertices:
             if v not in self._adj:
                 raise VertexNotFoundError(v)
-
-    def require_labeled(self) -> None:
-        """Raise :class:`LabelError` if any vertex has label ``None``."""
-        for v, lab in self._labels.items():
-            if lab is None:
-                raise LabelError(f"vertex {v!r} has no label")
 
 
 def resolve_group_provider(graph: LabeledGraph, groups):

@@ -71,8 +71,8 @@ DEFAULT_PROCESS_WORKERS = 4
 
 #: Extra wall-clock (seconds) the pool-side watchdog grants a task beyond
 #: its ``deadline_ms`` before declaring the worker wedged.  The *accurate*
-#: deadline is enforced worker-side by ``run_with_deadline``, whose token
-#: the worker's kernels check; the watchdog only fires when the worker
+#: deadline is enforced worker-side by the worker engine's own ``search``,
+#: whose kernels check its token; the watchdog only fires when the worker
 #: cannot even report the expiry (killed, stopped, or stuck between
 #: checkpoints), so a little slack avoids double kills.
 DEFAULT_DEADLINE_GRACE_SECONDS = 0.5

@@ -152,7 +152,9 @@ class ProcessEngine:
     ) -> SearchResponse:
         """One query through the pool (raises exactly like ``BCCEngine``).
 
-        A request whose deadline is already spent raises
+        The worker's engine enforces the resolved config's ``deadline_ms``
+        on a budget of its own: an outer token does not cross the pipe.
+        So a request whose outer deadline is already spent raises
         :class:`~repro.exceptions.DeadlineExceededError` here, before any
         dispatch, as a thread engine's first kernel checkpoint does.
         """

@@ -28,16 +28,17 @@ the exception from; the parent then applies the threaded path's own
 The worker never dies on a query error; only a kill / crash ends the
 loop, which the parent observes as pipe EOF.
 
-Clock hygiene (BCC002 covers this package): the only clock in this file
-is the deadline enforcement delegated to
-:func:`~repro.api.engine.run_with_deadline`.
+Clock hygiene (BCC002 covers this package): this file reads no clock.
+A task's deadline is its engine's: ``engine.search`` runs under the
+``deadline_ms`` of the config it resolves (the row's, else the engine's
+base), as it does in the parent process.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.api.engine import BCCEngine, deadline_seconds_for, run_with_deadline
+from repro.api.engine import BCCEngine
 from repro.exceptions import (
     DeadlineExceededError,
     QueryError,
@@ -128,13 +129,8 @@ def _serve_search_untraced(
     query = decode_query(message["query"])
     config = decode_config(message.get("config"))
     use_cache = bool(message.get("use_cache", True))
-    deadline = deadline_seconds_for(config, engine.config)
     try:
-        response = run_with_deadline(
-            lambda: engine.search(query, config=config, use_cache=use_cache),
-            deadline,
-            what=f"worker:{query.method}",
-        )
+        response = engine.search(query, config=config, use_cache=use_cache)
         return {
             "task": message["task"],
             "ok": True,

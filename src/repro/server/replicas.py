@@ -51,6 +51,7 @@ from repro.api.engine import (
     BCCEngine,
     is_caller_error,
     serve_batch,
+    within_deadline,
 )
 from repro.api.query import BatchQuery, Query, SearchResponse
 from repro.exceptions import AllReplicasEjectedError, DeadlineExceededError
@@ -316,6 +317,7 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # serving (ServingEngine surface)
     # ------------------------------------------------------------------
+    @within_deadline
     def search(
         self,
         query: Query,
@@ -339,6 +341,10 @@ class ReplicaSet:
         has either failed this query or refused admission, the last
         replica's error propagates — or :class:`AllReplicasEjectedError`
         when nothing would even admit the query.
+
+        The resolved config's ``deadline_ms`` bounds the whole call: a
+        failover retry runs on what the failed attempts left of it, never
+        on a fresh budget.
         """
         self._check_version()
         tried: Set[int] = set()

@@ -29,8 +29,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-# Defined next to serve_batch (its primary consumer, which must not depend
-# on the server package); re-exported here as part of the resilience surface.
+# Defined next to within_deadline (its primary consumer, which must not
+# depend on the server package); re-exported here as part of the
+# resilience surface.
 from repro.api.engine import run_with_deadline
 
 __all__ = [

@@ -66,6 +66,7 @@ from repro.api.engine import (
     is_caller_error,
     serve_batch,
     use_process_transport,
+    within_deadline,
 )
 from repro.api.query import (
     STATUS_EMPTY,
@@ -363,6 +364,7 @@ class ShardedBCCEngine:
             },
         )
 
+    @within_deadline
     def search(
         self,
         query: Query,
@@ -384,6 +386,9 @@ class ShardedBCCEngine:
         cross-shard query with a structural defect the method would have
         rejected (wrong arity, duplicate labels) is answered as cross-shard
         empty — the method never runs, so its validation never sees it.
+
+        The resolved config's ``deadline_ms`` bounds the whole call, a cold
+        shard's build included; the shard engine searches under it.
         """
         start = time.perf_counter()
         with obs_span("sharded.search", method=query.method) as routed:

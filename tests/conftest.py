@@ -12,6 +12,7 @@ from typing import Set
 
 import pytest
 
+from repro.core.bcc_model import BCCParameters, BCCResult
 from repro.datasets import (
     generate_academic_network,
     generate_baidu_network,
@@ -78,6 +79,33 @@ def run_under_hash_seed(script: str, hash_seed: int, *args: str) -> str:
         check=True,
     )
     return done.stdout
+
+
+def swap_left_right(result: BCCResult) -> BCCResult:
+    """Return a copy of ``result`` with the left and right groups exchanged.
+
+    The copy shares the snapshot, the ids and the graph, if already built,
+    so the pipeline suite reads a swapped answer to check that its sides
+    come off the same ids and that reading them builds no graph.
+    """
+    return BCCResult(
+        result.csr,
+        result.ids,
+        left_label=result.right_label,
+        right_label=result.left_label,
+        parameters=BCCParameters(
+            k1=result.parameters.k2, k2=result.parameters.k1, b=result.parameters.b
+        ),
+        leader_pair=(
+            (result.leader_pair[1], result.leader_pair[0])
+            if result.leader_pair
+            else None
+        ),
+        query_distance=result.query_distance,
+        iterations=result.iterations,
+        statistics=dict(result.statistics),
+        _community=result._community,
+    )
 
 
 @pytest.fixture

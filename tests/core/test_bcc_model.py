@@ -10,12 +10,12 @@ from repro.core.bcc_model import (
     decompose_community,
     is_bcc,
     resolve_query_labels,
-    swap_left_right,
     validate_bcc,
 )
 from repro.exceptions import QueryError
 from repro.graph.generators import paper_example_graph
 from repro.graph.labeled_graph import LabeledGraph
+from tests.conftest import swap_left_right
 
 
 def figure2_community() -> LabeledGraph:

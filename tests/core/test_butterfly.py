@@ -13,7 +13,6 @@ from repro.core.butterfly import (
     enumerate_butterflies,
     max_butterfly_degree_per_side,
     total_butterflies,
-    vertices_with_butterfly_at_least,
 )
 from repro.graph.bipartite import BipartiteView, extract_label_bipartite
 from repro.graph.generators import paper_small_example_graph, random_bipartite_graph
@@ -112,13 +111,6 @@ class TestEnumerationAndHelpers:
         max_left, max_right = max_butterfly_degree_per_side(view)
         assert max_left == 6
         assert max_right == 3
-
-    def test_vertices_with_threshold(self):
-        graph = paper_small_example_graph()
-        view = extract_label_bipartite(graph, "L", "R")
-        result = vertices_with_butterfly_at_least(view, 3)
-        assert result["left"] == {"v1", "v3"}
-        assert result["right"] == {"u2", "u3", "u5", "u6"}
 
     def test_degrees_after_vertex_removal(self):
         view = biclique(3, 3)

@@ -27,7 +27,7 @@ import pytest
 import repro.core.pipeline as pipeline
 from repro.api import BCCEngine, Query, SearchConfig
 from repro.api.query import STATUS_EMPTY, STATUS_OK, SearchResponse
-from repro.core.bcc_model import swap_left_right, validate_bcc
+from repro.core.bcc_model import validate_bcc
 from repro.core.local_search import run_l2p_bcc
 from repro.core.lp_bcc import run_lp_bcc
 from repro.core.online_bcc import run_online_bcc
@@ -39,6 +39,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import random_labeled_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.server.protocol import encode_response
+from tests.conftest import swap_left_right
 
 METHODS = ("online-bcc", "lp-bcc", "l2p-bcc")
 

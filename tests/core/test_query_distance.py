@@ -104,7 +104,6 @@ class TestCorrectnessAgainstRecomputation:
                     assert tracker.distance(v, q) == reference[q][v], (
                         f"seed={seed} vertex={v} query={q}"
                     )
-                assert tracker.distance_map(q) == reference[q]
             farthest, worst = reference_farthest(graph, queries, reference)
             assert tracker.farthest_vertices() == (farthest, worst)
             assert tracker.graph_query_distance() == max(
@@ -120,9 +119,10 @@ class TestCorrectnessAgainstRecomputation:
         graph.remove_vertex(queries[0])
         tracker.remove_vertices([queries[0]])
         assert math.isinf(tracker.distance(communities[1][1], queries[0]))
-        assert tracker.distance_map(queries[0]) == {}
         survivor = reference_distances(graph, queries[1:])[queries[1]]
-        assert tracker.distance_map(queries[1]) == survivor
+        for v in graph.vertices():
+            assert math.isinf(tracker.distance(v, queries[0]))
+            assert tracker.distance(v, queries[1]) == survivor[v]
 
     def test_unreachable_vertices_get_infinity(self):
         g = LabeledGraph(edges=[(0, 1), (1, 2), (3, 4)])
@@ -162,13 +162,6 @@ class TestBookkeeping:
         tracker = QueryDistanceTracker(g, ["ql", "qr"])
         tracker.remove_vertices([])
         assert tracker.partial_updates == 0
-
-    def test_distance_map_copy(self):
-        g = paper_small_example_graph()
-        tracker = QueryDistanceTracker(g, ["ql"])
-        dmap = tracker.distance_map("ql")
-        dmap["v1"] = 99
-        assert tracker.distance("v1", "ql") == 1
 
     def test_deleting_query_vertex_clears_its_map(self):
         g = paper_small_example_graph()

@@ -61,17 +61,8 @@ class TestDatasetBundle:
         with pytest.raises(DatasetError):
             bundle.default_query()
 
-    def test_random_cross_query(self):
-        bundle = self.make_bundle()
-        rng = random.Random(0)
-        q_left, q_right = bundle.random_cross_query(rng, community_index=0)
-        assert bundle.graph.label(q_left) != bundle.graph.label(q_right)
-        assert q_left in bundle.communities[0]
-
     def test_community_lookups(self):
         bundle = self.make_bundle()
-        assert bundle.community_of(1) is bundle.communities[0]
-        assert bundle.community_of(5) is None
         assert bundle.community_for_query(1, 3) is bundle.communities[0]
         assert bundle.community_for_query(1, 5) is None
 

@@ -18,10 +18,9 @@ from repro.graph.labeled_graph import LabeledGraph
 
 class TestVertexInterner:
     def test_assigns_dense_ids_in_order(self):
-        interner = VertexInterner()
-        assert interner.intern_vertex("a") == 0
-        assert interner.intern_vertex("b") == 1
-        assert interner.intern_vertex("a") == 0
+        interner = VertexInterner(["a", "b"])
+        assert interner.id_of("a") == 0
+        assert interner.id_of("b") == 1
         assert len(interner) == 2
         assert interner.vertex_of(1) == "b"
         assert "b" in interner and "z" not in interner
@@ -32,14 +31,6 @@ class TestVertexInterner:
         assert interner.id_of(2) == 2
         assert interner.try_id_of(7) is None
         assert interner.try_id_of(True) is None  # bools are not vertex ids
-
-    def test_identity_regime_degrades_gracefully(self):
-        interner = VertexInterner([0, 1])
-        assert interner.intern_vertex(2) == 2  # still dense
-        assert interner.intern_vertex("x") == 3  # leaves the identity regime
-        assert not interner._identity
-        assert interner.id_of(1) == 1
-        assert interner.id_of("x") == 3
 
     def test_unknown_vertex_raises(self):
         interner = VertexInterner(["a"])

@@ -9,7 +9,6 @@ from repro.core.kcore import core_decomposition
 from repro.exceptions import DatasetError
 from repro.graph.bipartite import extract_label_bipartite
 from repro.graph.generators import (
-    attach_cross_edges,
     ensure_butterfly,
     labeled_clique,
     labeled_core_group,
@@ -149,22 +148,6 @@ class TestPlantedPartition:
 
 
 class TestEdgeHelpers:
-    def test_attach_cross_edges_fraction(self):
-        g = LabeledGraph()
-        left = [f"l{i}" for i in range(5)]
-        right = [f"r{i}" for i in range(5)]
-        for v in left:
-            g.add_vertex(v, label="L")
-        for v in right:
-            g.add_vertex(v, label="R")
-        added = attach_cross_edges(g, left, right, 0.2, seed=8)
-        assert added == 5
-        assert g.num_edges() == 5
-
-    def test_attach_cross_edges_rejects_negative_fraction(self):
-        with pytest.raises(DatasetError):
-            attach_cross_edges(LabeledGraph(), [], [], -0.1)
-
     def test_ensure_butterfly(self):
         g = LabeledGraph()
         for v, lab in (("a", "L"), ("b", "L"), ("x", "R"), ("y", "R")):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import EdgeNotFoundError, LabelError, VertexNotFoundError
+from repro.exceptions import EdgeNotFoundError, VertexNotFoundError
 from repro.graph.labeled_graph import LabeledGraph, union_graphs
 
 
@@ -141,22 +141,14 @@ class TestLabels:
         with pytest.raises(EdgeNotFoundError):
             g.is_cross_edge(1, 3)
 
-    def test_cross_and_homogeneous_edge_iterators(self):
+    def test_cross_edge_iterator(self):
         g = build_simple()
         assert {frozenset(e) for e in g.cross_edges()} == {frozenset({2, 3})}
-        assert {frozenset(e) for e in g.homogeneous_edges()} == {frozenset({1, 2})}
 
     def test_cross_and_same_label_neighbors(self):
         g = build_simple()
         assert g.cross_neighbors(2) == {3}
         assert g.same_label_neighbors(2) == {1}
-
-    def test_require_labeled(self):
-        g = build_simple()
-        g.require_labeled()
-        g.add_vertex(4)
-        with pytest.raises(LabelError):
-            g.require_labeled()
 
 
 class TestDerivedGraphs:
