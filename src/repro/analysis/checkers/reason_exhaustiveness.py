@@ -24,7 +24,6 @@ from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.base import Checker, Project, register_checker
 from repro.analysis.findings import Finding
-from repro.analysis.source import SourceFile
 
 __all__ = ["ReasonExhaustivenessChecker"]
 

@@ -28,7 +28,6 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.base import Checker, Project, register_checker
 from repro.analysis.findings import Finding
-from repro.analysis.source import SourceFile
 
 __all__ = ["WIRE_CLASSES", "WIRE_EXEMPT_FIELDS", "WireDriftChecker"]
 

@@ -18,7 +18,7 @@ lazily on first lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import UnknownMethodError

@@ -35,7 +35,7 @@ from repro.exceptions import (
     EmptyCommunityError,
 )
 from repro.graph.labeled_graph import LabeledGraph, Vertex
-from repro.graph.traversal import are_connected, bfs_distances, connected_component
+from repro.graph.traversal import bfs_distances, connected_component
 
 
 #: Default expansion / shrinking budgets (shared with SearchConfig).

@@ -23,7 +23,7 @@ are connected inside ``G0`` and returns ``None`` otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.bcc_model import BCCParameters, resolve_query_labels
 from repro.core.butterfly import butterfly_degrees, max_butterfly_degree_per_side

@@ -19,7 +19,7 @@ This module provides the truss machinery the baseline needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set
 
 from repro.deadline import checkpoint
 from repro.graph.labeled_graph import LabeledGraph, Vertex

@@ -18,8 +18,7 @@ collaborations highlighted in the paper.
 from __future__ import annotations
 
 import itertools
-import random
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.datasets.base import DatasetBundle, GroundTruthCommunity
 from repro.graph.generators import RandomLike, _rng, ensure_butterfly

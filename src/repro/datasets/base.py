@@ -10,7 +10,7 @@ cross-group project teams).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import DatasetError
 from repro.graph.labeled_graph import LabeledGraph, Vertex

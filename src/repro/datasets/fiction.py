@@ -18,8 +18,7 @@ same order of magnitude as the original.
 from __future__ import annotations
 
 import itertools
-import random
-from typing import Dict, List
+from typing import Dict
 
 from repro.datasets.base import DatasetBundle, GroundTruthCommunity
 from repro.graph.generators import RandomLike, _rng, ensure_butterfly

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.datasets.base import DatasetBundle, GroundTruthCommunity
 from repro.graph.generators import RandomLike, _rng
-from repro.graph.labeled_graph import LabeledGraph, Vertex
+from repro.graph.labeled_graph import LabeledGraph
 
 _CANADA_HUBS = ["Toronto", "Vancouver", "Montreal", "Calgary", "Ottawa", "Edmonton", "Winnipeg"]
 _CANADA_SPOKES = ["Halifax", "Quebec City", "Victoria", "Saskatoon", "Regina", "St. Johns"]

@@ -18,7 +18,7 @@ by the multi-label experiments (Exp-10).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.datasets.base import GroundTruthCommunity
 from repro.exceptions import DatasetError

@@ -10,7 +10,7 @@ default arguments, so a benchmark can simply do::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.datasets.academic import generate_academic_network
 from repro.datasets.baidu import generate_baidu_network

@@ -16,7 +16,6 @@ butterfly leaders as in the paper's Figure 12).
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Dict, List
 
 from repro.datasets.base import DatasetBundle, GroundTruthCommunity

@@ -14,7 +14,7 @@ provides the structural summary metrics reported in the case studies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Sequence, Set
 
 from repro.core.butterfly import butterfly_degrees, total_butterflies
 from repro.core.kcore import core_decomposition

@@ -16,12 +16,10 @@ draws one query vertex per label close to a common community.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.datasets.base import DatasetBundle
-from repro.exceptions import DatasetError
 from repro.graph.generators import RandomLike, _rng
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import bfs_distances

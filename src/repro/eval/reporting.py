@@ -9,7 +9,7 @@ the formatting helpers they share.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.eval.harness import MethodSummary

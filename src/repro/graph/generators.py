@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.exceptions import DatasetError
 from repro.graph.labeled_graph import LabeledGraph, Vertex

@@ -1,8 +1,9 @@
 """Multi-process compute backend: shared-memory CSR workers.
 
 The GIL caps every pure-Python kernel at one core; this package breaks
-that ceiling for *batches* by exporting a frozen graph's CSR arrays into
-shared memory once and serving queries from N worker processes:
+that ceiling for *batches* by exporting a frozen graph's ``.bccsnap``
+image into shared memory once and serving queries from N worker
+processes:
 
 * :mod:`repro.parallel.shm` — zero-copy graph transport
   (:func:`export_graph` / :func:`attach_graph`, availability probing);

@@ -17,11 +17,11 @@ across them with **one task in flight per worker**:
   silent) worker is bounded by the pool-side deadline watchdog —
   ``deadline_ms`` plus a grace period — which kills and respawns it.
 
-Workers start through the ``spawn`` method by default: a forked child
-would inherit its siblings' pipe ends (defeating EOF-based death
-detection) and any lock a serving thread held at fork time.  ``spawn``
-children start clean; the shared-memory segments are attached by name,
-so zero-copy still holds.
+Workers start through the ``spawn`` method (:data:`START_METHOD`): a
+forked child would inherit its siblings' pipe ends (defeating EOF-based
+death detection) and any lock a serving thread held at fork time.
+``spawn`` children start clean; the shared-memory block is attached by
+name, so zero-copy still holds.
 
 Clock hygiene (BCC002): wall-clock access is injectable — ``clock=`` is
 a constructor parameter defaulting to ``time.monotonic`` — so watchdog
@@ -68,6 +68,9 @@ from repro.server.protocol import (
 
 #: Default worker count for ``backend="process"`` batches.
 DEFAULT_PROCESS_WORKERS = 4
+
+#: ``multiprocessing`` start method of every worker (see module docstring).
+START_METHOD = "spawn"
 
 #: Extra wall-clock (seconds) the pool-side watchdog grants a task beyond
 #: its ``deadline_ms`` before declaring the worker wedged.  The *accurate*
@@ -200,9 +203,6 @@ class ProcessWorkerPool:
         method=)`` runs right before each task is sent.
     clock / deadline_grace_seconds:
         Watchdog seam (see module docstring).
-    start_method:
-        ``multiprocessing`` start method (default ``"spawn"``; see module
-        docstring for why ``fork`` is not the default).
     """
 
     def __init__(
@@ -217,7 +217,6 @@ class ProcessWorkerPool:
         fault_plan: Optional[object] = None,
         clock=time.monotonic,
         deadline_grace_seconds: float = DEFAULT_DEADLINE_GRACE_SECONDS,
-        start_method: str = "spawn",
     ) -> None:
         if workers < 1:
             raise ValueError("a process pool needs at least one worker")
@@ -225,7 +224,7 @@ class ProcessWorkerPool:
         self.fault_plan = fault_plan
         self._clock = clock
         self._grace = deadline_grace_seconds
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._workers_count = workers
         if export is not None:
             self._export = export

@@ -26,7 +26,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from repro.api.config import SearchConfig
 from repro.api.engine import check_batch_args, resolve_config
 from repro.api.query import BatchQuery, Query, SearchResponse
-from repro.deadline import checkpoint
+from repro.deadline import checkpoint, current_deadline
+from repro.exceptions import DeadlineExceededError
 from repro.parallel.pool import (
     DEFAULT_PROCESS_WORKERS,
     POOL_COUNTER_NAMES,
@@ -58,7 +59,6 @@ class ProcessEngine:
         result_cache_size: int = 0,
         fault_plan: Optional[object] = None,
         clock=time.monotonic,
-        start_method: str = "spawn",
     ) -> None:
         if workers < 1:
             raise ValueError("a process pool needs at least one worker")
@@ -71,7 +71,6 @@ class ProcessEngine:
             result_cache_size=result_cache_size,
             fault_plan=fault_plan,
             clock=clock,
-            start_method=start_method,
         )
         # Guards the pool slot only: a pool closes outside it, because
         # closing joins worker processes.
@@ -152,14 +151,28 @@ class ProcessEngine:
     ) -> SearchResponse:
         """One query through the pool (raises exactly like ``BCCEngine``).
 
-        The worker's engine enforces the resolved config's ``deadline_ms``
-        on a budget of its own: an outer token does not cross the pipe.
-        So a request whose outer deadline is already spent raises
-        :class:`~repro.exceptions.DeadlineExceededError` here, before any
-        dispatch, as a thread engine's first kernel checkpoint does.
+        The worker's engine enforces the row's ``deadline_ms`` on a token
+        of its own, since a token does not cross the pipe.  Under an outer
+        deadline (a replica set's call) the row's budget is cut to what
+        the caller has left, and an expiry reports the caller's budget, so
+        a member never runs past its host's deadline.  A spent outer
+        deadline raises :class:`~repro.exceptions.DeadlineExceededError`
+        here, before any dispatch, as a thread engine's first kernel
+        checkpoint does.
         """
-        checkpoint()
-        return self.search_many([query], config=config, use_cache=use_cache)[0]
+        outer = current_deadline()
+        if outer is not None:
+            left_ms = outer.remaining() * 1000.0
+            if left_ms <= 0:
+                raise DeadlineExceededError(deadline_ms=outer.budget_ms)
+            config = resolve_config(config, query.config, self.config)
+            if config.deadline_ms is None or config.deadline_ms > left_ms:
+                config = config.replace(deadline_ms=left_ms)
+        try:
+            return self.search_many([query], config=config, use_cache=use_cache)[0]
+        except DeadlineExceededError:
+            checkpoint()  # the caller's budget ran out: report it, as threads do
+            raise
 
     def search_many(
         self,

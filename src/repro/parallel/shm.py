@@ -1,21 +1,25 @@
 """Zero-copy graph transport for the multi-process compute backend.
 
-A frozen graph's CSR snapshot is flat little-endian integer arrays
-(offsets, neighbours, per-id labels, and the graph and label-group coreness
-when already computed) plus two small object sequences (vertex order, label
-order).  This module moves exactly
-that across the process boundary without copying the arrays per worker:
+An export is one ``.bccsnap`` image (:mod:`repro.store.format`), the
+bytes :class:`~repro.store.SnapshotWriter` writes to a file, held in one
+:class:`multiprocessing.shared_memory.SharedMemory` block:
 
-* :func:`export_graph` writes each array once into a
-  :class:`multiprocessing.shared_memory.SharedMemory` block and returns a
-  :class:`SharedGraphExport` — the owner of the blocks — plus a
-  :class:`GraphHandle`, a small JSON-safe description every worker can
-  receive over a pipe.
-* :func:`attach_graph` (worker side) maps the named blocks back in,
-  casts ``memoryview`` s over them, and rebuilds a served
-  :class:`~repro.graph.labeled_graph.LabeledGraph` whose frozen CSR
-  snapshot *is* the mapped storage, via :meth:`CSRGraph.attach`.
-  N workers therefore share one physical copy of the adjacency.
+* :func:`export_graph` writes the graph's image into a fresh block and
+  returns a :class:`SharedGraphExport` — the owner of the block — whose
+  :class:`GraphHandle` is a small JSON-safe description every worker can
+  receive over a pipe.  The image carries no butterfly tables: each
+  worker fills its own χ, as a fresh engine does.
+* :func:`attach_graph` (worker side) maps the block and opens it through
+  :class:`~repro.store.Snapshot` — the magic, version, checksum and shape
+  checks a file attach runs — then serves a
+  :class:`~repro.graph.labeled_graph.LabeledGraph` thawed from
+  :meth:`~repro.store.Snapshot.as_csr_graph`, whose frozen CSR snapshot
+  *is* the mapped storage.  N workers therefore share one physical copy
+  of the adjacency.
+
+What may be exported is the store's rule
+(:func:`repro.store.format.require_scalar`): a vertex or label that a
+snapshot header cannot hold makes the graph unexportable.
 
 Availability is probed, not assumed: :func:`shared_memory_available`
 actually creates (and unlinks) a tiny segment, so a restricted
@@ -28,13 +32,12 @@ not for machines that never could run them).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional
 
-from repro.exceptions import ReproError
-from repro.graph.csr import CSRGraph
+from repro.exceptions import ReproError, StoreError
 from repro.graph.labeled_graph import LabeledGraph
+from repro.store.snapshot import Snapshot, SnapshotWriter
 
 try:  # pragma: no cover - import probe, exercised via shared_memory_available
     from multiprocessing import resource_tracker, shared_memory
@@ -42,27 +45,16 @@ except ImportError:  # pragma: no cover - platform without _multiprocessing
     shared_memory = None  # type: ignore[assignment]
     resource_tracker = None  # type: ignore[assignment]
 
-#: Segment name -> array typecode, mirroring the ``.bccsnap`` layout
-#: (offsets are 64-bit so ``2|E|`` cannot overflow; ids and label ids fit
-#: 32 bits by construction).
-SEGMENT_TYPECODES = {
-    "offsets": "q",
-    "neighbors": "i",
-    "labels": "i",
-    "coreness": "i",
-    "group_coreness": "i",
-}
-
 
 class ProcessBackendUnavailable(ReproError):
     """This host (or this graph) cannot use the process backend.
 
     Raised by :func:`export_graph` when shared memory cannot be created
     (restricted ``/dev/shm``, missing platform support) or when the
-    graph's vertices/labels do not survive the JSON wire codec the pool
-    marshals tasks through.  The engine layer catches it and falls back
-    to the threaded batch path with a one-time warning and a counter —
-    a ``backend="process"`` batch must degrade, never raise.
+    snapshot writer refuses the graph's vertices or labels.  The engine
+    layer catches it and falls back to the threaded batch path with a
+    one-time warning and a counter — a ``backend="process"`` batch must
+    degrade, never raise.
     """
 
 
@@ -96,7 +88,7 @@ def shared_memory_available() -> bool:
 def _attach_block(name: str):
     """Attach an existing segment without adopting its lifetime.
 
-    The parent owns every block and unlinks them in
+    The parent owns the block and unlinks it in
     :meth:`SharedGraphExport.close`; a worker that also registered the
     segment with the (shared) ``resource_tracker`` would fight the
     parent over cleanup.  Python 3.13 grew ``track=False`` for exactly
@@ -115,104 +107,61 @@ def _attach_block(name: str):
             resource_tracker.register = original_register
 
 
-def _wire_scalar(value) -> bool:
-    """Whether ``value`` survives the JSON wire codec bit-for-bit."""
-    if isinstance(value, bool) or value is None:
-        return False
-    return isinstance(value, (int, str))
-
-
 @dataclass(frozen=True)
 class GraphHandle:
-    """A JSON-safe description a worker needs to rebuild the served graph.
+    """A JSON-safe description a worker needs to serve the exported graph.
 
-    ``segments`` names the shared-memory blocks.  ``sharded`` asks the
-    worker to build a :class:`ShardedBCCEngine` over the thawed graph
-    (partitioning is deterministic in iteration order, so parent and
-    worker agree on shard ids).  ``config`` is the engine base config
-    as a wire-codec payload.
+    ``name`` and ``size`` locate the snapshot image in shared memory.
+    ``sharded`` asks the worker to build a :class:`ShardedBCCEngine` over
+    the thawed graph (partitioning is deterministic in iteration order,
+    so parent and worker agree on shard ids).  ``config`` is the engine
+    base config as a wire-codec payload.
     """
 
-    segments: Dict[str, Tuple[str, str, int]]  # name -> (shm name, typecode, count)
-    vertices: Optional[List[object]]  # None: identity (vertex i == id i)
-    num_vertices: int
-    labels: List[object]
+    name: str
+    size: int
     config: Optional[Dict[str, object]]
     sharded: bool = False
     result_cache_size: int = 0
 
     def to_payload(self) -> Dict[str, object]:
         """The JSON document shipped to workers through the wire codec."""
-        return {
-            "segments": {
-                name: list(ref) for name, ref in self.segments.items()
-            },
-            "vertices": self.vertices,
-            "num_vertices": self.num_vertices,
-            "labels": self.labels,
-            "config": self.config,
-            "sharded": self.sharded,
-            "result_cache_size": self.result_cache_size,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "GraphHandle":
-        return cls(
-            segments={
-                name: tuple(ref) for name, ref in payload["segments"].items()
-            },
-            vertices=payload["vertices"],
-            num_vertices=payload["num_vertices"],
-            labels=list(payload["labels"]),
-            config=payload["config"],
-            sharded=bool(payload.get("sharded", False)),
-            result_cache_size=int(payload.get("result_cache_size", 0)),
-        )
+        return cls(**payload)
 
 
-def _unlink_blocks(blocks: List[object]) -> None:
-    """Close and unlink every block (a worker's existing map stays valid)."""
-    for block in blocks:
-        try:
-            block.close()
-            block.unlink()
-        except OSError:  # pragma: no cover - already reaped
-            pass
-    blocks.clear()
+def _unlink_block(block) -> None:
+    """Close and unlink the block (a worker's existing map stays valid)."""
+    try:
+        block.close()
+        block.unlink()
+    except OSError:  # pragma: no cover - already reaped
+        pass
 
 
 @dataclass
 class SharedGraphExport:
-    """Owner of the shared-memory blocks behind one exported graph.
+    """Owner of the shared-memory block behind one exported graph.
 
     Created by :func:`export_graph` in the parent; :meth:`close` unlinks
-    every block (idempotent).  The pool closes its export when it shuts
+    the block (idempotent).  The pool closes its export when it shuts
     down; a :class:`~repro.server.replicas.ReplicaSet` with process
     members shares one export across all member pools and closes it once.
     An export nobody closed — its engine replaced and dropped — unlinks
-    its blocks when it is collected, or at interpreter exit.
+    its block when it is collected, or at interpreter exit.
     """
 
     handle: GraphHandle
-    blocks: List[object] = field(default_factory=list)
+    block: object
 
     def __post_init__(self) -> None:
-        self._unlink = weakref.finalize(self, _unlink_blocks, self.blocks)
+        self._unlink = weakref.finalize(self, _unlink_block, self.block)
 
     def close(self) -> None:
         self._unlink()
-
-
-def _export_segment(values: Sequence[int], typecode: str):
-    """Copy one flat integer sequence into a fresh shared-memory block."""
-    if isinstance(values, array) and values.typecode == typecode:
-        data = values
-    else:
-        data = array(typecode, values)
-    raw = data.tobytes()
-    block = shared_memory.SharedMemory(create=True, size=max(1, len(raw)))
-    block.buf[: len(raw)] = raw
-    return block, len(data)
 
 
 def export_graph(
@@ -222,148 +171,76 @@ def export_graph(
     sharded: bool = False,
     result_cache_size: int = 0,
 ) -> SharedGraphExport:
-    """Export ``graph``'s frozen CSR snapshot for worker processes.
+    """Export ``graph``'s snapshot image for worker processes.
 
-    Freezes the graph if needed (the caller's engine counts that freeze by
-    preparing first), then writes each CSR segment into shared memory
-    once.  Raises :class:`ProcessBackendUnavailable` when the host cannot
-    create shared memory or the graph's vertex / label objects would not
-    survive the JSON wire codec.
+    Freezes the graph and peels its coreness if no engine has (the
+    caller's engine counts its freeze by preparing first), then writes the
+    image into one shared-memory block.  Raises
+    :class:`ProcessBackendUnavailable` when the host cannot create shared
+    memory or the writer raises :class:`StoreError` (a vertex or label
+    that is not a JSON scalar).
     """
-    csr = graph.freeze()
-    order = csr.interner.vertices()
-    label_order = [csr.interner.label_of(i) for i in range(csr.interner.num_labels())]
-    for value in label_order:
-        if not _wire_scalar(value):
-            raise ProcessBackendUnavailable(
-                f"label {value!r} does not survive the JSON wire codec; "
-                "the process backend needs int/str labels"
-            )
-    identity = all(
-        isinstance(v, int) and not isinstance(v, bool) and v == i
-        for i, v in enumerate(order)
-    )
-    vertices: Optional[List[object]] = None
-    if not identity:
-        for value in order:
-            if not _wire_scalar(value):
-                raise ProcessBackendUnavailable(
-                    f"vertex {value!r} does not survive the JSON wire codec; "
-                    "the process backend needs int/str vertices"
-                )
-        vertices = list(order)
     if not shared_memory_available():
         raise ProcessBackendUnavailable(
             "multiprocessing.shared_memory is unavailable on this host "
             "(restricted /dev/shm or missing platform support)"
         )
-    blocks: List[object] = []
-    segments: Dict[str, Tuple[str, str, int]] = {}
-    payload: Dict[str, Sequence[int]] = {
-        "offsets": csr.offsets,
-        "neighbors": csr.neighbors,
-        "labels": csr.labels,
-    }
-    # Ship warm peels; workers skip theirs.
-    if csr._coreness is not None:
-        payload["coreness"] = csr._coreness
-    if csr._group_coreness is not None:
-        payload["group_coreness"] = csr._group_coreness
     try:
-        for name, values in payload.items():
-            typecode = SEGMENT_TYPECODES[name]
-            block, count = _export_segment(values, typecode)
-            blocks.append(block)
-            segments[name] = (block.name, typecode, count)
+        image, _ = SnapshotWriter(butterfly_pairs="none").image(graph)
+    except StoreError as exc:
+        raise ProcessBackendUnavailable(f"graph cannot be exported: {exc}") from exc
+    try:
+        block = shared_memory.SharedMemory(create=True, size=len(image))
     except (OSError, ValueError) as exc:
-        _unlink_blocks(blocks)
         raise ProcessBackendUnavailable(
-            f"could not write CSR segments into shared memory: {exc}"
+            f"could not write the snapshot into shared memory: {exc}"
         ) from exc
+    block.buf[: len(image)] = image
     handle = GraphHandle(
-        segments=segments,
-        vertices=vertices,
-        num_vertices=len(order),
-        labels=label_order,
+        name=block.name,
+        size=len(image),
         config=config_payload,
         sharded=sharded,
         result_cache_size=result_cache_size,
     )
-    return SharedGraphExport(handle=handle, blocks=blocks)
+    return SharedGraphExport(handle=handle, block=block)
 
 
 @dataclass
 class WorkerAttachment:
-    """A worker's view of the exported graph: served graph + mapped refs.
+    """A worker's view of the export: the served graph and its snapshot.
 
-    ``keepalive`` pins the shared-memory blocks and ``views`` the cast
-    memoryviews over them, for as long as the CSR storage may be read.
-    :meth:`release` drops the views *before* the blocks — a
-    ``SharedMemory`` cannot close its mapping while cast views still
-    export pointers into it — and never unlinks: the parent owns segment
-    lifetime.
+    :meth:`release` releases the snapshot's views *before* unmapping the
+    block — a ``SharedMemory`` cannot close its mapping while views still
+    export pointers into it — and never unlinks: the parent owns the
+    block.
     """
 
     graph: LabeledGraph
-    csr: CSRGraph
-    keepalive: List[object] = field(default_factory=list)
-    views: List[memoryview] = field(default_factory=list)
+    snapshot: Snapshot
+    block: object
 
     def release(self) -> None:
-        """Release views then close maps (worker shutdown path)."""
-        for view in self.views:
-            try:
-                view.release()
-            except BufferError:  # pragma: no cover - still exported elsewhere
-                pass
-        self.views = []
-        for ref in self.keepalive:
-            close = getattr(ref, "close", None)
-            if close is not None:
-                try:
-                    close()
-                except (OSError, BufferError):  # pragma: no cover
-                    pass
-        self.keepalive = []
+        """Release the views, then unmap the block (worker shutdown path)."""
+        self.snapshot.close()
+        self.block.close()
 
 
 def attach_graph(handle: GraphHandle) -> WorkerAttachment:
-    """Rebuild the served graph inside a worker process (zero-copy).
+    """Open the exported snapshot inside a worker process (zero-copy).
 
-    The mapped segments become the frozen CSR storage through
-    :meth:`CSRGraph.attach`; the object graph is thawed from it — thaw
+    :class:`~repro.store.Snapshot` checks the image as it checks a file,
+    raising :class:`StoreError` for a block that does not hold a whole,
+    uncorrupted snapshot.  The object graph is thawed from its CSR — thaw
     adds vertices in id order, so worker-side iteration order (and hence
     shard partitioning and sweep tie-breaks) is identical to the
-    parent's — and the CSR is installed as its current frozen snapshot so
-    ``prepare()`` freezes nothing.
+    parent's — and the CSR is installed as its current frozen snapshot,
+    so ``prepare()`` freezes nothing.
     """
-    order: Sequence[object] = (
-        range(handle.num_vertices) if handle.vertices is None else handle.vertices
+    block = _attach_block(handle.name)
+    snapshot = Snapshot.over(
+        block.buf[: handle.size], f"shared memory {handle.name}"
     )
-    keepalive: List[object] = []
-    views: Dict[str, memoryview] = {}
-    for name, (shm_name, typecode, count) in handle.segments.items():
-        block = _attach_block(shm_name)
-        keepalive.append(block)
-        itemsize = array(typecode).itemsize
-        views[name] = memoryview(block.buf)[: count * itemsize].cast(typecode)
-    csr = CSRGraph.attach(
-        list(order),
-        handle.labels,
-        views["offsets"],
-        views["neighbors"],
-        views["labels"],
-        coreness=views.get("coreness"),
-        group_coreness=views.get("group_coreness"),
-    )
-    graph = csr.thaw()
-    # Friend access, mirroring LabeledGraph.freeze's own cache fill (and
-    # Snapshot.attach_engine): the mapped CSR is the frozen snapshot.
-    graph._frozen = csr
-    graph._frozen_version = graph.version()
-    return WorkerAttachment(
-        graph=graph,
-        csr=csr,
-        keepalive=keepalive,
-        views=list(views.values()),
-    )
+    graph = snapshot.as_csr_graph().thaw()
+    snapshot.install(graph)
+    return WorkerAttachment(graph=graph, snapshot=snapshot, block=block)

@@ -206,9 +206,4 @@ def worker_main(worker_id: int, conn, handle_text: str) -> None:
         except (BrokenPipeError, OSError):  # parent went away mid-reply
             break
     conn.close()
-    # Drop every engine/graph reference to the mapped storage before
-    # releasing the views, so the SharedMemory blocks can close their
-    # mappings without "exported pointers exist" noise at exit.
-    del engine
-    attachment.graph._frozen = None
     attachment.release()

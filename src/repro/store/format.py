@@ -1,10 +1,12 @@
-"""The on-disk snapshot format: header codec, segments, checksums.
+"""The snapshot format: header codec, segments, checksums.
 
-A snapshot is one file holding everything a prepared engine computes from a
-graph — the CSR adjacency, per-id labels, graph coreness, the BCindex's
+A snapshot is one image holding everything a prepared engine computes from
+a graph — the CSR adjacency, per-id labels, graph coreness, the BCindex's
 label-group coreness and its butterfly-degree tables — as raw little-endian
 integer arrays behind a JSON header, laid out so the arrays can be attached
-zero-copy through ``mmap`` + ``memoryview.cast``:
+zero-copy through ``memoryview.cast``.  The image is a ``.bccsnap`` file
+mapped with ``mmap``, or the same bytes in the shared-memory block a
+process-backend export hands its workers (:mod:`repro.parallel.shm`):
 
 ====================  ====================================================
 bytes                 contents
@@ -29,7 +31,7 @@ graph is a :class:`repro.exceptions.SnapshotMismatchError` at attach time.
 
 Integers are stored little-endian (``typecode`` ``"q"`` = int64, ``"i"`` =
 int32).  On little-endian hosts — every platform this library targets —
-reads are zero-copy casts of the mapped file; on a big-endian host the
+reads are zero-copy casts of the mapped image; on a big-endian host the
 helpers fall back to a byteswapping copy, so snapshots stay portable at the
 cost of the zero-copy property.
 """
@@ -108,7 +110,8 @@ def require_scalar(value: object, what: str) -> object:
     only scalars whose identity JSON preserves are allowed: ``str`` and
     non-bool ``int`` (labels may additionally be ``None``).  Anything else
     — tuples, floats, custom objects — raises :class:`StoreError` at write
-    time instead of attaching a silently different graph later.
+    time instead of attaching a silently different graph later.  It is
+    also the rule for which graphs the process backend can export.
     """
     if isinstance(value, str):
         return value

@@ -3,10 +3,13 @@
 :class:`SnapshotWriter` serializes everything a prepared engine computes
 from a graph — the CSR adjacency and per-id labels, the graph coreness,
 the BCindex's label-group coreness and (optionally) its butterfly-degree
-tables — into the one-file format of :mod:`repro.store.format`.
+tables — into one image in the format of :mod:`repro.store.format`, which
+it writes to a file (:func:`repro.parallel.shm.export_graph` puts the
+same image in shared memory).
 
-:class:`Snapshot` maps that file back read-only, validates every checksum
-and bound at open, and hands out zero-copy integer views of the segments.
+:class:`Snapshot` maps that file back read-only (or opens an image already
+in memory), validates every checksum and bound at open, and hands out
+zero-copy integer views of the segments.
 :func:`attach_engine` then turns a snapshot into a ready
 :class:`~repro.api.BCCEngine` without re-freezing or re-peeling anything:
 the mapped arrays are injected as the graph's frozen CSR snapshot
@@ -22,7 +25,7 @@ import mmap
 import os
 from array import array
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.config import SearchConfig
 from repro.api.engine import BCCEngine
@@ -32,6 +35,7 @@ from repro.graph.csr import CSRGraph, VertexInterner
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
 from repro.store.format import (
     FORMAT_VERSION,
+    ITEMSIZES,
     SegmentInfo,
     aligned,
     array_to_bytes,
@@ -58,15 +62,18 @@ PathLike = Union[str, Path]
 
 
 class SnapshotWriter:
-    """Serialize a graph (and its BCindex) into one snapshot file.
+    """Serialize a graph (and its BCindex) into one snapshot image.
+
+    :meth:`image` yields the bytes and :meth:`write` puts them in a file.
 
     Parameters
     ----------
     path:
-        Destination file.  The write is atomic: bytes go to a sibling
-        ``*.tmp`` file which is ``os.replace``-d over ``path`` only once
-        fully written, so a crashed writer never leaves a half snapshot
-        where a reader expects a whole one.
+        Destination file of :meth:`write` (an :meth:`image` needs none).
+        The write is atomic: bytes go to a sibling ``*.tmp`` file which is
+        ``os.replace``-d over ``path`` only once fully written, so a
+        crashed writer never leaves a half snapshot where a reader expects
+        a whole one.
     butterfly_pairs:
         Which butterfly-degree tables to persist: ``"all"`` (default —
         every distinct label pair, the right call for serving snapshots),
@@ -75,25 +82,29 @@ class SnapshotWriter:
         tables lazily exactly as a fresh index would).
     """
 
-    def __init__(self, path: PathLike, butterfly_pairs: str = "all") -> None:
+    def __init__(
+        self, path: Optional[PathLike] = None, butterfly_pairs: str = "all"
+    ) -> None:
         if butterfly_pairs not in ("all", "cached", "none"):
             raise StoreError(
                 f"butterfly_pairs must be 'all', 'cached' or 'none', "
                 f"got {butterfly_pairs!r}"
             )
-        self.path = Path(path)
+        self.path = None if path is None else Path(path)
         self.butterfly_pairs = butterfly_pairs
 
     # ------------------------------------------------------------------
-    def write(
+    def image(
         self, graph: LabeledGraph, index: Optional[BCIndex] = None
-    ) -> Dict[str, object]:
-        """Write a snapshot of ``graph``; returns a summary dict.
+    ) -> Tuple[bytearray, Dict[str, object]]:
+        """The snapshot of ``graph`` as ``(bytes, header)``.
 
-        ``index`` is reused when given (built first if needed); otherwise a
-        fresh :class:`BCIndex` is built — so persisting a prepared engine
-        pays nothing beyond serialization (see
-        :func:`persist_engine`).
+        The graph coreness and the label-group coreness come from the
+        frozen snapshot (peeled now if no engine has); ``index`` serves the
+        butterfly tables, built first when ``None`` or unbuilt, so
+        persisting a prepared engine pays nothing beyond serialization
+        (see :func:`persist_engine`).  Raises :class:`StoreError` for a
+        vertex or label that JSON would not round-trip.
         """
         csr = graph.freeze()
         interner = csr.interner
@@ -103,11 +114,6 @@ class SnapshotWriter:
             for lid in range(interner.num_labels())
         ]
         offs, nbrs = csr.adjacency_lists()
-        if index is None:
-            index = BCIndex(graph, build=True)
-        elif not index.is_built():
-            index.build()
-
         segments: List[Tuple[str, str, bytes]] = [
             ("offsets", "q", array_to_bytes(array("q", offs))),
             ("neighbors", "i", array_to_bytes(array("i", nbrs))),
@@ -116,9 +122,7 @@ class SnapshotWriter:
             (
                 "group_coreness",
                 "i",
-                array_to_bytes(
-                    array("i", (index.coreness(v) for v in interner.vertices()))
-                ),
+                array_to_bytes(array("i", csr.group_coreness())),
             ),
         ]
         pair_entries = self._butterfly_segments(graph, index, interner, segments)
@@ -131,7 +135,7 @@ class SnapshotWriter:
                 SegmentInfo(
                     name=name,
                     typecode=typecode,
-                    count=len(blob) // (8 if typecode == "q" else 4),
+                    count=len(blob) // ITEMSIZES[typecode],
                     offset=cursor,
                     crc=crc32(blob),
                 )
@@ -146,40 +150,49 @@ class SnapshotWriter:
             "segments": [info.to_header() for info in table],
             "butterfly_pairs": pair_entries,
         }
-        prefix, _ = encode_prefix_and_header(header)
+        prefix, data_start = encode_prefix_and_header(header)
+        image = bytearray(prefix)
+        for info, (_, _, blob) in zip(table, segments):
+            image += bytes(data_start + info.offset - len(image))
+            image += blob
+        return image, header
 
+    def write(
+        self, graph: LabeledGraph, index: Optional[BCIndex] = None
+    ) -> Dict[str, object]:
+        """Write :meth:`image` of ``graph`` to ``path``; returns a summary dict."""
+        image, header = self.image(graph, index)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".tmp")
         with open(tmp, "wb") as out:
-            out.write(prefix)
-            written = 0
-            for info, (_, _, blob) in zip(table, segments):
-                out.write(b"\x00" * (info.offset - written))
-                out.write(blob)
-                written = info.offset + len(blob)
+            out.write(image)
             out.flush()
             os.fsync(out.fileno())
         os.replace(tmp, self.path)
         return {
             "path": str(self.path),
-            "bytes": os.path.getsize(self.path),
+            "bytes": len(image),
             "num_vertices": graph.num_vertices(),
             "num_edges": graph.num_edges(),
-            "segments": len(table),
-            "butterfly_pairs": len(pair_entries),
+            "segments": len(header["segments"]),
+            "butterfly_pairs": len(header["butterfly_pairs"]),
         }
 
     # ------------------------------------------------------------------
     def _butterfly_segments(
         self,
         graph: LabeledGraph,
-        index: BCIndex,
+        index: Optional[BCIndex],
         interner: VertexInterner,
         segments: List[Tuple[str, str, bytes]],
     ) -> List[Dict[str, object]]:
         """Append one ``(ids, chi)`` segment pair per persisted label pair."""
         if self.butterfly_pairs == "none":
             return []
+        if index is None:
+            index = BCIndex(graph, build=True)
+        elif not index.is_built():
+            index.build()
         by_str = {str(label): label for label in graph.labels()}
         if self.butterfly_pairs == "all":
             names = sorted(by_str)
@@ -212,33 +225,51 @@ class SnapshotWriter:
 
 
 class Snapshot:
-    """A snapshot file mapped read-only, fully validated at open.
+    """A snapshot image, mapped read-only from a file, fully validated at open.
 
     Opening checks everything structural — magic, format version, header
     checksum, segment bounds, every segment's CRC-32, and that the core
     segments' element counts agree with the recorded vertex/edge counts —
     raising :class:`StoreError` with the file name and the failing part.
-    Whether the snapshot describes a *particular live graph* is the
-    separate, per-attach question answered by :meth:`matches` /
-    :meth:`require_match`.
+    :meth:`over` runs the same checks on an image already in memory (a
+    worker's shared-memory export).  Whether the snapshot describes a
+    *particular live graph* is the separate, per-attach question answered
+    by :meth:`matches` / :meth:`require_match`.
 
-    Segment accessors return zero-copy ``memoryview`` casts of the mapped
-    file (on little-endian hosts; see :mod:`repro.store.format`), so an
+    Segment accessors return zero-copy ``memoryview`` casts of the image
+    (on little-endian hosts; see :mod:`repro.store.format`), so an
     attached engine reads index data straight from the page cache.
     """
 
     def __init__(self, path: PathLike) -> None:
-        self.path = str(path)
         try:
-            self._file = open(path, "rb")
-        except OSError as exc:
-            raise StoreError(f"{path}: cannot open snapshot: {exc}")
-        try:
-            self._mmap = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+            with open(path, "rb") as file:
+                mapped = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
         except (ValueError, OSError) as exc:
-            self._file.close()
-            raise StoreError(f"{path}: cannot map snapshot: {exc}")
-        self._buffer = memoryview(self._mmap)
+            raise StoreError(f"{path}: cannot open snapshot: {exc}")
+        self._open(str(path), mapped, mapped.close)
+
+    @classmethod
+    def over(cls, buffer: memoryview, name: str) -> "Snapshot":
+        """The snapshot image in ``buffer``, checked as a file's is.
+
+        ``name`` stands for the path in messages.  The caller owns
+        ``buffer`` and may free it once :meth:`close` has released every
+        view of it.
+        """
+        snapshot = cls.__new__(cls)
+        snapshot._open(name, buffer, None)
+        return snapshot
+
+    def _open(
+        self,
+        name: str,
+        source: Union[mmap.mmap, memoryview],
+        close_source: Optional[Callable[[], None]],
+    ) -> None:
+        self.path = name
+        self._buffer = memoryview(source)
+        self._close_source = close_source
         self._views: Dict[str, Sequence[int]] = {}
         self._csr: Optional[CSRGraph] = None
         try:
@@ -254,7 +285,7 @@ class Snapshot:
         table = segments_from_header(self.header, data_size, self.path)
         self._segments: Dict[str, SegmentInfo] = {info.name: info for info in table}
         for info in table:
-            if crc32(bytes(self._segment_bytes(info))) != info.crc:
+            if crc32(self._segment_bytes(info)) != info.crc:
                 raise StoreError(
                     f"{self.path}: segment {info.name!r} checksum mismatch "
                     f"(corrupted snapshot)"
@@ -412,6 +443,17 @@ class Snapshot:
             )
         return self._csr
 
+    def install(self, graph: LabeledGraph) -> None:
+        """Make :meth:`as_csr_graph` ``graph``'s current frozen snapshot.
+
+        Friend access, mirroring :meth:`LabeledGraph.freeze`'s own cache
+        fill, so ``graph.freeze()`` returns the stored CSR until ``graph``
+        mutates.  The caller vouches that the snapshot describes ``graph``
+        (:meth:`require_match`, or ``graph`` thawed from it).
+        """
+        graph._frozen = self.as_csr_graph()
+        graph._frozen_version = graph.version()
+
     def describe(self) -> Dict[str, object]:
         """A JSON-friendly summary (CLI ``inspect`` / gateway payloads)."""
         return {
@@ -434,12 +476,19 @@ class Snapshot:
         }
 
     def close(self) -> None:
-        """Release the mapping (only safe once no attached engine uses it)."""
+        """Release every view of the image, then the mapping.
+
+        Only safe once no attached engine reads the snapshot: its CSR's
+        arrays are among the views released.
+        """
+        for view in self._views.values():
+            if isinstance(view, memoryview):  # big-endian hosts hold copies
+                view.release()
         self._views.clear()
         self._csr = None
         self._buffer.release()
-        self._mmap.close()
-        self._file.close()
+        if self._close_source is not None:
+            self._close_source()
 
     def __enter__(self) -> "Snapshot":
         return self
@@ -494,10 +543,7 @@ def attach_engine(
     :class:`BCCEngine` (result cache size/policy, fault plan).
     """
     snapshot.require_match(graph)
-    # Friend access, mirroring LabeledGraph.freeze's own cache fill: the
-    # mapped CSR becomes the graph's current frozen snapshot.
-    graph._frozen = snapshot.as_csr_graph()
-    graph._frozen_version = graph.version()
+    snapshot.install(graph)
     engine = BCCEngine(
         graph, config, index=StoredBCIndex(graph, snapshot), **engine_kwargs
     )

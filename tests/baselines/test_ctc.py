@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines.ctc import ctc_search
 from repro.core.ktruss import is_k_truss
 from repro.eval.instrumentation import SearchInstrumentation

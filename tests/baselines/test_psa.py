@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines.psa import psa_search
 from repro.core.kcore import is_k_core
 from repro.eval.instrumentation import SearchInstrumentation

@@ -15,7 +15,7 @@ from repro.core.butterfly import (
     total_butterflies,
 )
 from repro.graph.bipartite import BipartiteView, extract_label_bipartite
-from repro.graph.generators import paper_small_example_graph, random_bipartite_graph
+from repro.graph.generators import paper_small_example_graph
 
 
 def biclique(left_size: int, right_size: int) -> BipartiteView:

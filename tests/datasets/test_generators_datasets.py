@@ -11,12 +11,8 @@ from repro.datasets import (
     EVALUATION_NETWORKS,
     MULTILABEL_NETWORKS,
     dataset_names,
-    generate_academic_network,
     generate_baidu_network,
-    generate_fiction_network,
-    generate_flight_network,
     generate_snap_like,
-    generate_trade_network,
     load_dataset,
 )
 from repro.exceptions import DatasetError

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.eval.harness import MethodSummary
 from repro.eval.instrumentation import SearchInstrumentation
 from repro.eval.reporting import (

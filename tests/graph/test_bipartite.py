@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import VertexNotFoundError
 from repro.graph.bipartite import BipartiteView, extract_bipartite, extract_label_bipartite
-from repro.graph.labeled_graph import LabeledGraph
 
 
 def sample_view() -> BipartiteView:

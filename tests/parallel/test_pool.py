@@ -19,6 +19,7 @@ import pytest
 from repro.api import BCCEngine, Query, SearchConfig
 from repro.exceptions import (
     DeadlineExceededError,
+    StoreError,
     VertexNotFoundError,
     WorkerCrashedError,
 )
@@ -30,6 +31,7 @@ from repro.parallel import (
     shared_memory_available,
 )
 from repro.server.protocol import encode_config, encode_response
+from repro.store import SnapshotWriter
 
 pytestmark = pytest.mark.parallel
 
@@ -84,15 +86,37 @@ def test_export_attach_roundtrip(pair_graph):
             thawed = attachment.graph
             assert thawed.num_vertices() == pair_graph.num_vertices()
             assert thawed.num_edges() == pair_graph.num_edges()
-            assert thawed.has_frozen()
+            # The frozen CSR is the snapshot's, backed by the block itself.
+            assert thawed.freeze() is attachment.snapshot.as_csr_graph()
+            assert isinstance(thawed.freeze().neighbors, memoryview)
             for vertex in pair_graph.vertices():
                 assert thawed.label(vertex) == pair_graph.label(vertex)
                 assert set(thawed.neighbors(vertex)) == set(
                     pair_graph.neighbors(vertex)
                 )
         finally:
-            thawed._frozen = None
             attachment.release()
+    finally:
+        export.close()
+
+
+def test_export_holds_the_snapshot_file_bytes(pair_graph, tmp_path):
+    path = tmp_path / "graph.bccsnap"
+    SnapshotWriter(path, butterfly_pairs="none").write(pair_graph)
+    export = export_graph(pair_graph)
+    try:
+        image = bytes(export.block.buf[: export.handle.size])
+    finally:
+        export.close()
+    assert image == path.read_bytes()
+
+
+def test_corrupted_export_fails_the_snapshot_checks(pair_graph):
+    export = export_graph(pair_graph)
+    try:
+        export.block.buf[export.handle.size - 1] ^= 0xFF  # the last segment
+        with pytest.raises(StoreError, match="checksum mismatch"):
+            attach_graph(export.handle)
     finally:
         export.close()
 

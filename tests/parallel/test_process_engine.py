@@ -22,14 +22,17 @@ import repro.api.engine as engine_mod
 from repro.api import BCCEngine, Query, SearchConfig
 from repro.datasets import load_dataset
 from repro.eval.queries import QuerySpec, generate_query_pairs
-from repro.exceptions import QueryError, WorkerCrashedError
+from repro.deadline import reset_deadline, set_deadline
+from repro.exceptions import DeadlineExceededError, QueryError, WorkerCrashedError
 from repro.graph.generators import paper_example_graph
+from repro.graph.labeled_graph import LabeledGraph
 from repro.parallel import ProcessEngine
 from repro.serving import GraphDirectory, ShardedBCCEngine
 from repro.server import Gateway, GatewayClient
 from repro.server.replicas import ReplicaSet
-from repro.server.protocol import encode_response
+from repro.server.protocol import encode_config, encode_response
 
+from tests.api.test_deadline import FakeClock
 from tests.serving.conftest import random_multi_component_graph
 
 pytestmark = pytest.mark.parallel
@@ -65,6 +68,16 @@ def canonical(response):
     payload = encode_response(response)
     payload.pop("timings")
     return payload
+
+
+def relabelled(graph, vertex=lambda v: v, label=lambda l: l):
+    """A copy of ``graph`` with its vertices and labels mapped."""
+    copy = LabeledGraph()
+    for v in graph.vertices():
+        copy.add_vertex(vertex(v), label=label(graph.label(v)))
+    for u, v in graph.edges():
+        copy.add_edge(vertex(u), vertex(v))
+    return copy
 
 
 @pytest.fixture()
@@ -138,6 +151,38 @@ class TestProcessEngine:
             cache = engine.result_cache_info()
             assert set(cache) >= {"hits", "misses", "hit_rate", "capacity"}
             assert len(engine.worker_pids()) == 2
+
+    def test_search_spends_no_more_than_the_outer_budget(
+        self, pair_graph, monkeypatch
+    ):
+        # A token does not cross the pipe, so the row carries the budget:
+        # never more than the caller has left on the outer deadline.
+        import repro.parallel.pool as pool_mod
+
+        encoded = []
+
+        def recording(config):
+            encoded.append(config)
+            return encode_config(config)
+
+        monkeypatch.setattr(pool_mod, "encode_config", recording)
+        clock = FakeClock()
+        query = Query("online-bcc", cross_pairs(pair_graph, 1)[0])
+        base = SearchConfig(deadline_ms=5000.0)
+        with ProcessEngine(pair_graph, base, workers=1) as engine:
+            token = set_deadline(0.25, clock(), clock)
+            try:
+                clock.now += 0.05
+                engine.search(query)
+                engine.search(query, config=SearchConfig(deadline_ms=100.0))
+                clock.now += 0.2
+                with pytest.raises(DeadlineExceededError):
+                    engine.search(query)
+            finally:
+                reset_deadline(token)
+            engine.search(query)
+        rows = [None if c is None else c.deadline_ms for c in encoded[-3:]]
+        assert rows == [pytest.approx(200.0), 100.0, None]
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +292,45 @@ class TestEngineBackend:
                 ]
             assert engine.counters_snapshot()["process_fallbacks"] == 2
             assert engine.process_pool_stats() is None
+
+    def test_unexportable_vertex_falls_back_to_threads(
+        self, pair_graph, fresh_fallback_state
+    ):
+        # A snapshot holds only str and int vertices, so a tuple vertex
+        # fails the export and the batch is served on threads instead.
+        graph = relabelled(pair_graph, vertex=lambda v: (v,))
+        queries = [
+            Query("online-bcc", ((u,), (v,))) for u, v in cross_pairs(pair_graph, 3)
+        ]
+        engine = BCCEngine(graph)
+        expected = engine.search_many(queries, on_error="return")
+        assert any(r.status == "ok" for r in expected)
+        with pytest.warns(RuntimeWarning, match="process backend unavailable"):
+            got = engine.search_many(queries, on_error="return", backend="process")
+        assert [(r.status, r.vertices) for r in got] == [
+            (r.status, r.vertices) for r in expected
+        ]
+        counters = engine.counters_snapshot()
+        assert counters["process_fallbacks"] == 1
+        assert counters["process_batches"] == 0
+        assert engine.process_pool_stats() is None
+
+    def test_none_labelled_group_serves_on_processes(self, pair_graph):
+        # A snapshot header holds a None label, so this graph exports.
+        graph = relabelled(pair_graph, label=lambda l: None if l == "A" else l)
+        assert None in graph.labels()
+        queries = [Query("online-bcc", p) for p in cross_pairs(graph, 3)]
+        engine = BCCEngine(graph)
+        expected = engine.search_many(queries, on_error="return")
+        assert any(r.status == "ok" for r in expected)
+        got = engine.search_many(queries, on_error="return", backend="process")
+        try:
+            assert [canonical(r) for r in got] == [canonical(r) for r in expected]
+            counters = engine.counters_snapshot()
+            assert counters["process_batches"] == 1
+            assert counters["process_fallbacks"] == 0
+        finally:
+            engine.close_process_pool()
 
 
 # ----------------------------------------------------------------------
@@ -447,12 +531,11 @@ class TestDirectory:
         queries = [Query("online-bcc", p) for p in cross_pairs(pair_graph, 2)]
         directory.serve_many("demo", queries, backend="process", max_workers=2)
         pool = engine._process._engine._current_pool()
-        names = [ref[0] for ref in pool.handle.segments.values()]
+        name = pool.handle.name
         del engine, pool
         # Re-adding swaps the engine without closing it (requests may
         # still be in flight); dropping the last reference unlinks.
         directory.add("demo", pair_graph)
         gc.collect()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)

@@ -19,7 +19,6 @@ from repro.exceptions import (
     GraphNotFoundError,
     QueryError,
 )
-from repro.graph.generators import paper_example_graph
 from repro.server import (
     Gateway,
     GatewayClient,

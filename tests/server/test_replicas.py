@@ -11,7 +11,7 @@ from repro.api import BCCEngine, Query, SearchConfig
 from repro.api.engine import run_with_deadline
 from repro.api.query import STATUS_ERROR, STATUS_OK
 from repro.exceptions import DeadlineExceededError
-from repro.graph.generators import paper_example_graph, random_labeled_graph
+from repro.graph.generators import random_labeled_graph
 from repro.server import ReplicaSet
 from repro.serving import GraphDirectory
 

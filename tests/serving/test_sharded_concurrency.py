@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import BCCEngine, Query, SearchConfig
+from repro.api import Query, SearchConfig
 from repro.serving import ShardedBCCEngine
 
 from tests.serving.conftest import random_multi_component_graph

@@ -57,6 +57,17 @@ class TestRoundTrip:
             assert list(snapshot.segment("coreness")) == csr.coreness()
             assert snapshot.vertices() == list(graph.vertices())
 
+    def test_copying_reader_round_trips_and_closes(self, tmp_path, monkeypatch):
+        # A big-endian host byteswaps on write and reads through array
+        # copies, not views; flipping the byte-order flag simulates one.
+        monkeypatch.setattr("repro.store.format._LITTLE_ENDIAN", False)
+        graph, _, path = _write_paper_snapshot(tmp_path)
+        offs, nbrs = graph.freeze().adjacency_lists()
+        snapshot = Snapshot(path)
+        assert list(snapshot.segment("offsets")) == list(offs)
+        assert list(snapshot.segment("neighbors")) == list(nbrs)
+        snapshot.close()
+
     def test_attached_csr_equals_frozen(self, tmp_path):
         graph, _, path = _write_paper_snapshot(tmp_path)
         frozen = graph.freeze()

@@ -12,7 +12,6 @@ import pytest
 
 from repro import (
     BCIndex,
-    BCCParameters,
     ctc_search,
     is_bcc,
     l2p_bcc_search,
