@@ -23,10 +23,7 @@ from typing import Dict
 
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.core.lp_bcc import lp_bcc_search
-from repro.core.online_bcc import online_bcc_search
-from repro.eval.instrumentation import SearchInstrumentation
+from benchmarks.conftest import search, write_result
 from repro.eval.queries import QuerySpec, generate_query_pairs
 from repro.eval.reporting import grid_table
 
@@ -44,32 +41,26 @@ def ablation_rows(baidu_like) -> Dict[str, Dict[str, float]]:
     }
 
     configs = {
-        "Online-BCC (single deletion)": dict(fn=online_bcc_search, bulk=False),
-        "Online-BCC (bulk deletion)": dict(fn=online_bcc_search, bulk=True),
-        "LP-BCC (leader tracking)": dict(fn=lp_bcc_search, bulk=True),
+        "Online-BCC (single deletion)": ("online-bcc", False),
+        "Online-BCC (bulk deletion)": ("online-bcc", True),
+        "LP-BCC (leader tracking)": ("lp-bcc", True),
     }
-    for label, config in configs.items():
-        inst = SearchInstrumentation()
-        distances = []
-        answered = 0
-        for q_left, q_right in pairs:
-            result = config["fn"](
-                baidu_like.graph,
-                q_left,
-                q_right,
-                b=1,
-                bulk_deletion=config["bulk"],
-                instrumentation=inst,
-            )
-            if result is not None:
-                answered += 1
-                distances.append(result.query_distance)
-        rows["iterations"][label] = float(inst.iterations)
-        rows["butterfly counting calls"][label] = float(inst.butterfly_counting_calls)
+    for label, (method, bulk) in configs.items():
+        responses = [
+            search(baidu_like.graph, method, q_left, q_right, b=1, bulk_deletion=bulk)
+            for q_left, q_right in pairs
+        ]
+        # Every search's counters count, answered or not.
+        counters = [r.instrumentation for r in responses]
+        distances = [r.query_distance for r in responses if r.found]
+        rows["iterations"][label] = float(sum(inst.iterations for inst in counters))
+        rows["butterfly counting calls"][label] = float(
+            sum(inst.butterfly_counting_calls for inst in counters)
+        )
         rows["avg query distance of answer"][label] = (
             sum(distances) / len(distances) if distances else float("nan")
         )
-        rows["answered queries"][label] = float(answered)
+        rows["answered queries"][label] = float(len(distances))
 
     write_result(
         "ablation_strategies",
@@ -87,7 +78,7 @@ def ablation_rows(baidu_like) -> Dict[str, Dict[str, float]]:
 def test_ablation_bulk_deletion_reduces_iterations(ablation_rows, baidu_like, benchmark):
     pairs = generate_query_pairs(baidu_like, QuerySpec(count=1), seed=21)
     q_left, q_right = pairs[0]
-    benchmark(online_bcc_search, baidu_like.graph, q_left, q_right, None, None, 1, True)
+    benchmark(search, baidu_like.graph, "online-bcc", q_left, q_right, b=1)
     single = ablation_rows["iterations"]["Online-BCC (single deletion)"]
     bulk = ablation_rows["iterations"]["Online-BCC (bulk deletion)"]
     assert bulk <= single
@@ -102,7 +93,7 @@ def test_ablation_bulk_deletion_reduces_iterations(ablation_rows, baidu_like, be
 def test_ablation_leader_tracking_reduces_counting(ablation_rows, baidu_like, benchmark):
     pairs = generate_query_pairs(baidu_like, QuerySpec(count=1), seed=21)
     q_left, q_right = pairs[0]
-    benchmark(lp_bcc_search, baidu_like.graph, q_left, q_right, None, None, 1)
+    benchmark(search, baidu_like.graph, "lp-bcc", q_left, q_right, b=1)
     assert (
         ablation_rows["butterfly counting calls"]["LP-BCC (leader tracking)"]
         < ablation_rows["butterfly counting calls"]["Online-BCC (bulk deletion)"]

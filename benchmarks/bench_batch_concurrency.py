@@ -32,7 +32,6 @@ whether the acceptance floor (threaded batch >= 1.5x) was met.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys

@@ -13,10 +13,7 @@ from typing import Dict, List
 
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.baselines.ctc import ctc_search
-from repro.core.lp_bcc import lp_bcc_search
-from repro.core.multilabel import mbcc_search
+from benchmarks.conftest import search, write_result
 from repro.eval.metrics import describe_community
 
 
@@ -36,36 +33,41 @@ def case_study_results(case_study_datasets):
 
     flight = case_study_datasets["flight"]
     results["flight"] = {
-        "bcc": lp_bcc_search(flight.graph, "Toronto", "Frankfurt", b=3),
-        "ctc": ctc_search(flight.graph, ["Toronto", "Frankfurt"]),
+        "bcc": search(flight.graph, "lp-bcc", "Toronto", "Frankfurt", b=3).result,
+        "ctc": search(flight.graph, "ctc", "Toronto", "Frankfurt").result,
         "bundle": flight,
     }
 
     trade = case_study_datasets["trade"]
     results["trade"] = {
-        "bcc": lp_bcc_search(trade.graph, "United States", "China", b=3),
-        "ctc": ctc_search(trade.graph, ["United States", "China"]),
+        "bcc": search(trade.graph, "lp-bcc", "United States", "China", b=3).result,
+        "ctc": search(trade.graph, "ctc", "United States", "China").result,
         "bundle": trade,
     }
 
     fiction = case_study_datasets["fiction"]
     results["fiction"] = {
-        "bcc": lp_bcc_search(fiction.graph, "Ron Weasley", "Draco Malfoy", b=1),
-        "ctc": ctc_search(fiction.graph, ["Ron Weasley", "Draco Malfoy"]),
+        "bcc": search(
+            fiction.graph, "lp-bcc", "Ron Weasley", "Draco Malfoy", b=1
+        ).result,
+        "ctc": search(fiction.graph, "ctc", "Ron Weasley", "Draco Malfoy").result,
         "bundle": fiction,
     }
 
     academic = case_study_datasets["academic"]
     results["academic"] = {
-        "bcc": lp_bcc_search(
-            academic.graph, "Tim Kraska", "Michael I. Jordan", b=3, k1=3, k2=3
-        ),
-        "mbcc": mbcc_search(
+        "bcc": search(
+            academic.graph, "lp-bcc", "Tim Kraska", "Michael I. Jordan", b=3, k1=3, k2=3
+        ).result,
+        "mbcc": search(
             academic.graph,
-            ["Michael J. Franklin", "Michael I. Jordan", "Ion Stoica"],
-            core_parameters=[3, 3, 3],
+            "mbcc",
+            "Michael J. Franklin",
+            "Michael I. Jordan",
+            "Ion Stoica",
+            core_parameters=(3, 3, 3),
             b=3,
-        ),
+        ).result,
         "bundle": academic,
     }
 
@@ -104,7 +106,7 @@ def case_study_results(case_study_datasets):
 
 def test_fig11_flight_case_study(case_study_results, case_study_datasets, benchmark):
     flight = case_study_datasets["flight"]
-    benchmark(lp_bcc_search, flight.graph, "Toronto", "Frankfurt", None, None, 3)
+    benchmark(search, flight.graph, "lp-bcc", "Toronto", "Frankfurt", b=3)
     payload = case_study_results["flight"]
     bcc, ctc = payload["bcc"], payload["ctc"]
     assert bcc is not None
@@ -118,7 +120,7 @@ def test_fig11_flight_case_study(case_study_results, case_study_datasets, benchm
 
 def test_fig12_trade_case_study(case_study_results, case_study_datasets, benchmark):
     trade = case_study_datasets["trade"]
-    benchmark(lp_bcc_search, trade.graph, "United States", "China", None, None, 3)
+    benchmark(search, trade.graph, "lp-bcc", "United States", "China", b=3)
     payload = case_study_results["trade"]
     bcc, ctc = payload["bcc"], payload["ctc"]
     assert bcc is not None
@@ -131,7 +133,7 @@ def test_fig12_trade_case_study(case_study_results, case_study_datasets, benchma
 
 def test_fig13_fiction_case_study(case_study_results, case_study_datasets, benchmark):
     fiction = case_study_datasets["fiction"]
-    benchmark(lp_bcc_search, fiction.graph, "Ron Weasley", "Draco Malfoy", None, None, 1)
+    benchmark(search, fiction.graph, "lp-bcc", "Ron Weasley", "Draco Malfoy", b=1)
     payload = case_study_results["fiction"]
     bcc, ctc = payload["bcc"], payload["ctc"]
     assert bcc is not None
@@ -144,7 +146,8 @@ def test_fig13_fiction_case_study(case_study_results, case_study_datasets, bench
 def test_fig15_academic_case_study(case_study_results, case_study_datasets, benchmark):
     academic = case_study_datasets["academic"]
     benchmark(
-        lp_bcc_search, academic.graph, "Tim Kraska", "Michael I. Jordan", 3, 3, 3
+        search, academic.graph, "lp-bcc", "Tim Kraska", "Michael I. Jordan",
+        k1=3, k2=3, b=3,
     )
     payload = case_study_results["academic"]
     bcc, mbcc = payload["bcc"], payload["mbcc"]

@@ -26,7 +26,6 @@ Results land in ``benchmarks/results/BENCH_store.json``.  Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 import time

@@ -28,13 +28,12 @@ Results land in ``benchmarks/results/BENCH_faults.json``.  Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List
+from typing import List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:

@@ -12,8 +12,7 @@ from typing import Dict
 
 import pytest
 
-from benchmarks.conftest import DEFAULT_SEED, write_result
-from repro.core.multilabel import mbcc_search
+from benchmarks.conftest import DEFAULT_SEED, search, write_result
 from repro.datasets import generate_baidu_network, generate_snap_like
 from repro.eval.queries import generate_multilabel_queries
 from repro.eval.reporting import sweep_table
@@ -42,7 +41,7 @@ def sweep_label_count(bundle) -> Dict[str, Dict[int, float]]:
             continue
         start = time.perf_counter()
         for query in queries:
-            mbcc_search(bundle.graph, list(query), b=1, max_iterations=100)
+            search(bundle.graph, "mbcc", *query, b=1, max_iterations=100)
         series["mBCC (L2P framework)"][m] = (time.perf_counter() - start) / len(queries)
     return series
 
@@ -67,8 +66,9 @@ def multilabel_time_series(multilabel_bundles):
 def test_fig10_two_label_point_benchmark(multilabel_time_series, multilabel_bundles, benchmark):
     bundle = multilabel_bundles["baidu-1"]
     queries = generate_multilabel_queries(bundle, 2, count=1, seed=10)
-    query = list(queries[0])
-    result = benchmark(mbcc_search, bundle.graph, query, None, 1, True, 100)
+    query = queries[0]
+    response = benchmark(search, bundle.graph, "mbcc", *query, b=1, max_iterations=100)
+    result = response.result
     assert result is None or result.num_vertices() >= 2
     assert multilabel_time_series["baidu-1"]["mBCC (L2P framework)"]
 
@@ -78,6 +78,7 @@ def test_fig10_three_label_point_benchmark(multilabel_bundles, benchmark):
     queries = generate_multilabel_queries(bundle, 3, count=1, seed=11)
     if not queries:
         pytest.skip("no 3-label query available in this instance")
-    query = list(queries[0])
-    result = benchmark(mbcc_search, bundle.graph, query, None, 1, True, 100)
+    query = queries[0]
+    response = benchmark(search, bundle.graph, "mbcc", *query, b=1, max_iterations=100)
+    result = response.result
     assert result is None or len(result.groups) == 3

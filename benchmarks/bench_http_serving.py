@@ -34,7 +34,6 @@ asserted.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import statistics

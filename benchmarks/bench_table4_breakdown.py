@@ -20,14 +20,12 @@ from typing import Dict
 
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.core.lp_bcc import lp_bcc_search
-from repro.core.online_bcc import online_bcc_search
-from repro.eval.instrumentation import SearchInstrumentation
+from benchmarks.conftest import search, write_result
 from repro.eval.queries import QuerySpec, generate_query_pairs
 from repro.eval.reporting import breakdown_table, speedup
 
 QUERY_COUNT = 4
+METHODS = {"Online-BCC": "online-bcc", "LP-BCC": "lp-bcc"}
 
 
 def _filled_copy(graph):
@@ -43,36 +41,30 @@ def _filled_copy(graph):
 @pytest.fixture(scope="module")
 def breakdown(dblp_like) -> Dict[str, Dict[str, float]]:
     pairs = generate_query_pairs(dblp_like, QuerySpec(count=QUERY_COUNT), seed=42)
-    online_inst = SearchInstrumentation()
-    lp_inst = SearchInstrumentation()
-    online_total = 0.0
-    lp_total = 0.0
     # One copy per method: a graph's frozen snapshot carries the memos of
     # connected cores and of G0, so on a shared graph one method would reuse
     # the other's Algorithm 2.
-    online_graph = _filled_copy(dblp_like.graph)
-    lp_graph = _filled_copy(dblp_like.graph)
+    graphs = {name: _filled_copy(dblp_like.graph) for name in METHODS}
+    counters = {name: [] for name in METHODS}
+    totals = dict.fromkeys(METHODS, 0.0)
     for q_left, q_right in pairs:
-        start = time.perf_counter()
-        online_bcc_search(online_graph, q_left, q_right, b=1, instrumentation=online_inst)
-        online_total += time.perf_counter() - start
-        start = time.perf_counter()
-        lp_bcc_search(lp_graph, q_left, q_right, b=1, instrumentation=lp_inst)
-        lp_total += time.perf_counter() - start
+        for name, method in METHODS.items():
+            start = time.perf_counter()
+            response = search(graphs[name], method, q_left, q_right, b=1)
+            totals[name] += time.perf_counter() - start
+            counters[name].append(response.instrumentation)
+
+    def summed(field: str) -> Dict[str, float]:
+        return {
+            name: float(sum(getattr(inst, field) for inst in counters[name]))
+            for name in METHODS
+        }
+
     rows = {
-        "Query distance calculation (s)": {
-            "Online-BCC": online_inst.query_distance_seconds,
-            "LP-BCC": lp_inst.query_distance_seconds,
-        },
-        "Leader pair update (s)": {
-            "Online-BCC": online_inst.leader_update_seconds,
-            "LP-BCC": lp_inst.leader_update_seconds,
-        },
-        "#butterfly counting": {
-            "Online-BCC": float(online_inst.butterfly_counting_calls),
-            "LP-BCC": float(lp_inst.butterfly_counting_calls),
-        },
-        "Total time (s)": {"Online-BCC": online_total, "LP-BCC": lp_total},
+        "Query distance calculation (s)": summed("query_distance_seconds"),
+        "Leader pair update (s)": summed("leader_update_seconds"),
+        "#butterfly counting": summed("butterfly_counting_calls"),
+        "Total time (s)": totals,
     }
     lines = [
         breakdown_table(rows, title="Table 4: Online-BCC vs LP-BCC breakdown (DBLP-like)"),
@@ -90,7 +82,7 @@ def test_table4_butterfly_counting_reduction(breakdown, dblp_like, benchmark):
     """LP-BCC must invoke Algorithm 3 far less often than Online-BCC."""
     pairs = generate_query_pairs(dblp_like, QuerySpec(count=1), seed=42)
     q_left, q_right = pairs[0]
-    benchmark(lp_bcc_search, dblp_like.graph, q_left, q_right)
+    benchmark(search, dblp_like.graph, "lp-bcc", q_left, q_right)
     assert breakdown["#butterfly counting"]["LP-BCC"] < breakdown["#butterfly counting"]["Online-BCC"]
 
 
@@ -98,5 +90,5 @@ def test_table4_total_time_speedup(breakdown, dblp_like, benchmark):
     """LP-BCC must not be slower end to end than Online-BCC on this workload."""
     pairs = generate_query_pairs(dblp_like, QuerySpec(count=1), seed=42)
     q_left, q_right = pairs[0]
-    benchmark(online_bcc_search, dblp_like.graph, q_left, q_right)
+    benchmark(search, dblp_like.graph, "online-bcc", q_left, q_right)
     assert breakdown["Total time (s)"]["LP-BCC"] <= breakdown["Total time (s)"]["Online-BCC"] * 1.2

@@ -18,6 +18,7 @@ from typing import Dict
 
 import pytest
 
+from repro.api import BCCEngine, Query, SearchConfig, SearchResponse
 from repro.datasets import DatasetBundle, load_dataset
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -39,6 +40,12 @@ BENCHMARK_NETWORKS: Dict[str, Dict] = {
 }
 
 DEFAULT_SEED = 2021
+
+
+def search(graph, method: str, *vertices, **config) -> SearchResponse:
+    """One ``method`` query for ``vertices`` on a fresh engine over ``graph``,
+    configured by the :class:`SearchConfig` fields in ``config``."""
+    return BCCEngine(graph, SearchConfig(**config)).search(Query(method, vertices))
 
 
 def write_result(artifact: str, text: str) -> Path:

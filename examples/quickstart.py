@@ -10,9 +10,8 @@ discovered community, which matches Figure 2 of the paper.  It then batches
 the CTC and PSA baselines through ``search_many`` to show why label-agnostic
 models miss the cross-group team.
 
-The legacy one-shot functions (``online_bcc_search`` & co.) remain available
-and delegate to the same engine path; hold an engine when you have more than
-one query, so preparation (CSR freeze, label groups, BCindex) amortizes.
+Every search is a ``BCCEngine.search``; hold one engine for all your
+queries, so preparation (CSR freeze, label groups, BCindex) amortizes.
 
 Run with:  python examples/quickstart.py
 """

@@ -16,11 +16,10 @@ Quickstart
 >>> response.found
 True
 
-The one-shot free functions (``lp_bcc_search`` & co.) remain available and
-delegate to the same engine path.
+Every search, whichever of the six methods it runs, is a
+``BCCEngine.search``.
 """
 
-from repro.baselines import ctc_search, psa_search
 from repro.core import (
     BCIndex,
     BCCParameters,
@@ -30,10 +29,6 @@ from repro.core import (
     core_decomposition,
     find_g0,
     is_bcc,
-    l2p_bcc_search,
-    lp_bcc_search,
-    mbcc_search,
-    online_bcc_search,
     validate_bcc,
 )
 from repro.graph import (
@@ -72,7 +67,7 @@ from repro.parallel import (
     ProcessWorkerPool,
 )
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 __all__ = [
     "BCCEngine",
@@ -103,15 +98,9 @@ __all__ = [
     "butterfly_degrees",
     "compute_statistics",
     "core_decomposition",
-    "ctc_search",
     "extract_bipartite",
     "find_g0",
     "is_bcc",
-    "l2p_bcc_search",
-    "lp_bcc_search",
-    "mbcc_search",
-    "online_bcc_search",
-    "psa_search",
     "validate_bcc",
     "__version__",
 ]

@@ -8,13 +8,12 @@ This package is the library's front door for query serving:
 >>> response.status, sorted(response.vertices)[:3]  # doctest: +SKIP
 
 The engine prepares once (CSR freeze, cached label groups, lazily built
-BCindex) and serves many queries; the legacy free functions
-(``online_bcc_search`` & co.) remain as thin one-shot wrappers over it.
+BCindex) and serves many queries.  Every search, a single one too, runs
+on an engine.
 """
 
 from repro.api.config import SearchConfig
 from repro.api.engine import BACKENDS, ON_ERROR_POLICIES, BCCEngine
-from repro.api.oneshot import one_shot_search
 from repro.api.query import (
     STATUS_EMPTY,
     STATUS_ERROR,
@@ -50,7 +49,6 @@ __all__ = [
     "SearchResponse",
     "get_method",
     "method_names",
-    "one_shot_search",
     "register_method",
     "registered_methods",
     "unregister_method",

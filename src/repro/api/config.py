@@ -1,10 +1,10 @@
 """Typed, frozen search configuration shared by every registered method.
 
-:class:`SearchConfig` replaces the per-function keyword sprawl of the legacy
-entry points (``size_budget=...`` here, ``rho=...`` there) with one
-validated, immutable object.  An engine holds a base config; callers derive
-variants with :meth:`SearchConfig.replace` (e.g. a parameter sweep changing
-only ``k``), and per-query overrides ride on :class:`repro.api.query.Query`.
+:class:`SearchConfig` holds every method's parameters (``size_budget`` for
+PSA, ``rho`` for the leader pair, ...) in one validated, immutable object.
+An engine holds a base config; callers derive variants with
+:meth:`SearchConfig.replace` (e.g. a parameter sweep changing only ``k``),
+and per-query overrides ride on :class:`repro.api.query.Query`.
 
 Not every field applies to every method — each registered runner reads the
 fields its algorithm defines (the butterfly parameter ``b`` means nothing to
@@ -37,8 +37,9 @@ class SearchConfig:
     k:
         Single core-parameter override: BCC methods read it as
         ``k1 = k2 = k`` when ``k1``/``k2`` are unset, PSA as its core
-        parameter, CTC as a pinned trussness (unset means the maximum
-        trussness containing the query).  The harness's symmetric sweeps
+        parameter (unset means the smallest query coreness), CTC as a
+        pinned trussness (unset means the maximum trussness containing the
+        query).  The harness's symmetric sweeps
         (Fig. 8 varies one ``k`` "due to the symmetry property") skip CTC —
         its ``MethodSpec.symmetric_k`` is ``False`` — matching the paper's
         experiments, where CTC always runs at maximum trussness.
@@ -46,7 +47,9 @@ class SearchConfig:
         Butterfly-degree requirement of the leader pair (Def. 4).
     bulk_deletion:
         Remove every farthest vertex per peeling iteration (the paper's
-        experimental setting) instead of a single one.
+        experimental setting) instead of a single one, as Algorithm 1 is
+        written; the single deletion removes, among the farthest vertices,
+        the one with the smallest ``repr``.
     rho:
         Leader search radius of Algorithm 6 (LP-BCC / L2P-BCC).
     max_iterations:
@@ -101,7 +104,7 @@ class SearchConfig:
             raise QueryError("max_iterations must be non-negative or None")
         # Zero budgets are legal degenerate settings the algorithms define
         # (eta=0: the candidate is the seed path; size_budget=0: skip the
-        # PSA expansion), matching what the legacy entry points accepted.
+        # PSA expansion).
         if self.eta < 0:
             raise QueryError("candidate size threshold eta must be non-negative")
         if self.size_budget < 0:

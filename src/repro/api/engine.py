@@ -1,8 +1,7 @@
 """The prepared, query-serving engine — the library's single front door.
 
 ``BCCEngine`` binds a labeled graph to a :class:`SearchConfig` and serves
-queries through the method registry.  Unlike the legacy one-shot functions it
-*prepares once and serves many*:
+queries through the method registry.  It *prepares once and serves many*:
 
 * :meth:`prepare` freezes the graph's CSR snapshot (version-cached, so every
   CSR kernel on the unmutated graph reuses it) and fills the caches

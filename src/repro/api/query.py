@@ -3,14 +3,13 @@
 Every method — the three BCC searches, the multi-labeled mBCC search and the
 CTC/PSA baselines — is invoked through a :class:`Query` and answers with a
 :class:`SearchResponse`, so callers (and the eval harness) handle one shape
-instead of five result types and bare-``None`` conventions:
+instead of five result types:
 
 * ``status == "ok"`` — a community was found; ``result`` holds the
   method-native result object (``BCCResult``, ``MBCCResult``, ...) and
   ``vertices`` its member set.
 * ``status == "empty"`` — no community satisfies the constraints; ``reason``
-  carries a machine-readable code (``repro.exceptions.REASON_*``) instead of
-  the bare ``None`` the legacy free functions return.
+  carries a machine-readable code (``repro.exceptions.REASON_*``).
 * ``status == "error"`` — the query itself was bad (unknown vertex, wrong
   arity, unknown method).  ``search`` still raises for these; only
   ``search_many(on_error="return")`` produces error responses, so one

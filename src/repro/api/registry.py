@@ -65,8 +65,8 @@ class MethodSpec:
     missing_vertex_is_empty:
         Historical contract of the label-agnostic baselines: a query naming
         an unknown vertex means "no community" rather than an error.  The
-        engine itself always raises; the legacy one-shot wrappers and the
-        eval harness consult this flag to translate the error back.
+        engine itself always raises; the eval harness consults this flag to
+        score such a query as unanswered.
     description:
         One-line human-readable summary (shown by ``BCCEngine.explain``).
     """

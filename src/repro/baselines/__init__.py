@@ -1,6 +1,6 @@
 """Baseline community-search models the paper compares against (CTC and PSA)."""
 
-from repro.baselines.ctc import CTCResult, ctc_search
-from repro.baselines.psa import PSAResult, psa_search
+from repro.baselines.ctc import CTCResult
+from repro.baselines.psa import PSAResult
 
-__all__ = ["CTCResult", "PSAResult", "ctc_search", "psa_search"]
+__all__ = ["CTCResult", "PSAResult"]

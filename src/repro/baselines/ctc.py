@@ -61,43 +61,6 @@ class CTCResult:
         return set(self.community.vertices())
 
 
-def ctc_search(
-    graph: LabeledGraph,
-    query_vertices: Sequence[Vertex],
-    k: Optional[int] = None,
-    bulk_deletion: bool = True,
-    max_iterations: Optional[int] = None,
-    instrumentation: Optional[SearchInstrumentation] = None,
-) -> Optional[CTCResult]:
-    """Run the closest truss community search.
-
-    Parameters
-    ----------
-    graph:
-        The input graph (labels are ignored by this baseline).
-    query_vertices:
-        The query set Q (the BCC experiments use the same two vertices).
-    k:
-        Trussness to use; defaults to the largest ``k`` for which a connected
-        k-truss containing all query vertices exists.
-    bulk_deletion:
-        Remove every farthest vertex per iteration (default, matching the
-        experimental setting of the BCC paper) or only one.
-    max_iterations:
-        Optional cap on peeling iterations.
-    instrumentation:
-        Optional counters.
-    """
-    from repro.api import SearchConfig, one_shot_search
-
-    config = SearchConfig(
-        k=k, bulk_deletion=bulk_deletion, max_iterations=max_iterations
-    )
-    return one_shot_search(
-        "ctc", graph, tuple(query_vertices), config, instrumentation
-    )
-
-
 def run_ctc(
     graph: LabeledGraph,
     query_vertices: Sequence[Vertex],
@@ -108,8 +71,9 @@ def run_ctc(
 ) -> CTCResult:
     """CTC implementation registered as method ``"ctc"``.
 
-    Parameters match :func:`ctc_search`; raises :class:`EmptyCommunityError`
-    with a machine-readable ``reason`` instead of returning ``None``.
+    Parameters are the :class:`~repro.api.SearchConfig` fields of the same
+    names; raises :class:`EmptyCommunityError` with a machine-readable
+    ``reason`` when no community exists.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     query = list(query_vertices)

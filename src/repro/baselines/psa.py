@@ -78,40 +78,6 @@ def _connected_k_core_containing(
     return core.induced_subgraph(component)
 
 
-def psa_search(
-    graph: LabeledGraph,
-    query_vertices: Sequence[Vertex],
-    k: Optional[int] = None,
-    size_budget: int = DEFAULT_SIZE_BUDGET,
-    shrink_rounds: int = DEFAULT_SHRINK_ROUNDS,
-    instrumentation: Optional[SearchInstrumentation] = None,
-) -> Optional[PSAResult]:
-    """Run the progressive minimum k-core search heuristic.
-
-    Parameters
-    ----------
-    graph:
-        The input graph (labels ignored).
-    query_vertices:
-        The query set Q.
-    k:
-        Core parameter; defaults to the smallest coreness among the query
-        vertices (the largest value for which a common k-core can exist).
-    size_budget:
-        Maximum number of vertices explored during expansion.
-    shrink_rounds:
-        Maximum number of farthest-vertex removal attempts during shrinking.
-    instrumentation:
-        Optional counters.
-    """
-    from repro.api import SearchConfig, one_shot_search
-
-    config = SearchConfig(k=k, size_budget=size_budget, shrink_rounds=shrink_rounds)
-    return one_shot_search(
-        "psa", graph, tuple(query_vertices), config, instrumentation
-    )
-
-
 def run_psa(
     graph: LabeledGraph,
     query_vertices: Sequence[Vertex],
@@ -122,8 +88,9 @@ def run_psa(
 ) -> PSAResult:
     """PSA implementation registered as method ``"psa"``.
 
-    Parameters match :func:`psa_search`; raises :class:`EmptyCommunityError`
-    with a machine-readable ``reason`` instead of returning ``None``.
+    Parameters are the :class:`~repro.api.SearchConfig` fields of the same
+    names; raises :class:`EmptyCommunityError` with a machine-readable
+    ``reason`` when no community exists.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     query = list(query_vertices)

@@ -43,16 +43,12 @@ from repro.core.leader_pair import (
     identify_leader_pair,
     updated_leader_degree,
 )
-from repro.core.local_search import l2p_bcc_search
-from repro.core.lp_bcc import lp_bcc_search
 from repro.core.maintenance import MaintenanceResult, maintain_bcc, maintain_label_core
 from repro.core.multilabel import (
     MBCCResult,
     cross_group_connected,
     find_mbcc_candidate,
-    mbcc_search,
 )
-from repro.core.online_bcc import online_bcc_search
 from repro.core.path_weight import (
     PathWeightConfig,
     butterfly_core_shortest_path,
@@ -94,8 +90,6 @@ __all__ = [
     "k_truss",
     "k_truss_containing",
     "k_truss_vertices",
-    "l2p_bcc_search",
-    "lp_bcc_search",
     "maintain_bcc",
     "maintain_k_core",
     "maintain_label_core",
@@ -103,8 +97,6 @@ __all__ = [
     "max_core_value_containing",
     "max_truss_value_containing",
     "maximal_bcc_exists",
-    "mbcc_search",
-    "online_bcc_search",
     "path_weight",
     "resolve_query_labels",
     "total_butterflies",

@@ -100,64 +100,6 @@ def _auto_core_parameter(candidate: LabeledGraph, label, query: Vertex) -> int:
     return core_decomposition(group).get(query, 0)
 
 
-def l2p_bcc_search(
-    graph: LabeledGraph,
-    q_left: Vertex,
-    q_right: Vertex,
-    k1: Optional[int] = None,
-    k2: Optional[int] = None,
-    b: int = 1,
-    index: Optional[BCIndex] = None,
-    eta: int = DEFAULT_CANDIDATE_SIZE,
-    path_config: PathWeightConfig = PathWeightConfig(),
-    rho: int = DEFAULT_RHO,
-    max_iterations: Optional[int] = None,
-    instrumentation: Optional[SearchInstrumentation] = None,
-) -> Optional[BCCResult]:
-    """Run the L2P-BCC local search (Algorithm 8).
-
-    This legacy one-shot entry point delegates to a throwaway
-    :class:`repro.api.BCCEngine`; pass ``index`` to reuse a pre-built
-    BCindex, or hold a long-lived engine to have it built and cached once.
-
-    Parameters
-    ----------
-    graph:
-        The labeled input graph.
-    q_left, q_right:
-        Query vertices with different labels.
-    k1, k2:
-        Core parameters; when omitted they are set automatically to the
-        largest coreness admitting a connected core around each query vertex
-        inside the candidate graph (Algorithm 8, line 4).
-    b:
-        Butterfly-degree requirement.
-    index:
-        A pre-built :class:`BCIndex`; built on the fly when omitted (building
-        it once and reusing it across queries is what makes L2P-BCC fast).
-    eta:
-        Candidate-graph size threshold (empirically tuned; default 400).
-    path_config:
-        γ1/γ2 weights of the butterfly-core path weight (paper default 0.5).
-    rho, max_iterations, instrumentation:
-        Passed through to the LP-BCC refinement.
-    """
-    from repro.api import SearchConfig, one_shot_search
-
-    config = SearchConfig(
-        k1=k1,
-        k2=k2,
-        b=b,
-        rho=rho,
-        max_iterations=max_iterations,
-        eta=eta,
-        path_config=path_config,
-    )
-    return one_shot_search(
-        "l2p-bcc", graph, (q_left, q_right), config, instrumentation, index=index
-    )
-
-
 def run_l2p_bcc(
     graph: LabeledGraph,
     q_left: Vertex,
@@ -176,8 +118,9 @@ def run_l2p_bcc(
 
     The engine serves the method on the CSR pipeline
     (:func:`repro.core.pipeline.l2p_bcc`); tests compare the two.
-    Parameters match :func:`l2p_bcc_search`.  Raises
-    :class:`EmptyCommunityError` instead of returning ``None``.
+    Parameters are the :class:`~repro.api.SearchConfig` fields of the same
+    names; ``index`` is built on the fly when omitted.  Raises
+    :class:`EmptyCommunityError` when no community exists.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)

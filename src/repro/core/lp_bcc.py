@@ -43,39 +43,6 @@ from repro.graph.labeled_graph import LabeledGraph, Vertex
 DEFAULT_RHO = 2
 
 
-def lp_bcc_search(
-    graph: LabeledGraph,
-    q_left: Vertex,
-    q_right: Vertex,
-    k1: Optional[int] = None,
-    k2: Optional[int] = None,
-    b: int = 1,
-    bulk_deletion: bool = True,
-    rho: int = DEFAULT_RHO,
-    max_iterations: Optional[int] = None,
-    instrumentation: Optional[SearchInstrumentation] = None,
-) -> Optional[BCCResult]:
-    """Run the LP-BCC search (Algorithm 1 + Algorithms 5, 6 and 7).
-
-    Parameters match :func:`repro.core.online_bcc.online_bcc_search`; ``rho``
-    is the leader search radius of Algorithm 6.  This legacy one-shot entry
-    point delegates to a throwaway :class:`repro.api.BCCEngine`.
-    """
-    from repro.api import SearchConfig, one_shot_search
-
-    config = SearchConfig(
-        k1=k1,
-        k2=k2,
-        b=b,
-        bulk_deletion=bulk_deletion,
-        rho=rho,
-        max_iterations=max_iterations,
-    )
-    return one_shot_search(
-        "lp-bcc", graph, (q_left, q_right), config, instrumentation
-    )
-
-
 def run_lp_bcc(
     graph: LabeledGraph,
     q_left: Vertex,
@@ -92,8 +59,8 @@ def run_lp_bcc(
 
     The engine serves the method on the CSR pipeline
     (:func:`repro.core.pipeline.lp_bcc`); tests compare the two.  Raises
-    :class:`EmptyCommunityError` with a machine-readable ``reason`` instead
-    of returning ``None``.
+    :class:`EmptyCommunityError` with a machine-readable ``reason`` when no
+    community exists.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)

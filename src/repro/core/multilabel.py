@@ -9,7 +9,7 @@ The mBCC model (Def. 8) generalises the BCC to ``m >= 2`` labels:
    direct cross-group interaction — i.e. whose bipartite graph contains, on
    each side, a vertex with butterfly degree at least ``b``.
 
-:func:`mbcc_search` implements Algorithm 9: find the maximal candidate
+:func:`run_mbcc` implements Algorithm 9: find the maximal candidate
 (Algorithm 2 generalised to m groups), then iteratively delete the farthest
 vertices (fast query distances, Algorithm 5), maintain every group as a
 ``k_i``-core, and re-check cross-group connectivity after every deletion
@@ -231,52 +231,6 @@ def _mbcc_candidate(
     return community, interaction
 
 
-def mbcc_search(
-    graph: LabeledGraph,
-    query_vertices: Sequence[Vertex],
-    core_parameters: Optional[Sequence[int]] = None,
-    b: int = 1,
-    bulk_deletion: bool = True,
-    max_iterations: Optional[int] = None,
-    instrumentation: Optional[SearchInstrumentation] = None,
-) -> Optional[MBCCResult]:
-    """Run the multi-labeled BCC search of Algorithm 9.
-
-    This legacy one-shot entry point delegates to a throwaway
-    :class:`repro.api.BCCEngine` (method ``"mbcc"``).
-
-    Parameters
-    ----------
-    graph:
-        The labeled input graph.
-    query_vertices:
-        ``m`` query vertices, each with a distinct label.
-    core_parameters:
-        Optional per-query ``k_i`` values (same order as the query vertices);
-        defaults to each query vertex's coreness within its label group.
-    b:
-        Butterfly-degree requirement for every cross-group interaction.
-    bulk_deletion:
-        Remove all farthest vertices per iteration (True, the paper's
-        experimental setting) or a single vertex (False).
-    max_iterations:
-        Optional cap on peeling iterations.
-    instrumentation:
-        Optional counters.
-    """
-    from repro.api import SearchConfig, one_shot_search
-
-    config = SearchConfig(
-        b=b,
-        bulk_deletion=bulk_deletion,
-        max_iterations=max_iterations,
-        core_parameters=None if core_parameters is None else tuple(core_parameters),
-    )
-    return one_shot_search(
-        "mbcc", graph, tuple(query_vertices), config, instrumentation
-    )
-
-
 def run_mbcc(
     graph: LabeledGraph,
     query_vertices: Sequence[Vertex],
@@ -289,9 +243,9 @@ def run_mbcc(
 ) -> MBCCResult:
     """Algorithm 9 implementation registered as method ``"mbcc"``.
 
-    Parameters match :func:`mbcc_search`; ``groups`` optionally supplies
-    cached label-induced subgraphs.  Raises :class:`EmptyCommunityError`
-    instead of returning ``None``.
+    Parameters are the :class:`~repro.api.SearchConfig` fields of the same
+    names; ``groups`` optionally supplies cached label-induced subgraphs.
+    Raises :class:`EmptyCommunityError` when no community exists.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     query = list(query_vertices)

@@ -41,64 +41,6 @@ from repro.graph.traversal import (
 )
 
 
-def online_bcc_search(
-    graph: LabeledGraph,
-    q_left: Vertex,
-    q_right: Vertex,
-    k1: Optional[int] = None,
-    k2: Optional[int] = None,
-    b: int = 1,
-    bulk_deletion: bool = True,
-    max_iterations: Optional[int] = None,
-    instrumentation: Optional[SearchInstrumentation] = None,
-) -> Optional[BCCResult]:
-    """Run the Online-BCC greedy search (Algorithm 1).
-
-    This is the legacy one-shot entry point; it delegates to a throwaway
-    :class:`repro.api.BCCEngine` so every search flows through the same
-    prepared-engine front door.  Long-lived callers should construct the
-    engine directly and reuse it across queries.
-
-    Parameters
-    ----------
-    graph:
-        The labeled input graph.
-    q_left, q_right:
-        Query vertices with different labels.
-    k1, k2:
-        Core parameters; default to the coreness of the query vertices within
-        their own label groups (Section 3.5).
-    b:
-        Butterfly-degree requirement of the leader pair.
-    bulk_deletion:
-        When True (the setting used in the paper's experiments), all vertices
-        attaining the maximum query distance are removed each iteration;
-        otherwise a single vertex is removed, exactly as Algorithm 1 states
-        (among equally far vertices, the one with the smallest ``repr``).
-    max_iterations:
-        Optional safety cap on the number of peeling iterations.
-    instrumentation:
-        Optional counters (butterfly-counting calls, timings).
-
-    Returns
-    -------
-    BCCResult or None
-        ``None`` when no (k1, k2, b)-BCC containing the query exists.
-    """
-    from repro.api import SearchConfig, one_shot_search
-
-    config = SearchConfig(
-        k1=k1,
-        k2=k2,
-        b=b,
-        bulk_deletion=bulk_deletion,
-        max_iterations=max_iterations,
-    )
-    return one_shot_search(
-        "online-bcc", graph, (q_left, q_right), config, instrumentation
-    )
-
-
 def distance_sweep(
     graph,
     q_left: int,
@@ -143,9 +85,9 @@ def run_online_bcc(
     copy of ``G0`` and sweeps it with an object-graph BFS, sharing no sweep
     code with the pipeline, so tests compare the two.
 
-    Parameters match :func:`online_bcc_search`.  Raises
-    :class:`EmptyCommunityError` (with a machine-readable ``reason``) when no
-    community exists instead of returning ``None``.
+    Parameters are the :class:`~repro.api.SearchConfig` fields of the same
+    names.  Raises :class:`EmptyCommunityError` (with a machine-readable
+    ``reason``) when no community exists.
     """
     inst = instrumentation if instrumentation is not None else SearchInstrumentation()
     left_label, right_label = resolve_query_labels(graph, q_left, q_right)

@@ -156,8 +156,8 @@ def run_method(
         ``b`` (engine config when an engine is supplied, else 200).
     engine:
         Optional prepared :class:`BCCEngine` to serve the query; when
-        omitted a throwaway engine is created (the legacy one-shot cost
-        profile).
+        omitted a throwaway engine is created, which prepares for this one
+        query.
 
     Returns
     -------

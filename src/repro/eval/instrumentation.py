@@ -20,7 +20,7 @@ from typing import Dict, Iterator
 
 @dataclass
 class SearchInstrumentation:
-    """Counters and timers collected during one (or more) community searches.
+    """Counters and timers collected during one community search.
 
     ``iterations`` counts the greedy deletion steps, and ``vertices_deleted``
     the ids removed by the steps that kept a valid community.  A step of
@@ -73,16 +73,6 @@ class SearchInstrumentation:
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
-    def merge(self, other: "SearchInstrumentation") -> None:
-        """Accumulate another instrumentation record into this one."""
-        self.butterfly_counting_calls += other.butterfly_counting_calls
-        self.query_distance_seconds += other.query_distance_seconds
-        self.leader_update_seconds += other.leader_update_seconds
-        self.iterations += other.iterations
-        self.vertices_deleted += other.vertices_deleted
-        for key, value in other.extra.items():
-            self.add(key, value)
-
     def as_dict(self) -> Dict[str, float]:
         """Return a flat dictionary of all counters (for reporting)."""
         payload: Dict[str, float] = {

@@ -32,10 +32,6 @@ class EdgeNotFoundError(GraphError, KeyError):
         self.edge = (u, v)
 
 
-class LabelError(GraphError):
-    """Raised when vertex labels are missing or inconsistent with a query."""
-
-
 class QueryError(ReproError):
     """Raised when a community-search query is malformed.
 
@@ -152,8 +148,7 @@ class EmptyCommunityError(ReproError):
     The registered search implementations raise this internally with a
     machine-readable ``reason`` code (one of the ``REASON_*`` constants);
     :class:`repro.api.BCCEngine` converts it into a ``SearchResponse`` with
-    ``status="empty"`` while the legacy free functions keep returning
-    ``None``.
+    ``status="empty"``.
     """
 
     def __init__(self, message: str = "", reason: str = REASON_NO_COMMUNITY) -> None:

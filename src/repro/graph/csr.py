@@ -733,10 +733,6 @@ class CSRBipartiteView(_FlatAdjacency):
         view._slices = slices
         return view
 
-    def is_left(self, vid: int) -> bool:
-        """Return ``True`` when ``vid`` lies on the left side."""
-        return vid < self.n_left
-
     def rank_sorted(self) -> Tuple[List[int], List[List[int]]]:
         """Return (and cache) ``(rank, rank_slices)`` for the wedge kernel.
 

@@ -264,16 +264,6 @@ class LabeledGraph:
             if self._labels[u] != self._labels[v]:
                 yield (u, v)
 
-    def cross_neighbors(self, vertex: Vertex) -> Set[Vertex]:
-        """Return neighbours of ``vertex`` that carry a different label."""
-        lab = self.label(vertex)
-        return {w for w in self._adj[vertex] if self._labels[w] != lab}
-
-    def same_label_neighbors(self, vertex: Vertex) -> Set[Vertex]:
-        """Return neighbours of ``vertex`` that carry the same label."""
-        lab = self.label(vertex)
-        return {w for w in self._adj[vertex] if self._labels[w] == lab}
-
     # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------

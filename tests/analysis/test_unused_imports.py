@@ -1,4 +1,5 @@
-"""No module in ``src/`` or ``tests/`` imports a name it never uses.
+"""No module in ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``
+imports a name it never uses.
 
 An import at module level (including inside a module-level ``if`` or
 ``try``) binds a name; the name counts as used when the module reads it
@@ -14,6 +15,7 @@ from pathlib import Path
 from typing import Iterator, List, Set, Union
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+SCANNED = ("src", "tests", "benchmarks", "examples")
 
 Import = Union[ast.Import, ast.ImportFrom]
 
@@ -103,10 +105,10 @@ def unused_imports(path: Path) -> List[str]:
     ]
 
 
-def test_no_unused_imports_in_src_or_tests():
+def test_no_unused_imports():
     found = [
         line
-        for tree in ("src", "tests")
+        for tree in SCANNED
         for path in sorted((REPO_ROOT / tree).rglob("*.py"))
         if path.name != "__init__.py"
         for line in unused_imports(path)

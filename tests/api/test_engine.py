@@ -16,7 +16,6 @@ from repro.api import (
     BCCEngine,
     Query,
     SearchConfig,
-    one_shot_search,
     register_method,
     unregister_method,
 )
@@ -133,7 +132,7 @@ class TestSearch:
         with pytest.raises(QueryError):
             engine.search(Query("lp-bcc", ("ql", "v1", "qr")))  # wrong arity
         # Unknown vertices raise for every method kind — baselines included
-        # (their legacy wrappers translate this back to None).
+        # (only the eval harness scores a baseline's as unanswered).
         for method in ("lp-bcc", "ctc", "psa", "mbcc"):
             with pytest.raises(VertexNotFoundError):
                 engine.search(Query(method, ("ql", "missing")))
@@ -551,51 +550,3 @@ class TestResultCache:
         assert "cache_hit" in cached[1].timings
         fresh = engine.search_many(queries, use_cache=False)
         assert all("cache_hit" not in r.timings for r in fresh)
-
-
-class TestOneShotInstrumentation:
-    def test_accumulator_sums_while_results_report_their_own_search(
-        self, paper_graph
-    ):
-        from repro.core.lp_bcc import lp_bcc_search
-        from repro.eval.instrumentation import SearchInstrumentation
-
-        acc = SearchInstrumentation()
-        for _ in range(2):
-            result = lp_bcc_search(
-                paper_graph, "ql", "qr", k1=4, k2=3, b=1, instrumentation=acc
-            )
-            assert result.statistics["butterfly_counting_calls"] == 1
-            assert result.statistics["iterations"] == 1
-        assert (acc.butterfly_counting_calls, acc.iterations) == (2, 2)
-
-
-class TestOneShotMissingVertexTranslation:
-    def test_missing_query_vertex_is_empty_for_baselines(self, paper_graph):
-        assert one_shot_search("ctc", paper_graph, ("ql", "ghost"), SearchConfig()) is None
-        assert one_shot_search("psa", paper_graph, ("ghost",), SearchConfig()) is None
-
-    def test_missing_query_vertex_raises_for_bcc_methods(self, paper_graph):
-        with pytest.raises(VertexNotFoundError):
-            one_shot_search("lp-bcc", paper_graph, ("ql", "ghost"), SearchConfig())
-
-    def test_deep_missing_vertex_propagates_even_when_flagged(self, paper_graph):
-        """A VertexNotFoundError for a NON-query vertex is an implementation
-        bug, not "no community" — it must not be translated into None."""
-
-        @register_method(
-            "buggy-baseline",
-            display="Buggy-Baseline",
-            kind="baseline",
-            missing_vertex_is_empty=True,
-        )
-        def _buggy(engine, query, config, instrumentation):
-            raise VertexNotFoundError("internal-liaison-vertex")
-
-        try:
-            with pytest.raises(VertexNotFoundError, match="internal-liaison-vertex"):
-                one_shot_search(
-                    "buggy-baseline", paper_graph, ("ql", "qr"), SearchConfig()
-                )
-        finally:
-            unregister_method("buggy-baseline")

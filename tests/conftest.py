@@ -12,6 +12,7 @@ from typing import Set
 
 import pytest
 
+from repro.api import BCCEngine, Query, SearchConfig
 from repro.core.bcc_model import BCCParameters, BCCResult
 from repro.datasets import (
     generate_academic_network,
@@ -79,6 +80,14 @@ def run_under_hash_seed(script: str, hash_seed: int, *args: str) -> str:
         check=True,
     )
     return done.stdout
+
+
+def search_result(graph, method: str, *vertices, index=None, **config):
+    """The native result of one ``method`` query for ``vertices`` on a fresh
+    engine over ``graph``, configured by the :class:`SearchConfig` fields in
+    ``config``: the response's ``result``, ``None`` when it is empty."""
+    engine = BCCEngine(graph, SearchConfig(**config), index=index)
+    return engine.search(Query(method, vertices)).result
 
 
 def swap_left_right(result: BCCResult) -> BCCResult:

@@ -29,7 +29,7 @@ from repro.core.butterfly import (
 from repro.core.find_g0 import find_g0
 from repro.core.kcore import core_decomposition, k_core_vertices
 from repro.core.maintenance import maintain_bcc
-from repro.core.online_bcc import distance_sweep, online_bcc_search, run_online_bcc
+from repro.core.online_bcc import distance_sweep, run_online_bcc
 from repro.graph.bipartite import extract_label_bipartite
 from repro.graph.csr import (
     UNREACHED,
@@ -51,6 +51,7 @@ from repro.graph.traversal import (
     graph_query_distance,
     query_distances,
 )
+from tests.conftest import search_result
 
 BUTTERFLY_SEEDS = range(80)
 KCORE_SEEDS = range(70)
@@ -246,9 +247,9 @@ class TestBFSParity:
 class TestOnlineBCCFastPathParity:
     """Online-BCC's served path ≡ the object runner, called directly.
 
-    :func:`online_bcc_search` runs the CSR pipeline through a one-shot
-    engine; :func:`run_online_bcc` shrinks a mutable copy of ``G0`` and
-    sweeps it with an object-graph BFS, sharing no sweep code with it.
+    The engine runs the CSR pipeline; :func:`run_online_bcc` shrinks a
+    mutable copy of ``G0`` and sweeps it with an object-graph BFS, sharing no
+    sweep code with it.
     The two sweeps must also agree step by step, not only in the answer.
     """
 
@@ -275,7 +276,7 @@ class TestOnlineBCCFastPathParity:
     @pytest.mark.parametrize("bulk", [True, False])
     def test_fast_path_is_byte_identical(self, seed, bulk):
         graph, q_left, q_right = self._planted(seed)
-        fast = online_bcc_search(graph, q_left, q_right, bulk_deletion=bulk)
+        fast = search_result(graph, "online-bcc", q_left, q_right, bulk_deletion=bulk)
         slow = run_online_bcc(graph, q_left, q_right, bulk_deletion=bulk)
         self._assert_same(fast, slow)
 

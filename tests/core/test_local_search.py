@@ -6,10 +6,10 @@ import pytest
 
 from repro.core.bc_index import BCIndex
 from repro.core.bcc_model import is_bcc
-from repro.core.local_search import expand_candidate_graph, l2p_bcc_search
-from repro.core.lp_bcc import lp_bcc_search
+from repro.core.local_search import expand_candidate_graph
 from repro.eval.queries import QuerySpec, generate_query_pairs
 from repro.graph.generators import paper_example_graph
+from tests.conftest import search_result
 
 
 class TestExpandCandidateGraph:
@@ -53,7 +53,7 @@ class TestExpandCandidateGraph:
 class TestL2PBCCSearch:
     def test_paper_example_community(self):
         g = paper_example_graph()
-        result = l2p_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "l2p-bcc", "ql", "qr", k1=4, k2=3, b=1)
         expected = {"ql", "v1", "v2", "v3", "v4", "v5", "qr", "u1", "u2", "u3"}
         assert result is not None
         assert result.vertices == expected
@@ -61,7 +61,7 @@ class TestL2PBCCSearch:
 
     def test_automatic_parameters(self):
         g = paper_example_graph()
-        result = l2p_bcc_search(g, "ql", "qr", b=1)
+        result = search_result(g, "l2p-bcc", "ql", "qr", b=1)
         assert result is not None
         assert result.parameters.k1 >= 1
         assert result.parameters.k2 >= 1
@@ -70,7 +70,7 @@ class TestL2PBCCSearch:
     def test_prebuilt_index_reused(self):
         g = paper_example_graph()
         index = BCIndex(g)
-        result = l2p_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1, index=index)
+        result = search_result(g, "l2p-bcc", "ql", "qr", k1=4, k2=3, b=1, index=index)
         assert result is not None
         # The shared index has cached the SE/UI butterfly degrees.
         assert len(index.cached_label_pairs()) >= 1
@@ -78,23 +78,23 @@ class TestL2PBCCSearch:
     def test_unbuilt_index_is_built(self):
         g = paper_example_graph()
         index = BCIndex(g, build=False)
-        result = l2p_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1, index=index)
+        result = search_result(g, "l2p-bcc", "ql", "qr", k1=4, k2=3, b=1, index=index)
         assert result is not None
         assert index.is_built()
 
     def test_unsatisfiable_query_returns_none(self):
         g = paper_example_graph()
-        assert l2p_bcc_search(g, "ql", "qr", k1=4, k2=3, b=99) is None
+        assert search_result(g, "l2p-bcc", "ql", "qr", k1=4, k2=3, b=99) is None
 
     def test_small_eta_still_finds_community_via_fallback(self):
         g = paper_example_graph()
-        result = l2p_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1, eta=2)
+        result = search_result(g, "l2p-bcc", "ql", "qr", k1=4, k2=3, b=1, eta=2)
         assert result is not None
         assert is_bcc(result.community, result.parameters, ["ql", "qr"])
 
     def test_candidate_statistics_recorded(self):
         g = paper_example_graph()
-        result = l2p_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "l2p-bcc", "ql", "qr", k1=4, k2=3, b=1)
         assert "candidate_vertices" in result.statistics
 
 
@@ -112,8 +112,8 @@ class TestQualityAgainstGlobalSearch:
             truth = bundle.community_for_query(q_left, q_right)
             if truth is None:
                 continue
-            local = l2p_bcc_search(bundle.graph, q_left, q_right, b=1)
-            global_ = lp_bcc_search(bundle.graph, q_left, q_right, b=1)
+            local = search_result(bundle.graph, "l2p-bcc", q_left, q_right, b=1)
+            global_ = search_result(bundle.graph, "lp-bcc", q_left, q_right, b=1)
             assert local is not None
             assert f1_score(local.vertices, truth.members) > 0.3
             if global_ is not None:

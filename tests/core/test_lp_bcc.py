@@ -5,29 +5,27 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bcc_model import is_bcc
-from repro.core.lp_bcc import lp_bcc_search
-from repro.core.online_bcc import online_bcc_search
-from repro.eval.instrumentation import SearchInstrumentation
 from repro.eval.queries import QuerySpec, generate_query_pairs
 from repro.graph.generators import paper_example_graph
+from tests.conftest import search_result
 
 
 class TestPaperExample:
     def test_returns_figure2_community(self):
         g = paper_example_graph()
-        result = lp_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "lp-bcc", "ql", "qr", k1=4, k2=3, b=1)
         expected = {"ql", "v1", "v2", "v3", "v4", "v5", "qr", "u1", "u2", "u3"}
         assert result is not None
         assert result.vertices == expected
 
     def test_result_is_valid_bcc(self):
         g = paper_example_graph()
-        result = lp_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "lp-bcc", "ql", "qr", k1=4, k2=3, b=1)
         assert is_bcc(result.community, result.parameters, ["ql", "qr"])
 
     def test_leader_pair_reported(self):
         g = paper_example_graph()
-        result = lp_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "lp-bcc", "ql", "qr", k1=4, k2=3, b=1)
         assert result.leader_pair is not None
         left_leader, right_leader = result.leader_pair
         assert g.label(left_leader) == "SE"
@@ -35,8 +33,8 @@ class TestPaperExample:
 
     def test_no_answer_for_unsatisfiable_parameters(self):
         g = paper_example_graph()
-        assert lp_bcc_search(g, "ql", "qr", k1=4, k2=3, b=99) is None
-        assert lp_bcc_search(g, "ql", "qr", k1=9, k2=3, b=1) is None
+        assert search_result(g, "lp-bcc", "ql", "qr", k1=4, k2=3, b=99) is None
+        assert search_result(g, "lp-bcc", "ql", "qr", k1=9, k2=3, b=1) is None
 
 
 class TestAgreementWithOnlineBCC:
@@ -46,8 +44,8 @@ class TestAgreementWithOnlineBCC:
 
     def test_same_answer_on_paper_example(self):
         g = paper_example_graph()
-        online = online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
-        fast = lp_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        online = search_result(g, "online-bcc", "ql", "qr", k1=4, k2=3, b=1)
+        fast = search_result(g, "lp-bcc", "ql", "qr", k1=4, k2=3, b=1)
         assert online.vertices == fast.vertices
         assert online.query_distance == fast.query_distance
 
@@ -58,8 +56,8 @@ class TestAgreementWithOnlineBCC:
         if query_index >= len(pairs):
             pytest.skip("not enough generated queries")
         q_left, q_right = pairs[query_index]
-        online = online_bcc_search(bundle.graph, q_left, q_right, b=1)
-        fast = lp_bcc_search(bundle.graph, q_left, q_right, b=1)
+        online = search_result(bundle.graph, "online-bcc", q_left, q_right, b=1)
+        fast = search_result(bundle.graph, "lp-bcc", q_left, q_right, b=1)
         assert (online is None) == (fast is None)
         if online is not None:
             assert fast.query_distance == online.query_distance
@@ -69,16 +67,15 @@ class TestFastStrategiesAreUsed:
     def test_fewer_butterfly_counting_calls_than_online(self, tiny_baidu_bundle):
         bundle = tiny_baidu_bundle
         q_left, q_right = bundle.default_query()
-        online_inst = SearchInstrumentation()
-        lp_inst = SearchInstrumentation()
-        online_bcc_search(bundle.graph, q_left, q_right, b=1, instrumentation=online_inst)
-        lp_bcc_search(bundle.graph, q_left, q_right, b=1, instrumentation=lp_inst)
-        assert lp_inst.butterfly_counting_calls <= online_inst.butterfly_counting_calls
+        online = search_result(bundle.graph, "online-bcc", q_left, q_right, b=1)
+        fast = search_result(bundle.graph, "lp-bcc", q_left, q_right, b=1)
+        calls = "butterfly_counting_calls"
+        assert fast.statistics[calls] <= online.statistics[calls]
 
     def test_partial_distance_updates_recorded(self, tiny_baidu_bundle):
         bundle = tiny_baidu_bundle
         q_left, q_right = bundle.default_query()
-        result = lp_bcc_search(bundle.graph, q_left, q_right, b=1)
+        result = search_result(bundle.graph, "lp-bcc", q_left, q_right, b=1)
         assert result is not None
         assert result.statistics.get("distance_full_recomputations", 0) == 2
         # Two iterations; the first deletion batch survives maintenance and
@@ -89,25 +86,29 @@ class TestFastStrategiesAreUsed:
 
     def test_leader_recount_statistics_present(self):
         g = paper_example_graph()
-        result = lp_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "lp-bcc", "ql", "qr", k1=4, k2=3, b=1)
         assert "leader_full_recounts" in result.statistics
 
 
 class TestOptions:
     def test_single_vertex_deletion_mode(self):
         g = paper_example_graph()
-        result = lp_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1, bulk_deletion=False)
+        result = search_result(
+            g, "lp-bcc", "ql", "qr", k1=4, k2=3, b=1, bulk_deletion=False
+        )
         expected = {"ql", "v1", "v2", "v3", "v4", "v5", "qr", "u1", "u2", "u3"}
         assert result.vertices == expected
 
     def test_max_iterations(self, tiny_baidu_bundle):
         bundle = tiny_baidu_bundle
         q_left, q_right = bundle.default_query()
-        result = lp_bcc_search(bundle.graph, q_left, q_right, b=1, max_iterations=1)
+        result = search_result(
+            bundle.graph, "lp-bcc", q_left, q_right, b=1, max_iterations=1
+        )
         assert result is not None
         assert result.iterations <= 1
 
     def test_rho_parameter_accepted(self):
         g = paper_example_graph()
-        result = lp_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1, rho=1)
+        result = search_result(g, "lp-bcc", "ql", "qr", k1=4, k2=3, b=1, rho=1)
         assert result is not None

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.multilabel import (
-    cross_group_connected,
-    find_mbcc_candidate,
-    mbcc_search,
-)
+from repro.core.multilabel import cross_group_connected, find_mbcc_candidate
 from repro.datasets import generate_baidu_network
 from repro.exceptions import QueryError
 from repro.graph.generators import paper_example_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.traversal import are_connected
+from tests.conftest import search_result
 
 
 def three_group_graph() -> LabeledGraph:
@@ -87,14 +84,16 @@ class TestMBCCSearch:
     def test_two_label_query_matches_bcc_model(self):
         """With m = 2 the mBCC definition coincides with the BCC (Def. 8)."""
         g = paper_example_graph()
-        result = mbcc_search(g, ["ql", "qr"], b=1)
+        result = search_result(g, "mbcc", "ql", "qr", b=1)
         expected = {"ql", "v1", "v2", "v3", "v4", "v5", "qr", "u1", "u2", "u3"}
         assert result is not None
         assert result.vertices == expected
 
     def test_three_label_query(self):
         g = three_group_graph()
-        result = mbcc_search(g, ["a0", "b0", "c0"], core_parameters=[2, 2, 2], b=1)
+        result = search_result(
+            g, "mbcc", "a0", "b0", "c0", core_parameters=(2, 2, 2), b=1
+        )
         assert result is not None
         assert set(result.groups) == {"A", "B", "C"}
         assert all(len(members) >= 3 for members in result.groups.values())
@@ -103,20 +102,25 @@ class TestMBCCSearch:
     def test_duplicate_labels_rejected(self):
         g = paper_example_graph()
         with pytest.raises(QueryError):
-            mbcc_search(g, ["ql", "v1"])
+            search_result(g, "mbcc", "ql", "v1")
 
     def test_single_query_rejected(self):
         g = paper_example_graph()
         with pytest.raises(QueryError):
-            mbcc_search(g, ["ql"])
+            search_result(g, "mbcc", "ql")
 
     def test_unsatisfiable_butterfly_returns_none(self):
         g = three_group_graph()
-        assert mbcc_search(g, ["a0", "b0", "c0"], core_parameters=[2, 2, 2], b=99) is None
+        result = search_result(
+            g, "mbcc", "a0", "b0", "c0", core_parameters=(2, 2, 2), b=99
+        )
+        assert result is None
 
     def test_result_statistics_and_distance(self):
         g = three_group_graph()
-        result = mbcc_search(g, ["a0", "b0", "c0"], core_parameters=[2, 2, 2], b=1)
+        result = search_result(
+            g, "mbcc", "a0", "b0", "c0", core_parameters=(2, 2, 2), b=1
+        )
         assert result.query_distance >= 1
         assert result.num_edges() > 0
         assert "iterations" in result.statistics
@@ -129,6 +133,6 @@ class TestMBCCSearch:
         for v in community.members:
             by_label.setdefault(bundle.graph.label(v), v)
         query = list(by_label.values())[:3]
-        result = mbcc_search(bundle.graph, query, b=1, max_iterations=100)
+        result = search_result(bundle.graph, "mbcc", *query, b=1, max_iterations=100)
         assert result is not None
         assert set(query) <= result.vertices

@@ -4,44 +4,44 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import BCCEngine, Query, SearchConfig
 from repro.core.bcc_model import BCCParameters, is_bcc
-from repro.core.online_bcc import online_bcc_search
-from repro.eval.instrumentation import SearchInstrumentation
 from repro.exceptions import QueryError
 from repro.graph.generators import paper_example_graph
 from repro.graph.traversal import diameter
+from tests.conftest import search_result
 
 
 class TestPaperExample:
     def test_returns_figure2_community(self):
         g = paper_example_graph()
-        result = online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "online-bcc", "ql", "qr", k1=4, k2=3, b=1)
         assert result is not None
         expected = {"ql", "v1", "v2", "v3", "v4", "v5", "qr", "u1", "u2", "u3"}
         assert result.vertices == expected
 
     def test_result_is_valid_bcc_containing_query(self):
         g = paper_example_graph()
-        result = online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "online-bcc", "ql", "qr", k1=4, k2=3, b=1)
         assert is_bcc(result.community, result.parameters, ["ql", "qr"])
 
     def test_default_parameters_from_coreness(self):
         g = paper_example_graph()
-        result = online_bcc_search(g, "ql", "qr", b=1)
+        result = search_result(g, "online-bcc", "ql", "qr", b=1)
         assert result.parameters.k1 == 4
         assert result.parameters.k2 == 3
 
     def test_query_distance_recorded(self):
         g = paper_example_graph()
-        result = online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "online-bcc", "ql", "qr", k1=4, k2=3, b=1)
         assert result.query_distance == 2
 
     def test_junior_biased_query_finds_same_community(self):
         """Section 3.3: leader-biased and junior-biased queries give the same
         underlying community (here with explicit matching parameters)."""
         g = paper_example_graph()
-        leaders = online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
-        juniors = online_bcc_search(g, "v1", "u1", k1=4, k2=3, b=1)
+        leaders = search_result(g, "online-bcc", "ql", "qr", k1=4, k2=3, b=1)
+        juniors = search_result(g, "online-bcc", "v1", "u1", k1=4, k2=3, b=1)
         assert juniors is not None
         assert juniors.vertices == leaders.vertices
 
@@ -49,13 +49,13 @@ class TestPaperExample:
 class TestNoAnswer:
     def test_unsatisfiable_parameters(self):
         g = paper_example_graph()
-        assert online_bcc_search(g, "ql", "qr", k1=9, k2=3, b=1) is None
-        assert online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=99) is None
+        assert search_result(g, "online-bcc", "ql", "qr", k1=9, k2=3, b=1) is None
+        assert search_result(g, "online-bcc", "ql", "qr", k1=4, k2=3, b=99) is None
 
     def test_same_label_query_rejected(self):
         g = paper_example_graph()
         with pytest.raises(QueryError):
-            online_bcc_search(g, "ql", "v1")
+            search_result(g, "online-bcc", "ql", "v1")
 
 
 class TestApproximationGuarantee:
@@ -65,7 +65,7 @@ class TestApproximationGuarantee:
         reachable by the peeling sequence (Theorem 3 sanity check)."""
         bundle = tiny_baidu_bundle
         q_left, q_right = bundle.default_query()
-        result = online_bcc_search(bundle.graph, q_left, q_right, b=1)
+        result = search_result(bundle.graph, "online-bcc", q_left, q_right, b=1)
         assert result is not None
         # dist(O, Q) <= diam(O) <= 2 * dist(O, Q) always holds for the answer.
         assert result.query_distance <= diameter(result.community)
@@ -77,34 +77,35 @@ class TestApproximationGuarantee:
         g = paper_example_graph()
         params = BCCParameters(4, 3, 1)
         g0 = find_g0(g, "ql", "qr", params)
-        result = online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "online-bcc", "ql", "qr", k1=4, k2=3, b=1)
         assert diameter(result.community) <= diameter(g0.community)
 
 
 class TestOptions:
     def test_single_deletion_matches_bulk_on_small_graph(self):
         g = paper_example_graph()
-        bulk = online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1, bulk_deletion=True)
-        single = online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1, bulk_deletion=False)
+        bulk = search_result(g, "online-bcc", "ql", "qr", k1=4, k2=3, b=1)
+        single = search_result(
+            g, "online-bcc", "ql", "qr", k1=4, k2=3, b=1, bulk_deletion=False
+        )
         assert bulk.vertices == single.vertices
 
     def test_max_iterations_respected(self, tiny_baidu_bundle):
         bundle = tiny_baidu_bundle
         q_left, q_right = bundle.default_query()
-        result = online_bcc_search(
-            bundle.graph, q_left, q_right, b=1, max_iterations=1
+        result = search_result(
+            bundle.graph, "online-bcc", q_left, q_right, b=1, max_iterations=1
         )
         assert result is not None
         assert result.iterations <= 1
 
     def test_instrumentation_collected(self):
-        g = paper_example_graph()
-        inst = SearchInstrumentation()
-        online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1, instrumentation=inst)
+        engine = BCCEngine(paper_example_graph(), SearchConfig(k1=4, k2=3, b=1))
+        inst = engine.search(Query("online-bcc", ("ql", "qr"))).instrumentation
         assert inst.butterfly_counting_calls >= 1
         assert inst.query_distance_seconds >= 0.0
 
     def test_statistics_embedded_in_result(self):
         g = paper_example_graph()
-        result = online_bcc_search(g, "ql", "qr", k1=4, k2=3, b=1)
+        result = search_result(g, "online-bcc", "ql", "qr", k1=4, k2=3, b=1)
         assert "butterfly_counting_calls" in result.statistics

@@ -173,6 +173,28 @@ class TestRegistryDispatch:
         with _pytest.raises(VertexNotFoundError):
             run_method("LP-BCC", tiny_baidu_bundle, q_left, "ghost")
 
+    def test_deep_missing_vertex_propagates_even_when_flagged(self, tiny_baidu_bundle):
+        """A VertexNotFoundError for a NON-query vertex is an implementation
+        bug, not "no community": the harness must not score it unanswered."""
+        from repro.api import register_method, unregister_method
+        from repro.exceptions import VertexNotFoundError
+
+        @register_method(
+            "buggy-baseline",
+            display="Buggy-Baseline",
+            kind="baseline",
+            missing_vertex_is_empty=True,
+        )
+        def _buggy(engine, query, config, instrumentation):
+            raise VertexNotFoundError("internal-liaison-vertex")
+
+        q_left, q_right = tiny_baidu_bundle.default_query()
+        try:
+            with pytest.raises(VertexNotFoundError, match="internal-liaison-vertex"):
+                run_method("buggy-baseline", tiny_baidu_bundle, q_left, q_right)
+        finally:
+            unregister_method("buggy-baseline")
+
     def test_run_method_reports_empty_status_and_reason(self, tiny_baidu_bundle):
         q_left, q_right = tiny_baidu_bundle.default_query()
         outcome = run_method(

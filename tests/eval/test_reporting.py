@@ -108,15 +108,6 @@ class TestInstrumentation:
         # Wall time is the response's timings["total_seconds"], not a counter.
         assert "total_seconds" not in payload
 
-    def test_merge(self):
-        a = SearchInstrumentation(butterfly_counting_calls=2)
-        b = SearchInstrumentation(butterfly_counting_calls=3, iterations=1)
-        b.add("x", 1.0)
-        a.merge(b)
-        assert a.butterfly_counting_calls == 5
-        assert a.iterations == 1
-        assert a.extra["x"] == 1.0
-
     def test_reset(self):
         inst = SearchInstrumentation(butterfly_counting_calls=7)
         inst.add("x", 1.0)

@@ -134,7 +134,6 @@ class TestCSRBipartiteView:
         frozen = self._adopt()
         assert frozen.num_vertices() == 7
         assert frozen.num_edges() == 5
-        assert [frozen.is_left(v) for v in range(7)] == [True] * 3 + [False] * 4
         assert frozen.degree_list() == [3, 2, 0, 1, 2, 1, 1]
         assert frozen.adjacency_slices() == self.SLICES
 

@@ -145,11 +145,6 @@ class TestLabels:
         g = build_simple()
         assert {frozenset(e) for e in g.cross_edges()} == {frozenset({2, 3})}
 
-    def test_cross_and_same_label_neighbors(self):
-        g = build_simple()
-        assert g.cross_neighbors(2) == {3}
-        assert g.same_label_neighbors(2) == {1}
-
 
 class TestDerivedGraphs:
     def test_copy_is_independent(self):

@@ -380,6 +380,27 @@ class TestShardedBackend:
         assert seen["process"] == seen["thread"] == len(queries)
 
 
+@pytest.mark.parametrize("engine_type", [BCCEngine, ShardedBCCEngine])
+def test_process_batches_follow_graph_mutation(engine_type):
+    # The mutation empties the engine's process slot, and the pool, keyed
+    # on the graph version, is rebuilt on the next batch's export.
+    graph = paper_example_graph()
+    queries = [Query("online-bcc", ("ql", "qr"))]
+    engine = engine_type(graph, PAPER_CONFIG)
+    try:
+        assert "u1" in engine.search_many(queries, backend="process")[0].vertices
+        graph.remove_vertex("u1")
+        expected = BCCEngine(graph, PAPER_CONFIG).search(queries[0])
+        assert expected.status == "empty"
+        got = engine.search_many(queries, backend="process")
+        assert [canonical(r) for r in got] == [canonical(expected)]
+        counters = engine.counters_snapshot()
+        assert counters["process_batches"] == 2
+        assert counters["process_fallbacks"] == 0
+    finally:
+        engine.close_process_pool()
+
+
 # ----------------------------------------------------------------------
 # ReplicaSet: process-backed members
 # ----------------------------------------------------------------------
