@@ -67,7 +67,7 @@ from repro.parallel import (
     ProcessWorkerPool,
 )
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 __all__ = [
     "BCCEngine",

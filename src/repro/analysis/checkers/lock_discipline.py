@@ -89,7 +89,6 @@ GUARDED_FIELDS: Dict[str, Dict[str, Dict[str, str]]] = {
             "_searches": "_route_lock",
             "_failovers": "_route_lock",
             "_replica_failures": "_route_lock",
-            "_graph_version": "_members_lock",
         },
     },
     "pool.py": {

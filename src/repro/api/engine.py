@@ -54,7 +54,7 @@ import time
 import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.config import SearchConfig
 from repro.obs.tracing import span as obs_span
@@ -89,7 +89,10 @@ from repro.exceptions import (
     WorkerCrashedError,
 )
 from repro.graph.csr import CSRGraph
-from repro.graph.labeled_graph import Label, LabeledGraph
+from repro.graph.labeled_graph import Label, LabeledGraph, as_labeled_graph
+
+if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
+    from repro.serving.stats import ServingStats
 
 #: ``search_many`` error policies.
 ON_ERROR_POLICIES = ("raise", "return")
@@ -527,10 +530,7 @@ class BCCEngine:
         result_cache_policy: Optional[object] = None,
         fault_plan: Optional[object] = None,
     ) -> None:
-        if not isinstance(graph, LabeledGraph):
-            graph = getattr(graph, "graph", graph)
-        if not isinstance(graph, LabeledGraph):
-            raise TypeError(f"expected a LabeledGraph or bundle, got {type(graph)!r}")
+        graph = as_labeled_graph(graph)
         if result_cache_size < 0:
             raise ValueError("result_cache_size must be non-negative")
         self.graph: LabeledGraph = graph
@@ -1055,6 +1055,25 @@ class BCCEngine:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    def stats(self, name: str = "engine") -> "ServingStats":
+        """The stats-endpoint snapshot (``workers`` while a pool is live).
+
+        ``latency`` is empty: the :class:`repro.serving.GraphDirectory`
+        edge records it.
+        """
+        from repro.serving.stats import ServingStats, graph_shape
+
+        return ServingStats(
+            name=name,
+            kind="monolithic",
+            graph=graph_shape(self.graph),
+            counters=self.counters_snapshot(),
+            cache=self.result_cache_info(),
+            prepared=self.is_prepared(),
+            index_built=self.has_index(),
+            workers=self.process_pool_stats(),
+        )
+
     def explain(
         self, query: Query, *, config: Optional[SearchConfig] = None
     ) -> Dict[str, object]:

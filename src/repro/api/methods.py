@@ -26,7 +26,6 @@ from repro.core.multilabel import run_mbcc
     "psa",
     display="PSA",
     kind="baseline",
-    missing_vertex_is_empty=True,
     description="progressive minimum k-core search (label-agnostic baseline)",
 )
 def _run_psa(engine, query, config, instrumentation):
@@ -45,7 +44,6 @@ def _run_psa(engine, query, config, instrumentation):
     display="CTC",
     kind="baseline",
     symmetric_k=False,
-    missing_vertex_is_empty=True,
     description="closest truss community search (label-agnostic baseline)",
 )
 def _run_ctc(engine, query, config, instrumentation):

@@ -62,11 +62,6 @@ class MethodSpec:
         on this method's behalf in ``evaluate_multilabel`` (the paper runs
         every BCC variant through the mBCC framework); ``None`` means the
         method handles the tuple itself.
-    missing_vertex_is_empty:
-        Historical contract of the label-agnostic baselines: a query naming
-        an unknown vertex means "no community" rather than an error.  The
-        engine itself always raises; the eval harness consults this flag to
-        score such a query as unanswered.
     description:
         One-line human-readable summary (shown by ``BCCEngine.explain``).
     """
@@ -80,7 +75,6 @@ class MethodSpec:
     symmetric_k: bool = True
     resolves_k_locally: bool = False
     multilabel_method: Optional[str] = None
-    missing_vertex_is_empty: bool = False
     description: str = ""
 
     def lookup_keys(self) -> Tuple[str, ...]:
@@ -107,7 +101,6 @@ def register_method(
     symmetric_k: bool = True,
     resolves_k_locally: bool = False,
     multilabel_method: Optional[str] = None,
-    missing_vertex_is_empty: bool = False,
     description: str = "",
 ) -> Callable[[Callable], Callable]:
     """Return a decorator registering a runner under ``name``.
@@ -129,7 +122,6 @@ def register_method(
             symmetric_k=symmetric_k,
             resolves_k_locally=resolves_k_locally,
             multilabel_method=multilabel_method,
-            missing_vertex_is_empty=missing_vertex_is_empty,
             description=description,
         )
         if spec.name in _REGISTRY:

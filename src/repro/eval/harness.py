@@ -184,10 +184,11 @@ def run_method(
         # (k1=k2=k, as the pre-engine harness did), beating any k1/k2 in the
         # engine's base config; config.k alone would lose to explicit k1/k2.
         config = config.replace(k=k, k1=k, k2=k)
-    if spec.missing_vertex_is_empty:
-        # Historical harness contract: the label-agnostic baselines score a
-        # query naming an unknown vertex as unanswered rather than erroring
-        # the whole workload (the BCC methods raise, as they always did).
+    if spec.kind == "baseline":
+        # Historical harness contract: the label-agnostic baselines (CTC,
+        # PSA) score a query naming an unknown vertex as unanswered rather
+        # than erroring the whole workload (the BCC methods raise, as they
+        # always did).
         # Validated explicitly up front — a VertexNotFoundError escaping a
         # runner for a non-query vertex is an implementation bug and must
         # propagate, not masquerade as "no community".
@@ -222,15 +223,13 @@ def _outcome_from_response(
     Error responses (batch mode under ``on_error="return"``) become error
     rows: unanswered, unscored (``f1 is None``), with the failure preserved
     in ``reason``/``error`` — except that a missing *query* vertex on a
-    ``missing_vertex_is_empty`` baseline keeps its historical "unanswered"
-    scoring.
+    baseline keeps its historical "unanswered" scoring.
     """
     q_left, q_right = response.query[0], response.query[-1]
     if response.status == STATUS_ERROR:
         spec = get_method(method)
         missing_query_vertex = (
-            spec.missing_vertex_is_empty
-            and response.reason == REASON_MISSING_VERTEX
+            spec.kind == "baseline" and response.reason == REASON_MISSING_VERTEX
         )
         truth = bundle.community_for_query(q_left, q_right)
         return QueryOutcome(

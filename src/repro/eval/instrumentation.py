@@ -84,12 +84,3 @@ class SearchInstrumentation:
         }
         payload.update(self.extra)
         return payload
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.butterfly_counting_calls = 0
-        self.query_distance_seconds = 0.0
-        self.leader_update_seconds = 0.0
-        self.iterations = 0
-        self.vertices_deleted = 0
-        self.extra.clear()

@@ -384,6 +384,15 @@ class LabeledGraph:
                 raise VertexNotFoundError(v)
 
 
+def as_labeled_graph(graph: object) -> LabeledGraph:
+    """``graph``, or the ``.graph`` of a bundle; else :class:`TypeError`."""
+    if not isinstance(graph, LabeledGraph):
+        graph = getattr(graph, "graph", graph)
+    if not isinstance(graph, LabeledGraph):
+        raise TypeError(f"expected a LabeledGraph or bundle, got {type(graph)!r}")
+    return graph
+
+
 def resolve_group_provider(graph: LabeledGraph, groups):
     """Return the label→subgraph callable: ``groups`` or the graph's own.
 

@@ -2,8 +2,8 @@
 
 The GIL caps every pure-Python kernel at one core; this package breaks
 that ceiling for *batches* by exporting a frozen graph's ``.bccsnap``
-image into shared memory once and serving queries from N worker
-processes:
+image into shared memory, once per pool, and serving queries from the
+pool's N worker processes, which all map that one block:
 
 * :mod:`repro.parallel.shm` — zero-copy graph transport
   (:func:`export_graph` / :func:`attach_graph`, availability probing);
@@ -13,7 +13,8 @@ processes:
   one-task-in-flight dispatch with deadlines, crash detection and
   respawn;
 * :mod:`repro.parallel.process_engine` — :class:`ProcessEngine`, the one
-  owner of a pool: engines' process batches and replica members.
+  owner of a pool: engines' process batches and replica members.  It
+  rebuilds its pool, and so re-exports, when the graph mutated.
 
 Callers normally never touch this package directly: pass
 ``backend="process"`` to ``BCCEngine.search_many`` /

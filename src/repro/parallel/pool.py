@@ -52,7 +52,6 @@ from repro.exceptions import (
 from repro.parallel.shm import (
     GraphHandle,
     ProcessBackendUnavailable,
-    SharedGraphExport,
     export_graph,
 )
 from repro.obs.tracing import current_span, span as obs_span
@@ -183,8 +182,8 @@ class ProcessWorkerPool:
     Parameters
     ----------
     graph:
-        The graph to export (frozen on export if needed) — or ``None``
-        when ``export`` is given.
+        The graph to export (frozen on export if needed).  The pool owns
+        the export and unlinks it on :meth:`close`.
     config:
         Worker engines' base :class:`SearchConfig`.  A task whose config
         is ``None`` inherits it — its deadline included.
@@ -194,10 +193,6 @@ class ProcessWorkerPool:
     sharded:
         Build worker-side :class:`ShardedBCCEngine` s, for shard-pinned
         dispatch (see :meth:`run_batch`'s per-task ``pin``).
-    export:
-        A ready :class:`SharedGraphExport` to serve from (shared across
-        pools by :class:`~repro.server.replicas.ReplicaSet`); the pool
-        then does *not* own its lifetime.
     fault_plan:
         Optional chaos hook: ``on("pool.dispatch", worker=, pid=,
         method=)`` runs right before each task is sent.
@@ -207,12 +202,11 @@ class ProcessWorkerPool:
 
     def __init__(
         self,
-        graph=None,
+        graph,
         config: Optional[SearchConfig] = None,
         workers: int = DEFAULT_PROCESS_WORKERS,
         *,
         sharded: bool = False,
-        export: Optional[SharedGraphExport] = None,
         result_cache_size: int = 0,
         fault_plan: Optional[object] = None,
         clock=time.monotonic,
@@ -226,19 +220,12 @@ class ProcessWorkerPool:
         self._grace = deadline_grace_seconds
         self._ctx = multiprocessing.get_context(START_METHOD)
         self._workers_count = workers
-        if export is not None:
-            self._export = export
-            self._owns_export = False
-        else:
-            if graph is None:
-                raise ValueError("ProcessWorkerPool needs a graph or an export")
-            self._export = export_graph(
-                graph,
-                encode_config(self.config),
-                sharded=sharded,
-                result_cache_size=result_cache_size,
-            )
-            self._owns_export = True
+        self._export = export_graph(
+            graph,
+            encode_config(self.config),
+            sharded=sharded,
+            result_cache_size=result_cache_size,
+        )
         self._handle_text = json_dumps(self._export.handle.to_payload())
         # One batch at a time per pool: dispatch state (queues, in-flight
         # map) is method-local under this lock, so concurrent search_many
@@ -317,7 +304,7 @@ class ProcessWorkerPool:
             return [worker.process.pid for worker in self._workers]
 
     def close(self) -> None:
-        """Shut workers down, release pipes, unlink an owned export."""
+        """Shut workers down, release pipes, unlink the export."""
         if self._closed:
             return
         self._closed = True
@@ -340,8 +327,7 @@ class ProcessWorkerPool:
                 worker.conn.close()
             except OSError:  # pragma: no cover
                 pass
-        if self._owns_export:
-            self._export.close()
+        self._export.close()
 
     def __enter__(self) -> "ProcessWorkerPool":
         return self

@@ -1,13 +1,13 @@
 """The process transport: the one owner of a worker pool.
 
 :class:`ProcessEngine` owns a :class:`ProcessWorkerPool` — creates it
-lazily, grows it when a batch asks for more workers, closes it — and the
-process side of every batch: the argument check, row configs, shard pins
-and ``pool.run_batch``.  ``BCCEngine`` and ``ShardedBCCEngine`` keep one
-in a :class:`~repro.api.engine.ProcessSlot` for their
-``backend="process"`` batches; :class:`~repro.server.replicas.ReplicaSet`
-builds one-worker members over one shared export, which it serves like
-any other engine.
+lazily, grows it when a batch asks for more workers, rebuilds it when the
+graph mutated, closes it — and the process side of every batch: the
+argument check, row configs, shard pins and ``pool.run_batch``.
+``BCCEngine`` and ``ShardedBCCEngine`` keep one in a
+:class:`~repro.api.engine.ProcessSlot` for their ``backend="process"``
+batches; :class:`~repro.server.replicas.ReplicaSet` builds one-worker
+members, which it serves and reports like any other host.
 
 A member whose worker dies raises
 :class:`~repro.exceptions.WorkerCrashedError`, which
@@ -33,7 +33,12 @@ from repro.parallel.pool import (
     POOL_COUNTER_NAMES,
     ProcessWorkerPool,
 )
-from repro.parallel.shm import SharedGraphExport
+from repro.serving.stats import (
+    ServingStats,
+    aggregate_counters,
+    graph_shape,
+    zero_engine_counters,
+)
 
 
 class ProcessEngine:
@@ -41,21 +46,19 @@ class ProcessEngine:
 
     ``workers`` is the pool's starting size; a batch asking for more grows
     it.  ``sharded`` builds worker-side sharded engines for shard-pinned
-    rows.  ``export`` lets several engines share one graph export; the
-    engine owns its pool but never an export it was handed.  An engine
-    that exports its own graph rebuilds its pool after the graph mutates,
-    so it never answers from a stale export.  The other parameters are
-    the pool's.
+    rows.  Each pool exports the graph into a shared-memory block of its
+    own, and the engine rebuilds its pool after the graph mutates, so it
+    never answers from a stale export.  The other parameters are the
+    pool's.
     """
 
     def __init__(
         self,
-        graph=None,
+        graph,
         config: Optional[SearchConfig] = None,
         *,
         workers: int = DEFAULT_PROCESS_WORKERS,
         sharded: bool = False,
-        export: Optional[SharedGraphExport] = None,
         result_cache_size: int = 0,
         fault_plan: Optional[object] = None,
         clock=time.monotonic,
@@ -67,7 +70,6 @@ class ProcessEngine:
         self._workers = workers
         self._pool_options = dict(
             sharded=sharded,
-            export=export,
             result_cache_size=result_cache_size,
             fault_plan=fault_plan,
             clock=clock,
@@ -91,12 +93,11 @@ class ProcessEngine:
         the lock is released.
         """
         replaced = None
-        own_export = self._pool_options["export"] is None
         with self._lock:
             if self._closed:
                 raise RuntimeError("process engine is closed")
             pool = self._pool
-            version = self.graph.version() if own_export else None
+            version = self.graph.version()
             stale = version != self._pool_version
             if pool is None or pool.workers < workers or stale:
                 replaced = pool
@@ -228,8 +229,6 @@ class ProcessEngine:
 
     def counters_snapshot(self) -> Dict[str, int]:
         """Engine counters aggregated across workers (last piggybacked)."""
-        from repro.serving.stats import aggregate_counters, zero_engine_counters
-
         parts = [
             block["engine"]
             for block in self.worker_stats()["workers"]
@@ -237,29 +236,38 @@ class ProcessEngine:
         ]
         return aggregate_counters([zero_engine_counters(), *parts])
 
-    def result_cache_info(self) -> Dict[str, object]:
-        """Worker-side caches cannot be inspected without a round-trip."""
-        counters = self.counters_snapshot()
-        hits = counters.get("result_cache_hits", 0)
-        misses = counters.get("result_cache_misses", 0)
-        lookups = hits + misses
-        return {
-            "capacity": None,
-            "entries": None,
-            "entries_per_method": {},
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / lookups) if lookups else None,
-            "policy": None,
-        }
-
     def worker_pids(self) -> List[int]:
         pool = self._current_pool()
         return [] if pool is None else pool.worker_pids()
 
-    def has_index(self) -> bool:
-        """Index state lives worker-side; report from piggybacked counters."""
-        return self.counters_snapshot().get("index_builds", 0) > 0
+    def stats(self, name: str = "process-engine") -> ServingStats:
+        """The stats-endpoint snapshot from the workers' piggybacked counters.
+
+        No round trip: cache entries and capacity live in the workers
+        (``None``), and ``index_built`` means a worker counted a build.
+        """
+        counters = self.counters_snapshot()
+        hits = counters["result_cache_hits"]
+        misses = counters["result_cache_misses"]
+        lookups = hits + misses
+        return ServingStats(
+            name=name,
+            kind="process",
+            graph=graph_shape(self.graph),
+            counters=counters,
+            cache={
+                "capacity": None,
+                "entries": None,
+                "entries_per_method": {},
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": (hits / lookups) if lookups else None,
+                "policy": None,
+            },
+            prepared=self.is_prepared(),
+            index_built=counters["index_builds"] > 0,
+            workers=self.worker_stats(),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessEngine(workers={self._workers}, started={self.is_prepared()})"

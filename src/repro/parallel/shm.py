@@ -147,11 +147,11 @@ class SharedGraphExport:
     """Owner of the shared-memory block behind one exported graph.
 
     Created by :func:`export_graph` in the parent; :meth:`close` unlinks
-    the block (idempotent).  The pool closes its export when it shuts
-    down; a :class:`~repro.server.replicas.ReplicaSet` with process
-    members shares one export across all member pools and closes it once.
-    An export nobody closed — its engine replaced and dropped — unlinks
-    its block when it is collected, or at interpreter exit.
+    the block (idempotent).  Each :class:`~repro.parallel.ProcessWorkerPool`
+    owns one export and closes it when it shuts down, so a process replica
+    set of N members holds N blocks (~10 B per edge each).  An export
+    nobody closed — its engine replaced and dropped — unlinks its block
+    when it is collected, or at interpreter exit.
     """
 
     handle: GraphHandle

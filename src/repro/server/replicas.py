@@ -13,8 +13,8 @@ graph behind one ``ServingEngine``-shaped front (``search`` /
   warm);
 * **merged stats** — engine counters are summed, so the stats endpoint
   shows the set as one engine *plus* a per-replica breakdown (routed
-  counts, in-flight gauge); its latency is the directory's, recorded once
-  per call at the :class:`repro.serving.GraphDirectory` edge;
+  counts, in-flight gauge, each member's own ``stats`` report); its
+  latency is the :class:`repro.serving.GraphDirectory` edge's, one per call;
 * **shared substrate, private state** — replicas share the underlying
   ``LabeledGraph`` (whose version-cached CSR freeze is paid once for the
   whole set) but each owns its result cache, label groups, BCindex and
@@ -55,15 +55,11 @@ from repro.api.engine import (
 )
 from repro.api.query import BatchQuery, Query, SearchResponse
 from repro.exceptions import AllReplicasEjectedError, DeadlineExceededError
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.labeled_graph import LabeledGraph, as_labeled_graph
 from repro.obs.tracing import span as obs_span
 from repro.server.resilience import HealthPolicy, ReplicaHealth
 from repro.serving.sharded import ShardedBCCEngine
-from repro.serving.stats import (
-    ServingStats,
-    aggregate_counters,
-    engine_payload,
-)
+from repro.serving.stats import ServingStats, aggregate_counters, graph_shape
 
 
 class ReplicaSet:
@@ -98,13 +94,13 @@ class ReplicaSet:
     member_backend:
         ``"thread"`` (default) builds in-process engines.  ``"process"``
         builds each member as a :class:`repro.parallel.ProcessEngine`
-        with one worker process, every member attached to **one** shared
-        graph export — N members map the CSR arrays N times but copy them
-        zero times — so a member crash is a real process death the health
-        breaker ejects and the pool respawns behind it.  A graph mutation
-        re-exports the graph and rebuilds the members, once.  When shared
-        memory is unavailable the set degrades to thread members with a
-        one-time warning.  Process-backed sets should be :meth:`close`\\ d.
+        with one worker process, so a member crash is a real process death
+        the health breaker ejects and the pool respawns behind it.  Each
+        member exports the graph into its own shared-memory block (~10 B
+        per edge) on its first search and rebuilds its pool after a graph
+        mutation.  When shared memory is unavailable or the graph cannot
+        be exported, the set degrades to thread members with a one-time
+        warning.  Process-backed sets should be :meth:`close`\\ d.
 
     The set itself adds no new thread-safety requirements: routing state is
     a small in-flight table under one lock, breakers carry their own locks,
@@ -132,21 +128,12 @@ class ReplicaSet:
                 f"unknown member_backend {member_backend!r}; "
                 "known: ('thread', 'process')"
             )
-        if not isinstance(graph, LabeledGraph):
-            graph = getattr(graph, "graph", graph)
-        if not isinstance(graph, LabeledGraph):
-            raise TypeError(f"expected a LabeledGraph or bundle, got {type(graph)!r}")
-        self.graph: LabeledGraph = graph
+        self.graph: LabeledGraph = as_labeled_graph(graph)
         self.config: SearchConfig = config if config is not None else SearchConfig()
         self._sharded = sharded
         self._result_cache_size = result_cache_size
         self._result_cache_policy = result_cache_policy
-        # Guards the graph version the process members were exported at;
-        # a mutation rebuilds them once (see _check_version).
-        self._members_lock = threading.Lock()
-        self._graph_version = graph.version()
         self._member_backend = member_backend
-        self._export: Optional[object] = None  # shared graph export (process)
         self._engines: List[object] = self._build_members(replicas)
         self._fault_plan = fault_plan
         self.health_policy = (
@@ -163,38 +150,37 @@ class ReplicaSet:
         self._replica_failures = 0
 
     # ------------------------------------------------------------------
-    # process-backed members
+    # members
     # ------------------------------------------------------------------
     def _build_members(self, replicas: int) -> List[object]:
         """``replicas`` engines of the set's member backend.
 
-        Process members are one-worker process engines over one shared
-        export, which this sets.  When the substrate is unavailable the
-        set degrades to thread members (one-time warning, never an error).
+        One trial export, closed at once, checks that the host has shared
+        memory and that the graph exports (filling the snapshot caches the
+        members' own exports reuse); otherwise the set degrades to thread
+        members (one-time warning, never an error).
         """
         from repro.api.engine import _warn_process_fallback_once
         from repro.parallel.process_engine import ProcessEngine
         from repro.parallel.shm import ProcessBackendUnavailable, export_graph
-        from repro.server.protocol import encode_config
 
-        export = None
         if self._member_backend == "process":
             try:
-                export = export_graph(
-                    self.graph,
-                    encode_config(self.config),
-                    sharded=self._sharded,
-                    result_cache_size=self._result_cache_size,
-                )
+                export_graph(self.graph).close()
             except ProcessBackendUnavailable as exc:
                 _warn_process_fallback_once(str(exc))
                 self._member_backend = "thread"
-        self._export = export
-        if export is not None:
-            return [
-                ProcessEngine(self.graph, self.config, workers=1, export=export)
-                for _ in range(replicas)
-            ]
+            else:
+                return [
+                    ProcessEngine(
+                        self.graph,
+                        self.config,
+                        workers=1,
+                        sharded=self._sharded,
+                        result_cache_size=self._result_cache_size,
+                    )
+                    for _ in range(replicas)
+                ]
         engine_type = ShardedBCCEngine if self._sharded else BCCEngine
         return [
             engine_type(
@@ -206,34 +192,13 @@ class ReplicaSet:
             for _ in range(replicas)
         ]
 
-    def _check_version(self) -> None:
-        """Re-export the graph and rebuild process members once per mutation.
-
-        Process members serve the export they were built over, so after a
-        mutation they would answer from the old graph; thread members
-        follow mutations themselves.  The stale members and their export
-        close outside the lock, because closing joins worker processes.
-        """
-        if self._export is None:  # thread members, or a closed set
-            return
-        with self._members_lock:
-            version = self.graph.version()
-            if self._export is None or version == self._graph_version:
-                return
-            self._graph_version = version
-            stale, stale_export = self._engines, self._export
-            self._engines = self._build_members(len(stale))
-        for engine in stale:
-            engine.close()
-        stale_export.close()
-
     @property
     def member_backend(self) -> str:
         """``"thread"`` or ``"process"`` — what the members actually are."""
         return self._member_backend
 
     def close(self) -> None:
-        """Shut down process-backed members and the shared export.
+        """Shut down process-backed members and their exports.
 
         Idempotent and safe on thread-member sets (where it also tears
         down any lazy per-member process pools).
@@ -244,9 +209,6 @@ class ReplicaSet:
                 closer = getattr(engine, "close_process_pool", None)
             if closer is not None:
                 closer()
-        if self._export is not None:
-            self._export.close()
-            self._export = None
 
     def __enter__(self) -> "ReplicaSet":
         return self
@@ -346,7 +308,6 @@ class ReplicaSet:
         failover retry runs on what the failed attempts left of it, never
         on a fresh budget.
         """
-        self._check_version()
         tried: Set[int] = set()
         last_error: Optional[BaseException] = None
         while True:
@@ -439,7 +400,6 @@ class ReplicaSet:
         Explain routes like a search would (least-loaded at this instant)
         but does not hold the slot — it never runs the query.
         """
-        self._check_version()
         with self._route_lock:
             replica_id = min(
                 range(len(self._engines)), key=lambda i: (self._in_flight[i], i)
@@ -508,85 +468,40 @@ class ReplicaSet:
     def stats(self, name: str = "replica-set") -> ServingStats:
         """The stats-endpoint snapshot: merged totals + per-replica blocks.
 
-        ``replicas`` carries one block per replica with its routed count,
-        current in-flight gauge and engine counters, so an operator can see
-        both the set as one engine and whether routing is balanced.
+        ``replicas`` carries one block per replica: its routed count,
+        current in-flight gauge and health, around the member's own report
+        (:meth:`ServingStats.member_block`), so an operator can see both
+        the set as one engine and whether routing is balanced.
         ``latency`` is empty: the directory edge records it.
         """
         with self._route_lock:
             routed = list(self._routed)
             in_flight = list(self._in_flight)
         blocks: List[Dict[str, object]] = []
-        cache_hits = 0
-        cache_misses = 0
-        cache_entries = 0
+        cache = {"hits": 0, "misses": 0, "entries": 0}
         for replica_id, engine in enumerate(self._engines):
-            if isinstance(engine, BCCEngine):
-                payload = engine_payload(engine)
-                cache_info = payload["cache"]
-                block: Dict[str, object] = {
+            member = engine.stats(f"{name}/replica{replica_id}")
+            blocks.append(
+                {
                     "replica": replica_id,
                     "routed": routed[replica_id],
                     "in_flight": in_flight[replica_id],
-                    "prepared": payload["prepared"],
-                    "index_built": payload["index_built"],
-                    "counters": payload["counters"],
-                    "cache": cache_info,
+                    **member.member_block(),
                     "health": self._health[replica_id].snapshot(),
                 }
-                cache_hits += int(cache_info.get("hits", 0))
-                cache_misses += int(cache_info.get("misses", 0))
-                cache_entries += int(cache_info.get("entries", 0))
-            elif isinstance(engine, ShardedBCCEngine):
-                # sharded replica: reuse its own aggregated snapshot
-                shard_stats = engine.stats(name=f"{name}/replica{replica_id}")
-                block = {
-                    "replica": replica_id,
-                    "routed": routed[replica_id],
-                    "in_flight": in_flight[replica_id],
-                    "shards": len(shard_stats.shards),
-                    "counters": dict(shard_stats.counters),
-                    "cache": dict(shard_stats.cache),
-                    "health": self._health[replica_id].snapshot(),
-                }
-                cache_hits += int(shard_stats.cache.get("hits", 0))
-                cache_misses += int(shard_stats.cache.get("misses", 0))
-                cache_entries += int(shard_stats.cache.get("entries", 0))
-            else:
-                # process-backed member: engine counters ride in on the
-                # workers' piggybacked snapshots (never a blocking
-                # round-trip); cache entry counts live worker-side only.
-                cache_info = engine.result_cache_info()
-                block = {
-                    "replica": replica_id,
-                    "routed": routed[replica_id],
-                    "in_flight": in_flight[replica_id],
-                    "prepared": engine.is_prepared(),
-                    "index_built": engine.has_index(),
-                    "counters": engine.counters_snapshot(),
-                    "cache": cache_info,
-                    "workers": engine.worker_stats(),
-                    "health": self._health[replica_id].snapshot(),
-                }
-                cache_hits += int(cache_info.get("hits", 0) or 0)
-                cache_misses += int(cache_info.get("misses", 0) or 0)
-                cache_entries += int(cache_info.get("entries", 0) or 0)
-            blocks.append(block)
-        lookups = cache_hits + cache_misses
+            )
+            for key in cache:
+                # A process member's cache entries live worker-side: None.
+                cache[key] += int(member.cache.get(key) or 0)
+        lookups = cache["hits"] + cache["misses"]
         return ServingStats(
             name=name,
             kind="replicated",
-            graph={
-                "vertices": self.graph.num_vertices(),
-                "edges": self.graph.num_edges(),
-                "version": self.graph.version(),
-            },
+            graph=graph_shape(self.graph),
             counters=self.counters_snapshot(),
             cache={
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "entries": cache_entries,
-                "hit_rate": (cache_hits / lookups) if lookups else None,
+                **cache,
+                "hit_rate": (cache["hits"] / lookups) if lookups else None,
             },
             replicas=tuple(blocks),
             health=self.health_summary(),

@@ -30,7 +30,7 @@ from repro.api.engine import DEFAULT_RESULT_CACHE_SIZE, BCCEngine
 from repro.api.query import BatchQuery, Query, SearchResponse
 from repro.datasets.registry import load_dataset
 from repro.exceptions import GraphNotFoundError
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.labeled_graph import LabeledGraph, as_labeled_graph
 from repro.obs import Observability
 from repro.obs.metrics import Sample, counter_samples
 from repro.serving.sharded import ShardedBCCEngine
@@ -240,12 +240,9 @@ class GraphDirectory:
             if self._store is not None:
                 store_mode = "sharded"
         elif self._store is not None:
-            plain = graph if isinstance(graph, LabeledGraph) else getattr(
-                graph, "graph", graph
-            )
             engine, store_mode = self._store.attach_or_build(
                 name,
-                plain,
+                as_labeled_graph(graph),
                 engine_config,
                 result_cache_size=cache_size,
                 result_cache_policy=cache_policy,
@@ -368,26 +365,21 @@ class GraphDirectory:
     def stats(self) -> Dict[str, ServingStats]:
         """Per-graph :class:`ServingStats`, keyed by served name.
 
-        Every graph's ``latency`` is its edge histogram, whatever the host.
+        Each is the host's own ``stats(name)`` report; every graph's
+        ``latency`` is its edge histogram, whatever the host.
         """
         with self._lock:
             served = dict(self._served)
         snapshots: Dict[str, ServingStats] = {}
         for name, record in served.items():
-            engine = record.engine
-            if isinstance(engine, BCCEngine):
-                snapshot = ServingStats.from_engine(engine, name=name)
-                if record.store_mode is not None:
-                    # "attached" = served from a snapshot (no freeze, no
-                    # index build); "built" = snapshot miss, rebuilt and
-                    # persisted for the next process.
-                    snapshot = dataclasses.replace(
-                        snapshot, store={"mode": record.store_mode}
-                    )
-            else:
-                # Sharded engines and replica sets build their own
-                # aggregated snapshot (per-shard / per-replica blocks).
-                snapshot = engine.stats(name=name)
+            snapshot = record.engine.stats(name=name)
+            if record.store_mode is not None and snapshot.store is None:
+                # "attached" = served from a snapshot (no freeze, no index
+                # build); "built" = snapshot miss, rebuilt and persisted for
+                # the next process.  A sharded host reports its own block.
+                snapshot = dataclasses.replace(
+                    snapshot, store={"mode": record.store_mode}
+                )
             snapshots[name] = dataclasses.replace(
                 snapshot, latency=record.latency.snapshot()
             )
@@ -466,18 +458,16 @@ class GraphDirectory:
                 )
             )
             workers = snapshot.workers
-            if isinstance(workers, dict):
+            if workers is not None:
                 samples.extend(
                     counter_samples(
                         "pool",
-                        workers.get("counters", {}),  # type: ignore[arg-type]
+                        workers["counters"],  # type: ignore[arg-type]
                         labels=graph_labels,
                         help="process worker pool counters",
                     )
                 )
-                for block in workers.get("workers", ()):  # type: ignore[union-attr]
-                    if not isinstance(block, dict):
-                        continue
+                for block in workers["workers"]:  # type: ignore[union-attr]
                     per_worker = {
                         key: value
                         for key, value in block.items()

@@ -79,13 +79,13 @@ from repro.exceptions import (
     REASON_CROSS_SHARD,
     VertexNotFoundError,
 )
-from repro.graph.labeled_graph import LabeledGraph, Vertex
+from repro.graph.labeled_graph import LabeledGraph, Vertex, as_labeled_graph
 from repro.graph.traversal import connected_components
 from repro.obs.tracing import span as obs_span
 from repro.serving.stats import (
     ServingStats,
     aggregate_counters,
-    engine_payload,
+    graph_shape,
     zero_engine_counters,
 )
 
@@ -134,10 +134,7 @@ class ShardedBCCEngine:
         store_key: str = "sharded",
         max_resident_shards: Optional[int] = None,
     ) -> None:
-        if not isinstance(graph, LabeledGraph):
-            graph = getattr(graph, "graph", graph)
-        if not isinstance(graph, LabeledGraph):
-            raise TypeError(f"expected a LabeledGraph or bundle, got {type(graph)!r}")
+        graph = as_labeled_graph(graph)
         if max_resident_shards is not None and max_resident_shards < 1:
             raise ValueError("max_resident_shards must be >= 1 (or None)")
         self.graph: LabeledGraph = graph
@@ -587,11 +584,12 @@ class ShardedBCCEngine:
     def stats(self, name: str = "sharded-engine") -> ServingStats:
         """The stats-endpoint snapshot: router + per-shard engine stats.
 
-        Never-built shards appear with explicitly all-zero engine counters
-        — the machine-checkable laziness proof that untouched components
-        performed no freezes, no index builds, no searches.  ``latency``
-        is empty: a served graph's latency is recorded once, at the
-        :class:`repro.serving.GraphDirectory` edge.
+        A built shard's block nests its engine's own report
+        (:meth:`ServingStats.member_block`).  Never-built shards appear with
+        explicitly all-zero engine counters — the machine-checkable laziness
+        proof that untouched components performed no freezes, no index
+        builds, no searches.  ``latency`` is empty: a served graph's latency
+        is recorded once, at the :class:`repro.serving.GraphDirectory` edge.
         """
         self._check_version()
         with self._shards_lock:
@@ -613,17 +611,14 @@ class ShardedBCCEngine:
                     }
                 )
             else:
-                payload = engine_payload(engine)
+                member = engine.stats(f"{name}/shard{shard_id}")
                 blocks.append(
                     {
                         "shard": shard_id,
-                        "vertices": payload["vertices"],
-                        "edges": payload["edges"],
+                        "vertices": member.graph["vertices"],
+                        "edges": member.graph["edges"],
                         "built": True,
-                        "prepared": payload["prepared"],
-                        "index_built": payload["index_built"],
-                        "counters": payload["counters"],
-                        "cache": payload["cache"],
+                        **member.member_block(),
                     }
                 )
         engine_totals = aggregate_counters(
@@ -660,12 +655,7 @@ class ShardedBCCEngine:
         return ServingStats(
             name=name,
             kind="sharded",
-            graph={
-                "vertices": self.graph.num_vertices(),
-                "edges": self.graph.num_edges(),
-                "version": self.graph.version(),
-                "components": len(components),
-            },
+            graph={**graph_shape(self.graph), "components": len(components)},
             counters=counters,
             cache=cache_totals,
             shards=tuple(blocks),

@@ -4,11 +4,11 @@ Operators of a long-lived serving process ask three questions: *is the
 cache working* (hit rates), *did laziness hold* (which shards actually paid
 freeze/index cost), and *what does latency look like* (a histogram, not an
 average).  :class:`ServingStats` answers all three with one JSON-serializable
-snapshot — the payload a ``/stats`` endpoint would return — assembled from
-the lock-protected engine counters (:meth:`BCCEngine.counters_snapshot`),
-the result-cache info and a :class:`LatencyHistogram`.  Latency has one
-owner: :class:`repro.serving.GraphDirectory` keeps one histogram per
-served graph at its edge; engines keep none.
+snapshot — the payload a ``/stats`` endpoint would return — which every
+host builds in its own ``stats(name)`` from its lock-protected counters
+and cache info.  Latency has one owner: :class:`repro.serving.GraphDirectory`
+keeps one :class:`LatencyHistogram` per served graph at its edge; hosts
+keep none.
 
 Nothing here blocks serving: snapshots copy under short leaf locks, and the
 histogram's ``observe`` is a counter bump under its own lock.
@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.engine import ENGINE_COUNTER_NAMES, BCCEngine
+from repro.api.engine import ENGINE_COUNTER_NAMES
 
 #: Version stamp of the stats-endpoint payload schema
 #: (``GraphDirectory.stats_payload`` / ``GET /stats``).  Bump when a field
@@ -129,6 +129,15 @@ def zero_engine_counters() -> Dict[str, int]:
     return {name: 0 for name in ENGINE_COUNTER_NAMES}
 
 
+def graph_shape(graph) -> Dict[str, int]:
+    """A served graph's ``graph`` block: vertices, edges and version."""
+    return {
+        "vertices": graph.num_vertices(),
+        "edges": graph.num_edges(),
+        "version": graph.version(),
+    }
+
+
 def aggregate_counters(parts: Sequence[Dict[str, int]]) -> Dict[str, int]:
     """Sum counter dicts key-wise (missing keys count as zero)."""
     total: Dict[str, int] = {}
@@ -138,21 +147,16 @@ def aggregate_counters(parts: Sequence[Dict[str, int]]) -> Dict[str, int]:
     return total
 
 
-def engine_payload(engine: BCCEngine) -> Dict[str, object]:
-    """One engine's stats block: graph shape, counters, cache info."""
-    return {
-        "vertices": engine.graph.num_vertices(),
-        "edges": engine.graph.num_edges(),
-        "prepared": engine.is_prepared(),
-        "index_built": engine.has_index(),
-        "counters": engine.counters_snapshot(),
-        "cache": engine.result_cache_info(),
-    }
-
-
 @dataclass(frozen=True)
 class ServingStats:
     """The stats-endpoint payload for one served graph.
+
+    Every host reports one through its own ``stats(name)``:
+    :class:`repro.api.BCCEngine` (``kind="monolithic"``),
+    :class:`repro.serving.ShardedBCCEngine` (``"sharded"``),
+    :class:`repro.server.ReplicaSet` (``"replicated"``) and
+    :class:`repro.parallel.ProcessEngine` (``"process"``).  A composite
+    nests each member's own report through :meth:`member_block`.
 
     ``counters`` aggregates engine counters across every shard (for a
     monolithic engine it *is* the engine's counters) merged with the
@@ -160,18 +164,17 @@ class ServingStats:
     ``partitions``, ...).  ``shards`` carries one block per shard —
     including never-built shards, whose counters are explicitly all-zero:
     that is the laziness proof a test or an operator reads off the
-    endpoint.  A replicated engine (:class:`repro.server.ReplicaSet`)
-    reports ``kind="replicated"`` with one ``replicas`` block per replica
-    (routed counts, in-flight gauge, per-replica engine counters).
+    endpoint.  A replica set carries one ``replicas`` block per replica
+    (routed counts, in-flight gauge, health and the member's own block).
 
-    An engine's own snapshot carries an empty ``latency``: engines keep
-    no latency.  :meth:`repro.serving.GraphDirectory.stats` fills it from
+    A host's own snapshot carries an empty ``latency``: hosts keep no
+    latency.  :meth:`repro.serving.GraphDirectory.stats` fills it from
     the one histogram the directory keeps per served graph — one
     observation per ``serve`` / ``serve_many`` call, whatever the host.
     """
 
     name: str
-    kind: str  # "sharded" | "monolithic" | "replicated"
+    kind: str  # "monolithic" | "sharded" | "replicated" | "process"
     graph: Dict[str, int]
     counters: Dict[str, int]
     cache: Dict[str, object]
@@ -180,6 +183,10 @@ class ServingStats:
     )
     shards: Tuple[Dict[str, object], ...] = ()
     replicas: Tuple[Dict[str, object], ...] = ()
+    #: Whether one engine serves the whole graph prepared and indexed;
+    #: ``None`` for sharded and replicated hosts (their blocks say it).
+    prepared: Optional[bool] = None
+    index_built: Optional[bool] = None
     #: Replica-set health summary (``state``/``available``/``states``);
     #: ``None`` for engines without health tracking.
     health: Optional[Dict[str, object]] = None
@@ -192,27 +199,24 @@ class ServingStats:
     #: live — serving never blocks on a busy worker to report this.
     workers: Optional[Dict[str, object]] = None
 
-    @classmethod
-    def from_engine(cls, engine: BCCEngine, name: str = "engine") -> "ServingStats":
-        """Snapshot a monolithic :class:`BCCEngine`.
+    def member_block(self) -> Dict[str, object]:
+        """This report as a shard or replica block of a composite's payload.
 
-        (Sharded engines build their own snapshot — see
-        :meth:`repro.serving.sharded.ShardedBCCEngine.stats`.)
+        A sharded host's block counts its shards instead of listing them.
         """
-        payload = engine_payload(engine)
-        pool_stats = getattr(engine, "process_pool_stats", None)
-        return cls(
-            name=name,
-            kind="monolithic",
-            graph={
-                "vertices": payload["vertices"],
-                "edges": payload["edges"],
-                "version": engine.graph.version(),
-            },
-            counters=payload["counters"],
-            cache=payload["cache"],
-            workers=pool_stats() if pool_stats is not None else None,
-        )
+        block: Dict[str, object] = {
+            "counters": dict(self.counters),
+            "cache": dict(self.cache),
+        }
+        if self.prepared is not None:
+            block["prepared"] = self.prepared
+        if self.index_built is not None:
+            block["index_built"] = self.index_built
+        if self.kind == "sharded":
+            block["shards"] = len(self.shards)
+        if self.workers is not None:
+            block["workers"] = dict(self.workers)
+        return block
 
     def shard(self, shard_id: int) -> Dict[str, object]:
         """The stats block of one shard (raises IndexError when absent)."""
@@ -227,11 +231,10 @@ class ServingStats:
             "name": self.name,
             "kind": self.kind,
             "graph": dict(self.graph),
-            "counters": dict(self.counters),
-            "cache": dict(self.cache),
             "latency": dict(self.latency),
+            **self.member_block(),
         }
-        if self.kind == "sharded":
+        if self.kind == "sharded":  # the shard blocks, not their count
             payload["shards"] = [dict(block) for block in self.shards]
         if self.kind == "replicated":
             payload["replicas"] = [dict(block) for block in self.replicas]
@@ -239,8 +242,6 @@ class ServingStats:
             payload["health"] = dict(self.health)
         if self.store is not None:
             payload["store"] = dict(self.store)
-        if self.workers is not None:
-            payload["workers"] = dict(self.workers)
         return payload
 
     def to_json(self, indent: Optional[int] = None) -> str:

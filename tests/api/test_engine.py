@@ -453,12 +453,7 @@ class TestErrorPolicy:
         bug escaping a runner — on_error="return" must not convert it into
         a per-query error row."""
 
-        @register_method(
-            "deep-misser",
-            display="Deep-Misser",
-            kind="baseline",
-            missing_vertex_is_empty=True,
-        )
+        @register_method("deep-misser", display="Deep-Misser", kind="baseline")
         def _deep(engine, query, config, instrumentation):
             raise VertexNotFoundError("internal-liaison-vertex")
 

@@ -173,18 +173,14 @@ class TestRegistryDispatch:
         with _pytest.raises(VertexNotFoundError):
             run_method("LP-BCC", tiny_baidu_bundle, q_left, "ghost")
 
-    def test_deep_missing_vertex_propagates_even_when_flagged(self, tiny_baidu_bundle):
+    def test_deep_missing_vertex_propagates_from_a_baseline(self, tiny_baidu_bundle):
         """A VertexNotFoundError for a NON-query vertex is an implementation
-        bug, not "no community": the harness must not score it unanswered."""
+        bug, not "no community": the harness must not score it unanswered,
+        even for a baseline, whose missing *query* vertex it does."""
         from repro.api import register_method, unregister_method
         from repro.exceptions import VertexNotFoundError
 
-        @register_method(
-            "buggy-baseline",
-            display="Buggy-Baseline",
-            kind="baseline",
-            missing_vertex_is_empty=True,
-        )
+        @register_method("buggy-baseline", display="Buggy-Baseline", kind="baseline")
         def _buggy(engine, query, config, instrumentation):
             raise VertexNotFoundError("internal-liaison-vertex")
 

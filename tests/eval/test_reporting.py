@@ -107,10 +107,3 @@ class TestInstrumentation:
         assert payload["query_distance_seconds"] >= 0
         # Wall time is the response's timings["total_seconds"], not a counter.
         assert "total_seconds" not in payload
-
-    def test_reset(self):
-        inst = SearchInstrumentation(butterfly_counting_calls=7)
-        inst.add("x", 1.0)
-        inst.reset()
-        assert inst.butterfly_counting_calls == 0
-        assert inst.extra == {}

@@ -148,7 +148,7 @@ class TestProcessEngine:
             )
             counters = engine.counters_snapshot()
             assert counters["searches"] >= len(pairs)
-            cache = engine.result_cache_info()
+            cache = engine.stats().cache
             assert set(cache) >= {"hits", "misses", "hit_rate", "capacity"}
             assert len(engine.worker_pids()) == 2
 
@@ -404,8 +404,28 @@ def test_process_batches_follow_graph_mutation(engine_type):
 # ----------------------------------------------------------------------
 # ReplicaSet: process-backed members
 # ----------------------------------------------------------------------
+def assert_replicas_fall_back_to_threads(graph, queries):
+    """A process replica set over ``graph`` serves on thread members instead."""
+    reference = ReplicaSet(graph, replicas=2)
+    expected = reference.search_many(queries, on_error="return")
+    assert any(r.status == "ok" for r in expected)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        replica_set = ReplicaSet(graph, replicas=2, member_backend="process")
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(runtime) == 1
+    assert "process backend unavailable" in str(runtime[0].message)
+    assert replica_set.member_backend == "thread"
+    for replica_id in range(2):
+        assert type(replica_set.replica_engine(replica_id)) is BCCEngine
+    got = replica_set.search_many(queries, on_error="return")
+    assert [(r.status, r.reason, r.vertices) for r in got] == [
+        (r.status, r.reason, r.vertices) for r in expected
+    ]
+
+
 class TestReplicaProcessMembers:
-    def test_members_share_one_export_and_answer_identically(
+    def test_members_answer_identically_each_over_its_own_export(
         self, pair_graph
     ):
         reference = BCCEngine(pair_graph).prepare()
@@ -414,35 +434,46 @@ class TestReplicaProcessMembers:
             pair_graph, replicas=2, member_backend="process"
         ) as replica_set:
             assert replica_set.member_backend == "process"
+            members = [replica_set.replica_engine(i) for i in range(2)]
+            # Construction leaves no pool, no export and no worker behind.
+            assert [member._current_pool() for member in members] == [None] * 2
             for pair in pairs:
                 query = Query("online-bcc", pair)
-                assert canonical(replica_set.search(query)) == canonical(
-                    reference.search(query)
-                )
+                expected = canonical(reference.search(query))
+                assert canonical(replica_set.search(query)) == expected
+                assert canonical(members[1].search(query)) == expected
+            exports = {member._current_pool().handle.name for member in members}
+            assert len(exports) == 2
             stats = replica_set.stats().to_dict()
             blocks = stats["replicas"]
             assert len(blocks) == 2
             for block in blocks:
-                assert "workers" in block
+                assert "workers" in block and "shards" not in block
+                assert block["prepared"] is True
                 assert block["health"]["state"] == "ok"
         # close() is idempotent.
         replica_set.close()
 
     def test_members_follow_graph_mutation(self, monkeypatch):
+        import repro.parallel.process_engine as process_engine_mod
+
+        built = []
+        real_pool = process_engine_mod.ProcessWorkerPool
+
+        def counting_pool(*args, **kwargs):
+            built.append(None)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(process_engine_mod, "ProcessWorkerPool", counting_pool)
         graph = paper_example_graph()
         query = Query("online-bcc", ("ql", "qr"))
         with ReplicaSet(
-            graph, PAPER_CONFIG, replicas=1, member_backend="process"
+            graph, PAPER_CONFIG, replicas=2, member_backend="process"
         ) as replica_set:
-            stale_member = replica_set.replica_engine(0)
-            assert "u1" in replica_set.search(query).vertices
-            builds = []
-            build = replica_set._build_members
-            monkeypatch.setattr(
-                replica_set,
-                "_build_members",
-                lambda replicas: builds.append(replicas) or build(replicas),
-            )
+            members = [replica_set.replica_engine(i) for i in range(2)]
+            for member in members:
+                assert "u1" in member.search(query).vertices
+            assert len(built) == 2
             graph.remove_vertex("u1")
             expected = canonical(BCCEngine(graph, PAPER_CONFIG).search(query))
             assert expected["status"] == "empty"
@@ -453,16 +484,40 @@ class TestReplicaProcessMembers:
                 for round_ in range(4):
                     if round_:  # an isolated vertex leaves the answer alone
                         graph.add_vertex(f"isolated-{round_}", "SE")
+                    before = [member._current_pool() for member in members]
+                    builds = len(built)
                     rows = replica_set.search_many(
                         [query] * 8, max_workers=8, use_cache=False
                     )
                     assert [canonical(r) for r in rows] == [expected] * 8
+                    # A member the race did not reach follows on its own
+                    # next search.
+                    for member in members:
+                        got = member.search(query, use_cache=False)
+                        assert canonical(got) == expected
+                    after = [member._current_pool() for member in members]
+                    assert len(built) - builds == 2  # one new pool per member
+                    assert all(new is not old for new, old in zip(after, before))
             finally:
                 sys.setswitchinterval(interval)
-            assert builds == [1] * 4  # one rebuild per mutation
             assert replica_set.counters_snapshot()["replica_failures"] == 0
-            with pytest.raises(RuntimeError):
-                stale_member.search(query)
+
+    def test_unavailable_substrate_builds_thread_members(
+        self, pair_graph, fresh_fallback_state
+    ):
+        queries = [Query("online-bcc", p) for p in cross_pairs(pair_graph, 3)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fresh_fallback_state, "_probe_shared_memory", lambda: False)
+            assert_replicas_fall_back_to_threads(pair_graph, queries)
+
+    def test_unexportable_vertex_builds_thread_members(
+        self, pair_graph, fresh_fallback_state
+    ):
+        graph = relabelled(pair_graph, vertex=lambda v: (v,))
+        queries = [
+            Query("online-bcc", ((u,), (v,))) for u, v in cross_pairs(pair_graph, 3)
+        ]
+        assert_replicas_fall_back_to_threads(graph, queries)
 
     def test_worker_crashed_is_a_replica_failure_that_fails_over(
         self, pair_graph

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -9,12 +10,37 @@ import pytest
 
 from repro.api import BCCEngine, Query, SearchConfig
 from repro.api.engine import ENGINE_COUNTER_NAMES
-from repro.serving import LatencyHistogram, ServingStats, ShardedBCCEngine
-from repro.serving.stats import (
-    aggregate_counters,
-    engine_payload,
-    zero_engine_counters,
+from repro.parallel import ProcessEngine
+from repro.serving import (
+    GraphDirectory,
+    LatencyHistogram,
+    ServingStats,
+    ShardedBCCEngine,
 )
+from repro.serving.directory import _Served
+from repro.serving.stats import aggregate_counters, zero_engine_counters
+
+#: One in-shard pair, searched twice (a cache hit), and one cross-shard
+#: pair of ``two_component_paper_graph``.
+CONTRACT_QUERIES = [
+    Query("online-bcc", ("ql", "qr")),
+    Query("online-bcc", ("ql", "qr")),
+    Query("lp-bcc", ("ql", "b:u1")),
+]
+
+#: Every host kind: ``add`` options, or ``None`` for a bare ProcessEngine.
+HOSTS = [
+    pytest.param({"sharded": False}, id="engine"),
+    pytest.param({"sharded": True}, id="sharded"),
+    pytest.param({"replicas": 2}, id="thread-replicas"),
+    pytest.param({"replicas": 2, "sharded": True}, id="sharded-replicas"),
+    pytest.param(
+        {"replicas": 2, "member_backend": "process"},
+        id="process-replicas",
+        marks=pytest.mark.parallel,
+    ),
+    pytest.param(None, id="process-engine", marks=pytest.mark.parallel),
+]
 
 
 class TestLatencyHistogram:
@@ -85,13 +111,13 @@ class TestHelpers:
         total = aggregate_counters([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
         assert total == {"a": 4, "b": 2, "c": 4}
 
-    def test_engine_payload_shape(self, paper_graph):
+    def test_engine_stats_shape(self, paper_graph):
         engine = BCCEngine(paper_graph).prepare()
-        payload = engine_payload(engine)
-        assert payload["vertices"] == paper_graph.num_vertices()
-        assert payload["prepared"] is True
-        assert payload["counters"]["prepare_calls"] == 1
-        assert payload["cache"]["capacity"] > 0
+        stats = engine.stats()
+        assert stats.graph["vertices"] == paper_graph.num_vertices()
+        assert stats.prepared is True and stats.index_built is False
+        assert stats.counters["prepare_calls"] == 1
+        assert stats.cache["capacity"] > 0
 
 
 class TestServingStats:
@@ -99,7 +125,7 @@ class TestServingStats:
         engine = BCCEngine(paper_graph, SearchConfig(k1=4, k2=3)).prepare()
         engine.search(Query("online-bcc", ("ql", "qr")))
         engine.search(Query("online-bcc", ("ql", "qr")))
-        stats = ServingStats.from_engine(engine, name="paper")
+        stats = engine.stats(name="paper")
         document = json.loads(stats.to_json())
         assert document["name"] == "paper"
         assert document["kind"] == "monolithic"
@@ -136,3 +162,35 @@ class TestServingStats:
         engine = ShardedBCCEngine(paper_graph)
         with pytest.raises(IndexError):
             engine.stats().shard(99)
+
+
+class TestHostContract:
+    """Every host reports its own stats; the directory passes them on."""
+
+    @pytest.mark.parametrize("options", HOSTS)
+    def test_directory_report_is_the_hosts_own(
+        self, options, two_component_paper_graph
+    ):
+        config = SearchConfig(k1=4, k2=3, b=1)
+        directory = GraphDirectory()
+        if options is None:
+            # add() builds every other kind; the directory serves any host.
+            host = ProcessEngine(two_component_paper_graph, config, workers=1)
+            directory._served["g"] = _Served(host, LatencyHistogram(), None)
+        else:
+            host = directory.add(
+                "g", two_component_paper_graph, config=config, **options
+            )
+        try:
+            for query in CONTRACT_QUERIES:
+                directory.serve("g", query)
+            directory.serve_many("g", CONTRACT_QUERIES)
+            report = host.stats("g")
+            assert isinstance(report, ServingStats)
+            json.dumps(report.to_dict())
+            assert host.counters_snapshot().items() <= report.counters.items()
+            served = directory.stats()["g"]
+            assert served.latency["count"] == len(CONTRACT_QUERIES) + 1
+            assert dataclasses.replace(served, latency=report.latency) == report
+        finally:
+            directory.remove("g")
